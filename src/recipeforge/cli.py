@@ -21,8 +21,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import corpus as corpus_mod
 from . import discovery, fidelity, mask_diffusion, quantity_diffusion, scoring
 from .config import config_hash, parse_config_file, render_config, resolve_config
@@ -263,7 +261,7 @@ def _get_batch(cfg: dict, out_dir: Path) -> tuple[discovery.GenerationBatch, cor
     if cfg["paths.samples"]:
         vocab = _load_vocabulary(cfg, out_dir)
         loaded = corpus_mod.load_corpus(cfg["paths.samples"], vocab)
-        batch = discovery.GenerationBatch(samples=loaded.recipes, seed=int(cfg["run.seed"]),
+        batch = discovery.GenerationBatch(grams=loaded.matrices()[1], seed=int(cfg["run.seed"]),
                                           mask_fingerprint="", quantity_fingerprint="")
         return batch, vocab
     mask_model, qty_model, mfp, qfp = _load_models(cfg, out_dir)
@@ -305,9 +303,9 @@ def _train_config(cfg: dict, prefix: str) -> TrainConfig:
 
 
 def _group_table(batch: discovery.GenerationBatch, score_of) -> list[list]:
-    groups = scoring.group_recipes(batch.samples)
-    reps = [g.representative for g in groups]
-    scores = score_of(reps)
+    """One row per SDS-0 group; score_of maps the founders' grams matrix to scores."""
+    groups = scoring.group_recipes(batch.grams)
+    scores = score_of(batch.grams[[g.founder_index for g in groups]])
     total = len(batch)
     return [[i, g.count, g.count / total, scores[i]] for i, g in enumerate(groups)]
 
@@ -399,17 +397,17 @@ def cmd_sample(cfg: dict, out_dir: Path, chash: str) -> int:
     if cfg["paths.samples"]:  # --mask-from: conditional weights only
         given = corpus_mod.load_corpus(cfg["paths.samples"], vocab)
         masks = given.matrices()[0]
-        recipes = quantity_diffusion.reverse_sample_batch(
+        grams = quantity_diffusion.reverse_sample_batch(
             qty_model, masks, int(cfg["run.seed"]),
             chunk_size=int(cfg["sample.chunk_size"]), threads=int(cfg["run.threads"]))
         mode = "conditional"
     else:
-        batch = discovery.generate_batch(mask_model, qty_model, int(cfg["sample.count"]),
+        grams = discovery.generate_batch(mask_model, qty_model, int(cfg["sample.count"]),
                                          int(cfg["run.seed"]),
                                          chunk_size=int(cfg["sample.chunk_size"]),
-                                         threads=int(cfg["run.threads"]))
-        recipes = batch.samples
+                                         threads=int(cfg["run.threads"])).grams
         mode = "joint"
+    recipes = [corpus_mod.Recipe.from_weights(g) for g in grams]
     made = corpus_mod.Corpus(vocabulary=vocab, recipes=recipes,
                              splits=[corpus_mod.TRAIN] * len(recipes))
     sample_dir.mkdir(parents=True, exist_ok=True)
@@ -460,8 +458,7 @@ def cmd_discover(cfg: dict, out_dir: Path, chash: str) -> int:
         result.hei_total = scoring.hei_score(result.selected, _load_nutrients(cfg, vocab),
                                              _load_standards(cfg)).total
     _write_json(out_dir / "selections" / "discover.json", _result_payload(result, vocab, batch), chash)
-    nov = discovery.novelty_many([g.representative for g in scoring.group_recipes(batch.samples)], loaded)
-    rows = _group_table(batch, lambda reps: nov)
+    rows = _group_table(batch, lambda reps: discovery.novelty_many(reps, loaded))
     _write_csv(out_dir / "reports" / "discover_groups.csv",
                ["group_index", "count", "popularity", "novelty_sds"], rows, chash)
     print(f"discover: group count {result.group_count}, novelty {result.novelty_sds}")
@@ -478,8 +475,7 @@ def cmd_select_sustainable(cfg: dict, out_dir: Path, chash: str) -> int:
                                                corpus_mod.load_corpus(cfg["paths.corpus"], vocab))
     _write_json(out_dir / "selections" / "select_sustainable.json",
                 _result_payload(result, vocab, batch), chash)
-    rows = _group_table(batch, lambda reps: scoring.env_impact_scores(
-        np.stack([r.weights for r in reps]), table))
+    rows = _group_table(batch, lambda reps: scoring.env_impact_scores(reps, table))
     _write_csv(out_dir / "reports" / "sustainable_groups.csv",
                ["group_index", "count", "popularity", "env_score"], rows, chash)
     print(f"select-sustainable: env score {result.env_score:.4f}, group count {result.group_count}")
@@ -496,8 +492,7 @@ def cmd_select_nutritious(cfg: dict, out_dir: Path, chash: str) -> int:
                                                corpus_mod.load_corpus(cfg["paths.corpus"], vocab))
     _write_json(out_dir / "selections" / "select_nutritious.json",
                 _result_payload(result, vocab, batch), chash)
-    rows = _group_table(batch, lambda reps: scoring.hei_totals(
-        np.stack([r.weights for r in reps]), table, standards))
+    rows = _group_table(batch, lambda reps: scoring.hei_totals(reps, table, standards))
     _write_csv(out_dir / "reports" / "nutritious_groups.csv",
                ["group_index", "count", "popularity", "hei_total"], rows, chash)
     print(f"select-nutritious: HEI {result.hei_total:.2f}, group count {result.group_count}")
@@ -521,7 +516,7 @@ def cmd_personalize(cfg: dict, out_dir: Path, chash: str) -> int:
                           "energy_requirement_kcal": scoring.energy_requirement(profile)}
     _write_json(out_dir / "selections" / "personalize.json", payload, chash)
     rows = _group_table(batch, lambda reps: scoring.personalized_scores(
-        np.stack([r.weights for r in reps]), profile, table, float(cfg["select.meal_fraction"])))
+        reps, profile, table, float(cfg["select.meal_fraction"])))
     _write_csv(out_dir / "reports" / "personalize_groups.csv",
                ["group_index", "count", "popularity", "personalized_score"], rows, chash)
     print(f"personalize: group count {result.group_count}")

@@ -76,11 +76,7 @@ DEFAULTS: dict[str, object] = {
 
 def _coerce(key: str, value: object) -> object:
     default = DEFAULTS[key]
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise DataError(f"config key {key} expects a boolean")
-        return value
-    if isinstance(default, int) and not isinstance(default, bool):
+    if isinstance(default, int):
         if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
             raise DataError(f"config key {key} expects an integer, got {value!r}")
         return int(value)
@@ -97,10 +93,25 @@ def _coerce(key: str, value: object) -> object:
     raise DataError(f"unsupported config type for {key}")
 
 
+def _strip_comment(line: str) -> str:
+    """The line up to the first '#' that is not inside a double-quoted string."""
+    quoted = escaped = False
+    for i, ch in enumerate(line):
+        if escaped:
+            escaped = False
+        elif quoted and ch == "\\":
+            escaped = True
+        elif ch == '"':
+            quoted = not quoted
+        elif ch == "#" and not quoted:
+            return line[:i]
+    return line
+
+
 def parse_config_file(path: str | Path) -> dict[str, object]:
     out: dict[str, object] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _strip_comment(raw).strip()
         if not line:
             continue
         if "=" not in line:

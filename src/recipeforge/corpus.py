@@ -86,14 +86,6 @@ class Recipe:
         if ((self.weights > 0) != (self.mask == 1)).any():
             raise DataError("weights must be positive exactly where mask = 1")
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.mask.any()
-
-    @property
-    def total_grams(self) -> float:
-        return float(self.weights.sum())
-
     def items(self, vocabulary: IngredientVocabulary) -> list[tuple[str, float]]:
         ids = vocabulary.ids
         return [(ids[i], float(self.weights[i])) for i in np.flatnonzero(self.mask)]
@@ -314,26 +306,6 @@ def synthesize_corpus(spec: SynthSpec, seed: int, val_fraction: float = 0.1) -> 
     return Corpus(vocabulary=vocab, recipes=recipes, splits=splits)
 
 
-def recipe_to_vectors(recipe: Recipe) -> tuple[np.ndarray, np.ndarray]:
-    """Mask and weight vectors of a recipe (copies)."""
-    return recipe.mask.copy(), recipe.weights.copy()
-
-
-def vectors_to_recipe(mask, weights, vocabulary: IngredientVocabulary) -> Recipe:
-    """Rebuild a Recipe; weights are zeroed where the mask is 0.
-
-    A present ingredient with weight <= 0 is an error; an all-zero mask
-    yields a valid but degenerate empty recipe.
-    """
-    mask = np.asarray(mask, dtype=np.uint8)
-    weights = np.asarray(weights, dtype=float)
-    if mask.shape[0] != vocabulary.K or weights.shape[0] != vocabulary.K:
-        raise DataError("vector length does not match vocabulary")
-    if (weights[mask == 1] <= 0).any():
-        raise DataError("present ingredient decoded with grams <= 0")
-    return Recipe(mask=mask, weights=np.where(mask == 1, weights, 0.0))
-
-
 def _parse_record(line: str, lineno: int) -> tuple[dict, str]:
     try:
         obj = json.loads(line)
@@ -380,23 +352,6 @@ def load_corpus(path: str | Path, vocabulary: IngredientVocabulary | None = None
         recipes.append(Recipe.from_weights(w))
         splits.append(split)
     return Corpus(vocabulary=vocabulary, recipes=recipes, splits=splits)
-
-
-def build_vocabulary(corpus_file: str | Path) -> IngredientVocabulary:
-    """Deduplicated, sorted ingredient vocabulary from a corpus file."""
-    path = Path(corpus_file)
-    ids: set[str] = set()
-    any_line = False
-    for i, ln in enumerate(path.read_text().splitlines()):
-        if not ln.strip():
-            continue
-        any_line = True
-        obj, _ = _parse_record(ln, i + 1)
-        for item in obj["ingredients"]:
-            ids.add(str(item.get("id")))
-    if not any_line or not ids:
-        raise DataError(f"{path}: no ingredients found")
-    return IngredientVocabulary.from_ids(ids)
 
 
 def write_corpus(path: str | Path, corpus: Corpus, include_split: bool = True) -> None:

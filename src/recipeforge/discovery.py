@@ -1,29 +1,31 @@
 """Generation and selection pipelines.
 
-Batch sampling couples the two models (mask first, then weights
-conditioned on the mask), and the selection operations reproduce the
-discovery recipes: novelty-filtered repetition counting, lowest-decile
-environmental selection, top-fraction nutrition selection, and
-personalized selection. Rediscovery streams samples with constant memory
-until one matches a reference at SDS = 0.
+A batch of generated recipes is one (n, K) grams matrix; an ingredient
+is present where its grams are > 0. Batch sampling couples the two
+models (mask first, then weights conditioned on the mask), and the
+selection operations reproduce the discovery recipes: novelty-filtered
+repetition counting, lowest-decile environmental selection,
+top-fraction nutrition selection, and personalized selection. Each
+selection returns its group's founder row as a Recipe. Rediscovery
+streams samples with constant memory until one matches a reference at
+SDS = 0.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import mask_diffusion, netcore
 from .corpus import Corpus, Recipe
 from .errors import DataError
 from .mask_diffusion import MaskDiffusionModel, _sample_chunk
 from .quantity_diffusion import QuantityScoreModel, decode_weights, reverse_integrate, reverse_sample_batch
 from .scoring import (HEIComponentStandard, ImpactTable, NutrientTable, PersonProfile,
-                      env_impact_score, env_impact_scores, group_recipes, hei_score,
+                      _sds_rows, env_impact_score, env_impact_scores, group_recipes, hei_score,
                       hei_totals, personalized_scores, sds)
-from . import mask_diffusion
 
 # distinct stream for quantity noise so mask and weight chunks never share
 # a seed sequence
@@ -32,19 +34,13 @@ _QTY_STREAM = 0x9E3779B9
 
 @dataclass
 class GenerationBatch:
-    samples: list[Recipe]
+    grams: np.ndarray  # (n, K)
     seed: int
     mask_fingerprint: str
     quantity_fingerprint: str
-    created_at: float = field(default_factory=time.time)
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    def weight_matrix(self) -> np.ndarray:
-        if not self.samples:
-            return np.zeros((0, 0))
-        return np.stack([r.weights for r in self.samples])
+        return self.grams.shape[0]
 
 
 @dataclass
@@ -82,51 +78,37 @@ def _model_fingerprints(mask_model: MaskDiffusionModel, quantity_model: Quantity
 def generate_batch(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreModel,
                    count: int, seed: int, *, chunk_size: int = 2048,
                    threads: int = 1) -> GenerationBatch:
-    """Draw count complete recipes: a mask, then weights given the mask.
+    """Draw count complete recipes, a (count, K) grams matrix: a mask,
+    then weights given the mask.
 
     Deterministic for a fixed seed and chunk size regardless of thread
     count; masks use the (seed, chunk) stream and weights an independent
     derived stream.
     """
     mfp, qfp = _model_fingerprints(mask_model, quantity_model)
-    if count == 0:
-        return GenerationBatch(samples=[], seed=seed, mask_fingerprint=mfp, quantity_fingerprint=qfp)
     masks = mask_diffusion.sample_masks(mask_model, count, seed,
                                         chunk_size=chunk_size, threads=threads)
-    recipes = reverse_sample_batch(quantity_model, masks, seed + _QTY_STREAM,
-                                   chunk_size=chunk_size, threads=threads)
-    return GenerationBatch(samples=recipes, seed=seed, mask_fingerprint=mfp,
+    grams = reverse_sample_batch(quantity_model, masks, seed + _QTY_STREAM,
+                                 chunk_size=chunk_size, threads=threads)
+    return GenerationBatch(grams=grams, seed=seed, mask_fingerprint=mfp,
                            quantity_fingerprint=qfp)
 
 
 def novelty(recipe: Recipe, corpus: Corpus) -> int:
     """Minimum SDS between the recipe and any corpus recipe."""
-    if len(corpus) == 0:
-        raise DataError("novelty undefined against an empty corpus")
     if recipe.weights.shape[0] != corpus.vocabulary.K:
         raise DataError("recipe does not match corpus vocabulary")
-    _, W = corpus.matrices()
-    from .scoring import _sds_rows
-    return int(_sds_rows(recipe.weights, W).min())
+    return int(novelty_many(recipe.weights[None, :], corpus)[0])
 
 
-def novelty_many(samples: list[Recipe], corpus: Corpus, block: int = 256) -> np.ndarray:
-    """Vectorized novelty for a list of samples."""
+def novelty_many(samples: np.ndarray, corpus: Corpus, block: int = 256) -> np.ndarray:
+    """Novelty of each row of an (n, K) grams matrix, block rows at a time."""
     if len(corpus) == 0:
         raise DataError("novelty undefined against an empty corpus")
     _, W = corpus.matrices()
-    S = np.stack([r.weights for r in samples])
-    out = np.zeros(S.shape[0], dtype=int)
-    Pw = W > 0
-    for lo in range(0, S.shape[0], block):
-        s = S[lo:lo + block]
-        Ps = s > 0
-        only = Ps[:, None, :] ^ Pw[None, :, :]
-        both = Ps[:, None, :] & Pw[None, :, :]
-        hi = np.maximum(s[:, None, :], W[None, :, :])
-        lo_w = np.minimum(s[:, None, :], W[None, :, :])
-        d = (only | (both & (hi >= 2.0 * lo_w))).sum(axis=2)
-        out[lo:lo + block] = d.min(axis=1)
+    out = np.zeros(len(samples), dtype=int)
+    for lo in range(0, len(samples), block):
+        out[lo:lo + block] = _sds_rows(samples[lo:lo + block, None, :], W).min(axis=1)
     return out
 
 
@@ -143,46 +125,46 @@ def rediscover(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreMode
                chunk_size: int = 64) -> RediscoveryOutcome:
     """Stream samples until one matches the reference at SDS = 0.
 
-    Samples are generated in fixed-size chunks, so memory is constant in
-    the budget and the i-th sample of the stream depends only on
-    (models, seed, chunk_size). Returns the first matching stream index,
-    or not-found once the budget is exhausted.
+    Samples are generated in whole chunks of chunk_size, decoded and
+    compared a chunk at a time, so memory is constant in the budget and
+    the i-th sample of the stream depends only on (models, seed,
+    chunk_size): it is row i of generate_batch at the same seed and chunk
+    size whenever that batch's count is a multiple of chunk_size. Returns
+    the first matching stream index, or not-found once the budget is
+    exhausted.
     """
     _model_fingerprints(mask_model, quantity_model)
     if reference.weights.shape[0] != mask_model.K:
         raise DataError("reference recipe does not match model vocabulary")
-    n_chunks = (budget + chunk_size - 1) // chunk_size
-    for c in range(n_chunks):
-        mask_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
-        masks, _ = _sample_chunk(mask_model, chunk_size, mask_rng, True)
-        qty_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed + _QTY_STREAM, spawn_key=(c,)))
-        z = reverse_integrate(quantity_model.score, masks.astype(float), quantity_model.sde, qty_rng)
-        limit = min(chunk_size, budget - c * chunk_size)
-        for r in range(limit):
-            candidate = decode_weights(z[r], masks[r], quantity_model.codec)
-            if sds(candidate, reference) == 0:
-                return RediscoveryOutcome(found=True, index=c * chunk_size + r,
-                                          recipe=candidate, draws=c * chunk_size + r + 1)
+    for lo in range(0, budget, chunk_size):
+        c, n = lo // chunk_size, min(chunk_size, budget - lo)
+        masks, _ = _sample_chunk(mask_model, chunk_size, netcore.chunk_rng(seed, c), True)
+        z = reverse_integrate(quantity_model.score, masks.astype(float), quantity_model.sde,
+                              netcore.chunk_rng(seed + _QTY_STREAM, c))
+        grams = decode_weights(z[:n], masks[:n], quantity_model.codec)
+        hits = np.flatnonzero(sds(grams, reference) == 0)
+        if hits.size:
+            return RediscoveryOutcome(found=True, index=lo + int(hits[0]),
+                                      recipe=Recipe.from_weights(grams[hits[0]]),
+                                      draws=lo + int(hits[0]) + 1)
     return RediscoveryOutcome(found=False, index=None, recipe=None, draws=budget)
 
 
-def _top_group(samples: list[Recipe], indices: list[int]) -> tuple[Recipe, int]:
-    kept = [samples[i] for i in indices]
-    groups = group_recipes(kept)
-    best = groups[0]
-    return best.representative, best.count
+def _top_group(grams: np.ndarray, indices) -> tuple[Recipe, int]:
+    """Founder row and size of the largest SDS-0 group among grams[indices]."""
+    kept = grams[indices]
+    best = group_recipes(kept)[0]
+    return Recipe.from_weights(kept[best.founder_index]), best.count
 
 
 def discover_novel(batch: GenerationBatch, corpus: Corpus, min_sds: int) -> DiscoveryResult:
     """Most repeated sample among those with novelty >= min_sds."""
-    if not batch.samples:
+    if len(batch) == 0:
         raise DataError("batch is empty")
-    nov = novelty_many(batch.samples, corpus)
-    keep = [i for i in range(len(batch)) if nov[i] >= min_sds]
-    if not keep:
+    keep = np.flatnonzero(novelty_many(batch.grams, corpus) >= min_sds)
+    if not keep.size:
         raise DataError(f"no sample has novelty >= {min_sds}")
-    rep, count = _top_group(batch.samples, keep)
+    rep, count = _top_group(batch.grams, keep)
     return DiscoveryResult(
         selected=rep, rule=f"discover_novel(min_sds={min_sds})",
         group_count=count, total_samples=len(batch),
@@ -199,39 +181,39 @@ def select_sustainable(batch: GenerationBatch, table: ImpactTable,
     and the decile taken within the constrained subset, so a constraint
     is unsatisfiable only when no sample in the whole batch meets it.
     """
-    if not batch.samples:
+    if len(batch) == 0:
         raise DataError("batch is empty")
-    candidates = list(range(len(batch)))
-    if required:
-        idx = [table.vocabulary.index_of(r) for r in required]
-        candidates = [i for i in candidates
-                      if all(batch.samples[i].mask[j] == 1 for j in idx)]
-        if not candidates:
-            raise DataError(f"no sample in the batch contains all of {sorted(required)}")
-    weights = np.stack([batch.samples[i].weights for i in candidates])
-    scores = env_impact_scores(weights, table)
+    idx = [table.vocabulary.index_of(r) for r in required or ()]
+    candidates = np.flatnonzero((batch.grams[:, idx] > 0).all(axis=1))
+    if not candidates.size:
+        raise DataError(f"no sample in the batch contains all of {sorted(required)}")
+    scores = env_impact_scores(batch.grams[candidates], table)
     k = max(1, math.ceil(0.1 * len(candidates)))
-    order = np.argsort(scores, kind="stable")[:k]
-    keep = sorted(candidates[int(i)] for i in order)
-    rep, count = _top_group(batch.samples, keep)
+    keep = np.sort(candidates[np.argsort(scores, kind="stable")[:k]])
+    rep, count = _top_group(batch.grams, keep)
     return DiscoveryResult(
         selected=rep, rule="select_sustainable" + (f"(require={sorted(required)})" if required else ""),
         group_count=count, total_samples=len(batch),
         popularity=count / len(batch), env_score=env_impact_score(rep, table))
 
 
-def select_nutritious(batch: GenerationBatch, table: NutrientTable, top_fraction: float,
-                      standards: list[HEIComponentStandard] | None = None) -> DiscoveryResult:
-    """Most repeated sample within the top fraction by healthy eating index."""
-    if not batch.samples:
+def _top_fraction_group(batch: GenerationBatch, top_fraction: float,
+                        score_of) -> tuple[Recipe, int]:
+    """_top_group over the top_fraction of rows (at least one) by score_of(grams)."""
+    if len(batch) == 0:
         raise DataError("batch is empty")
     if not 0.0 < top_fraction <= 1.0:
         raise ValueError(f"top fraction must lie in (0, 1], got {top_fraction}")
-    totals = hei_totals(batch.weight_matrix(), table, standards)
     k = max(1, math.ceil(top_fraction * len(batch)))
-    order = np.argsort(-totals, kind="stable")[:k]
-    keep = sorted(int(i) for i in order)
-    rep, count = _top_group(batch.samples, keep)
+    order = np.argsort(-score_of(batch.grams), kind="stable")[:k]
+    return _top_group(batch.grams, np.sort(order))
+
+
+def select_nutritious(batch: GenerationBatch, table: NutrientTable, top_fraction: float,
+                      standards: list[HEIComponentStandard] | None = None) -> DiscoveryResult:
+    """Most repeated sample within the top fraction by healthy eating index."""
+    rep, count = _top_fraction_group(batch, top_fraction,
+                                     lambda grams: hei_totals(grams, table, standards))
     return DiscoveryResult(
         selected=rep, rule=f"select_nutritious(top={top_fraction})",
         group_count=count, total_samples=len(batch),
@@ -241,15 +223,8 @@ def select_nutritious(batch: GenerationBatch, table: NutrientTable, top_fraction
 def select_personalized(batch: GenerationBatch, profile: PersonProfile, table: NutrientTable,
                         top_fraction: float, meal_fraction: float = 1.0 / 3.0) -> DiscoveryResult:
     """Most repeated sample within the top fraction by personalized score."""
-    if not batch.samples:
-        raise DataError("batch is empty")
-    if not 0.0 < top_fraction <= 1.0:
-        raise ValueError(f"top fraction must lie in (0, 1], got {top_fraction}")
-    scores = personalized_scores(batch.weight_matrix(), profile, table, meal_fraction)
-    k = max(1, math.ceil(top_fraction * len(batch)))
-    order = np.argsort(-scores, kind="stable")[:k]
-    keep = sorted(int(i) for i in order)
-    rep, count = _top_group(batch.samples, keep)
+    rep, count = _top_fraction_group(
+        batch, top_fraction, lambda grams: personalized_scores(grams, profile, table, meal_fraction))
     return DiscoveryResult(
         selected=rep,
         rule=f"select_personalized(top={top_fraction}, age={profile.age}, sex={profile.sex})",
@@ -270,14 +245,13 @@ def landscape_map(batch: GenerationBatch, impact: ImpactTable, nutrients: Nutrie
                   corpus: Corpus,
                   standards: list[HEIComponentStandard] | None = None) -> list[LandscapeRow]:
     """One row per SDS-0 group: popularity, impact, nutrition, novelty."""
-    if not batch.samples:
+    if len(batch) == 0:
         raise DataError("batch is empty")
-    groups = group_recipes(batch.samples)
-    reps = [g.representative for g in groups]
-    W = np.stack([r.weights for r in reps])
+    groups = group_recipes(batch.grams)
+    W = batch.grams[[g.founder_index for g in groups]]
     env = env_impact_scores(W, impact)
     hei = hei_totals(W, nutrients, standards)
-    nov = novelty_many(reps, corpus)
+    nov = novelty_many(W, corpus)
     total = len(batch)
     return [
         LandscapeRow(group_index=g_i, count=g.count, popularity=g.count / total,

@@ -23,8 +23,6 @@ def _as_masks(x) -> np.ndarray:
         return x.matrices()[0]
     if isinstance(x, np.ndarray):
         return np.atleast_2d(x)
-    if isinstance(x, (list, tuple)):
-        return np.stack([r.mask for r in x])
     raise TypeError(f"cannot interpret {type(x).__name__} as a mask set")
 
 
@@ -37,15 +35,19 @@ def marginal_error(samples, corpus) -> float:
     return float(np.abs(a.mean(axis=0) - b.mean(axis=0)).max())
 
 
-def length_distance(samples, corpus) -> float:
-    """Total-variation distance between ingredient-count histograms."""
+def _length_hists(samples, corpus) -> tuple[np.ndarray, np.ndarray]:
+    """Ingredient-count histograms of both sets over a common range."""
     a = _as_masks(samples).sum(axis=1).astype(int)
     b = _as_masks(corpus).sum(axis=1).astype(int)
     if a.size == 0 or b.size == 0:
         raise DataError("length distance needs nonempty sample and corpus sets")
     hi = int(max(a.max(), b.max()))
-    pa = np.bincount(a, minlength=hi + 1) / a.size
-    pb = np.bincount(b, minlength=hi + 1) / b.size
+    return np.bincount(a, minlength=hi + 1) / a.size, np.bincount(b, minlength=hi + 1) / b.size
+
+
+def length_distance(samples, corpus) -> float:
+    """Total-variation distance between ingredient-count histograms."""
+    pa, pb = _length_hists(samples, corpus)
     return float(0.5 * np.abs(pa - pb).sum())
 
 
@@ -81,7 +83,7 @@ def quantity_mae(model: QuantityScoreModel, held_out: list[Recipe], seed: int) -
     errs = []
     for r, s in zip(held_out, sampled):
         active = r.mask == 1
-        errs.append(float(np.abs(s.weights[active] - r.weights[active]).mean()))
+        errs.append(float(np.abs(s[active] - r.weights[active]).mean()))
     return float(np.mean(errs))
 
 
@@ -162,9 +164,7 @@ def fidelity_report(mask_model: MaskDiffusionModel, quantity_model: QuantityScor
     held_out = corpus.subset("validation")
     mae = quantity_mae(quantity_model, held_out, seed + 1) if held_out else float("nan")
 
-    a_len = samples.sum(axis=1).astype(int)
-    b_len = train_masks.sum(axis=1).astype(int)
-    hi = int(max(a_len.max(), b_len.max()))
+    sample_hist, corpus_hist = _length_hists(samples, train_masks)
     return FidelityReport(
         max_marginal_error=marginal_error(samples, train_masks),
         quantity_mae_grams=mae,
@@ -174,6 +174,6 @@ def fidelity_report(mask_model: MaskDiffusionModel, quantity_model: QuantityScor
         corpus_count=train_masks.shape[0],
         corpus_marginals=train_masks.mean(axis=0),
         sample_marginals=samples.mean(axis=0),
-        corpus_length_hist=np.bincount(b_len, minlength=hi + 1) / b_len.size,
-        sample_length_hist=np.bincount(a_len, minlength=hi + 1) / a_len.size,
+        corpus_length_hist=corpus_hist,
+        sample_length_hist=sample_hist,
     )

@@ -15,7 +15,6 @@ uniformly sampled time step per example.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -150,9 +149,15 @@ def _evidence_weight(t, schedule: NoiseSchedule) -> np.ndarray:
     return np.minimum(np.log((1.0 + ab) / np.maximum(1.0 - ab, 1e-15)), _EVIDENCE_CAP)
 
 
-def _predict_p_hat(model: MaskDiffusionModel, x_t: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Denoiser output probabilities, clipped away from 0 and 1."""
-    logits = netcore.forward(model.net, _model_inputs(x_t, t, model.schedule))
+def _predict_p_hat(model: MaskDiffusionModel, x_t: np.ndarray, t: np.ndarray,
+                   inputs: np.ndarray | None = None) -> np.ndarray:
+    """Denoiser output probabilities, clipped away from 0 and 1.
+
+    inputs, when given, are _model_inputs(x_t, t) already built by the caller.
+    """
+    if inputs is None:
+        inputs = _model_inputs(x_t, t, model.schedule)
+    logits = netcore.forward(model.net, inputs)
     if model.base_logits is not None:
         lam = _evidence_weight(t, model.schedule)
         logits = logits + model.base_logits + (2.0 * x_t - 1.0) * lam[..., None]
@@ -163,6 +168,15 @@ def _kl_bernoulli(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     p = np.clip(p, _PCLIP, 1.0 - _PCLIP)
     q = np.asarray(q, dtype=float)
     return rel_entr(q, p) + rel_entr(1.0 - q, 1.0 - p)
+
+
+def _noise(sched: NoiseSchedule, x0: np.ndarray,
+           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One uniform t in 1..T per row of x0 and x_t drawn from q(x_t | x_0)."""
+    t = rng.integers(1, sched.T + 1, size=x0.shape[0])
+    ab_t = sched.alpha_bar[t][:, None]
+    x_t = (rng.random(x0.shape) < ab_t * x0 + (1.0 - ab_t) / 2.0).astype(float)
+    return t, x_t
 
 
 def _elbo_terms(model: MaskDiffusionModel, masks: np.ndarray,
@@ -176,11 +190,8 @@ def _elbo_terms(model: MaskDiffusionModel, masks: np.ndarray,
     """
     sched = model.schedule
     T = sched.T
-    n = masks.shape[0]
     x0 = masks.astype(float)
-    t = rng.integers(1, T + 1, size=n)
-    ab_t = sched.alpha_bar[t][:, None]
-    x_t = (rng.random(x0.shape) < ab_t * x0 + (1.0 - ab_t) / 2.0).astype(float)
+    t, x_t = _noise(sched, x0, rng)
     p_hat = _predict_p_hat(model, x_t, t)
     beta_t = sched.betas[t - 1][:, None]
     ab_prev = sched.alpha_bar[t - 1][:, None]
@@ -192,39 +203,15 @@ def _elbo_terms(model: MaskDiffusionModel, masks: np.ndarray,
     return prior + T * step_term
 
 
-def elbo_loss(model: MaskDiffusionModel, recipe_mask, seed: int, draws: int = 1) -> float:
-    """Monte Carlo estimate of the negative ELBO for one mask."""
-    mask = np.asarray(recipe_mask, dtype=float)
-    if mask.shape[0] != model.K:
-        raise ValueError(f"mask length {mask.shape[0]} != model K {model.K}")
-    rng = np.random.default_rng(seed)
-    reps = np.repeat(mask[None, :], draws, axis=0)
-    return float(_elbo_terms(model, reps, rng).mean())
-
-
-def elbo_estimates(model: MaskDiffusionModel, recipe_mask, seed: int, draws: int) -> np.ndarray:
-    """Per-draw negative-ELBO estimates (for standard-error computations)."""
-    mask = np.asarray(recipe_mask, dtype=float)
-    rng = np.random.default_rng(seed)
-    reps = np.repeat(mask[None, :], draws, axis=0)
-    return _elbo_terms(model, reps, rng)
-
-
 def _train_step(model: MaskDiffusionModel, batch: np.ndarray,
                 opt: netcore.OptimizerState, rng: np.random.Generator) -> float:
     sched = model.schedule
     T = sched.T
     B = batch.shape[0]
     x0 = batch.astype(float)
-    t = rng.integers(1, T + 1, size=B)
-    ab_t = sched.alpha_bar[t][:, None]
-    x_t = (rng.random(x0.shape) < ab_t * x0 + (1.0 - ab_t) / 2.0).astype(float)
+    t, x_t = _noise(sched, x0, rng)
     inputs = _model_inputs(x_t, t, sched)
-    logits = netcore.forward(model.net, inputs)
-    if model.base_logits is not None:
-        lam = _evidence_weight(t, sched)
-        logits = logits + model.base_logits + (2.0 * x_t - 1.0) * lam[:, None]
-    s = np.clip(expit(logits), _PCLIP, 1.0 - _PCLIP)
+    s = _predict_p_hat(model, x_t, t, inputs)
 
     beta_t = sched.betas[t - 1][:, None]
     ab_prev = sched.alpha_bar[t - 1][:, None]
@@ -273,23 +260,10 @@ def train_mask_model(corpus: Corpus, schedule: NoiseSchedule, config: TrainConfi
     model = MaskDiffusionModel(schedule=schedule, net=net, K=K,
                                base_logits=np.log(marg / (1.0 - marg)),
                                vocab_fingerprint=corpus.vocabulary.fingerprint())
-    opt = netcore.init_optimizer(net, learning_rate=config.learning_rate)
-    rng = np.random.default_rng(seed)
-    ema = netcore.ParameterAverage(net, config.ema_decay) if config.ema_decay else None
-    lr0 = config.learning_rate
-    lr1 = config.final_learning_rate if config.final_learning_rate is not None else lr0
-    model.history.append((0, _validation_loss(model, val_masks, seed + 1, config.val_draws)))
-    for step in range(1, config.steps + 1):
-        opt.learning_rate = lr0 + (lr1 - lr0) * (step / config.steps)
-        idx = rng.integers(0, masks.shape[0], size=config.batch_size)
-        _train_step(model, masks[idx], opt, rng)
-        if ema is not None:
-            ema.update(net)
-        if step % config.val_interval == 0 or step == config.steps:
-            model.history.append((step, _validation_loss(model, val_masks, seed + 1, config.val_draws)))
-    if ema is not None:
-        ema.copy_to(net)
-        model.history.append((config.steps, _validation_loss(model, val_masks, seed + 1, config.val_draws)))
+    model.history = netcore.fit(
+        net, config, seed, masks.shape[0],
+        lambda idx, opt, rng: _train_step(model, masks[idx], opt, rng),
+        lambda: _validation_loss(model, val_masks, seed + 1, config.val_draws))
     return model
 
 
@@ -332,24 +306,9 @@ def sample_masks(model: MaskDiffusionModel, count: int, seed: int, *,
     """
     if count == 0:
         return np.zeros((0, model.K), dtype=np.uint8)
-    n_chunks = (count + chunk_size - 1) // chunk_size
-    sizes = [min(chunk_size, count - c * chunk_size) for c in range(n_chunks)]
-
-    def run(c: int) -> np.ndarray:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
-        return _sample_chunk(model, sizes[c], rng, discard_empty)[0]
-
-    if threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(run, range(n_chunks)))
-    else:
-        parts = [run(c) for c in range(n_chunks)]
-    return np.concatenate(parts, axis=0)
-
-
-def sample_mask(model: MaskDiffusionModel, seed: int, discard_empty: bool = True) -> np.ndarray:
-    """Draw a single mask; deterministic for a fixed seed."""
-    return sample_masks(model, 1, seed, discard_empty=discard_empty)[0]
+    return netcore.map_chunks(
+        count, chunk_size, seed, threads,
+        lambda rows, rng: _sample_chunk(model, rows.stop - rows.start, rng, discard_empty)[0])
 
 
 def save_mask_model(path: str | Path, model: MaskDiffusionModel, seed_lineage=None) -> None:
@@ -367,15 +326,15 @@ def save_mask_model(path: str | Path, model: MaskDiffusionModel, seed_lineage=No
 
 
 def load_mask_model(path: str | Path) -> MaskDiffusionModel:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("kind") != "mask_diffusion":
-        raise DataError(f"{path}: not a mask diffusion checkpoint")
-    schedule = NoiseSchedule(betas=np.asarray(doc["schedule"]["beta"], dtype=float))
+    """Read a checkpoint; DataError names the file and field of a bad value."""
+    doc = netcore.read_checkpoint(path, "mask_diffusion")
+    K = int(doc["K"])
     base = doc.get("base_logits")
     return MaskDiffusionModel(
-        schedule=schedule,
-        net=netcore.net_from_dict(doc["net"]),
-        K=int(doc["K"]),
-        base_logits=None if base is None else np.asarray(base, dtype=float),
+        schedule=NoiseSchedule(betas=netcore.checked_field(doc["schedule"]["beta"], path,
+                                                           "schedule.beta")),
+        net=netcore.net_from_dict(doc["net"], path, K + 3, K),
+        K=K,
+        base_logits=None if base is None else netcore.checked_field(base, path, "base_logits", K),
         vocab_fingerprint=str(doc.get("vocab_fingerprint", "")),
     )

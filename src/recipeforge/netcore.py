@@ -7,12 +7,16 @@ numpy; inputs may be single vectors of shape (D,) or batches of shape
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import DataError, NumericError
 
 Grads = list[tuple[np.ndarray, np.ndarray]]
 
@@ -109,13 +113,7 @@ def _check_input(net: Network, x: np.ndarray) -> np.ndarray:
 
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
     """Pure forward pass; tanh hidden activations, linear output."""
-    a = _check_input(net, x)
-    last = len(net.weights) - 1
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        a = a @ w.T + b
-        if l != last:
-            a = np.tanh(a)
-    return a
+    return _forward_cached(net, x)[0]
 
 
 def _forward_cached(net: Network, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -250,32 +248,110 @@ def time_embedding(t: np.ndarray | float, period: float) -> np.ndarray:
     return emb
 
 
-def net_to_dict(net: Network, state: OptimizerState | None = None) -> dict:
+def fit(net: Network, config: TrainConfig, seed: int, n_rows: int,
+        step: Callable[[np.ndarray, OptimizerState, np.random.Generator], object],
+        validate: Callable[[], float]) -> list[tuple[int, float]]:
+    """Train net in place with Adam; returns the (step, validation loss) history.
+
+    Each step draws config.batch_size row indices in [0, n_rows) and calls
+    step(idx, opt, rng), which takes one optimizer step on those rows. The
+    learning rate decays linearly to config.final_learning_rate when set;
+    with config.ema_decay the parameter average replaces the raw weights
+    at the end. validate() is recorded at step 0, every val_interval steps,
+    at the last step and, with an average, once more after the swap.
+    """
+    opt = init_optimizer(net, learning_rate=config.learning_rate)
+    rng = np.random.default_rng(seed)
+    ema = ParameterAverage(net, config.ema_decay) if config.ema_decay else None
+    lr0 = config.learning_rate
+    lr1 = config.final_learning_rate if config.final_learning_rate is not None else lr0
+    history = [(0, validate())]
+    for i in range(1, config.steps + 1):
+        opt.learning_rate = lr0 + (lr1 - lr0) * (i / config.steps)
+        step(rng.integers(0, n_rows, size=config.batch_size), opt, rng)
+        if ema is not None:
+            ema.update(net)
+        if i % config.val_interval == 0 or i == config.steps:
+            history.append((i, validate()))
+    if ema is not None:
+        ema.copy_to(net)
+        history.append((config.steps, validate()))
+    return history
+
+
+def chunk_rng(seed: int, chunk: int) -> np.random.Generator:
+    """Generator of one chunk of the sample stream of seed."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
+
+
+def map_chunks(n: int, chunk_size: int, seed: int, threads: int,
+               draw: Callable[[slice, np.random.Generator], np.ndarray]) -> np.ndarray:
+    """Concatenate draw(rows, chunk_rng(seed, c)) over the chunks of n >= 1 rows.
+
+    Chunk c covers rows [c * chunk_size, (c + 1) * chunk_size), clipped to
+    n. Each chunk draws from its own generator, so the output is
+    byte-identical for any thread count.
+    """
+    starts = range(0, n, chunk_size)
+
+    def run(c: int) -> np.ndarray:
+        return draw(slice(starts[c], min(n, starts[c] + chunk_size)), chunk_rng(seed, c))
+
+    if threads > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            parts = list(ex.map(run, range(len(starts))))
+    else:
+        parts = [run(c) for c in range(len(starts))]
+    return np.concatenate(parts, axis=0)
+
+
+def net_to_dict(net: Network) -> dict:
     """JSON-ready checkpoint dict: layer sizes, row-major flat parameters."""
-    d: dict = {
+    return {
         "sizes": list(net.sizes),
         "weights": [w.ravel().tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
     }
-    if state is not None:
-        d["optimizer"] = {
-            "m_w": [m.ravel().tolist() for m in state.m_w],
-            "v_w": [v.ravel().tolist() for v in state.v_w],
-            "m_b": [m.tolist() for m in state.m_b],
-            "v_b": [v.tolist() for v in state.v_b],
-            "step": state.step,
-            "learning_rate": state.learning_rate,
-            "beta1": state.beta1,
-            "beta2": state.beta2,
-            "eps": state.eps,
-        }
-    return d
 
 
-def net_from_dict(d: dict) -> Network:
+def read_checkpoint(path: str | Path, kind: str) -> dict:
+    """Parse a model checkpoint and check its kind and schema_version (1)."""
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict) or doc.get("kind") != kind:
+        raise DataError(f"{path}: not a {kind.replace('_', ' ')} checkpoint")
+    if doc.get("schema_version") != 1:
+        raise DataError(f"{path}: field schema_version is {doc.get('schema_version')!r}, "
+                        "expected 1")
+    return doc
+
+
+def checked_field(values, path, name: str, length: int | None = None) -> np.ndarray:
+    """A checkpoint field as a finite float vector of the given length.
+
+    Raises DataError naming the file and the field otherwise.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1 or (length is not None and v.shape[0] != length):
+        raise DataError(f"{path}: field {name} has shape {v.shape}, expected ({length},)")
+    if not np.isfinite(v).all():
+        raise DataError(f"{path}: field {name} has a non-finite value")
+    return v
+
+
+def net_from_dict(d: dict, path, n_in: int, n_out: int) -> Network:
+    """Inverse of net_to_dict for a checkpoint file at path.
+
+    Checks the sizes against n_in -> ... -> n_out, the parameter counts
+    and finiteness, raising DataError that names the file and field.
+    """
     sizes = [int(s) for s in d["sizes"]]
+    if len(sizes) < 2 or sizes[0] != n_in or sizes[-1] != n_out:
+        raise DataError(f"{path}: field net.sizes is {sizes}, expected {n_in} -> ... -> {n_out}")
+    if len(d["weights"]) != len(sizes) - 1 or len(d["biases"]) != len(sizes) - 1:
+        raise DataError(f"{path}: field net needs one weight and bias array per layer")
     weights, biases = [], []
     for l, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        weights.append(np.asarray(d["weights"][l], dtype=float).reshape(fan_out, fan_in))
-        biases.append(np.asarray(d["biases"][l], dtype=float))
+        w = checked_field(d["weights"][l], path, f"net.weights[{l}]", fan_in * fan_out)
+        weights.append(w.reshape(fan_out, fan_in))
+        biases.append(checked_field(d["biases"][l], path, f"net.biases[{l}]", fan_out))
     return Network(sizes=sizes, weights=weights, biases=biases)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -30,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import netcore
-from .corpus import Corpus, Recipe
+from .corpus import Corpus
 from .errors import DataError, NumericError
 from .netcore import Network, TrainConfig
 
@@ -83,16 +82,14 @@ class QuantityScoreModel:
     history: list[tuple[int, float]] = field(default_factory=list)
 
     def score(self, x: np.ndarray, mask: np.ndarray, t: float) -> np.ndarray:
-        """Approximate score of the time-t marginal, zero on masked coords."""
+        """Approximate score of the time-t marginal at the (n, K) states x,
+        zero on masked coords."""
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        x = np.atleast_2d(x)
-        mask = np.atleast_2d(np.asarray(mask, dtype=float))
+        mask = np.asarray(mask, dtype=float)
         emb = np.broadcast_to(netcore.time_embedding(t, 1.0), (x.shape[0], 3))
         out = netcore.forward(self.net, np.concatenate([x, mask, emb], axis=1))
         sigma = math.sqrt(max(1.0 - float(self.sde.alpha_bar(t)), 1e-12))
-        s = (-x - out / sigma) * mask
-        return s[0] if single else s
+        return (-x - out / sigma) * mask
 
 
 def fit_codec(corpus: Corpus) -> WeightCodec:
@@ -111,24 +108,40 @@ def fit_codec(corpus: Corpus) -> WeightCodec:
     return WeightCodec(log_mean=mu, log_std=sd)
 
 
-def encode_weights(recipe: Recipe, codec: WeightCodec) -> np.ndarray:
-    """Standardized log-grams where present, zero elsewhere."""
-    z = np.zeros(recipe.mask.shape[0])
-    active = recipe.mask == 1
-    z[active] = (np.log(recipe.weights[active]) - codec.log_mean[active]) / codec.log_std[active]
+def _active_codec(codec: WeightCodec, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # per-ingredient (mean, std) at each True cell of a (K,) or (n, K) array
+    return (np.broadcast_to(codec.log_mean, active.shape)[active],
+            np.broadcast_to(codec.log_std, active.shape)[active])
+
+
+def encode_weights(grams, codec: WeightCodec) -> np.ndarray:
+    """Standardized log-grams where grams > 0, zero elsewhere.
+
+    grams is one recipe (K,) or a grams matrix (n, K).
+    """
+    grams = np.asarray(grams, dtype=float)
+    active = grams > 0
+    mean, std = _active_codec(codec, active)
+    z = np.zeros_like(grams)
+    z[active] = (np.log(grams[active]) - mean) / std
     return z
 
 
-def decode_weights(encoded, mask, codec: WeightCodec) -> Recipe:
-    """Grams = exp(sd * z + mean) rounded to 1 g and floored at 1 g."""
+def decode_weights(encoded, mask, codec: WeightCodec) -> np.ndarray:
+    """Grams = exp(sd * z + mean) rounded to 1 g and floored at 1 g where
+    mask = 1, zero elsewhere.
+
+    encoded and mask are one recipe (K,) or a batch (n, K); the result
+    has the same shape.
+    """
     z = np.asarray(encoded, dtype=float)
-    mask = np.asarray(mask, dtype=np.uint8)
-    if not np.isfinite(z[mask == 1]).all():
+    active = np.asarray(mask) == 1
+    if not np.isfinite(z[active]).all():
         raise DataError("non-finite encoded weight value")
+    mean, std = _active_codec(codec, active)
     grams = np.zeros_like(z)
-    active = mask == 1
-    grams[active] = np.maximum(1.0, np.round(np.exp(codec.log_std[active] * z[active] + codec.log_mean[active])))
-    return Recipe(mask=mask, weights=grams)
+    grams[active] = np.maximum(1.0, np.round(np.exp(std * z[active] + mean)))
+    return grams
 
 
 def perturb(x0, t: float, sde: SDESpec, seed: int) -> np.ndarray:
@@ -141,29 +154,16 @@ def perturb(x0, t: float, sde: SDESpec, seed: int) -> np.ndarray:
     return math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * rng.standard_normal(x0.shape)
 
 
-def dsm_loss(model: QuantityScoreModel, x0, mask, seed: int,
-             t: float | None = None, draws: int = 1) -> float:
-    """Denoising score-matching loss restricted to active coordinates.
-
-    One Monte Carlo draw of (t, eps) per repetition; t is sampled
-    uniformly on (t_eps, 1] unless fixed explicitly. With no active
-    coordinates the loss is 0.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    mask = np.asarray(mask, dtype=float)
-    if not mask.any():
-        return 0.0
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    for _ in range(draws):
-        ti = float(rng.uniform(model.sde.t_eps, 1.0)) if t is None else float(t)
-        ab = float(model.sde.alpha_bar(ti))
-        eps = rng.standard_normal(x0.shape) * mask
-        x_t = math.sqrt(ab) * x0 * mask + math.sqrt(1.0 - ab) * eps
-        target = -eps / math.sqrt(1.0 - ab)
-        s = model.score(x_t, mask, ti)
-        total += float((((s - target) * mask) ** 2).sum())
-    return total / draws
+def _dsm_residual(model: QuantityScoreModel, x0: np.ndarray, masks: np.ndarray, t: np.ndarray,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Network inputs at x_t ~ q(x_t | x0) and the masked residual of its
+    output against the noise target eps - sigma(t) x_t."""
+    ab = model.sde.alpha_bar(t)[:, None]
+    sigma = np.sqrt(1.0 - ab)
+    eps = rng.standard_normal(x0.shape) * masks
+    x_t = np.sqrt(ab) * x0 * masks + sigma * eps
+    inputs = np.concatenate([x_t, masks, netcore.time_embedding(t, 1.0)], axis=1)
+    return inputs, (netcore.forward(model.net, inputs) - (eps - sigma * x_t)) * masks
 
 
 def _dsm_batch_step(model: QuantityScoreModel, x0: np.ndarray, masks: np.ndarray,
@@ -171,15 +171,7 @@ def _dsm_batch_step(model: QuantityScoreModel, x0: np.ndarray, masks: np.ndarray
     """One Adam step on the sigma^2-weighted DSM objective (the
     noise-residual regression, same minimizer as the unweighted loss)."""
     B = x0.shape[0]
-    t = rng.uniform(model.sde.t_eps, 1.0, size=B)
-    ab = model.sde.alpha_bar(t)[:, None]
-    sigma = np.sqrt(1.0 - ab)
-    eps = rng.standard_normal(x0.shape) * masks
-    x_t = np.sqrt(ab) * x0 * masks + sigma * eps
-    emb = netcore.time_embedding(t, 1.0)
-    inputs = np.concatenate([x_t, masks, emb], axis=1)
-    out = netcore.forward(model.net, inputs)
-    resid = (out - (eps - sigma * x_t)) * masks
+    inputs, resid = _dsm_residual(model, x0, masks, rng.uniform(model.sde.t_eps, 1.0, size=B), rng)
     loss = float((resid ** 2).sum() / B)
     grads = netcore.gradient(model.net, inputs, 2.0 * resid / B)
     netcore.optimizer_step(model.net, grads, opt)
@@ -188,17 +180,9 @@ def _dsm_batch_step(model: QuantityScoreModel, x0: np.ndarray, masks: np.ndarray
 
 def _validation_dsm(model: QuantityScoreModel, x0: np.ndarray, masks: np.ndarray, seed: int) -> float:
     """Unweighted DSM on a fixed deterministic t grid over [0.1, 0.95]."""
-    rng = np.random.default_rng(seed)
-    n = x0.shape[0]
-    t = np.linspace(0.1, 0.95, n)
-    ab = model.sde.alpha_bar(t)[:, None]
-    sigma = np.sqrt(1.0 - ab)
-    eps = rng.standard_normal(x0.shape) * masks
-    x_t = np.sqrt(ab) * x0 * masks + sigma * eps
-    emb = netcore.time_embedding(t, 1.0)
-    out = netcore.forward(model.net, np.concatenate([x_t, masks, emb], axis=1))
-    resid = (out - (eps - sigma * x_t)) * masks
-    per_row = (resid ** 2).sum(axis=1) / (1.0 - ab[:, 0])
+    t = np.linspace(0.1, 0.95, x0.shape[0])
+    _, resid = _dsm_residual(model, x0, masks, t, np.random.default_rng(seed))
+    per_row = (resid ** 2).sum(axis=1) / (1.0 - model.sde.alpha_bar(t))
     return float(per_row.mean())
 
 
@@ -210,42 +194,19 @@ def train_quantity_model(corpus: Corpus, sde: SDESpec, config: TrainConfig,
         raise DataError("training corpus is empty")
     codec = fit_codec(corpus)
     K = corpus.vocabulary.K
-    x0 = np.zeros_like(weights)
-    active = masks == 1
-    x0[active] = (np.log(weights[active]) - np.broadcast_to(codec.log_mean, weights.shape)[active]) \
-        / np.broadcast_to(codec.log_std, weights.shape)[active]
-
     sizes = [2 * K + 3] + [config.hidden_width] * config.hidden_depth + [K]
     net = netcore.init_network(sizes, seed)
     model = QuantityScoreModel(sde=sde, net=net, codec=codec, K=K,
                                vocab_fingerprint=corpus.vocabulary.fingerprint())
-    opt = netcore.init_optimizer(net, learning_rate=config.learning_rate)
-    rng = np.random.default_rng(seed)
-
     val_masks, val_weights = corpus.matrices("validation")
     if val_masks.shape[0] == 0:
         val_masks, val_weights = masks[:256], weights[:256]
-    vx0 = np.zeros_like(val_weights)
-    vact = val_masks == 1
-    vx0[vact] = (np.log(val_weights[vact]) - np.broadcast_to(codec.log_mean, val_weights.shape)[vact]) \
-        / np.broadcast_to(codec.log_std, val_weights.shape)[vact]
-
-    fmask = masks.astype(float)
-    ema = netcore.ParameterAverage(net, config.ema_decay) if config.ema_decay else None
-    lr0 = config.learning_rate
-    lr1 = config.final_learning_rate if config.final_learning_rate is not None else lr0
-    model.history.append((0, _validation_dsm(model, vx0, val_masks.astype(float), seed + 1)))
-    for step in range(1, config.steps + 1):
-        opt.learning_rate = lr0 + (lr1 - lr0) * (step / config.steps)
-        idx = rng.integers(0, masks.shape[0], size=config.batch_size)
-        _dsm_batch_step(model, x0[idx], fmask[idx], opt, rng)
-        if ema is not None:
-            ema.update(net)
-        if step % config.val_interval == 0 or step == config.steps:
-            model.history.append((step, _validation_dsm(model, vx0, val_masks.astype(float), seed + 1)))
-    if ema is not None:
-        ema.copy_to(net)
-        model.history.append((config.steps, _validation_dsm(model, vx0, val_masks.astype(float), seed + 1)))
+    x0, fmask = encode_weights(weights, codec), masks.astype(float)
+    vx0, vmask = encode_weights(val_weights, codec), val_masks.astype(float)
+    model.history = netcore.fit(
+        net, config, seed, masks.shape[0],
+        lambda idx, opt, rng: _dsm_batch_step(model, x0[idx], fmask[idx], opt, rng),
+        lambda: _validation_dsm(model, vx0, vmask, seed + 1))
     return model
 
 
@@ -278,34 +239,20 @@ def reverse_integrate(score_fn: ScoreFn, masks: np.ndarray, sde: SDESpec,
     return x
 
 
-def reverse_sample(model: QuantityScoreModel, mask, seed: int) -> Recipe:
-    """Sample weights for one mask; deterministic for a fixed (mask, seed)."""
-    recipes = reverse_sample_batch(model, np.atleast_2d(mask), seed)
-    return recipes[0]
-
-
 def reverse_sample_batch(model: QuantityScoreModel, masks: np.ndarray, seed: int, *,
-                         chunk_size: int = 2048, threads: int = 1) -> list[Recipe]:
-    """Sample weights for each mask row; chunks are seeded by
-    (seed, chunk_index) so any thread count gives identical output."""
+                         chunk_size: int = 2048, threads: int = 1) -> np.ndarray:
+    """Grams matrix (n, K) sampled for the (n, K) mask rows.
+
+    Chunks are seeded by (seed, chunk_index), so any thread count gives
+    identical output.
+    """
     masks = np.atleast_2d(np.asarray(masks, dtype=np.uint8))
-    n = masks.shape[0]
-    if n == 0:
-        return []
-    n_chunks = (n + chunk_size - 1) // chunk_size
-
-    def run(c: int) -> np.ndarray:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
-        rows = masks[c * chunk_size:(c + 1) * chunk_size]
-        return reverse_integrate(model.score, rows, model.sde, rng)
-
-    if threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(run, range(n_chunks)))
-    else:
-        parts = [run(c) for c in range(n_chunks)]
-    z = np.concatenate(parts, axis=0)
-    return [decode_weights(z[i], masks[i], model.codec) for i in range(n)]
+    if masks.shape[0] == 0:
+        return np.zeros(masks.shape)
+    z = netcore.map_chunks(
+        masks.shape[0], chunk_size, seed, threads,
+        lambda rows, rng: reverse_integrate(model.score, masks[rows], model.sde, rng))
+    return decode_weights(z, masks, model.codec)
 
 
 def save_quantity_model(path: str | Path, model: QuantityScoreModel, seed_lineage=None) -> None:
@@ -325,13 +272,15 @@ def save_quantity_model(path: str | Path, model: QuantityScoreModel, seed_lineag
 
 
 def load_quantity_model(path: str | Path) -> QuantityScoreModel:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("kind") != "quantity_diffusion":
-        raise DataError(f"{path}: not a quantity diffusion checkpoint")
+    """Read a checkpoint; DataError names the file and field of a bad value."""
+    doc = netcore.read_checkpoint(path, "quantity_diffusion")
+    K = int(doc["K"])
     sde = SDESpec(**doc["sde"])
-    codec = WeightCodec(log_mean=np.asarray(doc["codec"]["log_mean"]),
-                        log_std=np.asarray(doc["codec"]["log_std"]))
+    netcore.checked_field([sde.beta_min, sde.beta_max, sde.t_eps], path, "sde")
+    codec = WeightCodec(
+        log_mean=netcore.checked_field(doc["codec"]["log_mean"], path, "codec.log_mean", K),
+        log_std=netcore.checked_field(doc["codec"]["log_std"], path, "codec.log_std", K))
     return QuantityScoreModel(
-        sde=sde, net=netcore.net_from_dict(doc["net"]), codec=codec,
-        K=int(doc["K"]), vocab_fingerprint=str(doc.get("vocab_fingerprint", "")),
+        sde=sde, net=netcore.net_from_dict(doc["net"], path, 2 * K + 3, K), codec=codec,
+        K=K, vocab_fingerprint=str(doc.get("vocab_fingerprint", "")),
     )

@@ -24,75 +24,62 @@ from .errors import DataError
 # ---------------------------------------------------------------------------
 # substantial difference score
 
-def sds(r1: Recipe, r2: Recipe) -> int:
-    """Count of ingredients differing in presence or by a >= 2x weight ratio."""
-    if r1.weights.shape != r2.weights.shape:
+def sds(a, b) -> int | np.ndarray:
+    """Count of ingredients differing in presence or by a >= 2x weight ratio.
+
+    a and b are recipes or grams arrays; arrays broadcast over their
+    leading axes, so sds(grams_matrix, reference) scores every row at once.
+    """
+    wa, wb = (r.weights if isinstance(r, Recipe) else np.asarray(r, dtype=float) for r in (a, b))
+    if wa.shape[-1] != wb.shape[-1]:
         raise DataError("recipes use different vocabularies")
-    return int(_sds_rows(r1.weights, r2.weights[None, :])[0])
+    d = _sds_rows(wa, wb)
+    return int(d) if d.ndim == 0 else d
 
 
-def _sds_rows(w: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """SDS of one weight vector against each row of a weight matrix."""
-    p = w > 0
-    P = W > 0
-    only_one = P ^ p
-    both = P & p
-    hi = np.maximum(W, w)
-    lo = np.minimum(W, w)
-    ratio_hit = both & (hi >= 2.0 * lo)
-    return (only_one | ratio_hit).sum(axis=1).astype(int)
+def _sds_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """SDS between grams arrays a and b (..., K), broadcast over leading axes.
+
+    An ingredient counts when it is present (grams > 0) in exactly one of
+    the two, or in both with the larger amount at least twice the smaller.
+    """
+    pa, pb = a > 0, b > 0
+    hit = np.maximum(a, b) >= np.minimum(a, b) * 2.0
+    hit &= pa & pb
+    hit |= pa ^ pb
+    return hit.sum(axis=-1)
 
 
 @dataclass
 class SDSGroup:
-    representative: Recipe
     count: int
-    founder_index: int
+    founder_index: int  # row of the group's first member, its representative
 
 
-def group_recipes(samples: list[Recipe]) -> list[SDSGroup]:
-    """Greedy leader clustering at SDS = 0 in input order.
+def group_recipes(samples: np.ndarray) -> list[SDSGroup]:
+    """Greedy leader clustering at SDS = 0 of the rows of an (n, K) grams
+    matrix, in row order.
 
-    Each sample joins the first existing representative at SDS = 0, else
-    founds a new group. SDS = 0 requires an identical presence mask, so
-    candidates are bucketed by mask; within a bucket only the weight
-    ratio rule decides. Output is sorted by count descending, ties broken
-    by earliest founder.
+    Each row joins the first existing group whose founder row is at
+    SDS = 0, else founds a new group. SDS = 0 requires identical presence
+    (grams > 0), so founders are bucketed by presence; within a bucket
+    only the weight ratio rule decides. Output is sorted by count
+    descending, ties broken by earliest founder.
     """
-    if not samples:
+    if len(samples) == 0:
         raise DataError("cannot group an empty sample list")
-    buckets: dict[bytes, list[int]] = {}
-    groups: list[SDSGroup] = []
-    rep_weights: dict[bytes, list[np.ndarray]] = {}
-    for i, r in enumerate(samples):
-        key = np.packbits(r.mask).tobytes()
-        reps = buckets.setdefault(key, [])
-        ws = rep_weights.setdefault(key, [])
-        joined = False
-        if ws:
-            d = _sds_rows(r.weights, np.stack(ws))
-            hits = np.flatnonzero(d == 0)
+    buckets: dict[bytes, list[int]] = {}  # presence pattern -> founder rows
+    founded: dict[int, SDSGroup] = {}
+    for i, w in enumerate(samples):
+        founders = buckets.setdefault(np.packbits(w > 0).tobytes(), [])
+        if founders:
+            hits = np.flatnonzero(_sds_rows(w, samples[founders]) == 0)
             if hits.size:
-                groups[reps[hits[0]]].count += 1
-                joined = True
-        if not joined:
-            reps.append(len(groups))
-            ws.append(r.weights)
-            groups.append(SDSGroup(representative=r, count=1, founder_index=i))
-    groups.sort(key=lambda g: (-g.count, g.founder_index))
-    return groups
-
-
-def group_by_sds(samples: list[Recipe]) -> list[tuple[Recipe, int]]:
-    """(representative, count) pairs, most repeated first."""
-    return [(g.representative, g.count) for g in group_recipes(samples)]
-
-
-def popularity_score(group_count: int, total_samples: int) -> float:
-    """Frequency of a recipe's SDS-0 group among the generated samples."""
-    if group_count < 1 or total_samples < group_count:
-        raise ValueError("need 1 <= group_count <= total_samples")
-    return group_count / total_samples
+                founded[founders[hits[0]]].count += 1
+                continue
+        founders.append(i)
+        founded[i] = SDSGroup(count=1, founder_index=i)
+    return sorted(founded.values(), key=lambda g: (-g.count, g.founder_index))
 
 
 # ---------------------------------------------------------------------------
@@ -141,16 +128,26 @@ def load_impact_table(path: str | Path, vocabulary: IngredientVocabulary,
     if missing:
         raise DataError(f"impact table missing ingredients: {missing[:5]}")
     values = np.array([rows[i] for i in vocabulary.ids])
+    for j, metric in enumerate(IMPACT_METRICS):
+        _require_finite(path, f"column {metric}", values[:, j])
     if norms_path is not None:
         doc = json.loads(Path(norms_path).read_text())
+        keys = ("land", "eutrophication", "water", "ghg")
         try:
-            norms = np.array([float(doc[k]) for k in ("land", "eutrophication", "water", "ghg")])
+            norms = np.array([float(doc[k]) for k in keys])
         except KeyError as e:
             raise DataError(f"impact norms file missing key {e}") from e
+        for k, v in zip(keys, norms):
+            _require_finite(norms_path, f"key {k}", v)
     else:
         norms = np.median(values, axis=0)
         norms = np.where(norms <= 0, 1.0, norms)
     return ImpactTable(vocabulary=vocabulary, values=values, norms=norms)
+
+
+def _require_finite(path, field: str, values) -> None:
+    if not np.isfinite(values).all():
+        raise DataError(f"{path}: {field} has a non-finite value")
 
 
 def env_impact_scores(weights: np.ndarray, table: ImpactTable) -> np.ndarray:
@@ -231,6 +228,8 @@ def load_nutrient_table(path: str | Path, vocabulary: IngredientVocabulary) -> N
     if missing:
         raise DataError(f"nutrient table missing ingredients: {missing[:5]}")
     columns = {f: np.array([rows[i][f] for i in vocabulary.ids]) for f in NUTRIENT_FIELDS}
+    for f, col in columns.items():
+        _require_finite(path, f"column {f}", col)
     return NutrientTable(vocabulary=vocabulary, columns=columns)
 
 
@@ -250,18 +249,27 @@ class HEIResult:
 
 
 def load_hei_standards(path: str | Path | None = None) -> list[HEIComponentStandard]:
-    """Component curves; defaults to the bundled HEI-2015 standards file."""
-    if path is None:
-        src = resources.files("recipeforge").joinpath("data/hei2015_standards.csv")
-        text = src.read_text()
-    else:
-        text = Path(path).read_text()
+    """Component curves; defaults to the bundled HEI-2015 standards file.
+
+    Raises DataError naming the file and column of a non-finite number,
+    an unknown curve or a component with max_at == zero_at.
+    """
+    src = resources.files("recipeforge").joinpath("data/hei2015_standards.csv") \
+        if path is None else Path(path)
     out = []
-    for rec in csv.DictReader(text.splitlines()):
-        out.append(HEIComponentStandard(
+    for rec in csv.DictReader(src.read_text().splitlines()):
+        std = HEIComponentStandard(
             component=rec["component"], curve=rec["curve"],
             max_points=float(rec["max_points"]),
-            max_at=float(rec["max_at"]), zero_at=float(rec["zero_at"])))
+            max_at=float(rec["max_at"]), zero_at=float(rec["zero_at"]))
+        for col in ("max_points", "max_at", "zero_at"):
+            _require_finite(src, f"column {col} of {std.component}", getattr(std, col))
+        if std.curve not in ("increasing", "decreasing"):
+            raise DataError(f"{src}: column curve of {std.component} is {std.curve!r}, "
+                            "expected increasing or decreasing")
+        if std.max_at == std.zero_at:
+            raise DataError(f"{src}: columns max_at and zero_at of {std.component} are equal")
+        out.append(std)
     if len(out) != 13:
         raise DataError(f"expected 13 HEI components, found {len(out)}")
     return out
@@ -468,11 +476,3 @@ def personalized_scores(weights: np.ndarray, profile: PersonProfile,
         _range_subscore(satfat_pct, 0.0, _WHO_SATFAT_PCT),
     ], axis=1)
     return subs.mean(axis=1)
-
-
-def personalized_score(recipe: Recipe, profile: PersonProfile, table: NutrientTable,
-                       meal_fraction: float = 1.0 / 3.0) -> float:
-    """Personalized nutrition score of one recipe on a 0-100 scale."""
-    if recipe.weights.shape[0] != table.vocabulary.K:
-        raise DataError("recipe does not match nutrient table vocabulary")
-    return float(personalized_scores(recipe.weights[None, :], profile, table, meal_fraction)[0])

@@ -238,3 +238,14 @@ def test_config_file_and_flag_precedence(pipeline, tmp_path):
     assert "sample.count = 10" in resolved        # flag overrides file
     out = (tmp_path / "samples" / "samples.jsonl").read_text().splitlines()
     assert len(out) == 10
+
+
+def test_config_hash_inside_quoted_value_is_not_a_comment(tmp_path):
+    from recipeforge.config import parse_config_file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text('paths.out = "runs/#1"\n'
+                   'paths.spec = "a\\"#b"  # trailing comment\n'
+                   "run.seed = 7 # comment after a number\n"
+                   "# a whole-line comment\n")
+    assert parse_config_file(cfg) == {"paths.out": "runs/#1", "paths.spec": 'a"#b',
+                                      "run.seed": 7}

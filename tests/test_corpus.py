@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recipeforge import corpus as cp
+from recipeforge import quantity_diffusion as qd
 from recipeforge.errors import DataError
 
 
@@ -71,7 +74,7 @@ def test_build_vocabulary_dedups(tmp_path):
         {"ingredients": [{"id": "beef", "grams": 100}, {"id": "bun", "grams": 50}]},
         {"ingredients": [{"id": "beef", "grams": 80}]},
     ])
-    vocab = cp.build_vocabulary(f)
+    vocab = cp.load_corpus(f).vocabulary
     assert vocab.K == 2
     assert vocab.ids == ["beef", "bun"]
 
@@ -80,14 +83,14 @@ def test_build_vocabulary_empty_file_errors(tmp_path):
     f = tmp_path / "c.jsonl"
     f.write_text("\n")
     with pytest.raises(DataError):
-        cp.build_vocabulary(f)
+        cp.load_corpus(f)
 
 
 def test_vocabulary_order_independent(tmp_path):
     f1, f2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     write_lines(f1, [{"ingredients": [{"id": "bun", "grams": 1}, {"id": "beef", "grams": 1}]}])
     write_lines(f2, [{"ingredients": [{"id": "beef", "grams": 1}, {"id": "bun", "grams": 1}]}])
-    assert cp.build_vocabulary(f1).ids == cp.build_vocabulary(f2).ids
+    assert cp.load_corpus(f1).vocabulary.ids == cp.load_corpus(f2).vocabulary.ids
 
 
 def test_vocabulary_index_is_sorted_rank():
@@ -109,29 +112,28 @@ def test_vocabulary_file_round_trip(tmp_path):
 def test_recipe_vector_round_trip_simple():
     vocab = cp.IngredientVocabulary.from_ids(["beef", "bun"])
     r = cp.Recipe(mask=np.array([1, 0]), weights=np.array([200.0, 0.0]))
-    mask, weights = cp.recipe_to_vectors(r)
-    np.testing.assert_array_equal(mask, [1, 0])
-    np.testing.assert_array_equal(weights, [200.0, 0.0])
-    back = cp.vectors_to_recipe(mask, weights, vocab)
+    mask, weights = cp.Corpus(vocabulary=vocab, recipes=[r], splits=["train"]).matrices()
+    np.testing.assert_array_equal(mask, [[1, 0]])
+    np.testing.assert_array_equal(weights, [[200.0, 0.0]])
+    back = cp.Recipe.from_weights(weights[0])
+    np.testing.assert_array_equal(back.mask, r.mask)
     np.testing.assert_array_equal(back.weights, r.weights)
 
 
-def test_vectors_to_recipe_masks_stray_weights():
-    vocab = cp.IngredientVocabulary.from_ids(["beef", "bun"])
-    r = cp.vectors_to_recipe(np.array([1, 0]), np.array([200.0, 7.0]), vocab)
-    np.testing.assert_array_equal(r.weights, [200.0, 0.0])
+def test_decode_zeroes_stray_weights_off_mask():
+    codec = qd.WeightCodec(log_mean=np.full(2, np.log(200.0)), log_std=np.ones(2))
+    grams = qd.decode_weights(np.array([0.0, 7.0]), np.array([1, 0]), codec)
+    np.testing.assert_array_equal(grams, [200.0, 0.0])
 
 
-def test_vectors_to_recipe_rejects_present_zero_weight():
-    vocab = cp.IngredientVocabulary.from_ids(["beef", "bun"])
+def test_recipe_rejects_present_zero_weight():
     with pytest.raises(DataError):
-        cp.vectors_to_recipe(np.array([1, 0]), np.array([0.0, 0.0]), vocab)
+        cp.Recipe(mask=np.array([1, 0]), weights=np.array([0.0, 0.0]))
 
 
 def test_all_zero_mask_is_valid_but_degenerate():
-    vocab = cp.IngredientVocabulary.from_ids(["beef", "bun"])
-    r = cp.vectors_to_recipe(np.zeros(2), np.zeros(2), vocab)
-    assert r.is_empty
+    r = cp.Recipe.from_weights(np.zeros(2))
+    assert not r.mask.any() and not r.items(cp.IngredientVocabulary.from_ids(["beef", "bun"]))
 
 
 def test_recipe_invariant_enforced():
@@ -145,9 +147,13 @@ def test_round_trip_identity_property(raw):
     weights = np.array([w if w > 1e-6 else 0.0 for w in raw])
     vocab = cp.IngredientVocabulary.from_ids([f"i{j:02d}" for j in range(len(weights))])
     r = cp.Recipe.from_weights(weights)
-    back = cp.vectors_to_recipe(*cp.recipe_to_vectors(r), vocab) if r.mask.any() else r
-    np.testing.assert_array_equal(back.mask, r.mask)
-    np.testing.assert_array_equal(back.weights, r.weights)
+    if r.mask.any():  # an empty recipe is not a valid corpus line
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "c.jsonl"
+            cp.write_corpus(path, cp.Corpus(vocabulary=vocab, recipes=[r], splits=["train"]))
+            r = cp.load_corpus(path, vocab).recipes[0]
+    np.testing.assert_array_equal(r.mask, (weights > 0).astype(np.uint8))
+    np.testing.assert_array_equal(r.weights, weights)
 
 
 def small_spec(n=2000, pairs=(), planted=()):

@@ -18,7 +18,7 @@ def recipe(weights) -> Recipe:
 
 
 def batch_of(recipes) -> dc.GenerationBatch:
-    return dc.GenerationBatch(samples=list(recipes), seed=0,
+    return dc.GenerationBatch(grams=np.stack([r.weights for r in recipes]), seed=0,
                               mask_fingerprint="m", quantity_fingerprint="q")
 
 
@@ -60,9 +60,33 @@ def test_generate_batch_deterministic(trained_models):
     mask_model, qty_model, _ = trained_models
     a = dc.generate_batch(mask_model, qty_model, 40, seed=4)
     b = dc.generate_batch(mask_model, qty_model, 40, seed=4)
-    assert len(a) == 40
-    for ra, rb in zip(a.samples, b.samples):
-        np.testing.assert_array_equal(ra.weights, rb.weights)
+    assert a.grams.shape == (40, VOCAB.K)
+    np.testing.assert_array_equal(a.grams, b.grams)
+
+
+def random_models(K=6, seed=0):
+    """Untrained models whose samples vary, so each stream row is distinctive."""
+    mask_model = md.MaskDiffusionModel(
+        schedule=md.linear_schedule(10), net=netcore.init_network([K + 3, 8, K], seed),
+        K=K, vocab_fingerprint="v")
+    codec = qd.WeightCodec(log_mean=np.full(K, np.log(100.0)), log_std=np.full(K, 0.5))
+    qty_model = qd.QuantityScoreModel(
+        sde=qd.SDESpec(steps=20), net=netcore.init_network([2 * K + 3, 8, K], seed + 1),
+        codec=codec, K=K, vocab_fingerprint="v")
+    return mask_model, qty_model
+
+
+def test_generate_batch_rows_are_the_rediscover_stream():
+    # with count a multiple of the chunk size, batch row i is rediscover's draw i
+    mask_model, qty_model = random_models()
+    chunk = 8
+    grams = dc.generate_batch(mask_model, qty_model, 2 * chunk, seed=5, chunk_size=chunk).grams
+    for i in range(2 * chunk):
+        out = dc.rediscover(mask_model, qty_model, Recipe.from_weights(grams[i]),
+                            budget=2 * chunk, seed=5, chunk_size=chunk)
+        first = min(j for j in range(i + 1) if scoring.sds(grams[j], grams[i]) == 0)
+        assert out.found and out.index == first and out.draws == first + 1
+        np.testing.assert_array_equal(out.recipe.weights, grams[first])
 
 
 def test_generate_batch_rejects_vocabulary_mismatch(trained_models):
@@ -100,7 +124,7 @@ def test_novelty_matches_brute_force_minimum():
         assert dc.novelty(r, corpus) == expected
     many = [recipe(np.where(rng.random(4) < 0.6, rng.uniform(5, 400, 4), 0.0) + [1, 0, 0, 0])
             for _ in range(25)]
-    got = dc.novelty_many(many, corpus, block=7)
+    got = dc.novelty_many(np.stack([r.weights for r in many]), corpus, block=7)
     for r, g in zip(many, got):
         assert g == min(scoring.sds(r, c) for c in corpus.recipes)
 
@@ -288,8 +312,8 @@ def test_select_personalized_dominant_recipe_wins_for_both_profiles(tmp_path):
                                    activity="moderate")
     balanced = recipe([120.0, 75.0, 15.0, 50.0])
     salty = recipe([0.0, 75.0, 200.0, 0.0])
-    assert scoring.personalized_score(balanced, teen, table) \
-        > scoring.personalized_score(salty, teen, table)
+    assert scoring.personalized_scores(balanced.weights, teen, table)[0] \
+        > scoring.personalized_scores(salty.weights, teen, table)[0]
     batch = batch_of([salty] * 2 + [balanced] * 8)
     for profile in (teen, senior):
         result = dc.select_personalized(batch, profile, table, 0.5)
@@ -318,7 +342,7 @@ def test_landscape_row_count_matches_groups(tmp_path):
         samples.append(recipe(w))
     batch = batch_of(samples)
     rows = dc.landscape_map(batch, impact, nutrients, corpus)
-    groups = scoring.group_recipes(samples)
+    groups = scoring.group_recipes(batch.grams)
     assert len(rows) == len(groups)
     assert sum(r.count for r in rows) == 60
     assert all(0 <= r.hei_total <= 100 for r in rows)

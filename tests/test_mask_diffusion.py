@@ -1,4 +1,6 @@
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
@@ -198,7 +200,7 @@ def test_elbo_matches_path_enumeration_toy():
     model = make_model(sched, K=1, seed=42)
     for x0 in (0, 1):
         exact = enumerate_negative_elbo(model, x0)
-        draws = md.elbo_estimates(model, np.array([x0]), seed=1, draws=30000)
+        draws = md._elbo_terms(model, np.full((30000, 1), x0), np.random.default_rng(1))
         se = draws.std() / np.sqrt(draws.size)
         assert abs(draws.mean() - exact) < 4 * se + 1e-9
 
@@ -209,7 +211,7 @@ def test_elbo_near_zero_for_saturated_delta_model():
     for w in model.net.weights:
         w[:] = 0.0
     model.net.biases[-1][:] = 30.0  # denoiser pinned at x0 = all-ones
-    loss = md.elbo_loss(model, np.ones(4), seed=0, draws=500)
+    loss = md._validation_loss(model, np.ones((1, 4)), seed=0, draws=500)
     # only the constant terminal-prior KL remains; every per-step KL
     # term vanishes when the denoiser matches x0 exactly
     x0 = np.ones((1, 4))
@@ -221,13 +223,13 @@ def test_elbo_near_zero_for_saturated_delta_model():
 def test_elbo_positive_for_random_model():
     sched = linear_schedule(10)
     model = make_model(sched, K=5, seed=9)
-    assert md.elbo_loss(model, np.array([1, 0, 1, 1, 0]), seed=2, draws=200) > 0
+    assert md._validation_loss(model, np.array([[1, 0, 1, 1, 0]]), seed=2, draws=200) > 0
 
 
 def test_elbo_rejects_wrong_length():
     model = make_model(linear_schedule(5), K=3)
     with pytest.raises(ValueError):
-        md.elbo_loss(model, np.ones(4), seed=0)
+        md._validation_loss(model, np.ones((1, 4)), seed=0, draws=1)
 
 
 def test_elbo_gradient_matches_finite_differences():
@@ -300,7 +302,7 @@ def test_train_delta_recovery_and_determinism():
     model2 = md.train_mask_model(corpus, sched, cfg, seed=5)
     for a, b in zip(model.net.weights, model2.net.weights):
         np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(md.sample_mask(model, 123), md.sample_mask(model, 123))
+    np.testing.assert_array_equal(md.sample_masks(model, 1, 123), md.sample_masks(model, 1, 123))
 
 
 def test_sampling_varies_with_seed_for_diffuse_model():
@@ -372,3 +374,32 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_allclose(clone.schedule.betas, model.schedule.betas)
     np.testing.assert_array_equal(md.sample_masks(clone, 40, seed=9),
                                   md.sample_masks(model, 40, seed=9))
+
+
+@pytest.fixture(scope="module")
+def saved_mask_model(tmp_path_factory):
+    corpus = delta_corpus([1, 0, 1])
+    cfg = netcore.TrainConfig(steps=10, batch_size=8, hidden_width=4, hidden_depth=1,
+                              val_interval=10)
+    path = tmp_path_factory.mktemp("ckpt") / "mask.json"
+    md.save_mask_model(path, md.train_mask_model(corpus, linear_schedule(4), cfg, seed=1))
+    return path
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("schema_version", lambda d: d.update(schema_version=2)),
+    ("net.sizes", lambda d: d["net"]["sizes"].__setitem__(0, 5)),
+    ("net.sizes", lambda d: d["net"]["sizes"].__setitem__(-1, 4)),
+    ("base_logits", lambda d: d["base_logits"].pop()),
+    ("net.weights[1]", lambda d: d["net"]["weights"][1].__setitem__(0, float("nan"))),
+    ("net.biases[0]", lambda d: d["net"]["biases"][0].__setitem__(0, float("inf"))),
+    ("schedule.beta", lambda d: d["schedule"]["beta"].__setitem__(0, float("nan"))),
+], ids=["schema", "input_size", "output_size", "base_logits_length", "nan_weight", "inf_bias",
+        "nan_beta"])
+def test_load_rejects_bad_checkpoint(saved_mask_model, tmp_path, field, edit):
+    doc = json.loads(saved_mask_model.read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=rf"bad\.json: field {re.escape(field)}"):
+        md.load_mask_model(bad)

@@ -208,7 +208,7 @@ def test_time_embedding_values():
 
 def test_checkpoint_round_trip():
     net = netcore.init_network([3, 5, 2], seed=15)
-    clone = netcore.net_from_dict(netcore.net_to_dict(net))
+    clone = netcore.net_from_dict(netcore.net_to_dict(net), "net.json", 3, 2)
     assert clone.sizes == net.sizes
     for a, b in zip(clone.weights, net.weights):
         np.testing.assert_array_equal(a, b)

@@ -1,7 +1,11 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recipeforge import netcore
 from recipeforge import quantity_diffusion as qd
@@ -24,15 +28,13 @@ def make_model(K=4, seed=0, sde=None):
 
 def test_encode_at_log_mean_gives_zero():
     codec = make_codec(3, mu=math.log(150.0))
-    r = Recipe.from_weights(np.array([150.0, 0.0, 150.0]))
-    z = qd.encode_weights(r, codec)
+    z = qd.encode_weights(np.array([150.0, 0.0, 150.0]), codec)
     np.testing.assert_allclose(z, [0.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_encode_absent_is_zero():
     codec = make_codec(2)
-    r = Recipe.from_weights(np.array([0.0, 55.0]))
-    assert qd.encode_weights(r, codec)[0] == 0.0
+    assert qd.encode_weights(np.array([0.0, 55.0]), codec)[0] == 0.0
 
 
 def test_encode_decode_round_trip_within_half_gram():
@@ -42,34 +44,46 @@ def test_encode_decode_round_trip_within_half_gram():
         w = np.where(rng.random(6) < 0.7, np.round(rng.uniform(2, 400, 6)), 0.0)
         if not w.any():
             continue
-        r = Recipe.from_weights(w)
-        back = qd.decode_weights(qd.encode_weights(r, codec), r.mask, codec)
-        assert np.abs(back.weights - w).max() <= 0.5
+        back = qd.decode_weights(qd.encode_weights(w, codec), w > 0, codec)
+        assert np.abs(back - w).max() <= 0.5
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.just(0.0), st.floats(1.0, 5000.0)), min_size=4, max_size=4),
+                min_size=1, max_size=8),
+       st.floats(0.0, 8.0), st.floats(0.05, 2.0))
+def test_decode_encode_round_trip_property(rows, mu, sd):
+    grams = np.array(rows)
+    codec = make_codec(4, mu=mu, sd=sd)
+    back = qd.decode_weights(qd.encode_weights(grams, codec), grams > 0, codec)
+    assert back.shape == grams.shape
+    np.testing.assert_array_equal(back > 0, grams > 0)
+    assert np.abs(back - grams).max() <= 0.5 + 1e-9
 
 
 def test_decode_zero_is_rounded_exp_mean():
     codec = make_codec(2, mu=math.log(42.4))
-    r = qd.decode_weights(np.zeros(2), np.array([1, 0], dtype=np.uint8), codec)
-    assert r.weights[0] == 42.0
-    assert r.weights[1] == 0.0
+    g = qd.decode_weights(np.zeros(2), np.array([1, 0], dtype=np.uint8), codec)
+    assert g[0] == 42.0
+    assert g[1] == 0.0
 
 
 def test_decode_empty_mask_gives_empty_recipe():
     codec = make_codec(3)
-    r = qd.decode_weights(np.zeros(3), np.zeros(3, dtype=np.uint8), codec)
-    assert r.is_empty
+    g = qd.decode_weights(np.zeros(3), np.zeros(3, dtype=np.uint8), codec)
+    assert not g.any()
 
 
 def test_decode_extreme_z_is_finite():
     codec = make_codec(1, mu=4.0, sd=0.5)
-    r = qd.decode_weights(np.array([10.0]), np.array([1], dtype=np.uint8), codec)
-    assert np.isfinite(r.weights[0]) and r.weights[0] > 1000
+    g = qd.decode_weights(np.array([10.0]), np.array([1], dtype=np.uint8), codec)
+    assert np.isfinite(g[0]) and g[0] > 1000
 
 
 def test_decode_floors_at_one_gram():
     codec = make_codec(1, mu=0.0, sd=1.0)
-    r = qd.decode_weights(np.array([-8.0]), np.array([1], dtype=np.uint8), codec)
-    assert r.weights[0] == 1.0
+    g = qd.decode_weights(np.array([-8.0]), np.array([1], dtype=np.uint8), codec)
+    assert g[0] == 1.0
 
 
 def test_decode_rejects_non_finite():
@@ -128,39 +142,41 @@ def test_vp_marginal_variance_identity():
 # ---------------------------------------------------------------------------
 # denoising score matching loss
 
-def test_dsm_zero_for_exact_conditional_score():
+def test_dsm_zero_for_exact_conditional_score(monkeypatch):
+    # a network output that makes score = -x - out / sigma the exact
+    # conditional score of x0 gives a validation DSM of zero
     model = make_model(K=3)
-    x0 = np.array([0.4, -1.0, 0.0])
-    mask = np.array([1.0, 1.0, 0.0])
+    x0 = np.tile([0.4, -1.0, 0.0], (64, 1))
+    masks = np.tile([1.0, 1.0, 0.0], (64, 1))
 
-    def exact_score(x, m, t):
-        ab = float(model.sde.alpha_bar(t))
-        return -(x - math.sqrt(ab) * x0 * m) / (1.0 - ab) * m
+    def exact_out(net, inputs):
+        ab = model.sde.alpha_bar(inputs[:, 6])[:, None]  # column 2K holds t
+        return (ab * inputs[:, :3] - np.sqrt(ab) * x0 * masks) / np.sqrt(1.0 - ab)
 
-    model.score = exact_score
-    assert qd.dsm_loss(model, x0, mask, seed=0, t=0.5, draws=64) < 1e-20
+    monkeypatch.setattr(qd.netcore, "forward", exact_out)
+    assert qd._validation_dsm(model, x0, masks, seed=0) < 1e-20
 
 
-def test_dsm_zero_score_expectation():
-    # with score = 0 the expected loss at fixed t is n_active / (1 - ab)
+def test_dsm_zero_score_expectation(monkeypatch):
+    # with score = 0 the expected loss at time t is n_active / (1 - ab)
     model = make_model(K=5)
-    model.score = lambda x, m, t: np.zeros_like(x)
-    x0 = np.zeros(5)
-    mask = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
-    t = 0.6
-    draws = 4000
-    rng = np.random.default_rng(1)
-    vals = [qd.dsm_loss(model, x0, mask, seed=int(rng.integers(1 << 31)), t=t) for _ in range(draws)]
-    vals = np.array(vals)
-    ab = float(model.sde.alpha_bar(t))
-    expected = 3.0 / (1.0 - ab)
-    se = vals.std() / math.sqrt(draws)
-    assert abs(vals.mean() - expected) < 3 * se
+    n = 20000
+    masks = np.tile([1.0, 1.0, 1.0, 0.0, 0.0], (n, 1))
+
+    def zero_score_out(net, inputs):  # out = -sigma x makes the score 0
+        ab = model.sde.alpha_bar(inputs[:, 10])[:, None]
+        return -np.sqrt(1.0 - ab) * inputs[:, :5]
+
+    monkeypatch.setattr(qd.netcore, "forward", zero_score_out)
+    got = qd._validation_dsm(model, np.zeros((n, 5)), masks, seed=1)
+    inv = 1.0 / (1.0 - model.sde.alpha_bar(np.linspace(0.1, 0.95, n)))
+    se = math.sqrt(6.0 * (inv ** 2).sum()) / n  # per row: chi-square(3) * inv
+    assert abs(got - 3.0 * inv.mean()) < 3 * se
 
 
 def test_dsm_all_masked_returns_zero():
     model = make_model(K=4)
-    assert qd.dsm_loss(model, np.zeros(4), np.zeros(4), seed=0) == 0.0
+    assert qd._validation_dsm(model, np.zeros((8, 4)), np.zeros((8, 4)), seed=0) == 0.0
 
 
 def test_dsm_gradient_matches_finite_differences():
@@ -250,19 +266,20 @@ def test_reverse_sampler_recovers_two_component_mixture():
 def test_reverse_sample_deterministic_per_seed_and_mask():
     model = make_model(K=4, seed=8)
     mask = np.array([1, 0, 1, 1], dtype=np.uint8)
-    a = qd.reverse_sample(model, mask, seed=9)
-    b = qd.reverse_sample(model, mask, seed=9)
-    np.testing.assert_array_equal(a.weights, b.weights)
-    c = qd.reverse_sample(model, mask, seed=10)
-    assert not np.array_equal(a.weights, c.weights)
+    a = qd.reverse_sample_batch(model, mask, seed=9)
+    b = qd.reverse_sample_batch(model, mask, seed=9)
+    assert a.shape == (1, 4)
+    np.testing.assert_array_equal(a, b)
+    c = qd.reverse_sample_batch(model, mask, seed=10)
+    assert not np.array_equal(a, c)
 
 
 def test_reverse_sample_pins_masked_coordinates():
     model = make_model(K=4, seed=11)
     mask = np.array([1, 0, 0, 1], dtype=np.uint8)
-    r = qd.reverse_sample(model, mask, seed=12)
-    assert r.weights[1] == 0.0 and r.weights[2] == 0.0
-    assert r.weights[0] >= 1.0 and r.weights[3] >= 1.0
+    g = qd.reverse_sample_batch(model, mask, seed=12)[0]
+    assert g[1] == 0.0 and g[2] == 0.0
+    assert g[0] >= 1.0 and g[3] >= 1.0
 
 
 def test_reverse_sample_batch_thread_determinism():
@@ -271,8 +288,8 @@ def test_reverse_sample_batch_thread_determinism():
     masks[masks.sum(axis=1) == 0, 0] = 1
     a = qd.reverse_sample_batch(model, masks, seed=14, chunk_size=64, threads=1)
     b = qd.reverse_sample_batch(model, masks, seed=14, chunk_size=64, threads=4)
-    for ra, rb in zip(a, b):
-        np.testing.assert_array_equal(ra.weights, rb.weights)
+    assert a.shape == (300, 3)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_reverse_integrate_reports_non_finite_state():
@@ -306,7 +323,7 @@ def test_train_delta_corpus_recovery():
     assert model.history[-1][1] < model.history[0][1]
     mask = (w > 0).astype(np.uint8)
     samples = qd.reverse_sample_batch(model, np.tile(mask, (100, 1)), seed=17)
-    rel = np.stack([np.abs(s.weights - w)[mask == 1] / w[mask == 1] for s in samples])
+    rel = np.abs(samples - w)[:, mask == 1] / w[mask == 1]
     assert (rel.max(axis=1) <= 0.25).mean() >= 0.9
 
 
@@ -330,8 +347,7 @@ def test_train_lognormal_moment_recovery():
     model = qd.train_quantity_model(corpus, qd.SDESpec(), cfg, seed=19)
     masks, _ = corpus.matrices("train")
     samples = qd.reverse_sample_batch(model, masks[:2500], seed=20)
-    W = np.stack([s.weights for s in samples])
-    M = np.stack([s.mask for s in samples])
+    W, M = samples, (samples > 0).astype(np.uint8)
     vocab = corpus.vocabulary
     for ing in spec.ingredients:
         i = vocab.index_of(ing.ingredient_id)
@@ -358,5 +374,26 @@ def test_checkpoint_round_trip(tmp_path):
     assert clone.K == model.K and clone.sde.steps == 50
     np.testing.assert_allclose(clone.codec.log_mean, model.codec.log_mean)
     mask = (w > 0).astype(np.uint8)
-    np.testing.assert_array_equal(qd.reverse_sample(clone, mask, seed=22).weights,
-                                  qd.reverse_sample(model, mask, seed=22).weights)
+    np.testing.assert_array_equal(qd.reverse_sample_batch(clone, mask, seed=22),
+                                  qd.reverse_sample_batch(model, mask, seed=22))
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("schema_version", lambda d: d.pop("schema_version")),
+    ("net.sizes", lambda d: d["net"]["sizes"].__setitem__(0, 8)),
+    ("codec.log_mean", lambda d: d["codec"]["log_mean"].append(1.0)),
+    ("codec.log_std", lambda d: d["codec"]["log_std"].__setitem__(2, float("nan"))),
+    ("net.weights[0]", lambda d: d["net"]["weights"][0].__setitem__(3, float("-inf"))),
+    ("sde", lambda d: d["sde"].update(beta_max=float("inf"))),
+], ids=["schema", "input_size", "codec_length", "nan_codec", "inf_weight", "inf_sde"])
+def test_load_rejects_bad_checkpoint(tmp_path, field, edit):
+    model = make_model(K=4)
+    good = tmp_path / "good.json"
+    qd.save_quantity_model(good, model)
+    assert qd.load_quantity_model(good).K == 4
+    doc = json.loads(good.read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=rf"bad\.json: field {re.escape(field)}"):
+        qd.load_quantity_model(bad)

@@ -3,13 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recipeforge import scoring
-from recipeforge.corpus import IngredientVocabulary, Recipe
+from recipeforge import discovery, scoring
+from recipeforge.corpus import Corpus, IngredientVocabulary, Recipe
 from recipeforge.errors import DataError
 
 
 def recipe(weights) -> Recipe:
     return Recipe.from_weights(np.asarray(weights, dtype=float))
+
+
+def personalized(r: Recipe, profile, table) -> float:
+    return float(scoring.personalized_scores(r.weights, profile, table)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -91,24 +95,51 @@ def test_sds_against_brute_force():
         assert scoring.sds(r1, r2) == brute_force_sds(r1, r2)
 
 
+grams_rows = st.lists(st.sampled_from([0.0, 1.0, 50.0, 99.0, 100.0, 150.0, 200.0, 201.0]),
+                      min_size=3, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(grams_rows, min_size=1, max_size=6), st.lists(grams_rows, min_size=1, max_size=6))
+def test_sds_kernel_broadcast_matches_pair_loop(rows_a, rows_b):
+    A, B = np.array(rows_a), np.array(rows_b)
+    D = scoring._sds_rows(A[:, None, :], B[None, :, :])
+    assert D.shape == (len(A), len(B))
+    for i, a in enumerate(A):
+        assert scoring._sds_rows(a, a) == 0
+        for j, b in enumerate(B):
+            assert D[i, j] == scoring._sds_rows(a, b) == scoring._sds_rows(b, a)
+            assert D[i, j] == brute_force_sds(recipe(a), recipe(b))
+    np.testing.assert_array_equal(scoring.sds(A, B[0]), D[:, 0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(grams_rows, min_size=1, max_size=40))
+def test_group_counts_sum_to_n_property(rows):
+    grams = np.array(rows)
+    groups = scoring.group_recipes(grams)
+    assert sum(g.count for g in groups) == len(grams)
+    founders = grams[[g.founder_index for g in groups]]
+    # founders are pairwise distinct at SDS = 0 and every row matches one
+    assert (scoring._sds_rows(founders[:, None, :], founders[None]) == 0).sum() == len(groups)
+    assert (scoring._sds_rows(grams[:, None, :], founders[None]) == 0).any(axis=1).all()
+
+
 # ---------------------------------------------------------------------------
 # grouping and popularity
 
 def test_group_identical_recipes():
-    rs = [recipe([100.0, 50.0])] * 3
-    groups = scoring.group_by_sds(rs)
+    groups = scoring.group_recipes(np.array([[100.0, 50.0]] * 3))
     assert len(groups) == 1
-    assert groups[0][1] == 3
+    assert groups[0].count == 3 and groups[0].founder_index == 0
 
 
 def test_group_in_ratio_weights_merge():
-    rs = [recipe([100.0]), recipe([150.0])]
-    assert len(scoring.group_by_sds(rs)) == 1
+    assert len(scoring.group_recipes(np.array([[100.0], [150.0]]))) == 1
 
 
 def test_group_ratio_two_splits():
-    rs = [recipe([100.0]), recipe([200.0])]
-    assert len(scoring.group_by_sds(rs)) == 2
+    assert len(scoring.group_recipes(np.array([[100.0], [200.0]]))) == 2
 
 
 def test_group_counts_sum_and_membership():
@@ -118,29 +149,33 @@ def test_group_counts_sum_and_membership():
         w = np.where(rng.random(4) < 0.7, rng.choice([50.0, 90.0, 200.0], 4), 0.0)
         if w.sum() == 0:
             w[0] = 50.0
-        rs.append(recipe(w))
+        rs.append(w)
+    rs = np.array(rs)
     groups = scoring.group_recipes(rs)
     assert sum(g.count for g in groups) == len(rs)
     counts = [g.count for g in groups]
     assert counts == sorted(counts, reverse=True)
-    # greedy membership: every sample is SDS-0 to the first rep that absorbed it
+    # greedy membership: every sample is SDS-0 to the first founder that absorbed it
     for r in rs:
-        assert any(scoring.sds(r, g.representative) == 0 for g in groups)
+        assert any(scoring.sds(r, rs[g.founder_index]) == 0 for g in groups)
 
 
 def test_group_first_match_wins():
-    # second sample is SDS-0 to the first representative, so no new group
-    rs = [recipe([100.0]), recipe([199.0]), recipe([150.0])]
-    groups = scoring.group_recipes(rs)
+    # second sample is SDS-0 to the first founder, so no new group
+    groups = scoring.group_recipes(np.array([[100.0], [199.0], [150.0]]))
     assert groups[0].count == 3 or sum(g.count for g in groups) == 3
 
 
 def test_popularity_values():
-    assert scoring.popularity_score(5, 100) == 0.05
-    assert scoring.popularity_score(1, 400) == 1 / 400
-    assert scoring.popularity_score(7, 7) == 1.0
-    with pytest.raises(ValueError):
-        scoring.popularity_score(0, 10)
+    # popularity is the selected SDS-0 group's share of the batch
+    corpus = Corpus(vocabulary=IngredientVocabulary.from_ids(["beef"]),
+                    recipes=[recipe([1000.0])], splits=["train"])
+    for grams, share in (([100.0] * 5 + [400.0] * 3, 5 / 8), ([100.0] * 7, 1.0)):
+        batch = discovery.GenerationBatch(np.array(grams)[:, None], 0, "", "")
+        assert discovery.discover_novel(batch, corpus, min_sds=0).popularity == share
+    with pytest.raises(DataError):
+        discovery.discover_novel(discovery.GenerationBatch(np.zeros((0, 1)), 0, "", ""),
+                                 corpus, min_sds=0)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +227,23 @@ def test_env_additive_over_concatenation(tmp_path):
 def test_env_default_norms_are_medians(tmp_path):
     table = impact_table(tmp_path)
     np.testing.assert_allclose(table.norms, [2.0, 6.0, 200.0, 1.0])
+
+
+def test_impact_table_rejects_nan_value(tmp_path):
+    f = tmp_path / "impact.csv"
+    f.write_text(
+        "ingredient_id,land_m2_per_kg,eutro_gPO4eq_per_kg,water_L_per_kg,ghg_kgCO2eq_per_kg\n"
+        "bean_patty,4.0,10.0,400.0,2.0\n"
+        "lettuce,1.0,nan,100.0,0.5\n"
+        "white_bun,2.0,6.0,200.0,1.0\n")
+    with pytest.raises(DataError, match=r"impact\.csv.*eutro_gPO4eq_per_kg"):
+        scoring.load_impact_table(f, VOCAB3)
+
+
+def test_impact_norms_reject_non_finite_value(tmp_path):
+    with pytest.raises(DataError, match=r"norms\.json.*water"):
+        impact_table(tmp_path, norms={"land": 4.0, "eutrophication": 10.0,
+                                      "water": float("inf"), "ghg": 2.0})
 
 
 def test_env_missing_ingredient(tmp_path):
@@ -325,6 +377,37 @@ def test_hei_total_bounded(worksheet_table):
         assert 0.0 <= total <= 100.0
 
 
+def test_nutrient_table_rejects_inf_kcal(tmp_path):
+    vocab = IngredientVocabulary.from_ids(["patty"])
+    with pytest.raises(DataError, match=r"nutrients\.csv.*kcal_per_100g"):
+        write_nutrient_table(tmp_path, [nutrient_csv_row("patty", kcal_per_100g="inf")], vocab)
+
+
+def write_standards(tmp_path, edit):
+    bundled = scoring.load_hei_standards()
+    lines = ["component,curve,max_points,max_at,zero_at"]
+    for std in bundled:
+        row = {"component": std.component, "curve": std.curve, "max_points": std.max_points,
+               "max_at": std.max_at, "zero_at": std.zero_at}
+        if std.component == "sodium":
+            row.update(edit)
+        lines.append(",".join(str(row[k]) for k in lines[0].split(",")))
+    f = tmp_path / "hei.csv"
+    f.write_text("\n".join(lines) + "\n")
+    return f
+
+
+@pytest.mark.parametrize("edit, column", [
+    ({"curve": "sideways"}, "curve"),
+    ({"max_at": 2.0, "zero_at": 2.0}, "max_at and zero_at"),
+    ({"max_points": "nan"}, "max_points"),
+], ids=["unknown_curve", "flat_curve", "nan_points"])
+def test_hei_standards_reject_bad_rows(tmp_path, edit, column):
+    with pytest.raises(DataError, match=rf"hei\.csv: columns? {column} of sodium"):
+        scoring.load_hei_standards(write_standards(tmp_path, edit))
+    assert len(scoring.load_hei_standards(write_standards(tmp_path, {}))) == 13
+
+
 def test_hei_standards_bundled_file():
     standards = scoring.load_hei_standards()
     assert len(standards) == 13
@@ -382,7 +465,7 @@ def test_personalized_all_in_range_scores_100(tmp_path):
                              fat_g_per_100g=27.5 / 9.0, sodium_mg_per_100g=30.0,
                              added_sugars_g_per_100g=1.25, saturated_fat_g_per_100g=5.0 / 9.0)]
     table = write_nutrient_table(tmp_path, rows, vocab)
-    assert scoring.personalized_score(recipe([200.0]), ADULT, table) == 100.0
+    assert personalized(recipe([200.0]), ADULT, table) == 100.0
 
 
 def test_personalized_all_double_violations_score_0(tmp_path):
@@ -394,13 +477,13 @@ def test_personalized_all_double_violations_score_0(tmp_path):
                              fat_g_per_100g=70.0 / 9.0, sodium_mg_per_100g=4000.0,
                              added_sugars_g_per_100g=5.0, saturated_fat_g_per_100g=20.0 / 9.0)]
     table = write_nutrient_table(tmp_path, rows, vocab)
-    assert scoring.personalized_score(recipe([200.0]), ADULT, table) == 0.0
+    assert personalized(recipe([200.0]), ADULT, table) == 0.0
 
 
 def test_personalized_matches_independent_calculation(worksheet_table):
     # independent straight-line evaluation of the same rule for the teen
     r = recipe([120.0, 40.0, 70.0])
-    got = scoring.personalized_score(r, TEEN, worksheet_table)
+    got = personalized(r, TEEN, worksheet_table)
 
     energy = 150 * 1.2 + 15 * 0.4 + 280 * 0.7            # 382 kcal
     protein = 8 * 1.2 + 1.2 * 0.4 + 9 * 0.7              # g
@@ -441,7 +524,7 @@ def test_personalized_monotone_beyond_limit(tmp_path):
                                  added_sugars_g_per_100g=1.25,
                                  saturated_fat_g_per_100g=5.0 / 9.0)]
         table = write_nutrient_table(tmp_path, rows, vocab)
-        scores.append(scoring.personalized_score(recipe([200.0]), ADULT, table))
+        scores.append(personalized(recipe([200.0]), ADULT, table))
     assert all(a >= b for a, b in zip(scores, scores[1:]))
     assert 0.0 <= min(scores) and max(scores) <= 100.0
 
@@ -450,4 +533,4 @@ def test_personalized_zero_energy_rejected(tmp_path):
     vocab = IngredientVocabulary.from_ids(["water"])
     table = write_nutrient_table(tmp_path, [nutrient_csv_row("water")], vocab)
     with pytest.raises(DataError):
-        scoring.personalized_score(recipe([100.0]), ADULT, table)
+        personalized(recipe([100.0]), ADULT, table)
