@@ -598,7 +598,7 @@ def run(argv: list[str]) -> int:
     except NumericError as e:
         print(f"recipeforge: numeric failure: {e}", file=sys.stderr)
         return 3
-    except (DataError, ValueError, OSError, KeyError) as e:
+    except (DataError, ValueError, OSError) as e:
         print(f"recipeforge: data error: {e}", file=sys.stderr)
         return 2
 

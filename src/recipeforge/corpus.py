@@ -176,6 +176,12 @@ class SynthSpec:
             seen.update((a, b))
             if not -1.0 < rho < 1.0:
                 raise DataError(f"pair correlation must be in (-1,1), got {rho}")
+        known = set(ids)
+        for key, named in (("pairs", {i for a, b, _ in self.pairs for i in (a, b)}),
+                           ("planted", {i for items, _ in self.planted for i in items})):
+            unknown = sorted(named - known)
+            if unknown:
+                raise DataError(f"synth spec field {key} names unknown ingredients: {unknown}")
         total = sum(f for _, f in self.planted)
         if total > 1.0 + 1e-12:
             raise DataError("planted frequencies must sum to <= 1")
@@ -375,6 +381,9 @@ def load_vocabulary(path: str | Path) -> IngredientVocabulary:
     data = json.loads(Path(path).read_text())
     if not isinstance(data, list):
         raise DataError("vocabulary file must be a JSON array")
+    for i, e in enumerate(data):
+        if not isinstance(e, dict) or "id" not in e:
+            raise DataError(f"{path}: entry {i} has no field id")
     entries = tuple((str(e["id"]), str(e.get("name", e["id"]))) for e in data)
     return IngredientVocabulary(entries)
 

@@ -102,13 +102,42 @@ def novelty(recipe: Recipe, corpus: Corpus) -> int:
 
 
 def novelty_many(samples: np.ndarray, corpus: Corpus, block: int = 256) -> np.ndarray:
-    """Novelty of each row of an (n, K) grams matrix, block rows at a time."""
+    """Novelty of each row of an (n, K) grams matrix, block rows at a time.
+
+    Exact, but only a few (sample, corpus row) pairs are checked in full.
+    SDS(a, b) >= H(a, b), the Hamming distance between the two presence
+    masks, because presence in exactly one recipe is one of the terms SDS
+    counts and the ratio term only adds. Per block, H comes from one
+    matrix product, |a| + |b| - 2 a.b on 0/1 floats (exact: every value is
+    an integer <= K). The exact SDS to each sample's Hamming-nearest
+    corpus row is an upper bound u on its novelty, and a row j can only
+    lower it if H(sample, j) < u; SDS is computed for those pairs alone
+    and reduced with a running minimum. Candidate pairs are evaluated in
+    slices of at most block * N / 8, so even when every pair is a
+    candidate a block holds less memory than a dense (block, N, K) SDS.
+    """
     if len(corpus) == 0:
         raise DataError("novelty undefined against an empty corpus")
     _, W = corpus.matrices()
+    P = (W > 0).astype(float)
+    sizes = P.sum(axis=1)
+    N = len(W)
+    step = max(1, block * N // 8)
     out = np.zeros(len(samples), dtype=int)
     for lo in range(0, len(samples), block):
-        out[lo:lo + block] = _sds_rows(samples[lo:lo + block, None, :], W).min(axis=1)
+        S = samples[lo:lo + block]
+        Ps = (S > 0).astype(float)
+        ham = Ps @ P.T
+        ham *= -2.0
+        ham += Ps.sum(axis=1)[:, None]
+        ham += sizes
+        best = _sds_rows(S, W[ham.argmin(axis=1)])
+        pairs = np.flatnonzero(ham < best[:, None])
+        del ham
+        for c in range(0, pairs.size, step):
+            rows, cols = np.divmod(pairs[c:c + step], N)
+            np.minimum.at(best, rows, _sds_rows(S[rows], W[cols]))
+        out[lo:lo + block] = best
     return out
 
 
@@ -150,25 +179,28 @@ def rediscover(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreMode
     return RediscoveryOutcome(found=False, index=None, recipe=None, draws=budget)
 
 
-def _top_group(grams: np.ndarray, indices) -> tuple[Recipe, int]:
-    """Founder row and size of the largest SDS-0 group among grams[indices]."""
+def _top_group(grams: np.ndarray, indices) -> tuple[Recipe, int, int]:
+    """Founder, size and founder's row in grams of the largest SDS-0 group
+    among grams[indices]."""
     kept = grams[indices]
     best = group_recipes(kept)[0]
-    return Recipe.from_weights(kept[best.founder_index]), best.count
+    return (Recipe.from_weights(kept[best.founder_index]), best.count,
+            int(indices[best.founder_index]))
 
 
 def discover_novel(batch: GenerationBatch, corpus: Corpus, min_sds: int) -> DiscoveryResult:
     """Most repeated sample among those with novelty >= min_sds."""
     if len(batch) == 0:
         raise DataError("batch is empty")
-    keep = np.flatnonzero(novelty_many(batch.grams, corpus) >= min_sds)
+    nov = novelty_many(batch.grams, corpus)
+    keep = np.flatnonzero(nov >= min_sds)
     if not keep.size:
         raise DataError(f"no sample has novelty >= {min_sds}")
-    rep, count = _top_group(batch.grams, keep)
+    rep, count, row = _top_group(batch.grams, keep)
     return DiscoveryResult(
         selected=rep, rule=f"discover_novel(min_sds={min_sds})",
         group_count=count, total_samples=len(batch),
-        popularity=count / len(batch), novelty_sds=novelty(rep, corpus))
+        popularity=count / len(batch), novelty_sds=int(nov[row]))
 
 
 def select_sustainable(batch: GenerationBatch, table: ImpactTable,
@@ -183,14 +215,18 @@ def select_sustainable(batch: GenerationBatch, table: ImpactTable,
     """
     if len(batch) == 0:
         raise DataError("batch is empty")
-    idx = [table.vocabulary.index_of(r) for r in required or ()]
+    try:
+        idx = [table.vocabulary.index_of(r) for r in required or ()]
+    except KeyError as e:
+        raise DataError(f"select.required: ingredient {e.args[0]!r} is not in the "
+                        "vocabulary") from None
     candidates = np.flatnonzero((batch.grams[:, idx] > 0).all(axis=1))
     if not candidates.size:
         raise DataError(f"no sample in the batch contains all of {sorted(required)}")
     scores = env_impact_scores(batch.grams[candidates], table)
     k = max(1, math.ceil(0.1 * len(candidates)))
     keep = np.sort(candidates[np.argsort(scores, kind="stable")[:k]])
-    rep, count = _top_group(batch.grams, keep)
+    rep, count, _ = _top_group(batch.grams, keep)
     return DiscoveryResult(
         selected=rep, rule="select_sustainable" + (f"(require={sorted(required)})" if required else ""),
         group_count=count, total_samples=len(batch),
@@ -198,7 +234,7 @@ def select_sustainable(batch: GenerationBatch, table: ImpactTable,
 
 
 def _top_fraction_group(batch: GenerationBatch, top_fraction: float,
-                        score_of) -> tuple[Recipe, int]:
+                        score_of) -> tuple[Recipe, int, int]:
     """_top_group over the top_fraction of rows (at least one) by score_of(grams)."""
     if len(batch) == 0:
         raise DataError("batch is empty")
@@ -212,7 +248,7 @@ def _top_fraction_group(batch: GenerationBatch, top_fraction: float,
 def select_nutritious(batch: GenerationBatch, table: NutrientTable, top_fraction: float,
                       standards: list[HEIComponentStandard] | None = None) -> DiscoveryResult:
     """Most repeated sample within the top fraction by healthy eating index."""
-    rep, count = _top_fraction_group(batch, top_fraction,
+    rep, count, _ = _top_fraction_group(batch, top_fraction,
                                      lambda grams: hei_totals(grams, table, standards))
     return DiscoveryResult(
         selected=rep, rule=f"select_nutritious(top={top_fraction})",
@@ -223,7 +259,7 @@ def select_nutritious(batch: GenerationBatch, table: NutrientTable, top_fraction
 def select_personalized(batch: GenerationBatch, profile: PersonProfile, table: NutrientTable,
                         top_fraction: float, meal_fraction: float = 1.0 / 3.0) -> DiscoveryResult:
     """Most repeated sample within the top fraction by personalized score."""
-    rep, count = _top_fraction_group(
+    rep, count, _ = _top_fraction_group(
         batch, top_fraction, lambda grams: personalized_scores(grams, profile, table, meal_fraction))
     return DiscoveryResult(
         selected=rep,

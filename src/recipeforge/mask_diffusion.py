@@ -328,12 +328,12 @@ def save_mask_model(path: str | Path, model: MaskDiffusionModel, seed_lineage=No
 def load_mask_model(path: str | Path) -> MaskDiffusionModel:
     """Read a checkpoint; DataError names the file and field of a bad value."""
     doc = netcore.read_checkpoint(path, "mask_diffusion")
-    K = int(doc["K"])
+    K = int(netcore.field(doc, path, "K"))
     base = doc.get("base_logits")
     return MaskDiffusionModel(
-        schedule=NoiseSchedule(betas=netcore.checked_field(doc["schedule"]["beta"], path,
-                                                           "schedule.beta")),
-        net=netcore.net_from_dict(doc["net"], path, K + 3, K),
+        schedule=NoiseSchedule(betas=netcore.checked_field(
+            netcore.field(doc, path, "schedule.beta"), path, "schedule.beta")),
+        net=netcore.net_from_dict(netcore.field(doc, path, "net"), path, K + 3, K),
         K=K,
         base_logits=None if base is None else netcore.checked_field(base, path, "base_logits", K),
         vocab_fingerprint=str(doc.get("vocab_fingerprint", "")),

@@ -325,6 +325,18 @@ def read_checkpoint(path: str | Path, kind: str) -> dict:
     return doc
 
 
+def field(doc: dict, path, name: str):
+    """The value of a dotted field name (e.g. "codec.log_mean") in the
+    checkpoint document read from path; DataError naming the file and the
+    field if it is absent."""
+    value = doc
+    for part in name.split("."):
+        if not isinstance(value, dict) or part not in value:
+            raise DataError(f"{path}: field {name} is missing")
+        value = value[part]
+    return value
+
+
 def checked_field(values, path, name: str, length: int | None = None) -> np.ndarray:
     """A checkpoint field as a finite float vector of the given length.
 
@@ -344,6 +356,9 @@ def net_from_dict(d: dict, path, n_in: int, n_out: int) -> Network:
     Checks the sizes against n_in -> ... -> n_out, the parameter counts
     and finiteness, raising DataError that names the file and field.
     """
+    for key in ("sizes", "weights", "biases"):
+        if not isinstance(d, dict) or key not in d:
+            raise DataError(f"{path}: field net.{key} is missing")
     sizes = [int(s) for s in d["sizes"]]
     if len(sizes) < 2 or sizes[0] != n_in or sizes[-1] != n_out:
         raise DataError(f"{path}: field net.sizes is {sizes}, expected {n_in} -> ... -> {n_out}")

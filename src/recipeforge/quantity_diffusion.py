@@ -274,13 +274,15 @@ def save_quantity_model(path: str | Path, model: QuantityScoreModel, seed_lineag
 def load_quantity_model(path: str | Path) -> QuantityScoreModel:
     """Read a checkpoint; DataError names the file and field of a bad value."""
     doc = netcore.read_checkpoint(path, "quantity_diffusion")
-    K = int(doc["K"])
-    sde = SDESpec(**doc["sde"])
+    K = int(netcore.field(doc, path, "K"))
+    sde = SDESpec(**{k: netcore.field(doc, path, f"sde.{k}")
+                     for k in ("beta_min", "beta_max", "steps", "t_eps")})
     netcore.checked_field([sde.beta_min, sde.beta_max, sde.t_eps], path, "sde")
-    codec = WeightCodec(
-        log_mean=netcore.checked_field(doc["codec"]["log_mean"], path, "codec.log_mean", K),
-        log_std=netcore.checked_field(doc["codec"]["log_std"], path, "codec.log_std", K))
+    codec = WeightCodec(**{k: netcore.checked_field(netcore.field(doc, path, f"codec.{k}"), path,
+                                                    f"codec.{k}", K)
+                           for k in ("log_mean", "log_std")})
     return QuantityScoreModel(
-        sde=sde, net=netcore.net_from_dict(doc["net"], path, 2 * K + 3, K), codec=codec,
+        sde=sde, net=netcore.net_from_dict(netcore.field(doc, path, "net"), path, 2 * K + 3, K),
+        codec=codec,
         K=K, vocab_fingerprint=str(doc.get("vocab_fingerprint", "")),
     )

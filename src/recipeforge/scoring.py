@@ -257,7 +257,12 @@ def load_hei_standards(path: str | Path | None = None) -> list[HEIComponentStand
     src = resources.files("recipeforge").joinpath("data/hei2015_standards.csv") \
         if path is None else Path(path)
     out = []
-    for rec in csv.DictReader(src.read_text().splitlines()):
+    reader = csv.DictReader(src.read_text().splitlines())
+    missing_cols = ({"component", "curve", "max_points", "max_at", "zero_at"}
+                    - set(reader.fieldnames or []))
+    if missing_cols:
+        raise DataError(f"{src}: missing columns {sorted(missing_cols)}")
+    for rec in reader:
         std = HEIComponentStandard(
             component=rec["component"], curve=rec["curve"],
             max_points=float(rec["max_points"]),

@@ -249,3 +249,46 @@ def test_config_hash_inside_quoted_value_is_not_a_comment(tmp_path):
                    "# a whole-line comment\n")
     assert parse_config_file(cfg) == {"paths.out": "runs/#1", "paths.spec": 'a"#b',
                                       "run.seed": 7}
+
+
+def test_unknown_required_ingredient_is_data_error(pipeline, capsys):
+    code = cli.run(["select-sustainable",
+                    "--samples", str(pipeline / "samples" / "samples.jsonl"),
+                    "--vocabulary", str(pipeline / "vocabulary.json"),
+                    "--impact-table", str(DESK / "impact_table.csv"),
+                    "--require", "no_such_ingredient", "--out-dir", str(pipeline)])
+    assert code == 2
+    assert "select.required: ingredient 'no_such_ingredient'" in capsys.readouterr().err
+
+
+def test_vocabulary_entry_without_id_is_data_error(pipeline, tmp_path, capsys):
+    entries = json.loads((pipeline / "vocabulary.json").read_text())
+    del entries[1]["id"]
+    bad = tmp_path / "bad_vocabulary.json"
+    bad.write_text(json.dumps(entries))
+    code = cli.run(["select-nutritious",
+                    "--samples", str(pipeline / "samples" / "samples.jsonl"),
+                    "--vocabulary", str(bad),
+                    "--nutrient-table", str(DESK / "nutrient_table.csv"),
+                    "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "bad_vocabulary.json: entry 1 has no field id" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, field", [
+    ("mask", "K"), ("mask", "net"), ("mask", "schedule"),
+    ("quantity", "K"), ("quantity", "net"), ("quantity", "sde"), ("quantity", "codec"),
+])
+def test_checkpoint_missing_field_is_data_error(pipeline, tmp_path, capsys, model, field):
+    paths = {m: pipeline / "checkpoints" / f"{m}_model.json" for m in ("mask", "quantity")}
+    doc = json.loads(paths[model].read_text())
+    del doc[field]
+    paths[model] = tmp_path / "bad_model.json"
+    paths[model].write_text(json.dumps(doc))
+    code = cli.run(["sample", "--out-dir", str(tmp_path),
+                    "--mask-model", str(paths["mask"]),
+                    "--quantity-model", str(paths["quantity"]),
+                    "--vocabulary", str(pipeline / "vocabulary.json"),
+                    "--count", "8", "--seed", "1", "--set", "sde.steps=80"])
+    assert code == 2
+    assert "bad_model.json: field " + field in capsys.readouterr().err

@@ -274,3 +274,17 @@ def test_synth_spec_json_round_trip(tmp_path):
     assert spec.pairs == [("beef", "bun", 0.2)]
     corpus = cp.synthesize_corpus(spec, seed=0)
     assert len(corpus) == 10
+
+
+@pytest.mark.parametrize("key, doc", [
+    ("pairs", {"pairs": [{"a": "beef", "b": "tofu", "correlation": 0.2}]}),
+    ("planted", {"planted": [{"frequency": 0.2, "ingredients": [{"id": "tofu", "grams": 90}]}]}),
+])
+def test_synth_spec_rejects_unknown_ingredient_ids(tmp_path, key, doc):
+    doc.update(count=10, ingredients=[
+        {"id": "beef", "marginal": 0.5, "weight_log_mean": 5.0, "weight_log_sd": 0.3},
+        {"id": "bun", "marginal": 0.9, "weight_log_mean": 4.3, "weight_log_sd": 0.2}])
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=rf"field {key} names unknown ingredients: \['tofu'\]"):
+        cp.load_synth_spec(f)

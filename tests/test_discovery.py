@@ -1,14 +1,21 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from recipeforge import discovery as dc
 from recipeforge import mask_diffusion as md
 from recipeforge import netcore
 from recipeforge import quantity_diffusion as qd
 from recipeforge import scoring
-from recipeforge.corpus import Corpus, IngredientVocabulary, Recipe
+from recipeforge.corpus import (Corpus, IngredientVocabulary, Recipe, load_synth_spec,
+                                synthesize_corpus)
 from recipeforge.errors import DataError
 
+DESK_SPEC = Path(dc.__file__).parent / "data" / "desk" / "synth_spec.json"
 VOCAB = IngredientVocabulary.from_ids(["beef", "bun", "cheese", "onion"])
 PLANT_W = np.array([150.0, 75.0, 25.0, 0.0])
 
@@ -135,6 +142,110 @@ def test_novelty_empty_corpus():
         dc.novelty(recipe([100.0, 0, 0, 0]), corpus)
 
 
+def corpus_of(rows) -> Corpus:
+    rows = np.asarray(rows, dtype=float)
+    vocab = IngredientVocabulary.from_ids([f"i{k}" for k in range(rows.shape[1])])
+    return Corpus(vocabulary=vocab, recipes=[Recipe.from_weights(r) for r in rows],
+                  splits=["train"] * len(rows))
+
+
+def brute_force_novelty(samples, corpus_rows) -> list[int]:
+    return [min(int(scoring._sds_rows(s, w)) for w in corpus_rows) for s in samples]
+
+
+# few distinct amounts, with exact 2x ratios (1/2, 4.5/9) and near misses (2/3)
+GRAMS = st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0, 4.5, 9.0])
+
+
+@st.composite
+def novelty_cases(draw):
+    """(samples, corpus rows, block): samples mix random rows with exact
+    copies of corpus rows, the corpus has duplicate rows, and block is 1,
+    n, n + 1 or arbitrary, so n is below, equal to or not a multiple of it."""
+    K = draw(st.integers(1, 5))
+    row = st.lists(GRAMS, min_size=K, max_size=K)
+    corpus_rows = draw(st.lists(row, min_size=1, max_size=10))
+    corpus_rows += draw(st.lists(st.sampled_from(corpus_rows), max_size=3))
+    samples = draw(st.lists(row | st.sampled_from(corpus_rows), max_size=12))
+    n = len(samples)
+    block = draw(st.sampled_from([1, max(n, 1), n + 1]) | st.integers(1, 2 * n + 2))
+    return np.array(samples, dtype=float).reshape(n, K), np.array(corpus_rows), block
+
+
+@settings(max_examples=300, deadline=None)
+@given(novelty_cases())
+@example((np.array([[2.0], [0.0], [7.0]]), np.array([[1.0], [1.0], [0.0]]), 2))  # K = 1
+def test_novelty_many_equals_brute_force_minimum(case):
+    samples, corpus_rows, block = case
+    got = dc.novelty_many(samples, corpus_of(corpus_rows), block=block)
+    assert got.dtype.kind == "i"
+    assert got.tolist() == brute_force_novelty(samples, corpus_rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_novelty_many_exact_when_every_pair_is_a_candidate(data):
+    """One shared presence pattern and every pair at ratio >= 2: the
+    Hamming bound is 0 everywhere and prunes nothing, so every pair is
+    evaluated, in several slices when the block is small."""
+    K = data.draw(st.integers(1, 6))
+    pattern = data.draw(st.lists(st.booleans(), min_size=K, max_size=K).filter(any))
+    n, N = data.draw(st.integers(1, 20)), data.draw(st.integers(1, 15))
+    levels = st.lists(st.sampled_from([1.0, 4.0, 16.0]), min_size=K, max_size=K)
+    corpus_rows = np.array([data.draw(levels) for _ in range(N)]) * pattern
+    samples = np.array([data.draw(levels) for _ in range(n)]) * 2.0 * pattern
+    got = dc.novelty_many(samples, corpus_of(corpus_rows), block=data.draw(st.integers(1, n)))
+    assert got.tolist() == brute_force_novelty(samples, corpus_rows) == [sum(pattern)] * n
+
+
+def dense_bytes(n, N, K) -> int:
+    """Temporaries of the dense kernel: 19 bytes per (sample, row, ingredient) cell."""
+    return n * N * K * 19
+
+
+def traced_peak(samples, corpus) -> int:
+    tracemalloc.start()
+    try:
+        dc.novelty_many(samples, corpus)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_novelty_many_memory_at_realistic_sparsity():
+    spec = load_synth_spec(DESK_SPEC)
+    spec.count = 20_000
+    corpus = synthesize_corpus(spec, seed=11)
+    spec.count = 256
+    samples = synthesize_corpus(spec, seed=12).matrices()[1]
+    assert traced_peak(samples, corpus) <= dense_bytes(256, 20_000, spec.K) / 4
+
+
+def test_novelty_many_checks_few_pairs_at_realistic_sparsity(monkeypatch):
+    spec = load_synth_spec(DESK_SPEC)
+    corpus = synthesize_corpus(spec, seed=11)
+    samples = synthesize_corpus(spec, seed=12).matrices()[1][:256]
+    checked = []
+
+    def counting(a, b):
+        checked.append(len(a))
+        return scoring._sds_rows(a, b)
+
+    monkeypatch.setattr(dc, "_sds_rows", counting)
+    dc.novelty_many(samples, corpus)
+    assert sum(checked) < 0.05 * len(samples) * len(corpus)
+
+
+def test_novelty_many_memory_when_every_pair_is_a_candidate():
+    rng = np.random.default_rng(13)
+    n, N, K = 256, 1_000, 30
+    corpus_rows = rng.uniform(1.0, 1.5, (N, K))
+    samples = rng.uniform(4.0, 6.0, (n, K))
+    corpus = corpus_of(corpus_rows)
+    assert traced_peak(samples, corpus) <= dense_bytes(n, N, K)
+    assert (dc.novelty_many(samples, corpus) == K).all()
+
+
 # ---------------------------------------------------------------------------
 # rediscovery
 
@@ -232,8 +343,17 @@ def test_discover_novel_planted_cluster():
     batch = batch_of([boring] * 6 + [novel] * 3)
     result = dc.discover_novel(batch, corpus, min_sds=3)
     np.testing.assert_array_equal(result.selected.weights, novel.weights)
-    assert result.novelty_sds >= 3
+    assert result.novelty_sds == dc.novelty(novel, corpus) >= 3
     assert result.group_count == 3
+
+
+def test_discover_novel_reports_the_founder_novelty():
+    corpus = small_corpus()
+    near = recipe([150.0, 75.0, 25.0, 10.0])  # corpus row 0 plus onion: novelty 1
+    batch = batch_of([corpus.recipes[0], recipe([40.0, 0.0, 90.0, 55.0]), near, near])
+    result = dc.discover_novel(batch, corpus, min_sds=1)
+    np.testing.assert_array_equal(result.selected.weights, near.weights)
+    assert result.novelty_sds == dc.novelty(near, corpus) == 1
 
 
 def test_select_sustainable_identical_batch(tmp_path):

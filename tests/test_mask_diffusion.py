@@ -394,8 +394,12 @@ def saved_mask_model(tmp_path_factory):
     ("net.weights[1]", lambda d: d["net"]["weights"][1].__setitem__(0, float("nan"))),
     ("net.biases[0]", lambda d: d["net"]["biases"][0].__setitem__(0, float("inf"))),
     ("schedule.beta", lambda d: d["schedule"]["beta"].__setitem__(0, float("nan"))),
+    ("schedule.beta", lambda d: d["schedule"].pop("beta")),
+    ("net.sizes", lambda d: d["net"].pop("sizes")),
+    ("net.weights", lambda d: d["net"].pop("weights")),
+    ("net.biases", lambda d: d["net"].pop("biases")),
 ], ids=["schema", "input_size", "output_size", "base_logits_length", "nan_weight", "inf_bias",
-        "nan_beta"])
+        "nan_beta", "no_beta", "no_sizes", "no_weights", "no_biases"])
 def test_load_rejects_bad_checkpoint(saved_mask_model, tmp_path, field, edit):
     doc = json.loads(saved_mask_model.read_text())
     edit(doc)

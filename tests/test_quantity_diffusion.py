@@ -385,7 +385,11 @@ def test_checkpoint_round_trip(tmp_path):
     ("codec.log_std", lambda d: d["codec"]["log_std"].__setitem__(2, float("nan"))),
     ("net.weights[0]", lambda d: d["net"]["weights"][0].__setitem__(3, float("-inf"))),
     ("sde", lambda d: d["sde"].update(beta_max=float("inf"))),
-], ids=["schema", "input_size", "codec_length", "nan_codec", "inf_weight", "inf_sde"])
+    ("sde.steps", lambda d: d["sde"].pop("steps")),
+    ("codec.log_std", lambda d: d["codec"].pop("log_std")),
+    ("codec.log_mean", lambda d: d.update(codec=[1.0, 2.0])),
+], ids=["schema", "input_size", "codec_length", "nan_codec", "inf_weight", "inf_sde",
+        "no_sde_steps", "no_log_std", "codec_not_object"])
 def test_load_rejects_bad_checkpoint(tmp_path, field, edit):
     model = make_model(K=4)
     good = tmp_path / "good.json"

@@ -408,6 +408,13 @@ def test_hei_standards_reject_bad_rows(tmp_path, edit, column):
     assert len(scoring.load_hei_standards(write_standards(tmp_path, {}))) == 13
 
 
+def test_hei_standards_reject_missing_column(tmp_path):
+    f = write_standards(tmp_path, {})
+    f.write_text(f.read_text().replace("component,curve,", "component,shape,", 1))
+    with pytest.raises(DataError, match=r"hei\.csv: missing columns \['curve'\]"):
+        scoring.load_hei_standards(f)
+
+
 def test_hei_standards_bundled_file():
     standards = scoring.load_hei_standards()
     assert len(standards) == 13
