@@ -21,6 +21,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import corpus as corpus_mod
 from . import discovery, fidelity, mask_diffusion, quantity_diffusion, scoring
 from .config import config_hash, parse_config_file, render_config, resolve_config
@@ -216,7 +218,7 @@ def _write_json(path: Path, payload: dict, chash: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     doc = {"config_hash": chash}
     doc.update(payload)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list], chash: str) -> None:
@@ -257,21 +259,22 @@ def _check_vocab(vocab: corpus_mod.IngredientVocabulary, *models) -> None:
                             "different ingredient vocabulary")
 
 
-def _get_batch(cfg: dict, out_dir: Path) -> tuple[discovery.GenerationBatch, corpus_mod.IngredientVocabulary]:
+def _get_batch(cfg: dict, out_dir: Path) -> tuple[np.ndarray, corpus_mod.IngredientVocabulary, dict]:
+    """The batch's (n, K) grams matrix, its vocabulary and its provenance:
+    the seed and the checkpoint fingerprints ("" for a samples file)."""
+    source = {"seed": int(cfg["run.seed"]), "mask_model_fingerprint": "",
+              "quantity_model_fingerprint": ""}
     if cfg["paths.samples"]:
         vocab = _load_vocabulary(cfg, out_dir)
-        loaded = corpus_mod.load_corpus(cfg["paths.samples"], vocab)
-        batch = discovery.GenerationBatch(grams=loaded.matrices()[1], seed=int(cfg["run.seed"]),
-                                          mask_fingerprint="", quantity_fingerprint="")
-        return batch, vocab
+        return corpus_mod.load_corpus(cfg["paths.samples"], vocab).grams, vocab, source
     mask_model, qty_model, mfp, qfp = _load_models(cfg, out_dir)
     vocab = _load_vocabulary(cfg, out_dir)
     _check_vocab(vocab, mask_model, qty_model)
     batch = discovery.generate_batch(mask_model, qty_model, int(cfg["sample.count"]),
                                      int(cfg["run.seed"]), chunk_size=int(cfg["sample.chunk_size"]),
                                      threads=int(cfg["run.threads"]))
-    batch.mask_fingerprint, batch.quantity_fingerprint = mfp, qfp
-    return batch, vocab
+    source.update(mask_model_fingerprint=mfp, quantity_model_fingerprint=qfp)
+    return batch, vocab, source
 
 
 def _load_impact(cfg: dict, vocab) -> scoring.ImpactTable:
@@ -302,22 +305,12 @@ def _train_config(cfg: dict, prefix: str) -> TrainConfig:
     )
 
 
-def _group_table(batch: discovery.GenerationBatch, score_of) -> list[list]:
+def _group_table(batch: np.ndarray, score_of) -> list[list]:
     """One row per SDS-0 group; score_of maps the founders' grams matrix to scores."""
-    groups = scoring.group_recipes(batch.grams)
-    scores = score_of(batch.grams[[g.founder_index for g in groups]])
+    groups = scoring.group_recipes(batch)
+    scores = score_of(batch[[g.founder_index for g in groups]])
     total = len(batch)
     return [[i, g.count, g.count / total, scores[i]] for i, g in enumerate(groups)]
-
-
-def _result_payload(result: discovery.DiscoveryResult, vocab, batch) -> dict:
-    doc = result.to_dict(vocab)
-    doc["source"] = {
-        "seed": batch.seed,
-        "mask_model_fingerprint": batch.mask_fingerprint,
-        "quantity_model_fingerprint": batch.quantity_fingerprint,
-    }
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +389,7 @@ def cmd_sample(cfg: dict, out_dir: Path, chash: str) -> int:
     sample_dir = out_dir / "samples"
     if cfg["paths.samples"]:  # --mask-from: conditional weights only
         given = corpus_mod.load_corpus(cfg["paths.samples"], vocab)
-        masks = given.matrices()[0]
+        masks = (given.grams > 0).astype(np.uint8)
         grams = quantity_diffusion.reverse_sample_batch(
             qty_model, masks, int(cfg["run.seed"]),
             chunk_size=int(cfg["sample.chunk_size"]), threads=int(cfg["run.threads"]))
@@ -405,17 +398,15 @@ def cmd_sample(cfg: dict, out_dir: Path, chash: str) -> int:
         grams = discovery.generate_batch(mask_model, qty_model, int(cfg["sample.count"]),
                                          int(cfg["run.seed"]),
                                          chunk_size=int(cfg["sample.chunk_size"]),
-                                         threads=int(cfg["run.threads"])).grams
+                                         threads=int(cfg["run.threads"]))
         mode = "joint"
-    recipes = [corpus_mod.Recipe.from_weights(g) for g in grams]
-    made = corpus_mod.Corpus(vocabulary=vocab, recipes=recipes,
-                             splits=[corpus_mod.TRAIN] * len(recipes))
+    made = corpus_mod.Corpus(vocabulary=vocab, grams=grams, splits=[corpus_mod.TRAIN] * len(grams))
     sample_dir.mkdir(parents=True, exist_ok=True)
     corpus_mod.write_corpus(sample_dir / "samples.jsonl", made, include_split=False)
     _write_json(sample_dir / "samples.meta.json",
-                {"count": len(recipes), "seed": int(cfg["run.seed"]), "mode": mode,
+                {"count": len(made), "seed": int(cfg["run.seed"]), "mode": mode,
                  "mask_model_fingerprint": mfp, "quantity_model_fingerprint": qfp}, chash)
-    print(f"sampled {len(recipes)} recipes -> {sample_dir / 'samples.jsonl'}")
+    print(f"sampled {len(made)} recipes -> {sample_dir / 'samples.jsonl'}")
     return 0
 
 
@@ -424,7 +415,7 @@ def cmd_rediscover(cfg: dict, out_dir: Path, chash: str) -> int:
     vocab = _load_vocabulary(cfg, out_dir)
     _check_vocab(vocab, mask_model, qty_model)
     ref_corpus = corpus_mod.load_corpus(cfg["paths.reference"], vocab)
-    reference = ref_corpus.recipes[0]
+    reference = ref_corpus.grams[0]
     outcome = discovery.rediscover(mask_model, qty_model, reference,
                                    int(cfg["rediscover.budget"]), int(cfg["run.seed"]),
                                    chunk_size=int(cfg["rediscover.chunk_size"]))
@@ -436,8 +427,8 @@ def cmd_rediscover(cfg: dict, out_dir: Path, chash: str) -> int:
         "draws": outcome.draws,
         "verified_sds_zero": verified,
         "budget": int(cfg["rediscover.budget"]),
-        "ingredients": ([{"id": i, "grams": g} for i, g in outcome.recipe.items(vocab)]
-                        if outcome.recipe else None),
+        "ingredients": ([{"id": i, "grams": g} for i, g in vocab.items(outcome.recipe)]
+                        if outcome.found else None),
         "source": {"seed": int(cfg["run.seed"]), "mask_model_fingerprint": mfp,
                    "quantity_model_fingerprint": qfp},
     }
@@ -449,15 +440,17 @@ def cmd_rediscover(cfg: dict, out_dir: Path, chash: str) -> int:
 
 
 def cmd_discover(cfg: dict, out_dir: Path, chash: str) -> int:
-    batch, vocab = _get_batch(cfg, out_dir)
+    batch, vocab, source = _get_batch(cfg, out_dir)
     loaded = corpus_mod.load_corpus(cfg["paths.corpus"], vocab)
     result = discovery.discover_novel(batch, loaded, int(cfg["select.min_sds"]))
     if cfg["paths.impact_table"]:
-        result.env_score = scoring.env_impact_score(result.selected, _load_impact(cfg, vocab))
+        result.env_score = float(scoring.env_impact_scores(result.selected,
+                                                           _load_impact(cfg, vocab))[0])
     if cfg["paths.nutrient_table"]:
-        result.hei_total = scoring.hei_score(result.selected, _load_nutrients(cfg, vocab),
-                                             _load_standards(cfg)).total
-    _write_json(out_dir / "selections" / "discover.json", _result_payload(result, vocab, batch), chash)
+        result.hei_total = float(scoring.hei_totals(result.selected, _load_nutrients(cfg, vocab),
+                                                    _load_standards(cfg))[0])
+    _write_json(out_dir / "selections" / "discover.json",
+                {**result.to_dict(vocab), "source": source}, chash)
     rows = _group_table(batch, lambda reps: discovery.novelty_many(reps, loaded))
     _write_csv(out_dir / "reports" / "discover_groups.csv",
                ["group_index", "count", "popularity", "novelty_sds"], rows, chash)
@@ -466,7 +459,7 @@ def cmd_discover(cfg: dict, out_dir: Path, chash: str) -> int:
 
 
 def cmd_select_sustainable(cfg: dict, out_dir: Path, chash: str) -> int:
-    batch, vocab = _get_batch(cfg, out_dir)
+    batch, vocab, source = _get_batch(cfg, out_dir)
     table = _load_impact(cfg, vocab)
     required = set(cfg["select.required"]) or None
     result = discovery.select_sustainable(batch, table, required)
@@ -474,7 +467,7 @@ def cmd_select_sustainable(cfg: dict, out_dir: Path, chash: str) -> int:
         result.novelty_sds = discovery.novelty(result.selected,
                                                corpus_mod.load_corpus(cfg["paths.corpus"], vocab))
     _write_json(out_dir / "selections" / "select_sustainable.json",
-                _result_payload(result, vocab, batch), chash)
+                {**result.to_dict(vocab), "source": source}, chash)
     rows = _group_table(batch, lambda reps: scoring.env_impact_scores(reps, table))
     _write_csv(out_dir / "reports" / "sustainable_groups.csv",
                ["group_index", "count", "popularity", "env_score"], rows, chash)
@@ -483,7 +476,7 @@ def cmd_select_sustainable(cfg: dict, out_dir: Path, chash: str) -> int:
 
 
 def cmd_select_nutritious(cfg: dict, out_dir: Path, chash: str) -> int:
-    batch, vocab = _get_batch(cfg, out_dir)
+    batch, vocab, source = _get_batch(cfg, out_dir)
     table = _load_nutrients(cfg, vocab)
     standards = _load_standards(cfg)
     result = discovery.select_nutritious(batch, table, float(cfg["select.top_fraction"]), standards)
@@ -491,7 +484,7 @@ def cmd_select_nutritious(cfg: dict, out_dir: Path, chash: str) -> int:
         result.novelty_sds = discovery.novelty(result.selected,
                                                corpus_mod.load_corpus(cfg["paths.corpus"], vocab))
     _write_json(out_dir / "selections" / "select_nutritious.json",
-                _result_payload(result, vocab, batch), chash)
+                {**result.to_dict(vocab), "source": source}, chash)
     rows = _group_table(batch, lambda reps: scoring.hei_totals(reps, table, standards))
     _write_csv(out_dir / "reports" / "nutritious_groups.csv",
                ["group_index", "count", "popularity", "hei_total"], rows, chash)
@@ -500,7 +493,7 @@ def cmd_select_nutritious(cfg: dict, out_dir: Path, chash: str) -> int:
 
 
 def cmd_personalize(cfg: dict, out_dir: Path, chash: str) -> int:
-    batch, vocab = _get_batch(cfg, out_dir)
+    batch, vocab, source = _get_batch(cfg, out_dir)
     table = _load_nutrients(cfg, vocab)
     profile = scoring.PersonProfile(age=float(cfg["profile.age"]), sex=str(cfg["profile.sex"]),
                                     height_cm=float(cfg["profile.height_cm"]),
@@ -509,7 +502,7 @@ def cmd_personalize(cfg: dict, out_dir: Path, chash: str) -> int:
     result = discovery.select_personalized(batch, profile, table,
                                            float(cfg["select.top_fraction"]),
                                            float(cfg["select.meal_fraction"]))
-    payload = _result_payload(result, vocab, batch)
+    payload = {**result.to_dict(vocab), "source": source}
     payload["profile"] = {"age": profile.age, "sex": profile.sex,
                           "height_cm": profile.height_cm, "weight_kg": profile.weight_kg,
                           "activity": profile.activity,
@@ -548,14 +541,15 @@ def cmd_validate(cfg: dict, out_dir: Path, chash: str) -> int:
                ["ingredient_count", "corpus_fraction", "sample_fraction"],
                [[i, report.corpus_length_hist[i], report.sample_length_hist[i]]
                 for i in range(len(report.corpus_length_hist))], chash)
+    mae = report.quantity_mae_grams
     print(f"fidelity: max marginal err {report.max_marginal_error:.4f}, "
-          f"quantity MAE {report.quantity_mae_grams:.1f} g, "
+          f"quantity MAE {'n/a' if mae is None else f'{mae:.1f} g'}, "
           f"length TV {report.length_total_variation:.4f}")
     return 0
 
 
 def cmd_landscape(cfg: dict, out_dir: Path, chash: str) -> int:
-    batch, vocab = _get_batch(cfg, out_dir)
+    batch, vocab, _ = _get_batch(cfg, out_dir)
     loaded = corpus_mod.load_corpus(cfg["paths.corpus"], vocab)
     rows = discovery.landscape_map(batch, _load_impact(cfg, vocab),
                                    _load_nutrients(cfg, vocab), loaded, _load_standards(cfg))

@@ -1,9 +1,10 @@
-"""Recipe corpora: ingestion, vocabulary, vectorization, and synthesis.
+"""Recipe corpora: ingestion, vocabulary, and synthesis.
 
-A recipe is a binary ingredient mask plus per-ingredient weights in grams
-over a fixed vocabulary. Corpus files are JSON lines, one object per
-recipe: {"ingredients": [{"id": ..., "grams": ...}, ...]} with an
-optional "split" tag. Synthetic corpora are drawn from a Gaussian-copula
+A set of recipes is one (n, K) grams matrix over a fixed vocabulary; an
+ingredient is present in a recipe where its grams are > 0. Corpus files
+are JSON lines, one object per recipe:
+{"ingredients": [{"id": ..., "grams": ...}, ...]} with an optional
+"split" tag. Synthetic corpora are drawn from a Gaussian-copula
 threshold model with optional planted recipes, which gives exact control
 of marginals and pairwise structure for fidelity oracles.
 """
@@ -13,13 +14,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.stats import multivariate_normal, norm
 
-from .errors import DataError
+from .errors import DataError, read_json
 
 TRAIN = "train"
 VALIDATION = "validation"
@@ -58,6 +60,11 @@ class IngredientVocabulary:
             return lo
         raise KeyError(ingredient_id)
 
+    def items(self, grams: np.ndarray) -> list[tuple[str, float]]:
+        """(id, grams) of each ingredient present (grams > 0) in a (K,) row."""
+        ids = self.ids
+        return [(ids[i], float(grams[i])) for i in np.flatnonzero(grams > 0)]
+
     def fingerprint(self) -> str:
         raw = "\n".join(self.ids).encode()
         return hashlib.sha256(raw).hexdigest()[:16]
@@ -70,62 +77,32 @@ class IngredientVocabulary:
 
 
 @dataclass
-class Recipe:
-    """Binary presence mask and weights in grams, aligned to one vocabulary."""
-
-    mask: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.mask = np.asarray(self.mask, dtype=np.uint8)
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.mask.shape != self.weights.shape:
-            raise DataError("mask and weights must have equal length")
-        if not np.isfinite(self.weights).all() or (self.weights < 0).any():
-            raise DataError("weights must be finite and nonnegative")
-        if ((self.weights > 0) != (self.mask == 1)).any():
-            raise DataError("weights must be positive exactly where mask = 1")
-
-    def items(self, vocabulary: IngredientVocabulary) -> list[tuple[str, float]]:
-        ids = vocabulary.ids
-        return [(ids[i], float(self.weights[i])) for i in np.flatnonzero(self.mask)]
-
-    @staticmethod
-    def from_weights(weights) -> "Recipe":
-        w = np.asarray(weights, dtype=float)
-        return Recipe(mask=(w > 0).astype(np.uint8), weights=w)
-
-
-@dataclass
 class Corpus:
+    """An (n, K) grams matrix over a vocabulary and one split tag per row."""
+
     vocabulary: IngredientVocabulary
-    recipes: list[Recipe]
+    grams: np.ndarray
     splits: list[str]
 
     def __post_init__(self):
-        if len(self.recipes) != len(self.splits):
+        self.grams = np.asarray(self.grams, dtype=float)
+        if self.grams.ndim != 2 or self.grams.shape[1] != self.vocabulary.K:
+            raise DataError(f"grams must be an (n, {self.vocabulary.K}) matrix over the "
+                            f"vocabulary, got shape {self.grams.shape}")
+        if not np.isfinite(self.grams).all() or (self.grams < 0).any():
+            raise DataError("grams must be finite and nonnegative")
+        if len(self.splits) != len(self.grams):
             raise DataError("one split tag per recipe required")
         bad = set(self.splits) - {TRAIN, VALIDATION}
         if bad:
             raise DataError(f"unknown split tags: {sorted(bad)}")
-        K = self.vocabulary.K
-        for r in self.recipes:
-            if r.mask.shape[0] != K:
-                raise DataError("recipe length does not match vocabulary")
 
     def __len__(self) -> int:
-        return len(self.recipes)
+        return len(self.grams)
 
-    def subset(self, split: str) -> list[Recipe]:
-        return [r for r, s in zip(self.recipes, self.splits) if s == split]
-
-    def matrices(self, split: str | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked (mask, weight) matrices, optionally restricted to a split."""
-        rs = self.recipes if split is None else self.subset(split)
-        if not rs:
-            return (np.zeros((0, self.vocabulary.K), dtype=np.uint8),
-                    np.zeros((0, self.vocabulary.K)))
-        return (np.stack([r.mask for r in rs]), np.stack([r.weights for r in rs]))
+    def rows(self, split: str) -> np.ndarray:
+        """The grams rows tagged with split, in corpus order."""
+        return self.grams[[s == split for s in self.splits]]
 
 
 @dataclass
@@ -306,23 +283,40 @@ def synthesize_corpus(spec: SynthSpec, seed: int, val_fraction: float = 0.1) -> 
     else:
         raise DataError("could not draw nonempty masks; marginals too small")
 
+    if ((weights > 0) != (masks == 1)).any():
+        raise DataError("drawn grams underflow to 0 for a present ingredient; "
+                        "raise its weight_log_mean")
     n_train = n - int(round(val_fraction * n))
     splits = [TRAIN if i < n_train else VALIDATION for i in range(n)]
-    recipes = [Recipe(mask=masks[i], weights=weights[i]) for i in range(n)]
-    return Corpus(vocabulary=vocab, recipes=recipes, splits=splits)
+    return Corpus(vocabulary=vocab, grams=weights, splits=splits)
 
 
-def _parse_record(line: str, lineno: int) -> tuple[dict, str]:
+def _parse_record(path: Path, line: str, lineno: int) -> tuple[list[tuple[str, float]], str]:
+    """The (id, grams) entries and the split tag of one corpus line."""
+    where = f"{path}: line {lineno}"
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as e:
-        raise DataError(f"line {lineno}: invalid JSON ({e.msg})") from e
-    if not isinstance(obj, dict) or "ingredients" not in obj or not isinstance(obj["ingredients"], list):
-        raise DataError(f"line {lineno}: record must be an object with an 'ingredients' list")
+        raise DataError(f"{where}: invalid JSON ({e.msg})") from e
+    if not isinstance(obj, dict) or not isinstance(obj.get("ingredients"), list):
+        raise DataError(f"{where}: record must be an object with an 'ingredients' list")
+    if not obj["ingredients"]:
+        raise DataError(f"{where}: empty recipe is not trainable")
     split = obj.get("split", TRAIN)
     if split not in (TRAIN, VALIDATION):
-        raise DataError(f"line {lineno}: unknown split tag {split!r}")
-    return obj, split
+        raise DataError(f"{where}: unknown split tag {split!r}")
+    items = []
+    for j, item in enumerate(obj["ingredients"]):
+        if not isinstance(item, dict) or not isinstance(item.get("id"), str):
+            raise DataError(f"{where}: ingredient {j} must be an object with a string 'id'")
+        ing, grams = item["id"], item.get("grams")
+        # the chained comparison is false for NaN, inf and ints too large for a float
+        if (isinstance(grams, bool) or not isinstance(grams, (int, float))
+                or not 0 < grams <= sys.float_info.max):
+            raise DataError(f"{where}: ingredient {ing!r} has grams {grams!r}; "
+                            "expected a finite number > 0")
+        items.append((ing, float(grams)))
+    return items, split
 
 
 def load_corpus(path: str | Path, vocabulary: IngredientVocabulary | None = None) -> Corpus:
@@ -331,41 +325,26 @@ def load_corpus(path: str | Path, vocabulary: IngredientVocabulary | None = None
     lines = [(i + 1, ln) for i, ln in enumerate(path.read_text().splitlines()) if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty corpus file")
-    records = [(_parse_record(ln, no), no) for no, ln in lines]
+    records = [_parse_record(path, ln, no) for no, ln in lines]
     if vocabulary is None:
-        ids: set[str] = set()
-        for (obj, _), _no in records:
-            for item in obj["ingredients"]:
-                ids.add(str(item.get("id")))
-        vocabulary = IngredientVocabulary.from_ids(ids)
-    recipes, splits = [], []
-    for (obj, split), no in records:
-        w = np.zeros(vocabulary.K)
-        if not obj["ingredients"]:
-            raise DataError(f"line {no}: empty recipe is not trainable")
-        for item in obj["ingredients"]:
-            ing = str(item.get("id"))
-            grams = item.get("grams")
-            try:
-                idx = vocabulary.index_of(ing)
-            except KeyError:
-                raise DataError(f"line {no}: unknown ingredient id {ing!r}") from None
-            if not isinstance(grams, (int, float)) or not math.isfinite(grams) or grams <= 0:
-                raise DataError(f"line {no}: ingredient {ing!r} has grams <= 0 or non-numeric")
-            if w[idx] > 0:
-                raise DataError(f"line {no}: duplicate ingredient id {ing!r}")
-            w[idx] = float(grams)
-        recipes.append(Recipe.from_weights(w))
-        splits.append(split)
-    return Corpus(vocabulary=vocabulary, recipes=recipes, splits=splits)
+        vocabulary = IngredientVocabulary.from_ids({i for items, _ in records for i, _ in items})
+    index = {ing: k for k, ing in enumerate(vocabulary.ids)}
+    grams = np.zeros((len(records), vocabulary.K))
+    for row, (items, _), (no, _) in zip(grams, records, lines):
+        for ing, g in items:
+            if ing not in index:
+                raise DataError(f"{path}: line {no}: unknown ingredient id {ing!r}")
+            if row[index[ing]] > 0:
+                raise DataError(f"{path}: line {no}: duplicate ingredient id {ing!r}")
+            row[index[ing]] = g
+    return Corpus(vocabulary=vocabulary, grams=grams, splits=[split for _, split in records])
 
 
 def write_corpus(path: str | Path, corpus: Corpus, include_split: bool = True) -> None:
     with open(path, "w") as fh:
-        ids = corpus.vocabulary.ids
-        for r, split in zip(corpus.recipes, corpus.splits):
-            items = [{"id": ids[i], "grams": float(r.weights[i])} for i in np.flatnonzero(r.mask)]
-            obj: dict = {"ingredients": items}
+        for row, split in zip(corpus.grams, corpus.splits):
+            obj: dict = {"ingredients": [{"id": i, "grams": g}
+                                         for i, g in corpus.vocabulary.items(row)]}
             if include_split:
                 obj["split"] = split
             fh.write(json.dumps(obj) + "\n")
@@ -378,9 +357,9 @@ def write_vocabulary(path: str | Path, vocabulary: IngredientVocabulary) -> None
 
 
 def load_vocabulary(path: str | Path) -> IngredientVocabulary:
-    data = json.loads(Path(path).read_text())
+    data = read_json(path)
     if not isinstance(data, list):
-        raise DataError("vocabulary file must be a JSON array")
+        raise DataError(f"{path}: vocabulary file must be a JSON array")
     for i, e in enumerate(data):
         if not isinstance(e, dict) or "id" not in e:
             raise DataError(f"{path}: entry {i} has no field id")
@@ -389,7 +368,7 @@ def load_vocabulary(path: str | Path) -> IngredientVocabulary:
 
 
 def load_synth_spec(path: str | Path) -> SynthSpec:
-    data = json.loads(Path(path).read_text())
+    data = read_json(path)
     try:
         ingredients = [
             SynthIngredient(

@@ -6,9 +6,9 @@ models (mask first, then weights conditioned on the mask), and the
 selection operations reproduce the discovery recipes: novelty-filtered
 repetition counting, lowest-decile environmental selection,
 top-fraction nutrition selection, and personalized selection. Each
-selection returns its group's founder row as a Recipe. Rediscovery
-streams samples with constant memory until one matches a reference at
-SDS = 0.
+selection takes the batch's grams matrix and returns its group's
+founder, a (K,) grams row. Rediscovery streams samples with constant
+memory until one matches a reference row at SDS = 0.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mask_diffusion, netcore
-from .corpus import Corpus, Recipe
+from .corpus import Corpus
 from .errors import DataError
 from .mask_diffusion import MaskDiffusionModel, _sample_chunk
 from .quantity_diffusion import QuantityScoreModel, decode_weights, reverse_integrate, reverse_sample_batch
 from .scoring import (HEIComponentStandard, ImpactTable, NutrientTable, PersonProfile,
-                      _sds_rows, env_impact_score, env_impact_scores, group_recipes, hei_score,
-                      hei_totals, personalized_scores, sds)
+                      _sds_rows, env_impact_scores, group_recipes, hei_totals,
+                      personalized_scores, sds)
 
 # distinct stream for quantity noise so mask and weight chunks never share
 # a seed sequence
@@ -33,19 +33,8 @@ _QTY_STREAM = 0x9E3779B9
 
 
 @dataclass
-class GenerationBatch:
-    grams: np.ndarray  # (n, K)
-    seed: int
-    mask_fingerprint: str
-    quantity_fingerprint: str
-
-    def __len__(self) -> int:
-        return self.grams.shape[0]
-
-
-@dataclass
 class DiscoveryResult:
-    selected: Recipe
+    selected: np.ndarray  # (K,) grams row of the chosen group's founder
     rule: str
     group_count: int
     total_samples: int
@@ -57,7 +46,7 @@ class DiscoveryResult:
     def to_dict(self, vocabulary) -> dict:
         return {
             "rule": self.rule,
-            "ingredients": [{"id": i, "grams": g} for i, g in self.selected.items(vocabulary)],
+            "ingredients": [{"id": i, "grams": g} for i, g in vocabulary.items(self.selected)],
             "group_count": self.group_count,
             "total_samples": self.total_samples,
             "popularity": self.popularity,
@@ -67,17 +56,16 @@ class DiscoveryResult:
         }
 
 
-def _model_fingerprints(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreModel):
+def _check_models(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreModel) -> None:
     if mask_model.vocab_fingerprint != quantity_model.vocab_fingerprint:
         raise DataError("mask and quantity models were trained on different vocabularies")
     if mask_model.K != quantity_model.K:
         raise DataError("mask and quantity models disagree on vocabulary size")
-    return mask_model.vocab_fingerprint, quantity_model.vocab_fingerprint
 
 
 def generate_batch(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreModel,
                    count: int, seed: int, *, chunk_size: int = 2048,
-                   threads: int = 1) -> GenerationBatch:
+                   threads: int = 1) -> np.ndarray:
     """Draw count complete recipes, a (count, K) grams matrix: a mask,
     then weights given the mask.
 
@@ -85,20 +73,18 @@ def generate_batch(mask_model: MaskDiffusionModel, quantity_model: QuantityScore
     count; masks use the (seed, chunk) stream and weights an independent
     derived stream.
     """
-    mfp, qfp = _model_fingerprints(mask_model, quantity_model)
+    _check_models(mask_model, quantity_model)
     masks = mask_diffusion.sample_masks(mask_model, count, seed,
                                         chunk_size=chunk_size, threads=threads)
-    grams = reverse_sample_batch(quantity_model, masks, seed + _QTY_STREAM,
-                                 chunk_size=chunk_size, threads=threads)
-    return GenerationBatch(grams=grams, seed=seed, mask_fingerprint=mfp,
-                           quantity_fingerprint=qfp)
+    return reverse_sample_batch(quantity_model, masks, seed + _QTY_STREAM,
+                                chunk_size=chunk_size, threads=threads)
 
 
-def novelty(recipe: Recipe, corpus: Corpus) -> int:
-    """Minimum SDS between the recipe and any corpus recipe."""
-    if recipe.weights.shape[0] != corpus.vocabulary.K:
+def novelty(grams: np.ndarray, corpus: Corpus) -> int:
+    """Minimum SDS between a (K,) grams row and any corpus row."""
+    if np.shape(grams) != (corpus.vocabulary.K,):
         raise DataError("recipe does not match corpus vocabulary")
-    return int(novelty_many(recipe.weights[None, :], corpus)[0])
+    return int(novelty_many(np.asarray(grams, dtype=float)[None, :], corpus)[0])
 
 
 def novelty_many(samples: np.ndarray, corpus: Corpus, block: int = 256) -> np.ndarray:
@@ -118,7 +104,7 @@ def novelty_many(samples: np.ndarray, corpus: Corpus, block: int = 256) -> np.nd
     """
     if len(corpus) == 0:
         raise DataError("novelty undefined against an empty corpus")
-    _, W = corpus.matrices()
+    W = corpus.grams
     P = (W > 0).astype(float)
     sizes = P.sum(axis=1)
     N = len(W)
@@ -145,14 +131,15 @@ def novelty_many(samples: np.ndarray, corpus: Corpus, block: int = 256) -> np.nd
 class RediscoveryOutcome:
     found: bool
     index: int | None
-    recipe: Recipe | None
+    recipe: np.ndarray | None  # (K,) grams row of the first match
     draws: int
 
 
 def rediscover(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreModel,
-               reference: Recipe, budget: int, seed: int, *,
+               reference: np.ndarray, budget: int, seed: int, *,
                chunk_size: int = 64) -> RediscoveryOutcome:
-    """Stream samples until one matches the reference at SDS = 0.
+    """Stream samples until one matches the (K,) reference grams row at
+    SDS = 0.
 
     Samples are generated in whole chunks of chunk_size, decoded and
     compared a chunk at a time, so memory is constant in the budget and
@@ -162,8 +149,8 @@ def rediscover(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreMode
     the first matching stream index, or not-found once the budget is
     exhausted.
     """
-    _model_fingerprints(mask_model, quantity_model)
-    if reference.weights.shape[0] != mask_model.K:
+    _check_models(mask_model, quantity_model)
+    if np.shape(reference) != (mask_model.K,):
         raise DataError("reference recipe does not match model vocabulary")
     for lo in range(0, budget, chunk_size):
         c, n = lo // chunk_size, min(chunk_size, budget - lo)
@@ -174,36 +161,36 @@ def rediscover(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreMode
         hits = np.flatnonzero(sds(grams, reference) == 0)
         if hits.size:
             return RediscoveryOutcome(found=True, index=lo + int(hits[0]),
-                                      recipe=Recipe.from_weights(grams[hits[0]]),
+                                      recipe=grams[hits[0]],
                                       draws=lo + int(hits[0]) + 1)
     return RediscoveryOutcome(found=False, index=None, recipe=None, draws=budget)
 
 
-def _top_group(grams: np.ndarray, indices) -> tuple[Recipe, int, int]:
-    """Founder, size and founder's row in grams of the largest SDS-0 group
-    among grams[indices]."""
+def _top_group(grams: np.ndarray, indices) -> tuple[np.ndarray, int, int]:
+    """Founder row, size and founder's index in grams of the largest SDS-0
+    group among grams[indices]."""
     kept = grams[indices]
     best = group_recipes(kept)[0]
-    return (Recipe.from_weights(kept[best.founder_index]), best.count,
-            int(indices[best.founder_index]))
+    return kept[best.founder_index], best.count, int(indices[best.founder_index])
 
 
-def discover_novel(batch: GenerationBatch, corpus: Corpus, min_sds: int) -> DiscoveryResult:
-    """Most repeated sample among those with novelty >= min_sds."""
+def discover_novel(batch: np.ndarray, corpus: Corpus, min_sds: int) -> DiscoveryResult:
+    """Most repeated row of the (n, K) grams batch among those with
+    novelty >= min_sds."""
     if len(batch) == 0:
         raise DataError("batch is empty")
-    nov = novelty_many(batch.grams, corpus)
+    nov = novelty_many(batch, corpus)
     keep = np.flatnonzero(nov >= min_sds)
     if not keep.size:
         raise DataError(f"no sample has novelty >= {min_sds}")
-    rep, count, row = _top_group(batch.grams, keep)
+    rep, count, row = _top_group(batch, keep)
     return DiscoveryResult(
         selected=rep, rule=f"discover_novel(min_sds={min_sds})",
         group_count=count, total_samples=len(batch),
         popularity=count / len(batch), novelty_sds=int(nov[row]))
 
 
-def select_sustainable(batch: GenerationBatch, table: ImpactTable,
+def select_sustainable(batch: np.ndarray, table: ImpactTable,
                        required: set[str] | None = None) -> DiscoveryResult:
     """Most repeated sample within the lowest-impact decile.
 
@@ -220,32 +207,32 @@ def select_sustainable(batch: GenerationBatch, table: ImpactTable,
     except KeyError as e:
         raise DataError(f"select.required: ingredient {e.args[0]!r} is not in the "
                         "vocabulary") from None
-    candidates = np.flatnonzero((batch.grams[:, idx] > 0).all(axis=1))
+    candidates = np.flatnonzero((batch[:, idx] > 0).all(axis=1))
     if not candidates.size:
         raise DataError(f"no sample in the batch contains all of {sorted(required)}")
-    scores = env_impact_scores(batch.grams[candidates], table)
+    scores = env_impact_scores(batch[candidates], table)
     k = max(1, math.ceil(0.1 * len(candidates)))
     keep = np.sort(candidates[np.argsort(scores, kind="stable")[:k]])
-    rep, count, _ = _top_group(batch.grams, keep)
+    rep, count, _ = _top_group(batch, keep)
     return DiscoveryResult(
         selected=rep, rule="select_sustainable" + (f"(require={sorted(required)})" if required else ""),
         group_count=count, total_samples=len(batch),
-        popularity=count / len(batch), env_score=env_impact_score(rep, table))
+        popularity=count / len(batch), env_score=float(env_impact_scores(rep, table)[0]))
 
 
-def _top_fraction_group(batch: GenerationBatch, top_fraction: float,
-                        score_of) -> tuple[Recipe, int, int]:
+def _top_fraction_group(batch: np.ndarray, top_fraction: float,
+                        score_of) -> tuple[np.ndarray, int, int]:
     """_top_group over the top_fraction of rows (at least one) by score_of(grams)."""
     if len(batch) == 0:
         raise DataError("batch is empty")
     if not 0.0 < top_fraction <= 1.0:
         raise ValueError(f"top fraction must lie in (0, 1], got {top_fraction}")
     k = max(1, math.ceil(top_fraction * len(batch)))
-    order = np.argsort(-score_of(batch.grams), kind="stable")[:k]
-    return _top_group(batch.grams, np.sort(order))
+    order = np.argsort(-score_of(batch), kind="stable")[:k]
+    return _top_group(batch, np.sort(order))
 
 
-def select_nutritious(batch: GenerationBatch, table: NutrientTable, top_fraction: float,
+def select_nutritious(batch: np.ndarray, table: NutrientTable, top_fraction: float,
                       standards: list[HEIComponentStandard] | None = None) -> DiscoveryResult:
     """Most repeated sample within the top fraction by healthy eating index."""
     rep, count, _ = _top_fraction_group(batch, top_fraction,
@@ -253,10 +240,10 @@ def select_nutritious(batch: GenerationBatch, table: NutrientTable, top_fraction
     return DiscoveryResult(
         selected=rep, rule=f"select_nutritious(top={top_fraction})",
         group_count=count, total_samples=len(batch),
-        popularity=count / len(batch), hei_total=float(hei_score(rep, table, standards).total))
+        popularity=count / len(batch), hei_total=float(hei_totals(rep, table, standards)[0]))
 
 
-def select_personalized(batch: GenerationBatch, profile: PersonProfile, table: NutrientTable,
+def select_personalized(batch: np.ndarray, profile: PersonProfile, table: NutrientTable,
                         top_fraction: float, meal_fraction: float = 1.0 / 3.0) -> DiscoveryResult:
     """Most repeated sample within the top fraction by personalized score."""
     rep, count, _ = _top_fraction_group(
@@ -277,14 +264,14 @@ class LandscapeRow:
     novelty_sds: int
 
 
-def landscape_map(batch: GenerationBatch, impact: ImpactTable, nutrients: NutrientTable,
+def landscape_map(batch: np.ndarray, impact: ImpactTable, nutrients: NutrientTable,
                   corpus: Corpus,
                   standards: list[HEIComponentStandard] | None = None) -> list[LandscapeRow]:
     """One row per SDS-0 group: popularity, impact, nutrition, novelty."""
     if len(batch) == 0:
         raise DataError("batch is empty")
-    groups = group_recipes(batch.grams)
-    W = batch.grams[[g.founder_index for g in groups]]
+    groups = group_recipes(batch)
+    W = batch[[g.founder_index for g in groups]]
     env = env_impact_scores(W, impact)
     hei = hei_totals(W, nutrients, standards)
     nov = novelty_many(W, corpus)

@@ -1,8 +1,11 @@
-"""Shared exception types.
+"""Shared exception types and the JSON file reader.
 
 ValueError is used for plain contract violations at function boundaries;
 these two classes mark conditions the CLI maps to dedicated exit codes.
 """
+
+import json
+from pathlib import Path
 
 
 class DataError(ValueError):
@@ -11,3 +14,12 @@ class DataError(ValueError):
 
 class NumericError(RuntimeError):
     """Non-finite state encountered during training or sampling."""
+
+
+def read_json(path):
+    """The JSON document in the file at path; DataError naming the file
+    and the position if it does not parse."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise DataError(f"{path}: invalid JSON ({e})") from None

@@ -12,33 +12,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Corpus, Recipe
+from .corpus import TRAIN, VALIDATION, Corpus
 from .errors import DataError
 from .mask_diffusion import MaskDiffusionModel, sample_masks
 from .quantity_diffusion import QuantityScoreModel, reverse_sample_batch
 
 
-def _as_masks(x) -> np.ndarray:
-    if isinstance(x, Corpus):
-        return x.matrices()[0]
-    if isinstance(x, np.ndarray):
-        return np.atleast_2d(x)
-    raise TypeError(f"cannot interpret {type(x).__name__} as a mask set")
-
-
-def marginal_error(samples, corpus) -> float:
-    """Max over ingredients of |inclusion frequency difference|."""
-    a = _as_masks(samples)
-    b = _as_masks(corpus)
+def marginal_error(samples: np.ndarray, corpus: np.ndarray) -> float:
+    """Max over ingredients of |inclusion frequency difference| between
+    two (n, K) mask sets."""
+    a = np.atleast_2d(samples)
+    b = np.atleast_2d(corpus)
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise DataError("marginal error needs nonempty sample and corpus sets")
     return float(np.abs(a.mean(axis=0) - b.mean(axis=0)).max())
 
 
-def _length_hists(samples, corpus) -> tuple[np.ndarray, np.ndarray]:
-    """Ingredient-count histograms of both sets over a common range."""
-    a = _as_masks(samples).sum(axis=1).astype(int)
-    b = _as_masks(corpus).sum(axis=1).astype(int)
+def _length_hists(samples: np.ndarray, corpus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ingredient-count histograms of both mask sets over a common range."""
+    a = np.atleast_2d(samples).sum(axis=1).astype(int)
+    b = np.atleast_2d(corpus).sum(axis=1).astype(int)
     if a.size == 0 or b.size == 0:
         raise DataError("length distance needs nonempty sample and corpus sets")
     hi = int(max(a.max(), b.max()))
@@ -51,12 +44,13 @@ def length_distance(samples, corpus) -> float:
     return float(0.5 * np.abs(pa - pb).sum())
 
 
-def pairwise_correlations(recipes) -> np.ndarray:
-    """K x K Pearson (phi) correlation matrix over presence bits.
+def pairwise_correlations(masks: np.ndarray) -> np.ndarray:
+    """K x K Pearson (phi) correlation matrix over the presence bits of an
+    (n, K) mask set.
 
     Zero-variance columns yield 0 by convention (including the diagonal).
     """
-    masks = _as_masks(recipes).astype(float)
+    masks = np.atleast_2d(masks).astype(float)
     if masks.shape[0] < 2:
         raise DataError("need at least 2 recipes for correlations")
     centered = masks - masks.mean(axis=0)
@@ -69,21 +63,21 @@ def pairwise_correlations(recipes) -> np.ndarray:
     return np.clip(corr, -1.0, 1.0)
 
 
-def quantity_mae(model: QuantityScoreModel, held_out: list[Recipe], seed: int) -> float:
-    """Mean absolute gram error of one conditional sample per held-out recipe.
+def quantity_mae(model: QuantityScoreModel, held_out: np.ndarray, seed: int) -> float:
+    """Mean absolute gram error of one conditional sample per row of the
+    held-out (n, K) grams matrix.
 
     Weights are sampled conditioned on each recipe's true mask; the error
     is averaged over active ingredients within a recipe, then over
     recipes.
     """
-    if not held_out:
+    if len(held_out) == 0:
         raise DataError("held-out set is empty")
-    masks = np.stack([r.mask for r in held_out])
+    masks = (held_out > 0).astype(np.uint8)
     sampled = reverse_sample_batch(model, masks, seed)
     errs = []
-    for r, s in zip(held_out, sampled):
-        active = r.mask == 1
-        errs.append(float(np.abs(s[active] - r.weights[active]).mean()))
+    for w, s, active in zip(held_out, sampled, masks == 1):
+        errs.append(float(np.abs(s[active] - w[active]).mean()))
     return float(np.mean(errs))
 
 
@@ -104,7 +98,7 @@ class PairAgreement:
 @dataclass
 class FidelityReport:
     max_marginal_error: float
-    quantity_mae_grams: float
+    quantity_mae_grams: float | None  # None without validation rows
     top_pairs: list[PairAgreement]
     length_total_variation: float
     sample_count: int
@@ -140,14 +134,15 @@ def top_correlated_pairs(corr: np.ndarray, k: int) -> list[tuple[int, int]]:
 def fidelity_report(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreModel,
                     corpus: Corpus, sample_count: int, seed: int, *,
                     top_k: int = 10, threads: int = 1) -> FidelityReport:
-    """Run all four checks against the corpus train split.
+    """Run all four checks against the corpus train split; the quantity
+    error is measured on the validation split, None when it is empty.
 
     Deterministic for a fixed seed: masks come from (seed), the held-out
     quantity samples from (seed + 1).
     """
     if mask_model.vocab_fingerprint != quantity_model.vocab_fingerprint:
         raise DataError("mask and quantity models were trained on different vocabularies")
-    train_masks, _ = corpus.matrices("train")
+    train_masks = (corpus.rows(TRAIN) > 0).astype(np.uint8)
     if train_masks.shape[0] == 0:
         raise DataError("corpus train split is empty")
     samples = sample_masks(mask_model, sample_count, seed, threads=threads)
@@ -161,8 +156,8 @@ def fidelity_report(mask_model: MaskDiffusionModel, quantity_model: QuantityScor
         for i, j in top_correlated_pairs(corr_corpus, top_k)
     ]
 
-    held_out = corpus.subset("validation")
-    mae = quantity_mae(quantity_model, held_out, seed + 1) if held_out else float("nan")
+    held_out = corpus.rows(VALIDATION)
+    mae = quantity_mae(quantity_model, held_out, seed + 1) if len(held_out) else None
 
     sample_hist, corpus_hist = _length_hists(samples, train_masks)
     return FidelityReport(

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import expit, rel_entr
 
 from . import netcore
-from .corpus import Corpus
+from .corpus import TRAIN, VALIDATION, Corpus
 from .errors import DataError, NumericError
 from .netcore import Network, TrainConfig
 
@@ -242,12 +242,12 @@ def train_mask_model(corpus: Corpus, schedule: NoiseSchedule, config: TrainConfi
     in model.history at config.val_interval (falling back to the train
     split when the corpus has no validation recipes).
     """
-    masks, _ = corpus.matrices("train")
+    masks = (corpus.rows(TRAIN) > 0).astype(np.uint8)
     if masks.shape[0] == 0:
         raise DataError("training corpus is empty")
     if (~masks.any(axis=1)).any():
         raise DataError("training corpus contains an all-zero mask")
-    val_masks, _ = corpus.matrices("validation")
+    val_masks = (corpus.rows(VALIDATION) > 0).astype(np.uint8)
     if val_masks.shape[0] == 0:
         val_masks = masks[: min(len(masks), 256)]
     K = corpus.vocabulary.K

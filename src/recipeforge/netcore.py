@@ -7,7 +7,6 @@ numpy; inputs may be single vectors of shape (D,) or batches of shape
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, read_json
 
 Grads = list[tuple[np.ndarray, np.ndarray]]
 
@@ -316,7 +315,7 @@ def net_to_dict(net: Network) -> dict:
 
 def read_checkpoint(path: str | Path, kind: str) -> dict:
     """Parse a model checkpoint and check its kind and schema_version (1)."""
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise DataError(f"{path}: not a {kind.replace('_', ' ')} checkpoint")
     if doc.get("schema_version") != 1:

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import netcore
-from .corpus import Corpus
+from .corpus import TRAIN, VALIDATION, Corpus
 from .errors import DataError, NumericError
 from .netcore import Network, TrainConfig
 
@@ -95,12 +95,12 @@ class QuantityScoreModel:
 def fit_codec(corpus: Corpus) -> WeightCodec:
     """Log-gram statistics over the train split; unseen ingredients get
     neutral defaults (mean log 100 g, unit spread)."""
-    masks, weights = corpus.matrices("train")
+    weights = corpus.rows(TRAIN)
     K = corpus.vocabulary.K
     mu = np.full(K, math.log(100.0))
     sd = np.ones(K)
     for i in range(K):
-        present = masks[:, i] == 1
+        present = weights[:, i] > 0
         if present.any():
             logs = np.log(weights[present, i])
             mu[i] = logs.mean()
@@ -189,7 +189,8 @@ def _validation_dsm(model: QuantityScoreModel, x0: np.ndarray, masks: np.ndarray
 def train_quantity_model(corpus: Corpus, sde: SDESpec, config: TrainConfig,
                          seed: int) -> QuantityScoreModel:
     """Fit the codec and train the score network on the corpus train split."""
-    masks, weights = corpus.matrices("train")
+    weights = corpus.rows(TRAIN)
+    masks = (weights > 0).astype(np.uint8)
     if masks.shape[0] == 0:
         raise DataError("training corpus is empty")
     codec = fit_codec(corpus)
@@ -198,7 +199,8 @@ def train_quantity_model(corpus: Corpus, sde: SDESpec, config: TrainConfig,
     net = netcore.init_network(sizes, seed)
     model = QuantityScoreModel(sde=sde, net=net, codec=codec, K=K,
                                vocab_fingerprint=corpus.vocabulary.fingerprint())
-    val_masks, val_weights = corpus.matrices("validation")
+    val_weights = corpus.rows(VALIDATION)
+    val_masks = (val_weights > 0).astype(np.uint8)
     if val_masks.shape[0] == 0:
         val_masks, val_weights = masks[:256], weights[:256]
     x0, fmask = encode_weights(weights, codec), masks.astype(float)

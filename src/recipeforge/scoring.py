@@ -9,16 +9,14 @@ All operations are pure functions over immutable tables.
 from __future__ import annotations
 
 import csv
-import json
-import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, IngredientVocabulary, Recipe
-from .errors import DataError
+from .corpus import IngredientVocabulary
+from .errors import DataError, read_json
 
 
 # ---------------------------------------------------------------------------
@@ -27,10 +25,10 @@ from .errors import DataError
 def sds(a, b) -> int | np.ndarray:
     """Count of ingredients differing in presence or by a >= 2x weight ratio.
 
-    a and b are recipes or grams arrays; arrays broadcast over their
-    leading axes, so sds(grams_matrix, reference) scores every row at once.
+    a and b are grams arrays that broadcast over their leading axes, so
+    sds(grams_matrix, reference) scores every row at once.
     """
-    wa, wb = (r.weights if isinstance(r, Recipe) else np.asarray(r, dtype=float) for r in (a, b))
+    wa, wb = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if wa.shape[-1] != wb.shape[-1]:
         raise DataError("recipes use different vocabularies")
     d = _sds_rows(wa, wb)
@@ -131,7 +129,7 @@ def load_impact_table(path: str | Path, vocabulary: IngredientVocabulary,
     for j, metric in enumerate(IMPACT_METRICS):
         _require_finite(path, f"column {metric}", values[:, j])
     if norms_path is not None:
-        doc = json.loads(Path(norms_path).read_text())
+        doc = read_json(norms_path)
         keys = ("land", "eutrophication", "water", "ghg")
         try:
             norms = np.array([float(doc[k]) for k in keys])
@@ -151,19 +149,15 @@ def _require_finite(path, field: str, values) -> None:
 
 
 def env_impact_scores(weights: np.ndarray, table: ImpactTable) -> np.ndarray:
-    """Vectorized impact score per weight-matrix row."""
+    """Quantity-weighted mean of the four normalized life-cycle metrics,
+    per row of a grams matrix (or of one (K,) row)."""
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
+    if weights.shape[1] != table.vocabulary.K:
+        raise DataError("recipe does not match impact table vocabulary")
     if (weights.sum(axis=1) <= 0).any():
         raise DataError("environmental score undefined for a zero-mass recipe")
     per_metric = (weights / 1000.0) @ table.values  # (n, 4)
     return (per_metric / table.norms).mean(axis=1)
-
-
-def env_impact_score(recipe: Recipe, table: ImpactTable) -> float:
-    """Quantity-weighted mean of the four normalized life-cycle metrics."""
-    if recipe.weights.shape[0] != table.vocabulary.K:
-        raise DataError("recipe does not match impact table vocabulary")
-    return float(env_impact_scores(recipe.weights[None, :], table)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +205,8 @@ class NutrientTable:
     def amounts(self, weights: np.ndarray, fields: list[str]) -> np.ndarray:
         """(n, len(fields)) totals for each weight-matrix row."""
         weights = np.atleast_2d(np.asarray(weights, dtype=float))
+        if weights.shape[1] != self.vocabulary.K:
+            raise DataError("recipe does not match nutrient table vocabulary")
         mat = np.stack([self.columns[f] for f in fields], axis=1)
         return (weights / 100.0) @ mat
 
@@ -240,12 +236,6 @@ class HEIComponentStandard:
     max_points: float
     max_at: float       # density scoring max_points
     zero_at: float      # density scoring 0
-
-
-@dataclass
-class HEIResult:
-    components: dict[str, float]
-    total: float
 
 
 def load_hei_standards(path: str | Path | None = None) -> list[HEIComponentStandard]:
@@ -346,20 +336,10 @@ def hei_components_matrix(weights: np.ndarray, table: NutrientTable,
 
 def hei_totals(weights: np.ndarray, table: NutrientTable,
                standards: list[HEIComponentStandard] | None = None) -> np.ndarray:
+    """13-component healthy eating index in [0, 100] per grams-matrix row."""
     standards = standards or load_hei_standards()
     scores, _ = hei_components_matrix(weights, table, standards)
     return scores.sum(axis=1)
-
-
-def hei_score(recipe: Recipe, table: NutrientTable,
-              standards: list[HEIComponentStandard] | None = None) -> HEIResult:
-    """13-component healthy eating index of one recipe, total in [0, 100]."""
-    if recipe.weights.shape[0] != table.vocabulary.K:
-        raise DataError("recipe does not match nutrient table vocabulary")
-    standards = standards or load_hei_standards()
-    scores, names = hei_components_matrix(recipe.weights[None, :], table, standards)
-    comps = {n: float(s) for n, s in zip(names, scores[0])}
-    return HEIResult(components=comps, total=float(scores[0].sum()))
 
 
 # ---------------------------------------------------------------------------

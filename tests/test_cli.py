@@ -292,3 +292,44 @@ def test_checkpoint_missing_field_is_data_error(pipeline, tmp_path, capsys, mode
                     "--count", "8", "--seed", "1", "--set", "sde.steps=80"])
     assert code == 2
     assert "bad_model.json: field " + field in capsys.readouterr().err
+
+
+def test_ingest_non_object_entry_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps({"ingredients": ["beef"]}) + "\n")
+    code = cli.run(["ingest", "--input", str(bad), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert f"{bad}: line 1: ingredient 0 must be an object" in capsys.readouterr().err
+
+
+def test_ingest_broken_vocabulary_json_is_data_error(pipeline, tmp_path, capsys):
+    broken = tmp_path / "broken.json"
+    broken.write_text('[{"id": "beef", "name": }]')
+    code = cli.run(["ingest", "--input", str(pipeline / "corpus.jsonl"),
+                    "--vocabulary", str(broken), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert f"{broken}: invalid JSON (Expecting value: line 1" in capsys.readouterr().err
+
+
+def test_validate_without_validation_rows_writes_null_mae(pipeline, tmp_path, capsys):
+    run_ok(["synth", "--spec", str(DESK / "synth_spec.json"), "--count", "60",
+            "--seed", "8", "--set", "corpus.val_fraction=0", "--out-dir", str(tmp_path)])
+    run_ok(["validate", "--corpus", str(tmp_path / "corpus.jsonl"),
+            "--mask-model", str(pipeline / "checkpoints" / "mask_model.json"),
+            "--quantity-model", str(pipeline / "checkpoints" / "quantity_model.json"),
+            "--out-dir", str(tmp_path), "--count", "50", "--seed", "7",
+            "--set", "sde.steps=80"])
+    assert "quantity MAE n/a" in capsys.readouterr().out
+
+    def reject(constant):
+        raise ValueError(f"non-finite constant {constant} in fidelity.json")
+
+    text = (tmp_path / "reports" / "fidelity.json").read_text()
+    assert json.loads(text, parse_constant=reject)["quantity_mae_grams"] is None
+
+
+def test_write_json_refuses_non_finite_numbers(tmp_path):
+    with pytest.raises(ValueError):
+        cli._write_json(tmp_path / "x.json", {"score": float("nan")}, "hash")
+    cli._write_json(tmp_path / "x.json", {"score": 0.1}, "hash")
+    assert (tmp_path / "x.json").read_text() == '{\n  "config_hash": "hash",\n  "score": 0.1\n}\n'

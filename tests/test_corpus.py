@@ -8,8 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recipeforge import corpus as cp
+from recipeforge import netcore, scoring
 from recipeforge import quantity_diffusion as qd
 from recipeforge.errors import DataError
+
+
+DESK = Path(cp.__file__).parent / "data" / "desk"
 
 
 def write_lines(path, lines):
@@ -25,21 +29,46 @@ def test_load_two_line_file(tmp_path):
     corpus = cp.load_corpus(f)
     assert len(corpus) == 2
     assert corpus.vocabulary.ids == ["beef", "bun"]
-    np.testing.assert_array_equal(corpus.recipes[0].mask, [1, 1])
-    np.testing.assert_array_equal(corpus.recipes[1].weights, [150.0, 0.0])
+    np.testing.assert_array_equal(corpus.grams > 0, [[True, True], [True, False]])
+    np.testing.assert_array_equal(corpus.grams[1], [150.0, 0.0])
 
 
 def test_load_rejects_zero_grams(tmp_path):
     f = tmp_path / "c.jsonl"
     write_lines(f, [{"ingredients": [{"id": "beef", "grams": 0}]}])
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"c\.jsonl: line 1: ingredient 'beef' has grams 0"):
         cp.load_corpus(f)
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"ingredients": [{"grams": 5}]}, "ingredient 0 must be an object with a string 'id'"),
+    ({"ingredients": [{"id": None, "grams": 5}]}, "ingredient 0 must be an object with a string 'id'"),
+    ({"ingredients": ["beef"]}, "ingredient 0 must be an object with a string 'id'"),
+    ({"ingredients": [{"id": "beef", "grams": True}]}, "ingredient 'beef' has grams True"),
+    ({"ingredients": [{"id": "beef", "grams": "5"}]}, "ingredient 'beef' has grams '5'"),
+    ({"ingredients": [{"id": "beef"}]}, "ingredient 'beef' has grams None"),
+    ({"ingredients": [{"id": "beef", "grams": float("nan")}]}, "ingredient 'beef' has grams nan"),
+    ({"ingredients": [{"id": "beef", "grams": 10 ** 400}]}, "ingredient 'beef' has grams 1000"),
+    ({"ingredients": [{"id": "beef", "grams": 1}, {"id": "beef", "grams": 2}]},
+     "duplicate ingredient id 'beef'"),
+    ({"ingredients": []}, "empty recipe is not trainable"),
+    ({"ingredients": [{"id": "beef", "grams": 1}], "split": "test"}, "unknown split tag 'test'"),
+    ({"recipe": []}, "record must be an object with an 'ingredients' list"),
+    (["beef"], "record must be an object with an 'ingredients' list"),
+], ids=["no_id", "null_id", "bare_string", "bool_grams", "string_grams", "no_grams",
+        "nan_grams", "huge_int_grams", "duplicate_id", "empty", "bad_split", "no_ingredients", "not_an_object"])
+def test_load_rejects_bad_record_naming_file_and_line(tmp_path, record, message):
+    f = tmp_path / "c.jsonl"
+    write_lines(f, [{"ingredients": [{"id": "beef", "grams": 1}]}, record])
+    with pytest.raises(DataError) as err:
+        cp.load_corpus(f)
+    assert str(err.value).startswith(f"{f}: line 2: ") and message in str(err.value)
 
 
 def test_load_rejects_malformed_json(tmp_path):
     f = tmp_path / "c.jsonl"
     f.write_text('{"ingredients": [}\n')
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"c\.jsonl: line 1: invalid JSON"):
         cp.load_corpus(f)
 
 
@@ -47,7 +76,7 @@ def test_load_rejects_unknown_id_with_vocabulary(tmp_path):
     f = tmp_path / "c.jsonl"
     write_lines(f, [{"ingredients": [{"id": "tofu", "grams": 10}]}])
     vocab = cp.IngredientVocabulary.from_ids(["beef", "bun"])
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"c\.jsonl: line 1: unknown ingredient id 'tofu'"):
         cp.load_corpus(f, vocab)
 
 
@@ -111,13 +140,12 @@ def test_vocabulary_file_round_trip(tmp_path):
 
 def test_recipe_vector_round_trip_simple():
     vocab = cp.IngredientVocabulary.from_ids(["beef", "bun"])
-    r = cp.Recipe(mask=np.array([1, 0]), weights=np.array([200.0, 0.0]))
-    mask, weights = cp.Corpus(vocabulary=vocab, recipes=[r], splits=["train"]).matrices()
-    np.testing.assert_array_equal(mask, [[1, 0]])
-    np.testing.assert_array_equal(weights, [[200.0, 0.0]])
-    back = cp.Recipe.from_weights(weights[0])
-    np.testing.assert_array_equal(back.mask, r.mask)
-    np.testing.assert_array_equal(back.weights, r.weights)
+    corpus = cp.Corpus(vocabulary=vocab, grams=[[200.0, 0.0]], splits=["train"])
+    assert corpus.grams.dtype == np.float64
+    np.testing.assert_array_equal(corpus.grams > 0, [[True, False]])
+    np.testing.assert_array_equal(corpus.rows("train"), [[200.0, 0.0]])
+    assert corpus.rows("validation").shape == (0, 2)
+    assert vocab.items(corpus.grams[0]) == [("beef", 200.0)]
 
 
 def test_decode_zeroes_stray_weights_off_mask():
@@ -126,19 +154,30 @@ def test_decode_zeroes_stray_weights_off_mask():
     np.testing.assert_array_equal(grams, [200.0, 0.0])
 
 
-def test_recipe_rejects_present_zero_weight():
-    with pytest.raises(DataError):
-        cp.Recipe(mask=np.array([1, 0]), weights=np.array([0.0, 0.0]))
-
-
 def test_all_zero_mask_is_valid_but_degenerate():
-    r = cp.Recipe.from_weights(np.zeros(2))
-    assert not r.mask.any() and not r.items(cp.IngredientVocabulary.from_ids(["beef", "bun"]))
+    vocab = cp.IngredientVocabulary.from_ids(["beef", "bun"])
+    corpus = cp.Corpus(vocabulary=vocab, grams=np.zeros((1, 2)), splits=["train"])
+    assert not (corpus.grams > 0).any() and not vocab.items(corpus.grams[0])
 
 
 def test_recipe_invariant_enforced():
-    with pytest.raises(DataError):
-        cp.Recipe(mask=np.array([1, 0]), weights=np.array([0.0, 5.0]))
+    # the grams matrix is (n, K) over the vocabulary, finite and nonnegative
+    vocab = cp.IngredientVocabulary.from_ids(["beef", "bun"])
+    for grams, message in [([[1.0, 2.0, 3.0]], "matrix over the vocabulary"),
+                           ([1.0, 2.0], "matrix over the vocabulary"),
+                           ([[1.0, np.nan]], "finite and nonnegative"),
+                           ([[np.inf, 1.0]], "finite and nonnegative"),
+                           ([[-1.0, 5.0]], "finite and nonnegative")]:
+        with pytest.raises(DataError, match=message):
+            cp.Corpus(vocabulary=vocab, grams=grams, splits=["train"])
+
+
+def test_corpus_rejects_bad_split_tags():
+    vocab = cp.IngredientVocabulary.from_ids(["beef"])
+    with pytest.raises(DataError, match=r"unknown split tags: \['test'\]"):
+        cp.Corpus(vocabulary=vocab, grams=[[1.0], [2.0]], splits=["train", "test"])
+    with pytest.raises(DataError, match="one split tag per recipe"):
+        cp.Corpus(vocabulary=vocab, grams=[[1.0], [2.0]], splits=["train"])
 
 
 @settings(max_examples=50, deadline=None)
@@ -146,14 +185,14 @@ def test_recipe_invariant_enforced():
 def test_round_trip_identity_property(raw):
     weights = np.array([w if w > 1e-6 else 0.0 for w in raw])
     vocab = cp.IngredientVocabulary.from_ids([f"i{j:02d}" for j in range(len(weights))])
-    r = cp.Recipe.from_weights(weights)
-    if r.mask.any():  # an empty recipe is not a valid corpus line
+    r = weights
+    if (r > 0).any():  # an empty recipe is not a valid corpus line
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "c.jsonl"
-            cp.write_corpus(path, cp.Corpus(vocabulary=vocab, recipes=[r], splits=["train"]))
-            r = cp.load_corpus(path, vocab).recipes[0]
-    np.testing.assert_array_equal(r.mask, (weights > 0).astype(np.uint8))
-    np.testing.assert_array_equal(r.weights, weights)
+            cp.write_corpus(path, cp.Corpus(vocabulary=vocab, grams=[r], splits=["train"]))
+            r = cp.load_corpus(path, vocab).grams[0]
+    assert vocab.items(r) == [(i, w) for i, w in zip(vocab.ids, weights) if w > 0]
+    np.testing.assert_array_equal(r, weights)
 
 
 def small_spec(n=2000, pairs=(), planted=()):
@@ -176,17 +215,16 @@ def test_synthesize_deterministic():
     a = cp.synthesize_corpus(spec, seed=42)
     b = cp.synthesize_corpus(spec, seed=42)
     assert len(a) == len(b) == 500
-    for ra, rb in zip(a.recipes, b.recipes):
-        np.testing.assert_array_equal(ra.weights, rb.weights)
+    np.testing.assert_array_equal(a.grams, b.grams)
     c = cp.synthesize_corpus(spec, seed=43)
-    assert any(not np.array_equal(ra.weights, rc.weights) for ra, rc in zip(a.recipes, c.recipes))
+    assert any(not np.array_equal(ra, rc) for ra, rc in zip(a.grams, c.grams))
 
 
 def test_synthesize_marginal_within_binomial_ci():
     # p = 0.5, n = 10,000: 99% CI half-width = 2.576 * sqrt(0.25/n) = 0.0129
     spec = small_spec(n=10_000)
     corpus = cp.synthesize_corpus(spec, seed=7)
-    masks, _ = corpus.matrices()
+    masks = corpus.grams > 0
     beef = corpus.vocabulary.index_of("beef")
     assert abs(masks[:, beef].mean() - 0.5) < 0.02
 
@@ -195,10 +233,11 @@ def test_synthesize_planted_frequency():
     planted = ({"beef": 150.0, "bun": 80.0}, 0.1)
     spec = small_spec(n=10_000, planted=[planted])
     corpus = cp.synthesize_corpus(spec, seed=9)
-    target_mask = np.zeros(7, dtype=np.uint8)
-    target_mask[corpus.vocabulary.index_of("beef")] = 1
-    target_mask[corpus.vocabulary.index_of("bun")] = 1
-    masks, weights = corpus.matrices()
+    target_mask = np.zeros(7, dtype=bool)
+    target_mask[corpus.vocabulary.index_of("beef")] = True
+    target_mask[corpus.vocabulary.index_of("bun")] = True
+    weights = corpus.grams
+    masks = weights > 0
     exact = ((masks == target_mask).all(axis=1)
              & (weights[:, corpus.vocabulary.index_of("beef")] == 150.0)).sum()
     assert 900 <= exact <= 1100
@@ -209,14 +248,14 @@ def test_synthesize_marginals_converge_to_spec():
     planted = ({"beef": 150.0, "bun": 80.0}, 0.08)
     spec = small_spec(n=50_000, pairs=[("lettuce", "tomato", 0.6)], planted=[planted])
     corpus = cp.synthesize_corpus(spec, seed=3)
-    masks, _ = corpus.matrices()
+    masks = corpus.grams > 0
     np.testing.assert_array_less(np.abs(masks.mean(0) - spec.expected_marginals()), 0.01)
 
 
 def test_synthesize_planted_pair_correlation():
     spec = small_spec(n=20_000, pairs=[("lettuce", "tomato", 0.8)])
     corpus = cp.synthesize_corpus(spec, seed=5)
-    masks, _ = corpus.matrices()
+    masks = corpus.grams > 0
     i = corpus.vocabulary.index_of("lettuce")
     j = corpus.vocabulary.index_of("tomato")
     phi = np.corrcoef(masks[:, i], masks[:, j])[0, 1]
@@ -226,7 +265,7 @@ def test_synthesize_planted_pair_correlation():
 def test_synthesize_negative_correlation():
     spec = small_spec(n=20_000, pairs=[("beef", "tomato", -0.5)])
     corpus = cp.synthesize_corpus(spec, seed=6)
-    masks, _ = corpus.matrices()
+    masks = corpus.grams > 0
     i = corpus.vocabulary.index_of("beef")
     j = corpus.vocabulary.index_of("tomato")
     phi = np.corrcoef(masks[:, i], masks[:, j])[0, 1]
@@ -236,6 +275,13 @@ def test_synthesize_negative_correlation():
 def test_synthesize_rejects_infeasible_correlation():
     spec = small_spec(pairs=[("cheese", "onion", -0.9)])  # marginals 0.35/0.3
     with pytest.raises(DataError):
+        cp.synthesize_corpus(spec, seed=0)
+
+
+def test_synthesize_rejects_grams_that_underflow_to_zero():
+    spec = small_spec(n=50)
+    spec.ingredients[0].weight_log_mean = -800.0  # exp(-800) is 0.0 in float64
+    with pytest.raises(DataError, match="underflow to 0 for a present ingredient"):
         cp.synthesize_corpus(spec, seed=0)
 
 
@@ -253,8 +299,7 @@ def test_corpus_file_round_trip(tmp_path):
     cp.write_corpus(f, corpus)
     loaded = cp.load_corpus(f, corpus.vocabulary)
     assert loaded.splits == corpus.splits
-    for a, b in zip(loaded.recipes, corpus.recipes):
-        np.testing.assert_array_equal(a.weights, b.weights)
+    np.testing.assert_array_equal(loaded.grams, corpus.grams)
 
 
 def test_synth_spec_json_round_trip(tmp_path):
@@ -288,3 +333,17 @@ def test_synth_spec_rejects_unknown_ingredient_ids(tmp_path, key, doc):
     f.write_text(json.dumps(doc))
     with pytest.raises(DataError, match=rf"field {key} names unknown ingredients: \['tofu'\]"):
         cp.load_synth_spec(f)
+
+
+@pytest.mark.parametrize("read", [
+    cp.load_vocabulary,
+    cp.load_synth_spec,
+    lambda p: scoring.load_impact_table(DESK / "impact_table.csv", cp.IngredientVocabulary.from_ids(
+        ln.split(",")[0] for ln in (DESK / "impact_table.csv").read_text().splitlines()[1:]), p),
+    lambda p: netcore.read_checkpoint(p, "mask_model"),
+], ids=["vocabulary", "synth_spec", "impact_norms", "checkpoint"])
+def test_json_inputs_name_the_file_when_they_do_not_parse(tmp_path, read):
+    f = tmp_path / "broken.json"
+    f.write_text('[{"id": "beef", ')
+    with pytest.raises(DataError, match=r"broken\.json: invalid JSON \(Expecting"):
+        read(f)

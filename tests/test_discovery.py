@@ -11,8 +11,7 @@ from recipeforge import mask_diffusion as md
 from recipeforge import netcore
 from recipeforge import quantity_diffusion as qd
 from recipeforge import scoring
-from recipeforge.corpus import (Corpus, IngredientVocabulary, Recipe, load_synth_spec,
-                                synthesize_corpus)
+from recipeforge.corpus import Corpus, IngredientVocabulary, load_synth_spec, synthesize_corpus
 from recipeforge.errors import DataError
 
 DESK_SPEC = Path(dc.__file__).parent / "data" / "desk" / "synth_spec.json"
@@ -20,19 +19,17 @@ VOCAB = IngredientVocabulary.from_ids(["beef", "bun", "cheese", "onion"])
 PLANT_W = np.array([150.0, 75.0, 25.0, 0.0])
 
 
-def recipe(weights) -> Recipe:
-    return Recipe.from_weights(np.asarray(weights, dtype=float))
+def recipe(weights) -> np.ndarray:
+    return np.asarray(weights, dtype=float)
 
 
-def batch_of(recipes) -> dc.GenerationBatch:
-    return dc.GenerationBatch(grams=np.stack([r.weights for r in recipes]), seed=0,
-                              mask_fingerprint="m", quantity_fingerprint="q")
+def batch_of(rows) -> np.ndarray:
+    return np.stack(rows)
 
 
 @pytest.fixture(scope="module")
 def trained_models():
-    recipes = [Recipe.from_weights(PLANT_W) for _ in range(240)]
-    corpus = Corpus(vocabulary=VOCAB, recipes=recipes, splits=["train"] * 240)
+    corpus = Corpus(vocabulary=VOCAB, grams=np.tile(PLANT_W, (240, 1)), splits=["train"] * 240)
     mask_cfg = netcore.TrainConfig(steps=3000, batch_size=32, learning_rate=3e-3,
                                    hidden_width=16, hidden_depth=2, val_interval=3000)
     mask_model = md.train_mask_model(corpus, md.linear_schedule(30, 0.02, 0.3), mask_cfg, seed=1)
@@ -50,8 +47,7 @@ def small_corpus():
         [300.0, 80.0, 0.0, 0.0],
         [150.0, 0.0, 25.0, 10.0],
     ]
-    recipes = [recipe(r) for r in rows]
-    return Corpus(vocabulary=VOCAB, recipes=recipes, splits=["train"] * 5)
+    return Corpus(vocabulary=VOCAB, grams=rows, splits=["train"] * 5)
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +63,8 @@ def test_generate_batch_deterministic(trained_models):
     mask_model, qty_model, _ = trained_models
     a = dc.generate_batch(mask_model, qty_model, 40, seed=4)
     b = dc.generate_batch(mask_model, qty_model, 40, seed=4)
-    assert a.grams.shape == (40, VOCAB.K)
-    np.testing.assert_array_equal(a.grams, b.grams)
+    assert a.shape == (40, VOCAB.K)
+    np.testing.assert_array_equal(a, b)
 
 
 def random_models(K=6, seed=0):
@@ -87,13 +83,13 @@ def test_generate_batch_rows_are_the_rediscover_stream():
     # with count a multiple of the chunk size, batch row i is rediscover's draw i
     mask_model, qty_model = random_models()
     chunk = 8
-    grams = dc.generate_batch(mask_model, qty_model, 2 * chunk, seed=5, chunk_size=chunk).grams
+    grams = dc.generate_batch(mask_model, qty_model, 2 * chunk, seed=5, chunk_size=chunk)
     for i in range(2 * chunk):
-        out = dc.rediscover(mask_model, qty_model, Recipe.from_weights(grams[i]),
+        out = dc.rediscover(mask_model, qty_model, grams[i],
                             budget=2 * chunk, seed=5, chunk_size=chunk)
         first = min(j for j in range(i + 1) if scoring.sds(grams[j], grams[i]) == 0)
         assert out.found and out.index == first and out.draws == first + 1
-        np.testing.assert_array_equal(out.recipe.weights, grams[first])
+        np.testing.assert_array_equal(out.recipe, grams[first])
 
 
 def test_generate_batch_rejects_vocabulary_mismatch(trained_models):
@@ -110,7 +106,7 @@ def test_generate_batch_rejects_vocabulary_mismatch(trained_models):
 
 def test_novelty_of_corpus_recipe_is_zero():
     corpus = small_corpus()
-    assert dc.novelty(corpus.recipes[0], corpus) == 0
+    assert dc.novelty(corpus.grams[0], corpus) == 0
 
 
 def test_novelty_after_removing_one_ingredient():
@@ -127,17 +123,17 @@ def test_novelty_matches_brute_force_minimum():
         if not (w > 0).any():
             w[0] = 100.0
         r = recipe(w)
-        expected = min(scoring.sds(r, c) for c in corpus.recipes)
+        expected = min(scoring.sds(r, c) for c in corpus.grams)
         assert dc.novelty(r, corpus) == expected
     many = [recipe(np.where(rng.random(4) < 0.6, rng.uniform(5, 400, 4), 0.0) + [1, 0, 0, 0])
             for _ in range(25)]
-    got = dc.novelty_many(np.stack([r.weights for r in many]), corpus, block=7)
+    got = dc.novelty_many(np.stack(many), corpus, block=7)
     for r, g in zip(many, got):
-        assert g == min(scoring.sds(r, c) for c in corpus.recipes)
+        assert g == min(scoring.sds(r, c) for c in corpus.grams)
 
 
 def test_novelty_empty_corpus():
-    corpus = Corpus(vocabulary=VOCAB, recipes=[], splits=[])
+    corpus = Corpus(vocabulary=VOCAB, grams=np.zeros((0, VOCAB.K)), splits=[])
     with pytest.raises(DataError):
         dc.novelty(recipe([100.0, 0, 0, 0]), corpus)
 
@@ -145,8 +141,7 @@ def test_novelty_empty_corpus():
 def corpus_of(rows) -> Corpus:
     rows = np.asarray(rows, dtype=float)
     vocab = IngredientVocabulary.from_ids([f"i{k}" for k in range(rows.shape[1])])
-    return Corpus(vocabulary=vocab, recipes=[Recipe.from_weights(r) for r in rows],
-                  splits=["train"] * len(rows))
+    return Corpus(vocabulary=vocab, grams=rows, splits=["train"] * len(rows))
 
 
 def brute_force_novelty(samples, corpus_rows) -> list[int]:
@@ -217,14 +212,14 @@ def test_novelty_many_memory_at_realistic_sparsity():
     spec.count = 20_000
     corpus = synthesize_corpus(spec, seed=11)
     spec.count = 256
-    samples = synthesize_corpus(spec, seed=12).matrices()[1]
+    samples = synthesize_corpus(spec, seed=12).grams
     assert traced_peak(samples, corpus) <= dense_bytes(256, 20_000, spec.K) / 4
 
 
 def test_novelty_many_checks_few_pairs_at_realistic_sparsity(monkeypatch):
     spec = load_synth_spec(DESK_SPEC)
     corpus = synthesize_corpus(spec, seed=11)
-    samples = synthesize_corpus(spec, seed=12).matrices()[1][:256]
+    samples = synthesize_corpus(spec, seed=12).grams[:256]
     checked = []
 
     def counting(a, b):
@@ -251,19 +246,17 @@ def test_novelty_many_memory_when_every_pair_is_a_candidate():
 
 def test_rediscover_budget_zero(trained_models):
     mask_model, qty_model, _ = trained_models
-    ref = Recipe.from_weights(PLANT_W)
-    out = dc.rediscover(mask_model, qty_model, ref, budget=0, seed=6)
+    out = dc.rediscover(mask_model, qty_model, PLANT_W, budget=0, seed=6)
     assert not out.found and out.index is None
 
 
 def test_rediscover_finds_planted_recipe(trained_models):
     mask_model, qty_model, _ = trained_models
-    ref = Recipe.from_weights(PLANT_W)
-    out = dc.rediscover(mask_model, qty_model, ref, budget=50, seed=7)
+    out = dc.rediscover(mask_model, qty_model, PLANT_W, budget=50, seed=7)
     assert out.found
-    assert scoring.sds(out.recipe, ref) == 0
+    assert scoring.sds(out.recipe, PLANT_W) == 0
     # the reported index is verifiable through the deterministic stream
-    again = dc.rediscover(mask_model, qty_model, ref, budget=50, seed=7)
+    again = dc.rediscover(mask_model, qty_model, PLANT_W, budget=50, seed=7)
     assert again.index == out.index
 
 
@@ -324,14 +317,14 @@ def test_discover_novel_min_zero_is_most_repeated():
     rare = recipe([0.0, 75.0, 25.0, 10.0])
     batch = batch_of([rare] + [common] * 4)
     result = dc.discover_novel(batch, corpus, min_sds=0)
-    np.testing.assert_array_equal(result.selected.weights, common.weights)
+    np.testing.assert_array_equal(result.selected, common)
     assert result.group_count == 4
     assert result.popularity == pytest.approx(0.8)
 
 
 def test_discover_novel_unsatisfiable():
     corpus = small_corpus()
-    batch = batch_of([corpus.recipes[0]] * 3)
+    batch = batch_of([corpus.grams[0]] * 3)
     with pytest.raises(DataError):
         dc.discover_novel(batch, corpus, min_sds=VOCAB.K + 1)
 
@@ -339,10 +332,10 @@ def test_discover_novel_unsatisfiable():
 def test_discover_novel_planted_cluster():
     corpus = small_corpus()
     novel = recipe([40.0, 0.0, 90.0, 55.0])  # far from every corpus recipe
-    boring = corpus.recipes[0]
+    boring = corpus.grams[0]
     batch = batch_of([boring] * 6 + [novel] * 3)
     result = dc.discover_novel(batch, corpus, min_sds=3)
-    np.testing.assert_array_equal(result.selected.weights, novel.weights)
+    np.testing.assert_array_equal(result.selected, novel)
     assert result.novelty_sds == dc.novelty(novel, corpus) >= 3
     assert result.group_count == 3
 
@@ -350,9 +343,9 @@ def test_discover_novel_planted_cluster():
 def test_discover_novel_reports_the_founder_novelty():
     corpus = small_corpus()
     near = recipe([150.0, 75.0, 25.0, 10.0])  # corpus row 0 plus onion: novelty 1
-    batch = batch_of([corpus.recipes[0], recipe([40.0, 0.0, 90.0, 55.0]), near, near])
+    batch = batch_of([corpus.grams[0], recipe([40.0, 0.0, 90.0, 55.0]), near, near])
     result = dc.discover_novel(batch, corpus, min_sds=1)
-    np.testing.assert_array_equal(result.selected.weights, near.weights)
+    np.testing.assert_array_equal(result.selected, near)
     assert result.novelty_sds == dc.novelty(near, corpus) == 1
 
 
@@ -360,8 +353,8 @@ def test_select_sustainable_identical_batch(tmp_path):
     table = impact_table(tmp_path)
     r = recipe([150.0, 75.0, 25.0, 0.0])
     result = dc.select_sustainable(batch_of([r] * 5), table)
-    np.testing.assert_array_equal(result.selected.weights, r.weights)
-    assert result.env_score == pytest.approx(scoring.env_impact_score(r, table))
+    np.testing.assert_array_equal(result.selected, r)
+    assert result.env_score == pytest.approx(scoring.env_impact_scores(r, table)[0])
 
 
 def test_select_sustainable_prefers_low_impact_cluster(tmp_path):
@@ -370,8 +363,8 @@ def test_select_sustainable_prefers_low_impact_cluster(tmp_path):
     light = recipe([0.0, 75.0, 0.0, 40.0])     # bun and onion only
     batch = batch_of([heavy] * 12 + [light] * 8)
     result = dc.select_sustainable(batch, table)
-    np.testing.assert_array_equal(result.selected.weights, light.weights)
-    assert result.env_score < scoring.env_impact_score(heavy, table)
+    np.testing.assert_array_equal(result.selected, light)
+    assert result.env_score < scoring.env_impact_scores(heavy, table)[0]
 
 
 def test_select_sustainable_required_ingredients(tmp_path):
@@ -380,7 +373,7 @@ def test_select_sustainable_required_ingredients(tmp_path):
     without = recipe([0.0, 75.0, 0.0, 20.0])
     batch = batch_of([without] * 15 + [with_beef] * 5)
     result = dc.select_sustainable(batch, table, required={"beef"})
-    assert result.selected.weights[VOCAB.index_of("beef")] > 0
+    assert result.selected[VOCAB.index_of("beef")] > 0
     with pytest.raises(DataError):
         dc.select_sustainable(batch, table, required={"cheese"})
 
@@ -390,7 +383,7 @@ def test_select_nutritious_fraction_one_is_most_repeated(tmp_path):
     a = recipe([150.0, 75.0, 25.0, 0.0])
     b = recipe([0.0, 75.0, 0.0, 60.0])
     result = dc.select_nutritious(batch_of([a] * 3 + [b] * 2), table, 1.0)
-    np.testing.assert_array_equal(result.selected.weights, a.weights)
+    np.testing.assert_array_equal(result.selected, a)
 
 
 def test_select_nutritious_top_fraction(tmp_path):
@@ -398,12 +391,12 @@ def test_select_nutritious_top_fraction(tmp_path):
     # onion-rich recipe scores a far higher HEI than the beef-cheese one
     healthy = recipe([0.0, 60.0, 0.0, 200.0])
     greasy = recipe([250.0, 60.0, 80.0, 0.0])
-    hei_h = scoring.hei_score(healthy, table).total
-    hei_g = scoring.hei_score(greasy, table).total
+    hei_h = scoring.hei_totals(healthy, table)[0]
+    hei_g = scoring.hei_totals(greasy, table)[0]
     assert hei_h > hei_g
     batch = batch_of([greasy] * 18 + [healthy] * 2)
     result = dc.select_nutritious(batch, table, 0.1)
-    np.testing.assert_array_equal(result.selected.weights, healthy.weights)
+    np.testing.assert_array_equal(result.selected, healthy)
     assert result.hei_total == pytest.approx(hei_h)
 
 
@@ -421,7 +414,7 @@ def test_select_personalized_fraction_one(tmp_path):
     a = recipe([150.0, 75.0, 25.0, 0.0])
     b = recipe([0.0, 75.0, 0.0, 60.0])
     result = dc.select_personalized(batch_of([a] * 3 + [b] * 2), profile, table, 1.0)
-    np.testing.assert_array_equal(result.selected.weights, a.weights)
+    np.testing.assert_array_equal(result.selected, a)
 
 
 def test_select_personalized_dominant_recipe_wins_for_both_profiles(tmp_path):
@@ -432,19 +425,19 @@ def test_select_personalized_dominant_recipe_wins_for_both_profiles(tmp_path):
                                    activity="moderate")
     balanced = recipe([120.0, 75.0, 15.0, 50.0])
     salty = recipe([0.0, 75.0, 200.0, 0.0])
-    assert scoring.personalized_scores(balanced.weights, teen, table)[0] \
-        > scoring.personalized_scores(salty.weights, teen, table)[0]
+    assert scoring.personalized_scores(balanced, teen, table)[0] \
+        > scoring.personalized_scores(salty, teen, table)[0]
     batch = batch_of([salty] * 2 + [balanced] * 8)
     for profile in (teen, senior):
         result = dc.select_personalized(batch, profile, table, 0.5)
-        np.testing.assert_array_equal(result.selected.weights, balanced.weights)
+        np.testing.assert_array_equal(result.selected, balanced)
 
 
 def test_landscape_single_recipe(tmp_path):
     impact = impact_table(tmp_path)
     nutrients = nutrient_table(tmp_path)
     corpus = small_corpus()
-    rows = dc.landscape_map(batch_of([corpus.recipes[0]]), impact, nutrients, corpus)
+    rows = dc.landscape_map(batch_of([corpus.grams[0]]), impact, nutrients, corpus)
     assert len(rows) == 1
     assert rows[0].count == 1 and rows[0].novelty_sds == 0
 
@@ -462,7 +455,7 @@ def test_landscape_row_count_matches_groups(tmp_path):
         samples.append(recipe(w))
     batch = batch_of(samples)
     rows = dc.landscape_map(batch, impact, nutrients, corpus)
-    groups = scoring.group_recipes(batch.grams)
+    groups = scoring.group_recipes(batch)
     assert len(rows) == len(groups)
     assert sum(r.count for r in rows) == 60
     assert all(0 <= r.hei_total <= 100 for r in rows)

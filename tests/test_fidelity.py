@@ -4,22 +4,21 @@ import pytest
 from recipeforge import fidelity as fd
 from recipeforge import netcore
 from recipeforge import quantity_diffusion as qd
-from recipeforge.corpus import Corpus, IngredientVocabulary, Recipe
+from recipeforge.corpus import Corpus, IngredientVocabulary
 from recipeforge.errors import DataError
 
 
 def corpus_from_masks(masks, grams=100.0):
     masks = np.asarray(masks, dtype=np.uint8)
     vocab = IngredientVocabulary.from_ids([f"i{j:02d}" for j in range(masks.shape[1])])
-    recipes = [Recipe.from_weights(m.astype(float) * grams) for m in masks]
-    return Corpus(vocabulary=vocab, recipes=recipes, splits=["train"] * len(recipes))
+    return Corpus(vocabulary=vocab, grams=masks * grams, splits=["train"] * len(masks))
 
 
 def test_marginal_error_identical_sets_is_zero():
     masks = (np.random.default_rng(0).random((50, 6)) < 0.6).astype(np.uint8)
     masks[masks.sum(axis=1) == 0, 0] = 1
     corpus = corpus_from_masks(masks)
-    assert fd.marginal_error(masks, corpus) == 0.0
+    assert fd.marginal_error(masks, corpus.grams > 0) == 0.0
 
 
 def test_marginal_error_opposite_inclusion():
@@ -110,8 +109,7 @@ def test_top_correlated_pairs_ranking():
 def trained_delta_quantity_model():
     vocab = IngredientVocabulary.from_ids(["beef", "bun"])
     w = np.array([150.0, 75.0])
-    recipes = [Recipe.from_weights(w) for _ in range(200)]
-    corpus = Corpus(vocabulary=vocab, recipes=recipes,
+    corpus = Corpus(vocabulary=vocab, grams=np.tile(w, (200, 1)),
                     splits=["train"] * 150 + ["validation"] * 50)
     cfg = netcore.TrainConfig(steps=1500, batch_size=32, learning_rate=1e-3,
                               hidden_width=16, hidden_depth=2, val_interval=1500)
@@ -121,7 +119,7 @@ def trained_delta_quantity_model():
 
 def test_quantity_mae_delta_recovery():
     model, corpus = trained_delta_quantity_model()
-    mae = fd.quantity_mae(model, corpus.subset("validation"), seed=6)
+    mae = fd.quantity_mae(model, corpus.rows("validation"), seed=6)
     assert mae < 5.0
 
 
@@ -132,15 +130,15 @@ def test_quantity_mae_untrained_is_worse():
                                       codec=qd.WeightCodec(log_mean=np.zeros(2),
                                                            log_std=np.ones(2)),
                                       K=2)
-    trained_mae = fd.quantity_mae(model, corpus.subset("validation"), seed=7)
-    untrained_mae = fd.quantity_mae(untrained, corpus.subset("validation"), seed=7)
+    trained_mae = fd.quantity_mae(model, corpus.rows("validation"), seed=7)
+    untrained_mae = fd.quantity_mae(untrained, corpus.rows("validation"), seed=7)
     assert untrained_mae > 5 * trained_mae
 
 
 def test_quantity_mae_empty_held_out():
     model, _ = trained_delta_quantity_model()
     with pytest.raises(DataError):
-        fd.quantity_mae(model, [], seed=0)
+        fd.quantity_mae(model, np.zeros((0, 2)), seed=0)
 
 
 def test_fidelity_report_self_test(tmp_path):
@@ -148,8 +146,8 @@ def test_fidelity_report_self_test(tmp_path):
     rng = np.random.default_rng(8)
     masks = (rng.random((120, 5)) < 0.6).astype(np.uint8)
     masks[masks.sum(axis=1) == 0, 0] = 1
-    corpus = corpus_from_masks(masks)
-    assert fd.marginal_error(corpus, corpus) == 0.0
-    assert fd.length_distance(corpus, corpus) == 0.0
-    corr = fd.pairwise_correlations(corpus)
-    np.testing.assert_allclose(corr, fd.pairwise_correlations(corpus))
+    present = corpus_from_masks(masks).grams > 0
+    assert fd.marginal_error(present, present) == 0.0
+    assert fd.length_distance(present, present) == 0.0
+    corr = fd.pairwise_correlations(present)
+    np.testing.assert_allclose(corr, fd.pairwise_correlations(present))

@@ -8,7 +8,7 @@ from scipy.special import expit
 
 from recipeforge import mask_diffusion as md
 from recipeforge import netcore
-from recipeforge.corpus import Corpus, IngredientVocabulary, Recipe
+from recipeforge.corpus import Corpus, IngredientVocabulary
 from recipeforge.errors import DataError
 from recipeforge.mask_diffusion import (MaskDiffusionModel, NoiseSchedule, _kl_bernoulli,
                                         _posterior_prob, _reverse_prob, linear_schedule)
@@ -283,8 +283,7 @@ def delta_corpus(mask_bits, n=240):
     K = len(mask_bits)
     vocab = IngredientVocabulary.from_ids([f"i{j:02d}" for j in range(K)])
     w = np.asarray(mask_bits, dtype=float) * 100.0
-    recipes = [Recipe.from_weights(w) for _ in range(n)]
-    return Corpus(vocabulary=vocab, recipes=recipes, splits=["train"] * n)
+    return Corpus(vocabulary=vocab, grams=np.tile(w, (n, 1)), splits=["train"] * n)
 
 
 def test_train_delta_recovery_and_determinism():
@@ -316,8 +315,7 @@ def test_train_two_equiprobable_masks():
     vocab = IngredientVocabulary.from_ids([f"i{j}" for j in range(K)])
     a = np.array([1, 1, 1, 0, 0, 0], dtype=float) * 80
     b = np.array([0, 0, 0, 1, 1, 1], dtype=float) * 80
-    recipes = [Recipe.from_weights(a if i % 2 == 0 else b) for i in range(400)]
-    corpus = Corpus(vocabulary=vocab, recipes=recipes, splits=["train"] * 400)
+    corpus = Corpus(vocabulary=vocab, grams=np.tile([a, b], (200, 1)), splits=["train"] * 400)
     sched = linear_schedule(40, 0.02, 0.3)
     cfg = netcore.TrainConfig(steps=20000, batch_size=32, learning_rate=2e-3,
                               final_learning_rate=5e-5, ema_decay=0.999,
@@ -332,7 +330,7 @@ def test_train_two_equiprobable_masks():
 
 def test_train_rejects_empty_corpus():
     vocab = IngredientVocabulary.from_ids(["a", "b"])
-    corpus = Corpus(vocabulary=vocab, recipes=[], splits=[])
+    corpus = Corpus(vocabulary=vocab, grams=np.zeros((0, 2)), splits=[])
     with pytest.raises(DataError):
         md.train_mask_model(corpus, linear_schedule(10), netcore.TrainConfig(steps=10), seed=0)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from recipeforge import netcore
 from recipeforge import quantity_diffusion as qd
-from recipeforge.corpus import Corpus, IngredientVocabulary, Recipe, SynthIngredient, SynthSpec, synthesize_corpus
+from recipeforge.corpus import Corpus, IngredientVocabulary, SynthIngredient, SynthSpec, synthesize_corpus
 from recipeforge.errors import DataError, NumericError
 
 
@@ -310,8 +310,7 @@ def test_reverse_integrate_reports_non_finite_state():
 def delta_corpus():
     vocab = IngredientVocabulary.from_ids(["beef", "bun", "cheese", "onion"])
     w = np.array([150.0, 75.0, 25.0, 10.0])
-    recipes = [Recipe.from_weights(w) for _ in range(300)]
-    return Corpus(vocabulary=vocab, recipes=recipes,
+    return Corpus(vocabulary=vocab, grams=np.tile(w, (300, 1)),
                   splits=["train"] * 270 + ["validation"] * 30), w
 
 
@@ -345,7 +344,7 @@ def test_train_lognormal_moment_recovery():
     cfg = netcore.TrainConfig(steps=8000, batch_size=64, learning_rate=1e-3,
                               hidden_width=32, hidden_depth=3, val_interval=8000)
     model = qd.train_quantity_model(corpus, qd.SDESpec(), cfg, seed=19)
-    masks, _ = corpus.matrices("train")
+    masks = (corpus.rows("train") > 0).astype(np.uint8)
     samples = qd.reverse_sample_batch(model, masks[:2500], seed=20)
     W, M = samples, (samples > 0).astype(np.uint8)
     vocab = corpus.vocabulary
@@ -358,7 +357,7 @@ def test_train_lognormal_moment_recovery():
 
 def test_train_rejects_empty_corpus():
     vocab = IngredientVocabulary.from_ids(["a"])
-    corpus = Corpus(vocabulary=vocab, recipes=[], splits=[])
+    corpus = Corpus(vocabulary=vocab, grams=np.zeros((0, 1)), splits=[])
     with pytest.raises(DataError):
         qd.train_quantity_model(corpus, qd.SDESpec(), netcore.TrainConfig(steps=5), seed=0)
 

@@ -4,16 +4,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recipeforge import discovery, scoring
-from recipeforge.corpus import Corpus, IngredientVocabulary, Recipe
+from recipeforge.corpus import Corpus, IngredientVocabulary
 from recipeforge.errors import DataError
 
 
-def recipe(weights) -> Recipe:
-    return Recipe.from_weights(np.asarray(weights, dtype=float))
+def recipe(weights) -> np.ndarray:
+    return np.asarray(weights, dtype=float)
 
 
-def personalized(r: Recipe, profile, table) -> float:
-    return float(scoring.personalized_scores(r.weights, profile, table)[0])
+def personalized(r: np.ndarray, profile, table) -> float:
+    return float(scoring.personalized_scores(r, profile, table)[0])
+
+
+def env_score(r: np.ndarray, table) -> float:
+    return float(scoring.env_impact_scores(r, table)[0])
+
+
+def hei_total(r: np.ndarray, table) -> float:
+    return float(scoring.hei_totals(r, table)[0])
+
+
+def hei_components(r: np.ndarray, table) -> dict[str, float]:
+    scores, names = scoring.hei_components_matrix(r, table, scoring.load_hei_standards())
+    return dict(zip(names, scores[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -74,11 +87,11 @@ def test_sds_scale_jump_property():
         assert scoring.sds(recipe(w1), recipe(w2b)) == base + 1
 
 
-def brute_force_sds(r1: Recipe, r2: Recipe) -> int:
+def brute_force_sds(r1: np.ndarray, r2: np.ndarray) -> int:
     # independent reimplementation, straight from the piecewise definition
     total = 0
-    for i in range(len(r1.weights)):
-        a, b = float(r1.weights[i]), float(r2.weights[i])
+    for i in range(len(r1)):
+        a, b = float(r1[i]), float(r2[i])
         if a + b != 0 and a * b == 0:
             total += 1
         elif a > 0 and b > 0 and max(a, b) / min(a, b) >= 2:
@@ -169,13 +182,12 @@ def test_group_first_match_wins():
 def test_popularity_values():
     # popularity is the selected SDS-0 group's share of the batch
     corpus = Corpus(vocabulary=IngredientVocabulary.from_ids(["beef"]),
-                    recipes=[recipe([1000.0])], splits=["train"])
+                    grams=[[1000.0]], splits=["train"])
     for grams, share in (([100.0] * 5 + [400.0] * 3, 5 / 8), ([100.0] * 7, 1.0)):
-        batch = discovery.GenerationBatch(np.array(grams)[:, None], 0, "", "")
+        batch = np.array(grams)[:, None]
         assert discovery.discover_novel(batch, corpus, min_sds=0).popularity == share
     with pytest.raises(DataError):
-        discovery.discover_novel(discovery.GenerationBatch(np.zeros((0, 1)), 0, "", ""),
-                                 corpus, min_sds=0)
+        discovery.discover_novel(np.zeros((0, 1)), corpus, min_sds=0)
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +215,15 @@ def test_env_normalization_identity(tmp_path):
     table = impact_table(tmp_path, norms={"land": 4.0, "eutrophication": 10.0,
                                           "water": 400.0, "ghg": 2.0})
     r = recipe([1000.0, 0.0, 0.0])  # 1 kg of bean_patty, impacts equal to norms
-    assert abs(scoring.env_impact_score(r, table) - 1.0) < 1e-12
+    assert abs(env_score(r, table) - 1.0) < 1e-12
 
 
 def test_env_linearity(tmp_path):
     table = impact_table(tmp_path)
     r1 = recipe([200.0, 40.0, 80.0])
     r2 = recipe([100.0, 20.0, 40.0])
-    s1 = scoring.env_impact_score(r1, table)
-    s2 = scoring.env_impact_score(r2, table)
+    s1 = env_score(r1, table)
+    s2 = env_score(r2, table)
     assert abs(s1 - 2.0 * s2) < 1e-12
 
 
@@ -219,8 +231,8 @@ def test_env_additive_over_concatenation(tmp_path):
     table = impact_table(tmp_path)
     w1 = np.array([150.0, 0.0, 70.0])
     w2 = np.array([50.0, 30.0, 0.0])
-    total = scoring.env_impact_score(recipe(w1 + w2), table)
-    parts = scoring.env_impact_score(recipe(w1), table) + scoring.env_impact_score(recipe(w2), table)
+    total = env_score(recipe(w1 + w2), table)
+    parts = env_score(recipe(w1), table) + env_score(recipe(w2), table)
     assert abs(total - parts) < 1e-12
 
 
@@ -255,10 +267,20 @@ def test_env_missing_ingredient(tmp_path):
         scoring.load_impact_table(f, VOCAB3)
 
 
+def test_scorers_reject_vocabulary_mismatch(tmp_path, worksheet_table):
+    wide = recipe([100.0, 20.0, 50.0, 10.0])  # four columns over a three-id vocabulary
+    with pytest.raises(DataError, match="impact table vocabulary"):
+        scoring.env_impact_scores(wide, impact_table(tmp_path))
+    with pytest.raises(DataError, match="nutrient table vocabulary"):
+        scoring.hei_totals(wide, worksheet_table)
+    with pytest.raises(DataError, match="nutrient table vocabulary"):
+        scoring.personalized_scores(wide, ADULT, worksheet_table)
+
+
 def test_env_zero_mass_rejected(tmp_path):
     table = impact_table(tmp_path)
     with pytest.raises(DataError):
-        scoring.env_impact_score(recipe([0.0, 0.0, 0.0]), table)
+        env_score(recipe([0.0, 0.0, 0.0]), table)
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +333,14 @@ def test_hei_worksheet_fixture(worksheet_table):
     #     sodium 594 mg / 382 kcal = 1.55497 g/1000 kcal
     #       -> 10 * (2.0 - 1.55497) / 0.9 = 4.944735
     r = recipe([120.0, 40.0, 70.0])
-    result = scoring.hei_score(r, worksheet_table)
-    assert abs(result.total - 54.944735311227458) < 0.01
-    assert result.components["total_vegetables"] == 5.0
-    assert result.components["refined_grains"] == 0.0
-    assert result.components["fatty_acids"] == 10.0
-    assert abs(result.components["sodium"] - 4.944735311227458) < 1e-9
-    assert abs(sum(result.components.values()) - result.total) < 1e-12
+    total = hei_total(r, worksheet_table)
+    components = hei_components(r, worksheet_table)
+    assert abs(total - 54.944735311227458) < 0.01
+    assert components["total_vegetables"] == 5.0
+    assert components["refined_grains"] == 0.0
+    assert components["fatty_acids"] == 10.0
+    assert abs(components["sodium"] - 4.944735311227458) < 1e-9
+    assert abs(sum(components.values()) - total) < 1e-12
 
 
 def test_hei_saturated_profile_scores_100(tmp_path):
@@ -330,8 +353,7 @@ def test_hei_saturated_profile_scores_100(tmp_path):
                              sodium_mg_per_100g=50.0, saturated_fat_g_per_100g=0.5,
                              unsaturated_fat_g_per_100g=2.0)]
     table = write_nutrient_table(tmp_path, rows, vocab)
-    result = scoring.hei_score(recipe([500.0]), table)
-    assert result.total == 100.0
+    assert hei_total(recipe([500.0]), table) == 100.0
 
 
 def test_hei_pure_refined_grain_zero_adequacy(tmp_path):
@@ -341,19 +363,19 @@ def test_hei_pure_refined_grain_zero_adequacy(tmp_path):
                              added_sugars_g_per_100g=10.0, saturated_fat_g_per_100g=5.0,
                              unsaturated_fat_g_per_100g=1.0)]
     table = write_nutrient_table(tmp_path, rows, vocab)
-    result = scoring.hei_score(recipe([300.0]), table)
+    components = hei_components(recipe([300.0]), table)
     adequacy = ["total_fruits", "whole_fruits", "total_vegetables", "greens_and_beans",
                 "whole_grains", "dairy", "total_protein_foods", "seafood_plant_proteins"]
     for comp in adequacy:
-        assert result.components[comp] == 0.0
+        assert components[comp] == 0.0
 
 
 def test_hei_scale_invariance(worksheet_table):
     r1 = recipe([120.0, 40.0, 70.0])
     for c in (0.25, 3.0, 17.0):
         r2 = recipe([120.0 * c, 40.0 * c, 70.0 * c])
-        a = scoring.hei_score(r1, worksheet_table).total
-        b = scoring.hei_score(r2, worksheet_table).total
+        a = hei_total(r1, worksheet_table)
+        b = hei_total(r2, worksheet_table)
         assert abs(a - b) < 1e-9
 
 
@@ -361,7 +383,7 @@ def test_hei_zero_energy_rejected(tmp_path):
     vocab = IngredientVocabulary.from_ids(["water"])
     table = write_nutrient_table(tmp_path, [nutrient_csv_row("water")], vocab)
     with pytest.raises(DataError):
-        scoring.hei_score(recipe([100.0]), table)
+        hei_total(recipe([100.0]), table)
 
 
 def test_hei_total_bounded(worksheet_table):
@@ -373,7 +395,7 @@ def test_hei_total_bounded(worksheet_table):
         w[w < 1] = 0.0
         if w.sum() == 0:
             continue
-        total = scoring.hei_score(recipe(w), worksheet_table).total
+        total = hei_total(recipe(w), worksheet_table)
         assert 0.0 <= total <= 100.0
 
 
