@@ -8,6 +8,9 @@ every output embeds the hash of the resolved configuration that produced
 it; JSON-lines sample and corpus files carry the hash in a sidecar
 .meta.json so the record schema stays pure.
 
+Commands run with numpy's OpenBLAS on one thread (restored afterwards),
+so the worker threads that --threads sets are the only parallelism.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
 
@@ -27,7 +30,7 @@ from . import corpus as corpus_mod
 from . import discovery, fidelity, mask_diffusion, quantity_diffusion, scoring
 from .config import config_hash, parse_config_file, render_config, resolve_config
 from .errors import DataError, NumericError
-from .netcore import TrainConfig
+from .netcore import TrainConfig, one_blas_thread
 
 _FLAG_KEYS = {
     "seed": "run.seed",
@@ -588,7 +591,8 @@ def run(argv: list[str]) -> int:
     try:
         cfg = _resolve(args)
         out_dir, chash = _prepare_run_dir(args, cfg)
-        return _HANDLERS[str(args.command)](cfg, out_dir, chash)
+        with one_blas_thread():
+            return _HANDLERS[str(args.command)](cfg, out_dir, chash)
     except NumericError as e:
         print(f"recipeforge: numeric failure: {e}", file=sys.stderr)
         return 3

@@ -168,19 +168,6 @@ class SynthSpec:
             if not items:
                 raise DataError("planted recipe must be nonempty")
 
-    def expected_marginals(self) -> np.ndarray:
-        """Inclusion probability per vocabulary index under the full mixture."""
-        vocab = self.vocabulary()
-        base = np.zeros(self.K)
-        for s in self.ingredients:
-            base[vocab.index_of(s.ingredient_id)] = s.marginal
-        planted_total = sum(f for _, f in self.planted)
-        out = (1.0 - planted_total) * base
-        for items, f in self.planted:
-            for ing in items:
-                out[vocab.index_of(ing)] += f
-        return out
-
 
 def _phi_bounds(p: float, q: float) -> tuple[float, float]:
     # Frechet bounds on the phi coefficient of two Bernoulli variables
@@ -363,30 +350,50 @@ def load_vocabulary(path: str | Path) -> IngredientVocabulary:
     for i, e in enumerate(data):
         if not isinstance(e, dict) or "id" not in e:
             raise DataError(f"{path}: entry {i} has no field id")
-    entries = tuple((str(e["id"]), str(e.get("name", e["id"]))) for e in data)
+        for key in ("id", "name"):
+            if not isinstance(e.get(key, ""), str):
+                raise DataError(f"{path}: entry {i} field {key} must be a string, "
+                                f"got {e[key]!r}")
+    entries = tuple((e["id"], e.get("name", e["id"])) for e in data)
     return IngredientVocabulary(entries)
 
 
 def load_synth_spec(path: str | Path) -> SynthSpec:
+    """The synth spec in the JSON file at path; every DataError names the file."""
     data = read_json(path)
+    if not isinstance(data, dict):
+        raise DataError(f"{path}: synth spec must be a JSON object")
+
+    def text(value, name: str) -> str:
+        if not isinstance(value, str):
+            raise TypeError(f"field {name} must be a string, got {value!r}")
+        return value
+
     try:
         ingredients = [
             SynthIngredient(
-                ingredient_id=str(e["id"]),
+                ingredient_id=text(e["id"], "ingredients[].id"),
                 marginal=float(e["marginal"]),
                 weight_log_mean=float(e["weight_log_mean"]),
                 weight_log_sd=float(e["weight_log_sd"]),
             )
             for e in data["ingredients"]
         ]
-        pairs = [(str(p["a"]), str(p["b"]), float(p["correlation"])) for p in data.get("pairs", [])]
+        pairs = [(text(p["a"], "pairs[].a"), text(p["b"], "pairs[].b"), float(p["correlation"]))
+                 for p in data.get("pairs", [])]
         planted = [
-            ({str(i["id"]): float(i["grams"]) for i in e["ingredients"]}, float(e["frequency"]))
+            ({text(i["id"], "planted[].ingredients[].id"): float(i["grams"])
+              for i in e["ingredients"]}, float(e["frequency"]))
             for e in data.get("planted", [])
         ]
         count = int(data["count"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise DataError(f"malformed synth spec: {e}") from e
+    except KeyError as e:
+        raise DataError(f"{path}: malformed synth spec: field {e} is missing") from e
+    except (TypeError, ValueError) as e:
+        raise DataError(f"{path}: malformed synth spec: {e}") from e
     spec = SynthSpec(ingredients=ingredients, pairs=pairs, planted=planted, count=count)
-    spec.validate()
+    try:
+        spec.validate()
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from e
     return spec

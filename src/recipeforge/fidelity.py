@@ -8,6 +8,7 @@ against the training data.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,14 +139,21 @@ def fidelity_report(mask_model: MaskDiffusionModel, quantity_model: QuantityScor
     error is measured on the validation split, None when it is empty.
 
     Deterministic for a fixed seed: masks come from (seed), the held-out
-    quantity samples from (seed + 1).
+    quantity samples from (seed + 1). The two streams are independent, so
+    with threads >= 2 and validation rows the quantity samples are drawn
+    on one worker thread while the masks are drawn on this one; the
+    report, and any error, are the same as with threads = 1.
     """
     if mask_model.vocab_fingerprint != quantity_model.vocab_fingerprint:
         raise DataError("mask and quantity models were trained on different vocabularies")
     train_masks = (corpus.rows(TRAIN) > 0).astype(np.uint8)
     if train_masks.shape[0] == 0:
         raise DataError("corpus train split is empty")
-    samples = sample_masks(mask_model, sample_count, seed, threads=threads)
+    held_out = corpus.rows(VALIDATION)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = (pool.submit(quantity_mae, quantity_model, held_out, seed + 1)
+                   if threads >= 2 and len(held_out) else None)
+        samples = sample_masks(mask_model, sample_count, seed, threads=threads)
 
     corr_corpus = pairwise_correlations(train_masks)
     corr_samples = pairwise_correlations(samples)
@@ -156,8 +164,10 @@ def fidelity_report(mask_model: MaskDiffusionModel, quantity_model: QuantityScor
         for i, j in top_correlated_pairs(corr_corpus, top_k)
     ]
 
-    held_out = corpus.rows(VALIDATION)
-    mae = quantity_mae(quantity_model, held_out, seed + 1) if len(held_out) else None
+    if pending is not None:
+        mae = pending.result()
+    else:
+        mae = quantity_mae(quantity_model, held_out, seed + 1) if len(held_out) else None
 
     sample_hist, corpus_hist = _length_hists(samples, train_masks)
     return FidelityReport(

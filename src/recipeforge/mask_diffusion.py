@@ -78,29 +78,6 @@ class MaskDiffusionModel:
     history: list[tuple[int, float]] = field(default_factory=list)
 
 
-def forward_step_kernel(x_prev, beta_t):
-    """P(x_t = 1 | x_{t-1}): (1 - beta) x_prev + beta / 2. Works elementwise.
-
-    beta = 0 is allowed here as the no-noise identity limit; schedules
-    themselves require beta in (0, 1].
-    """
-    beta = np.asarray(beta_t, dtype=float)
-    if ((beta < 0) | (beta > 1)).any():
-        raise ValueError(f"beta_t must lie in [0, 1], got {beta_t}")
-    return (1.0 - beta) * np.asarray(x_prev, dtype=float) + beta / 2.0
-
-
-def marginal_kernel(x0, t: int, schedule: NoiseSchedule):
-    """P(x_t = 1 | x_0) = alpha_bar_t x_0 + (1 - alpha_bar_t) / 2.
-
-    t = 0 is allowed and returns x0 itself (alpha_bar_0 = 1).
-    """
-    if not 0 <= t <= schedule.T:
-        raise ValueError(f"t must lie in 0..{schedule.T}, got {t}")
-    ab = schedule.alpha_bar[t]
-    return ab * np.asarray(x0, dtype=float) + (1.0 - ab) / 2.0
-
-
 def _posterior_prob(x_t, x0_prob, beta_t, alpha_bar_prev):
     """P(x_{t-1} = 1 | x_t, x0) with x0 generalized to a probability.
 

@@ -7,7 +7,12 @@ numpy; inputs may be single vectors of shape (D,) or batches of shape
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -188,54 +193,6 @@ def optimizer_step(net: Network, grads: Grads, state: OptimizerState) -> tuple[N
     return net, state
 
 
-def _flatten_params(net: Network) -> np.ndarray:
-    parts = []
-    for w, b in zip(net.weights, net.biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts)
-
-
-def _write_params(net: Network, theta: np.ndarray) -> None:
-    i = 0
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        net.weights[l] = theta[i:i + w.size].reshape(w.shape).copy()
-        i += w.size
-        net.biases[l] = theta[i:i + b.size].reshape(b.shape).copy()
-        i += b.size
-
-
-def gradcheck(net: Network, seed: int, n_params: int = 100, h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Uses a random input and a random output cotangent; checks a random
-    subset of n_params parameters. Relative error is
-    |analytic - numeric| / (|analytic| + |numeric| + 1e-12).
-    """
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(net.sizes[0])
-    v = rng.standard_normal(net.sizes[-1])
-    analytic = gradient(net, x, v)
-    flat_analytic = np.concatenate(
-        [np.concatenate([dw.ravel(), db.ravel()]) for dw, db in analytic])
-    theta = _flatten_params(net)
-    idx = rng.choice(theta.size, size=min(n_params, theta.size), replace=False)
-    worst = 0.0
-    for i in idx:
-        tp = theta.copy(); tp[i] += h
-        tm = theta.copy(); tm[i] -= h
-        _write_params(net, tp)
-        fp = float(forward(net, x) @ v)
-        _write_params(net, tm)
-        fm = float(forward(net, x) @ v)
-        numeric = (fp - fm) / (2 * h)
-        a = flat_analytic[i]
-        rel = abs(a - numeric) / (abs(a) + abs(numeric) + 1e-12)
-        worst = max(worst, rel)
-    _write_params(net, theta)
-    return worst
-
-
 def time_embedding(t: np.ndarray | float, period: float) -> np.ndarray:
     """Smooth 3-dim embedding of a time step: (t/T, sin(2*pi*t/T), cos(2*pi*t/T)).
 
@@ -302,6 +259,43 @@ def map_chunks(n: int, chunk_size: int, seed: int, threads: int,
     else:
         parts = [run(c) for c in range(len(starts))]
     return np.concatenate(parts, axis=0)
+
+
+@functools.cache
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS (64-bit interface), or None if absent."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+    if not libs:
+        return None
+    lib = ctypes.CDLL(libs[0])
+    lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+    lib.scipy_openblas_get_num_threads64_.argtypes = []
+    lib.scipy_openblas_set_num_threads64_.restype = None
+    lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+    return lib
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with numpy's bundled OpenBLAS on one thread.
+
+    The cores go to map_chunks workers instead: BLAS threads started
+    inside each worker would oversubscribe them. The previous thread count
+    is restored on exit. Does nothing when the library is not found. The
+    count is process-wide: BLAS calls that other threads make meanwhile
+    run on one thread too.
+    """
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 def net_to_dict(net: Network) -> dict:

@@ -144,16 +144,6 @@ def decode_weights(encoded, mask, codec: WeightCodec) -> np.ndarray:
     return grams
 
 
-def perturb(x0, t: float, sde: SDESpec, seed: int) -> np.ndarray:
-    """Exact VP forward marginal: sqrt(ab) x0 + sqrt(1 - ab) eps."""
-    if not 0.0 < t <= 1.0:
-        raise ValueError(f"t must lie in (0, 1], got {t}")
-    x0 = np.asarray(x0, dtype=float)
-    rng = np.random.default_rng(seed)
-    ab = float(sde.alpha_bar(t))
-    return math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * rng.standard_normal(x0.shape)
-
-
 def _dsm_residual(model: QuantityScoreModel, x0: np.ndarray, masks: np.ndarray, t: np.ndarray,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Network inputs at x_t ~ q(x_t | x0) and the masked residual of its

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import recipeforge
-from recipeforge import cli
+from recipeforge import cli, netcore
 
 DESK = Path(recipeforge.__file__).parent / "data" / "desk"
 
@@ -333,3 +333,51 @@ def test_write_json_refuses_non_finite_numbers(tmp_path):
         cli._write_json(tmp_path / "x.json", {"score": float("nan")}, "hash")
     cli._write_json(tmp_path / "x.json", {"score": 0.1}, "hash")
     assert (tmp_path / "x.json").read_text() == '{\n  "config_hash": "hash",\n  "score": 0.1\n}\n'
+
+
+def test_sample_and_validate_outputs_do_not_depend_on_threads(pipeline, tmp_path):
+    models = ["--mask-model", str(pipeline / "checkpoints" / "mask_model.json"),
+              "--quantity-model", str(pipeline / "checkpoints" / "quantity_model.json"),
+              "--vocabulary", str(pipeline / "vocabulary.json"), "--set", "sde.steps=80"]
+    for threads in ("1", "2"):
+        out = ["--out-dir", str(tmp_path / threads), "--threads", threads]
+        run_ok(["sample", *models, *out, "--count", "150", "--seed", "9",
+                "--set", "sample.chunk_size=64"])
+        run_ok(["validate", *models, *out, "--corpus", str(pipeline / "corpus.jsonl"),
+                "--count", "200", "--seed", "7"])
+    samples = [(tmp_path / t / "samples" / "samples.jsonl").read_bytes() for t in "12"]
+    assert samples[0] == samples[1]
+    # config_hash covers run.threads; every other byte must match
+    reports = [(tmp_path / t / "reports" / "fidelity.json").read_text().splitlines()
+               for t in "12"]
+    for lines in reports:
+        assert lines.pop(1).startswith('  "config_hash"')
+    assert reports[0] == reports[1]
+    assert json.loads("\n".join(reports[0]))["quantity_mae_grams"] is not None
+
+
+@pytest.mark.skipif(netcore._openblas() is None, reason="numpy's bundled OpenBLAS not found")
+def test_run_pins_blas_to_one_thread_and_restores_it(tmp_path, monkeypatch):
+    lib = netcore._openblas()
+    get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    seen = []
+    synth = cli._HANDLERS["synth"]
+
+    def recording(*args):
+        seen.append(get())
+        return synth(*args)
+
+    monkeypatch.setitem(cli._HANDLERS, "synth", recording)
+    before = get()
+    put(2)
+    try:
+        found = get()
+        assert cli.run(["synth", "--spec", str(DESK / "synth_spec.json"), "--count", "20",
+                        "--out-dir", str(tmp_path)]) == 0
+        assert get() == found
+        assert cli.run(["synth", "--spec", str(tmp_path / "missing.json"),
+                        "--out-dir", str(tmp_path)]) == 2
+        assert get() == found
+    finally:
+        put(before)
+    assert seen == [1, 1]

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from recipeforge import corpus as cp
 from recipeforge import netcore, scoring
 from recipeforge import quantity_diffusion as qd
 from recipeforge.errors import DataError
+from helpers import expected_marginals
 
 
 DESK = Path(cp.__file__).parent / "data" / "desk"
@@ -249,7 +251,7 @@ def test_synthesize_marginals_converge_to_spec():
     spec = small_spec(n=50_000, pairs=[("lettuce", "tomato", 0.6)], planted=[planted])
     corpus = cp.synthesize_corpus(spec, seed=3)
     masks = corpus.grams > 0
-    np.testing.assert_array_less(np.abs(masks.mean(0) - spec.expected_marginals()), 0.01)
+    np.testing.assert_array_less(np.abs(masks.mean(0) - expected_marginals(spec)), 0.01)
 
 
 def test_synthesize_planted_pair_correlation():
@@ -347,3 +349,57 @@ def test_json_inputs_name_the_file_when_they_do_not_parse(tmp_path, read):
     f.write_text('[{"id": "beef", ')
     with pytest.raises(DataError, match=r"broken\.json: invalid JSON \(Expecting"):
         read(f)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([{"id": None}, {"id": "beef"}], "entry 0 field id must be a string, got None"),
+    ([{"id": "beef"}, {"id": 7}], "entry 1 field id must be a string, got 7"),
+    ([{"id": "beef", "name": 3}], "entry 0 field name must be a string, got 3"),
+], ids=["null_id", "int_id", "int_name"])
+def test_load_vocabulary_requires_string_id_and_name(tmp_path, entries, message):
+    f = tmp_path / "v.json"
+    f.write_text(json.dumps(entries))
+    with pytest.raises(DataError, match=rf"v\.json: {message}$"):
+        cp.load_vocabulary(f)
+
+
+def spec_doc(**changes):
+    doc = {"count": 10, "ingredients": [
+        {"id": "beef", "marginal": 0.5, "weight_log_mean": 5.0, "weight_log_sd": 0.3},
+        {"id": "bun", "marginal": 0.9, "weight_log_mean": 4.3, "weight_log_sd": 0.2}]}
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    (spec_doc(ingredients=[{"id": 7, "marginal": 0.5, "weight_log_mean": 5.0,
+                            "weight_log_sd": 0.3}]),
+     "field ingredients\\[\\].id must be a string, got 7"),
+    (spec_doc(pairs=[{"a": None, "b": "bun", "correlation": 0.2}]),
+     "field pairs\\[\\].a must be a string, got None"),
+    (spec_doc(pairs=[{"a": "beef", "b": 1, "correlation": 0.2}]),
+     "field pairs\\[\\].b must be a string, got 1"),
+    (spec_doc(planted=[{"frequency": 0.2, "ingredients": [{"id": True, "grams": 90}]}]),
+     "field planted\\[\\].ingredients\\[\\].id must be a string, got True"),
+], ids=["ingredient_id", "pair_a", "pair_b", "planted_id"])
+def test_synth_spec_requires_string_ids(tmp_path, doc, message):
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=rf"spec\.json: malformed synth spec: {message}$"):
+        cp.load_synth_spec(f)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({key: v for key, v in spec_doc().items() if key != "count"},
+     "malformed synth spec: field 'count' is missing"),
+    (spec_doc(count="ten"), "malformed synth spec: invalid literal"),
+    ([spec_doc()], "synth spec must be a JSON object"),
+    (spec_doc(count=0), "recipe count must be >= 1"),
+    (spec_doc(pairs=[{"a": "beef", "b": "tofu", "correlation": 0.2}]),
+     "synth spec field pairs names unknown ingredients"),
+], ids=["missing_count", "bad_count", "not_an_object", "zero_count", "unknown_pair_id"])
+def test_synth_spec_errors_name_the_file(tmp_path, doc, message):
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=rf"^{re.escape(str(f))}: {message}"):
+        cp.load_synth_spec(f)

@@ -1,11 +1,14 @@
+import threading
+
 import numpy as np
 import pytest
 
 from recipeforge import fidelity as fd
+from recipeforge import mask_diffusion as md
 from recipeforge import netcore
 from recipeforge import quantity_diffusion as qd
 from recipeforge.corpus import Corpus, IngredientVocabulary
-from recipeforge.errors import DataError
+from recipeforge.errors import DataError, NumericError
 
 
 def corpus_from_masks(masks, grams=100.0):
@@ -151,3 +154,43 @@ def test_fidelity_report_self_test(tmp_path):
     assert fd.length_distance(present, present) == 0.0
     corr = fd.pairwise_correlations(present)
     np.testing.assert_allclose(corr, fd.pairwise_correlations(present))
+
+
+def untrained_models_and_corpus(K=5):
+    rng = np.random.default_rng(10)
+    masks = (rng.random((80, K)) < 0.5).astype(np.uint8)
+    masks[masks.sum(axis=1) == 0, 0] = 1
+    vocab = IngredientVocabulary.from_ids([f"i{j:02d}" for j in range(K)])
+    corpus = Corpus(vocabulary=vocab, grams=masks * rng.uniform(20.0, 200.0, masks.shape),
+                    splits=["train"] * 60 + ["validation"] * 20)
+    mask_model = md.MaskDiffusionModel(schedule=md.linear_schedule(10),
+                                       net=netcore.init_network([K + 3, 8, K], seed=1), K=K)
+    quantity_model = qd.QuantityScoreModel(
+        sde=qd.SDESpec(steps=30), net=netcore.init_network([2 * K + 3, 8, K], seed=2),
+        codec=qd.WeightCodec(log_mean=np.full(K, 4.0), log_std=np.full(K, 0.5)), K=K)
+    return mask_model, quantity_model, corpus
+
+
+def test_fidelity_report_is_the_same_for_any_thread_count(monkeypatch):
+    mask_model, quantity_model, corpus = untrained_models_and_corpus()
+    callers = []
+    quantity_mae = fd.quantity_mae
+
+    def recording(*args):
+        callers.append(threading.get_ident())
+        return quantity_mae(*args)
+
+    monkeypatch.setattr(fd, "quantity_mae", recording)
+    serial = fd.fidelity_report(mask_model, quantity_model, corpus, 300, seed=4, threads=1)
+    concurrent = fd.fidelity_report(mask_model, quantity_model, corpus, 300, seed=4, threads=2)
+    assert serial.to_dict() == concurrent.to_dict()
+    assert serial.quantity_mae_grams is not None
+    # threads = 2 draws the held-out quantities on a worker thread
+    assert callers[0] == threading.get_ident() != callers[1]
+
+
+def test_fidelity_report_raises_the_quantity_error_with_threads():
+    mask_model, quantity_model, corpus = untrained_models_and_corpus()
+    quantity_model.net.weights[-1][:] = 1e307
+    with pytest.raises(NumericError):
+        fd.fidelity_report(mask_model, quantity_model, corpus, 300, seed=4, threads=2)

@@ -12,6 +12,7 @@ from recipeforge.corpus import Corpus, IngredientVocabulary
 from recipeforge.errors import DataError
 from recipeforge.mask_diffusion import (MaskDiffusionModel, NoiseSchedule, _kl_bernoulli,
                                         _posterior_prob, _reverse_prob, linear_schedule)
+from helpers import flatten_params, forward_step_kernel, marginal_kernel, write_params
 
 
 def make_model(schedule, K, seed=0, width=8):
@@ -23,11 +24,11 @@ def make_model(schedule, K, seed=0, width=8):
 # kernels
 
 def test_forward_step_kernel_values():
-    assert md.forward_step_kernel(1, 0.0) == 1.0       # no-noise identity
-    assert md.forward_step_kernel(1, 1.0) == 0.5       # full randomization
-    assert abs(md.forward_step_kernel(0, 0.2) - 0.1) < 1e-15
+    assert forward_step_kernel(1, 0.0) == 1.0       # no-noise identity
+    assert forward_step_kernel(1, 1.0) == 0.5       # full randomization
+    assert abs(forward_step_kernel(0, 0.2) - 0.1) < 1e-15
     with pytest.raises(ValueError):
-        md.forward_step_kernel(1, 1.5)
+        forward_step_kernel(1, 1.5)
 
 
 def test_schedule_invariants():
@@ -43,8 +44,8 @@ def test_schedule_invariants():
 
 def test_marginal_kernel_t0_returns_x0():
     sched = linear_schedule(5)
-    assert md.marginal_kernel(1, 0, sched) == 1.0
-    assert md.marginal_kernel(0, 0, sched) == 0.0
+    assert marginal_kernel(1, 0, sched) == 1.0
+    assert marginal_kernel(0, 0, sched) == 0.0
 
 
 def test_marginal_kernel_two_step_enumeration():
@@ -52,23 +53,23 @@ def test_marginal_kernel_two_step_enumeration():
     sched = NoiseSchedule(betas=np.array([0.5, 0.5]))
     p = 0.0
     for x1 in (0, 1):
-        p_x1 = md.forward_step_kernel(1, 0.5) if x1 == 1 else 1 - md.forward_step_kernel(1, 0.5)
-        p += p_x1 * md.forward_step_kernel(x1, 0.5)
-    got = md.marginal_kernel(1, 2, sched)
+        p_x1 = forward_step_kernel(1, 0.5) if x1 == 1 else 1 - forward_step_kernel(1, 0.5)
+        p += p_x1 * forward_step_kernel(x1, 0.5)
+    got = marginal_kernel(1, 2, sched)
     assert abs(got - p) < 1e-15
     assert abs(got - 0.625) < 1e-15
 
 
 def test_marginal_kernel_stationary_limit():
     sched = NoiseSchedule(betas=np.full(200, 0.2))
-    assert abs(md.marginal_kernel(1, 200, sched) - 0.5) < 1e-15
-    assert abs(md.marginal_kernel(0, 200, sched) - 0.5) < 1e-15
+    assert abs(marginal_kernel(1, 200, sched) - 0.5) < 1e-15
+    assert abs(marginal_kernel(0, 200, sched) - 0.5) < 1e-15
 
 
 def test_marginal_kernel_range_check():
     sched = linear_schedule(5)
     with pytest.raises(ValueError):
-        md.marginal_kernel(1, 6, sched)
+        marginal_kernel(1, 6, sched)
 
 
 def test_kernel_consistency_identity():
@@ -79,10 +80,10 @@ def test_kernel_consistency_identity():
         sched = NoiseSchedule(betas=rng.uniform(0.01, 0.99, T))
         t = int(rng.integers(1, T + 1))
         x0 = int(rng.integers(0, 2))
-        prev1 = md.marginal_kernel(x0, t - 1, sched)
-        composed = prev1 * md.forward_step_kernel(1, sched.betas[t - 1]) \
-            + (1 - prev1) * md.forward_step_kernel(0, sched.betas[t - 1])
-        assert abs(composed - md.marginal_kernel(x0, t, sched)) < 1e-12
+        prev1 = marginal_kernel(x0, t - 1, sched)
+        composed = prev1 * forward_step_kernel(1, sched.betas[t - 1]) \
+            + (1 - prev1) * forward_step_kernel(0, sched.betas[t - 1])
+        assert abs(composed - marginal_kernel(x0, t, sched)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +93,9 @@ def brute_posterior(x_t, x0, t, sched):
     # normalize P(x_t | x_{t-1}) P(x_{t-1} | x0) over x_{t-1} in {0, 1}
     probs = {}
     for x_prev in (0, 1):
-        like = md.forward_step_kernel(x_prev, sched.betas[t - 1])
+        like = forward_step_kernel(x_prev, sched.betas[t - 1])
         like = like if x_t == 1 else 1 - like
-        prior = md.marginal_kernel(x0, t - 1, sched)
+        prior = marginal_kernel(x0, t - 1, sched)
         prior = prior if x_prev == 1 else 1 - prior
         probs[x_prev] = like * prior
     z = probs[0] + probs[1]
@@ -123,11 +124,11 @@ def test_posterior_normalization():
         t = int(rng.integers(2, T + 1))
         beta, ab = sched.betas[t - 1], sched.alpha_bar[t - 1]
         for x_t, x0 in itertools.product((0, 1), repeat=2):
-            like1 = md.forward_step_kernel(1, beta)
-            like0 = md.forward_step_kernel(0, beta)
+            like1 = forward_step_kernel(1, beta)
+            like0 = forward_step_kernel(0, beta)
             l1 = like1 if x_t == 1 else 1 - like1
             l0 = like0 if x_t == 1 else 1 - like0
-            m = md.marginal_kernel(x0, t - 1, sched)
+            m = marginal_kernel(x0, t - 1, sched)
             p1 = l1 * m / (l1 * m + l0 * (1 - m))
             assert abs(p1 + (l0 * (1 - m)) / (l1 * m + l0 * (1 - m)) - 1.0) < 1e-12
             assert abs(md.posterior(x_t, x0, t, sched) - p1) < 1e-12
@@ -174,7 +175,7 @@ def enumerate_negative_elbo(model, x0):
         return float(np.clip(expit(netcore.forward(model.net, inp))[0, 0], md._PCLIP, 1 - md._PCLIP))
 
     def q_step(x_t, x_prev, beta):
-        p1 = md.forward_step_kernel(x_prev, beta)
+        p1 = forward_step_kernel(x_prev, beta)
         return p1 if x_t == 1 else 1 - p1
 
     def p_rev(x_prev, x_t, t):
@@ -260,19 +261,19 @@ def test_elbo_gradient_matches_finite_differences():
     cot = dkl * (pi1 - pi0) * s * (1 - s) * (sched.T / 4)
     grads = netcore.gradient(net, inputs, cot)
     flat = np.concatenate([np.concatenate([dw.ravel(), db.ravel()]) for dw, db in grads])
-    theta = netcore._flatten_params(net)
+    theta = flatten_params(net)
     h = 1e-6
     worst = 0.0
     for i in np.random.default_rng(1).choice(theta.size, 30, replace=False):
         tp = theta.copy(); tp[i] += h
-        netcore._write_params(net, tp)
+        write_params(net, tp)
         fp = loss_of(net)
         tm = theta.copy(); tm[i] -= h
-        netcore._write_params(net, tm)
+        write_params(net, tm)
         fm = loss_of(net)
         num = (fp - fm) / (2 * h)
         worst = max(worst, abs(num - flat[i]) / (abs(num) + abs(flat[i]) + 1e-12))
-    netcore._write_params(net, theta)
+    write_params(net, theta)
     assert worst < 1e-4
 
 

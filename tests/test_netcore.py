@@ -5,6 +5,7 @@ import pytest
 
 from recipeforge import netcore
 from recipeforge.errors import NumericError
+from helpers import gradcheck
 
 
 def test_init_deterministic():
@@ -91,7 +92,7 @@ def test_gradient_linear_least_squares():
 
 def test_gradient_matches_finite_differences():
     net = netcore.init_network([4, 6, 3], seed=5)
-    assert netcore.gradcheck(net, seed=0, h=1e-5) < 1e-5
+    assert gradcheck(net, seed=0, h=1e-5) < 1e-5
 
 
 def test_gradient_batched_sums_over_batch():
@@ -159,7 +160,7 @@ def test_optimizer_rejects_nonfinite_gradient():
 
 def test_gradcheck_fresh_net_small_error():
     net = netcore.init_network([8, 16, 16, 8], seed=11)
-    assert netcore.gradcheck(net, seed=1) < 1e-4
+    assert gradcheck(net, seed=1) < 1e-4
 
 
 def test_gradcheck_detects_corrupted_gradients(monkeypatch):
@@ -170,14 +171,14 @@ def test_gradcheck_detects_corrupted_gradients(monkeypatch):
         return [(1.05 * dw, 1.05 * db) for dw, db in true_gradient(n, x, cot)]
 
     monkeypatch.setattr(netcore, "gradient", corrupted)
-    assert netcore.gradcheck(net, seed=2) > 1e-2
+    assert gradcheck(net, seed=2) > 1e-2
 
 
 def test_gradcheck_zero_net_guarded():
     net = netcore.init_network([2, 2, 1], seed=13)
     for w in net.weights:
         w[:] = 0.0
-    assert netcore.gradcheck(net, seed=3) < 1e-6
+    assert gradcheck(net, seed=3) < 1e-6
 
 
 def test_sin_regression_reaches_low_mse():

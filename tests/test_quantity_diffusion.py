@@ -11,6 +11,7 @@ from recipeforge import netcore
 from recipeforge import quantity_diffusion as qd
 from recipeforge.corpus import Corpus, IngredientVocabulary, SynthIngredient, SynthSpec, synthesize_corpus
 from recipeforge.errors import DataError, NumericError
+from helpers import flatten_params, perturb, write_params
 
 
 def make_codec(K, mu=4.0, sd=0.5):
@@ -103,14 +104,14 @@ def test_codec_floors_tiny_std():
 def test_perturb_small_t_is_near_identity():
     sde = qd.SDESpec()
     x0 = np.array([1.5, -0.7, 0.2])
-    out = qd.perturb(x0, 1e-3, sde, seed=1)
+    out = perturb(x0, 1e-3, sde, seed=1)
     assert np.abs(out - x0).max() < 0.1
 
 
 def test_perturb_t1_matches_standard_normal_moments():
     sde = qd.SDESpec()
     x0 = np.full(100_000, 1.7)
-    out = qd.perturb(x0, 1.0, sde, seed=2)
+    out = perturb(x0, 1.0, sde, seed=2)
     assert abs(out.mean()) < 0.02
     assert abs(out.var() - 1.0) < 0.03
 
@@ -118,12 +119,12 @@ def test_perturb_t1_matches_standard_normal_moments():
 def test_perturb_deterministic_and_range_checked():
     sde = qd.SDESpec()
     x0 = np.ones(5)
-    np.testing.assert_array_equal(qd.perturb(x0, 0.5, sde, seed=3),
-                                  qd.perturb(x0, 0.5, sde, seed=3))
+    np.testing.assert_array_equal(perturb(x0, 0.5, sde, seed=3),
+                                  perturb(x0, 0.5, sde, seed=3))
     with pytest.raises(ValueError):
-        qd.perturb(x0, 0.0, sde, seed=0)
+        perturb(x0, 0.0, sde, seed=0)
     with pytest.raises(ValueError):
-        qd.perturb(x0, 1.5, sde, seed=0)
+        perturb(x0, 1.5, sde, seed=0)
 
 
 def test_vp_marginal_variance_identity():
@@ -133,7 +134,7 @@ def test_vp_marginal_variance_identity():
     x0 = rng.normal(0.0, 2.0, size=200_000)
     for t in (0.2, 0.5, 0.9):
         ab = float(sde.alpha_bar(t))
-        out = qd.perturb(x0, t, sde, seed=5)
+        out = perturb(x0, t, sde, seed=5)
         expected = 1.0 - ab + ab * 4.0
         se = expected * math.sqrt(2.0 / x0.size)
         assert abs(out.var() - expected) < 3 * se
@@ -206,19 +207,19 @@ def test_dsm_gradient_matches_finite_differences():
     cot = 2.0 * resid / (1.0 - ab) / 3
     grads = netcore.gradient(net, inputs, cot)
     flat = np.concatenate([np.concatenate([dw.ravel(), db.ravel()]) for dw, db in grads])
-    theta = netcore._flatten_params(net)
+    theta = flatten_params(net)
     h = 1e-6
     worst = 0.0
     for i in np.random.default_rng(3).choice(theta.size, 30, replace=False):
         tp = theta.copy(); tp[i] += h
-        netcore._write_params(net, tp)
+        write_params(net, tp)
         fp = loss_of(net)
         tm = theta.copy(); tm[i] -= h
-        netcore._write_params(net, tm)
+        write_params(net, tm)
         fm = loss_of(net)
         num = (fp - fm) / (2 * h)
         worst = max(worst, abs(num - flat[i]) / (abs(num) + abs(flat[i]) + 1e-12))
-    netcore._write_params(net, theta)
+    write_params(net, theta)
     assert worst < 1e-4
 
 
