@@ -355,7 +355,10 @@ def load_vocabulary(path: str | Path) -> IngredientVocabulary:
                 raise DataError(f"{path}: entry {i} field {key} must be a string, "
                                 f"got {e[key]!r}")
     entries = tuple((e["id"], e.get("name", e["id"])) for e in data)
-    return IngredientVocabulary(entries)
+    try:
+        return IngredientVocabulary(entries)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from e
 
 
 def load_synth_spec(path: str | Path) -> SynthSpec:
@@ -369,24 +372,32 @@ def load_synth_spec(path: str | Path) -> SynthSpec:
             raise TypeError(f"field {name} must be a string, got {value!r}")
         return value
 
+    def number(value, name: str, kind=float):
+        # float(True) is 1.0: a JSON boolean must not pass as a number
+        if isinstance(value, bool):
+            raise TypeError(f"field {name} must be a number, got {value!r}")
+        return kind(value)
+
     try:
         ingredients = [
             SynthIngredient(
                 ingredient_id=text(e["id"], "ingredients[].id"),
-                marginal=float(e["marginal"]),
-                weight_log_mean=float(e["weight_log_mean"]),
-                weight_log_sd=float(e["weight_log_sd"]),
+                marginal=number(e["marginal"], "ingredients[].marginal"),
+                weight_log_mean=number(e["weight_log_mean"], "ingredients[].weight_log_mean"),
+                weight_log_sd=number(e["weight_log_sd"], "ingredients[].weight_log_sd"),
             )
             for e in data["ingredients"]
         ]
-        pairs = [(text(p["a"], "pairs[].a"), text(p["b"], "pairs[].b"), float(p["correlation"]))
+        pairs = [(text(p["a"], "pairs[].a"), text(p["b"], "pairs[].b"),
+                  number(p["correlation"], "pairs[].correlation"))
                  for p in data.get("pairs", [])]
         planted = [
-            ({text(i["id"], "planted[].ingredients[].id"): float(i["grams"])
-              for i in e["ingredients"]}, float(e["frequency"]))
+            ({text(i["id"], "planted[].ingredients[].id"):
+              number(i["grams"], "planted[].ingredients[].grams")
+              for i in e["ingredients"]}, number(e["frequency"], "planted[].frequency"))
             for e in data.get("planted", [])
         ]
-        count = int(data["count"])
+        count = number(data["count"], "count", int)
     except KeyError as e:
         raise DataError(f"{path}: malformed synth spec: field {e} is missing") from e
     except (TypeError, ValueError) as e:

@@ -34,11 +34,14 @@ class NoiseSchedule:
     """Step count T, per-step beta_t, and cumulative alpha_bar products.
 
     alpha_bar has length T + 1 with alpha_bar[0] = 1 (the t = 0
-    convention); alpha_bar[t] = prod_{s<=t} (1 - beta_s).
+    convention); alpha_bar[t] = prod_{s<=t} (1 - beta_s). post is the
+    forward-chain posterior for bits: post[t - 1, x_t, x0] =
+    P(x_{t-1} = 1 | x_t, x0), shape (T, 2, 2).
     """
 
     betas: np.ndarray
     alpha_bar: np.ndarray = field(init=False)
+    post: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.betas = np.asarray(self.betas, dtype=float)
@@ -47,6 +50,9 @@ class NoiseSchedule:
         self.alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - self.betas)])
         if (np.diff(self.alpha_bar) >= 0).any():
             raise ValueError("alpha_bar must be strictly decreasing")
+        bits = np.array([0.0, 1.0])
+        self.post = _posterior_prob(bits[None, :, None], bits[None, None, :],
+                                    self.betas[:, None, None], self.alpha_bar[:-1, None, None])
 
     @property
     def T(self) -> int:
@@ -126,15 +132,14 @@ def _evidence_weight(t, schedule: NoiseSchedule) -> np.ndarray:
     return np.minimum(np.log((1.0 + ab) / np.maximum(1.0 - ab, 1e-15)), _EVIDENCE_CAP)
 
 
-def _predict_p_hat(model: MaskDiffusionModel, x_t: np.ndarray, t: np.ndarray,
-                   inputs: np.ndarray | None = None) -> np.ndarray:
-    """Denoiser output probabilities, clipped away from 0 and 1.
+def _predict_p_hat(model: MaskDiffusionModel, x_t: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Denoiser output probabilities, clipped away from 0 and 1."""
+    return _p_hat(model, netcore.forward(model.net, _model_inputs(x_t, t, model.schedule)), x_t, t)
 
-    inputs, when given, are _model_inputs(x_t, t) already built by the caller.
-    """
-    if inputs is None:
-        inputs = _model_inputs(x_t, t, model.schedule)
-    logits = netcore.forward(model.net, inputs)
+
+def _p_hat(model: MaskDiffusionModel, logits: np.ndarray, x_t: np.ndarray,
+           t: np.ndarray) -> np.ndarray:
+    """_predict_p_hat from the network's output logits at (x_t, t)."""
     if model.base_logits is not None:
         lam = _evidence_weight(t, model.schedule)
         logits = logits + model.base_logits + (2.0 * x_t - 1.0) * lam[..., None]
@@ -145,6 +150,17 @@ def _kl_bernoulli(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     p = np.clip(p, _PCLIP, 1.0 - _PCLIP)
     q = np.asarray(q, dtype=float)
     return rel_entr(q, p) + rel_entr(1.0 - q, 1.0 - p)
+
+
+def _posterior_terms(sched: NoiseSchedule, t: np.ndarray, x_t: np.ndarray,
+                     x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pi0, pi1, q_true): P(x_{t-1} = 1 | x_t, x0) at x0 = 0, at x0 = 1 and
+    at the given x0, per cell of the (B, K) bits x_t and x0 with one step t
+    per row, read from sched.post."""
+    post = sched.post.ravel()
+    at_x0_0 = (4 * t - 4)[:, None] + 2 * x_t.astype(np.intp)  # flat index of post[t-1, x_t, 0]
+    pi0, pi1 = post.take(at_x0_0), post.take(at_x0_0 + 1)
+    return pi0, pi1, np.where(x0 == 1.0, pi1, pi0)
 
 
 def _noise(sched: NoiseSchedule, x0: np.ndarray,
@@ -170,10 +186,8 @@ def _elbo_terms(model: MaskDiffusionModel, masks: np.ndarray,
     x0 = masks.astype(float)
     t, x_t = _noise(sched, x0, rng)
     p_hat = _predict_p_hat(model, x_t, t)
-    beta_t = sched.betas[t - 1][:, None]
-    ab_prev = sched.alpha_bar[t - 1][:, None]
-    q_true = _posterior_prob(x_t, x0, beta_t, ab_prev)
-    q_model = _reverse_prob(x_t, p_hat, beta_t, ab_prev)
+    pi0, pi1, q_true = _posterior_terms(sched, t, x_t, x0)
+    q_model = p_hat * pi1 + (1.0 - p_hat) * pi0
     step_term = _kl_bernoulli(q_true, q_model).sum(axis=1)
     qT = sched.alpha_bar[T] * x0 + (1.0 - sched.alpha_bar[T]) / 2.0
     prior = _kl_bernoulli(qT, np.full_like(qT, 0.5)).sum(axis=1)
@@ -187,21 +201,16 @@ def _train_step(model: MaskDiffusionModel, batch: np.ndarray,
     B = batch.shape[0]
     x0 = batch.astype(float)
     t, x_t = _noise(sched, x0, rng)
-    inputs = _model_inputs(x_t, t, sched)
-    s = _predict_p_hat(model, x_t, t, inputs)
+    acts = netcore.activations(model.net, _model_inputs(x_t, t, sched))
+    s = _p_hat(model, acts[-1], x_t, t)
 
-    beta_t = sched.betas[t - 1][:, None]
-    ab_prev = sched.alpha_bar[t - 1][:, None]
-    pi1 = _posterior_prob(x_t, 1.0, beta_t, ab_prev)
-    pi0 = _posterior_prob(x_t, 0.0, beta_t, ab_prev)
+    pi0, pi1, q_true = _posterior_terms(sched, t, x_t, x0)
     pi = np.clip(s * pi1 + (1.0 - s) * pi0, _PCLIP, 1.0 - _PCLIP)
-    q_true = _posterior_prob(x_t, x0, beta_t, ab_prev)
 
     loss = float(_kl_bernoulli(q_true, pi).sum() * T / B)
     dkl_dpi = -q_true / pi + (1.0 - q_true) / (1.0 - pi)
     cot = dkl_dpi * (pi1 - pi0) * s * (1.0 - s) * (T / B)
-    grads = netcore.gradient(model.net, inputs, cot)
-    netcore.optimizer_step(model.net, grads, opt)
+    netcore.optimizer_step(model.net, netcore.gradient(model.net, acts, cot), opt)
     return loss
 
 

@@ -3,12 +3,20 @@
 Hidden layers use tanh, the output layer is linear. Everything is plain
 numpy; inputs may be single vectors of shape (D,) or batches of shape
 (B, D). Both diffusion models share this module.
+
+A network's parameters live in one float64 vector theta, laid out layer
+by layer as w0, b0, w1, b1, ... with each weight matrix row-major.
+net.weights[l] (shape (sizes[l+1], sizes[l])) and net.biases[l] are views
+into theta, so writing to them writes theta and vice versa. Gradients,
+Adam's moments and the parameter average are flat vectors in the same
+layout.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import dataclasses
 import functools
 import glob
 import math
@@ -22,24 +30,48 @@ import numpy as np
 
 from .errors import DataError, NumericError, read_json
 
-Grads = list[tuple[np.ndarray, np.ndarray]]
+
+def _layer_views(sizes: list[int], flat: np.ndarray) -> tuple[tuple, tuple]:
+    """(weights, biases): per-layer views of a flat vector laid out w0, b0, w1, b1, ..."""
+    weights, biases, i = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[i:i + fan_in * fan_out].reshape(fan_out, fan_in))
+        i += fan_in * fan_out
+        biases.append(flat[i:i + fan_out])
+        i += fan_out
+    return tuple(weights), tuple(biases)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Network:
+    """Layer sizes, the flat parameter vector theta and its per-layer views.
+
+    weights[l] has shape (sizes[l+1], sizes[l]). Frozen, so theta and its
+    views cannot be rebound apart; write parameters in place
+    (net.weights[l][:] = ...).
+    """
+
     sizes: list[int]
-    weights: list[np.ndarray]  # weights[l] has shape (sizes[l+1], sizes[l])
-    biases: list[np.ndarray]
+    theta: np.ndarray
+    weights: tuple[np.ndarray, ...] = dataclasses.field(init=False)
+    biases: tuple[np.ndarray, ...] = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        n = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]))
+        if self.theta.dtype != np.float64 or self.theta.shape != (n,):
+            raise ValueError(f"theta must be a float64 vector of {n} parameters for sizes "
+                             f"{self.sizes}, got {self.theta.dtype} {self.theta.shape}")
+        weights, biases = _layer_views(self.sizes, self.theta)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "biases", biases)
 
 
 @dataclass
 class OptimizerState:
-    """Adam accumulators; shapes mirror the network's parameters."""
+    """Adam accumulators: flat first and second moments laid out like theta."""
 
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -72,18 +104,15 @@ class ParameterAverage:
 
     def __init__(self, net: Network, decay: float):
         self.decay = decay
-        self.weights = [w.copy() for w in net.weights]
-        self.biases = [b.copy() for b in net.biases]
+        self.theta = net.theta.copy()
 
     def update(self, net: Network) -> None:
         d = self.decay
-        for l in range(len(net.weights)):
-            self.weights[l] = d * self.weights[l] + (1.0 - d) * net.weights[l]
-            self.biases[l] = d * self.biases[l] + (1.0 - d) * net.biases[l]
+        self.theta *= d
+        self.theta += (1.0 - d) * net.theta
 
     def copy_to(self, net: Network) -> None:
-        net.weights = [w.copy() for w in self.weights]
-        net.biases = [b.copy() for b in self.biases]
+        net.theta[:] = self.theta
 
 
 def init_network(layer_sizes: list[int], seed: int) -> Network:
@@ -98,12 +127,11 @@ def init_network(layer_sizes: list[int], seed: int) -> Network:
     if any(s < 1 for s in sizes):
         raise ValueError(f"all layer sizes must be >= 1, got {sizes}")
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
+    parts = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         bound = math.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return Network(sizes=sizes, weights=weights, biases=biases)
+        parts += [rng.uniform(-bound, bound, size=fan_in * fan_out), np.zeros(fan_out)]
+    return Network(sizes, np.concatenate(parts))
 
 
 def _check_input(net: Network, x: np.ndarray) -> np.ndarray:
@@ -117,11 +145,14 @@ def _check_input(net: Network, x: np.ndarray) -> np.ndarray:
 
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
     """Pure forward pass; tanh hidden activations, linear output."""
-    return _forward_cached(net, x)[0]
+    return activations(net, x)[-1]
 
 
-def _forward_cached(net: Network, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    # activations[l] is the input to layer l; activations[-1] is the output
+def activations(net: Network, x: np.ndarray) -> list[np.ndarray]:
+    """The forward pass, keeping what gradient needs.
+
+    Element l is the input to layer l; the last element is the output.
+    """
     a = _check_input(net, x)
     acts = [a]
     last = len(net.weights) - 1
@@ -130,66 +161,61 @@ def _forward_cached(net: Network, x: np.ndarray) -> tuple[np.ndarray, list[np.nd
         if l != last:
             a = np.tanh(a)
         acts.append(a)
-    return a, acts
+    return acts
 
 
-def gradient(net: Network, x: np.ndarray, loss_grad_at_output: np.ndarray) -> Grads:
-    """Reverse-mode gradient of loss_grad . forward(net, x) w.r.t. parameters.
+def gradient(net: Network, acts: list[np.ndarray], loss_grad_at_output: np.ndarray) -> np.ndarray:
+    """Reverse-mode gradient of loss_grad . output w.r.t. the parameters.
 
-    For batched inputs (B, D) with cotangents (B, out), parameter gradients
-    are summed over the batch.
+    acts are activations(net, x) at the current parameters; the result is
+    a flat vector laid out like net.theta. For batched inputs (B, D) with
+    cotangents (B, out), parameter gradients are summed over the batch.
     """
-    _, acts = _forward_cached(net, x)
     g = np.asarray(loss_grad_at_output, dtype=float)
     if g.shape != acts[-1].shape:
         raise ValueError(f"cotangent shape {g.shape} != output shape {acts[-1].shape}")
-    batched = g.ndim == 2
-    grads: Grads = [None] * len(net.weights)  # type: ignore[list-item]
-    last = len(net.weights) - 1
+    grad = np.empty_like(net.theta)
+    dws, dbs = _layer_views(net.sizes, grad)
+    last = len(dws) - 1
     for l in range(last, -1, -1):
         if l != last:
             g = g * (1.0 - acts[l + 1] ** 2)  # tanh'
-        a_in = acts[l]
-        if batched:
-            dw = g.T @ a_in
-            db = g.sum(axis=0)
+        if g.ndim == 2:
+            np.matmul(g.T, acts[l], out=dws[l])
+            g.sum(axis=0, out=dbs[l])
         else:
-            dw = np.outer(g, a_in)
-            db = g.copy()
-        grads[l] = (dw, db)
-        g = g @ net.weights[l]
-    return grads
+            np.outer(g, acts[l], out=dws[l])
+            dbs[l][:] = g
+        if l:  # the network's input needs no gradient
+            g = g @ net.weights[l]
+    return grad
 
 
 def init_optimizer(net: Network, learning_rate: float = 1e-3,
                    beta1: float = 0.9, beta2: float = 0.999,
                    eps: float = 1e-8) -> OptimizerState:
-    return OptimizerState(
-        m_w=[np.zeros_like(w) for w in net.weights],
-        v_w=[np.zeros_like(w) for w in net.weights],
-        m_b=[np.zeros_like(b) for b in net.biases],
-        v_b=[np.zeros_like(b) for b in net.biases],
-        learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps,
-    )
+    return OptimizerState(m=np.zeros_like(net.theta), v=np.zeros_like(net.theta),
+                          learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps)
 
 
-def optimizer_step(net: Network, grads: Grads, state: OptimizerState) -> tuple[Network, OptimizerState]:
-    """One Adam update, applied in place; returns (net, state) for chaining."""
-    for dw, db in grads:
-        if not (np.isfinite(dw).all() and np.isfinite(db).all()):
-            raise NumericError("non-finite gradient component in optimizer step")
+def optimizer_step(net: Network, grad: np.ndarray,
+                   state: OptimizerState) -> tuple[Network, OptimizerState]:
+    """One Adam update of net.theta from the flat gradient, applied in
+    place; returns (net, state) for chaining."""
+    if not np.isfinite(grad).all():
+        raise NumericError("non-finite gradient component in optimizer step")
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     corr1 = 1.0 - b1 ** state.step
     corr2 = 1.0 - b2 ** state.step
     scale = state.learning_rate * math.sqrt(corr2) / corr1
-    for l, (dw, db) in enumerate(grads):
-        state.m_w[l] = b1 * state.m_w[l] + (1 - b1) * dw
-        state.v_w[l] = b2 * state.v_w[l] + (1 - b2) * dw * dw
-        state.m_b[l] = b1 * state.m_b[l] + (1 - b1) * db
-        state.v_b[l] = b2 * state.v_b[l] + (1 - b2) * db * db
-        net.weights[l] -= scale * state.m_w[l] / (np.sqrt(state.v_w[l]) + state.eps)
-        net.biases[l] -= scale * state.m_b[l] / (np.sqrt(state.v_b[l]) + state.eps)
+    # b1 m + (1 - b1) g and b2 v + (1 - b2) g g, in place but in that order
+    m, v, theta = state.m, state.v, net.theta
+    m *= b1
+    m += (1 - b1) * grad
+    v *= b2
+    v += (1 - b2) * grad * grad
+    theta -= scale * m / (np.sqrt(v) + state.eps)
     return net, state
 
 
@@ -357,9 +383,8 @@ def net_from_dict(d: dict, path, n_in: int, n_out: int) -> Network:
         raise DataError(f"{path}: field net.sizes is {sizes}, expected {n_in} -> ... -> {n_out}")
     if len(d["weights"]) != len(sizes) - 1 or len(d["biases"]) != len(sizes) - 1:
         raise DataError(f"{path}: field net needs one weight and bias array per layer")
-    weights, biases = [], []
+    parts = []
     for l, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        w = checked_field(d["weights"][l], path, f"net.weights[{l}]", fan_in * fan_out)
-        weights.append(w.reshape(fan_out, fan_in))
-        biases.append(checked_field(d["biases"][l], path, f"net.biases[{l}]", fan_out))
-    return Network(sizes=sizes, weights=weights, biases=biases)
+        parts.append(checked_field(d["weights"][l], path, f"net.weights[{l}]", fan_in * fan_out))
+        parts.append(checked_field(d["biases"][l], path, f"net.biases[{l}]", fan_out))
+    return Network(sizes, np.concatenate(parts))

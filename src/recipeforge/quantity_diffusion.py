@@ -144,16 +144,16 @@ def decode_weights(encoded, mask, codec: WeightCodec) -> np.ndarray:
     return grams
 
 
-def _dsm_residual(model: QuantityScoreModel, x0: np.ndarray, masks: np.ndarray, t: np.ndarray,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Network inputs at x_t ~ q(x_t | x0) and the masked residual of its
-    output against the noise target eps - sigma(t) x_t."""
+def _dsm_inputs(model: QuantityScoreModel, x0: np.ndarray, masks: np.ndarray, t: np.ndarray,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Network inputs at x_t ~ q(x_t | x0) and the noise target
+    eps - sigma(t) x_t its output is regressed onto (on masked cells)."""
     ab = model.sde.alpha_bar(t)[:, None]
     sigma = np.sqrt(1.0 - ab)
     eps = rng.standard_normal(x0.shape) * masks
     x_t = np.sqrt(ab) * x0 * masks + sigma * eps
     inputs = np.concatenate([x_t, masks, netcore.time_embedding(t, 1.0)], axis=1)
-    return inputs, (netcore.forward(model.net, inputs) - (eps - sigma * x_t)) * masks
+    return inputs, eps - sigma * x_t
 
 
 def _dsm_batch_step(model: QuantityScoreModel, x0: np.ndarray, masks: np.ndarray,
@@ -161,17 +161,19 @@ def _dsm_batch_step(model: QuantityScoreModel, x0: np.ndarray, masks: np.ndarray
     """One Adam step on the sigma^2-weighted DSM objective (the
     noise-residual regression, same minimizer as the unweighted loss)."""
     B = x0.shape[0]
-    inputs, resid = _dsm_residual(model, x0, masks, rng.uniform(model.sde.t_eps, 1.0, size=B), rng)
+    inputs, target = _dsm_inputs(model, x0, masks, rng.uniform(model.sde.t_eps, 1.0, size=B), rng)
+    acts = netcore.activations(model.net, inputs)
+    resid = (acts[-1] - target) * masks
     loss = float((resid ** 2).sum() / B)
-    grads = netcore.gradient(model.net, inputs, 2.0 * resid / B)
-    netcore.optimizer_step(model.net, grads, opt)
+    netcore.optimizer_step(model.net, netcore.gradient(model.net, acts, 2.0 * resid / B), opt)
     return loss
 
 
 def _validation_dsm(model: QuantityScoreModel, x0: np.ndarray, masks: np.ndarray, seed: int) -> float:
     """Unweighted DSM on a fixed deterministic t grid over [0.1, 0.95]."""
     t = np.linspace(0.1, 0.95, x0.shape[0])
-    _, resid = _dsm_residual(model, x0, masks, t, np.random.default_rng(seed))
+    inputs, target = _dsm_inputs(model, x0, masks, t, np.random.default_rng(seed))
+    resid = (netcore.forward(model.net, inputs) - target) * masks
     per_row = (resid ** 2).sum(axis=1) / (1.0 - model.sde.alpha_bar(t))
     return float(per_row.mean())
 

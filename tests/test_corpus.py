@@ -363,6 +363,17 @@ def test_load_vocabulary_requires_string_id_and_name(tmp_path, entries, message)
         cp.load_vocabulary(f)
 
 
+@pytest.mark.parametrize("entries, message", [
+    ([{"id": "bun"}, {"id": "beef"}], "vocabulary ids must be unique and sorted"),
+    ([], "vocabulary must contain at least one ingredient"),
+], ids=["unsorted", "empty"])
+def test_load_vocabulary_errors_name_the_file(tmp_path, entries, message):
+    f = tmp_path / "v.json"
+    f.write_text(json.dumps(entries))
+    with pytest.raises(DataError, match=rf"^{re.escape(str(f))}: {message}$"):
+        cp.load_vocabulary(f)
+
+
 def spec_doc(**changes):
     doc = {"count": 10, "ingredients": [
         {"id": "beef", "marginal": 0.5, "weight_log_mean": 5.0, "weight_log_sd": 0.3},
@@ -402,4 +413,32 @@ def test_synth_spec_errors_name_the_file(tmp_path, doc, message):
     f = tmp_path / "spec.json"
     f.write_text(json.dumps(doc))
     with pytest.raises(DataError, match=rf"^{re.escape(str(f))}: {message}"):
+        cp.load_synth_spec(f)
+
+
+# each numeric field of a synth spec, and the path to it in spec_doc's document
+NUMBER_FIELDS = {
+    "count": ("count",),
+    "ingredients[].marginal": ("ingredients", 0, "marginal"),
+    "ingredients[].weight_log_mean": ("ingredients", 1, "weight_log_mean"),
+    "ingredients[].weight_log_sd": ("ingredients", 0, "weight_log_sd"),
+    "pairs[].correlation": ("pairs", 0, "correlation"),
+    "planted[].frequency": ("planted", 0, "frequency"),
+    "planted[].ingredients[].grams": ("planted", 0, "ingredients", 0, "grams"),
+}
+
+
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_synth_spec_rejects_booleans_as_numbers(tmp_path, field):
+    doc = spec_doc(pairs=[{"a": "beef", "b": "bun", "correlation": 0.2}],
+                   planted=[{"frequency": 0.2, "ingredients": [{"id": "beef", "grams": 150}]}])
+    *parents, key = NUMBER_FIELDS[field]
+    node = doc
+    for part in parents:
+        node = node[part]
+    node[key] = True
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=rf"^{re.escape(str(f))}: malformed synth spec: "
+                                        rf"field {re.escape(field)} must be a number, got True$"):
         cp.load_synth_spec(f)

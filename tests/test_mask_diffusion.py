@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from recipeforge import mask_diffusion as md
@@ -12,7 +14,7 @@ from recipeforge.corpus import Corpus, IngredientVocabulary
 from recipeforge.errors import DataError
 from recipeforge.mask_diffusion import (MaskDiffusionModel, NoiseSchedule, _kl_bernoulli,
                                         _posterior_prob, _reverse_prob, linear_schedule)
-from helpers import flatten_params, forward_step_kernel, marginal_kernel, write_params
+from helpers import forward_step_kernel, marginal_kernel
 
 
 def make_model(schedule, K, seed=0, width=8):
@@ -162,6 +164,45 @@ def test_reverse_prob_reduces_to_p_hat_at_t1():
             assert abs(_reverse_prob(x_t, p_hat, 0.02, 1.0) - p_hat) < 1e-12
 
 
+@st.composite
+def schedules(draw):
+    """T in 1..200 and betas in (0, 1]. beta = 1 ends the chain (alpha_bar
+    reaches 0), so only the last step may take it; a beta below about 1e-16
+    leaves alpha_bar unchanged in float64."""
+    T = draw(st.integers(1, 200))
+    betas = draw(st.lists(st.floats(min_value=1e-15, max_value=1.0, exclude_max=True),
+                          min_size=T - 1, max_size=T - 1))
+    betas.append(draw(st.floats(min_value=1e-15, max_value=1.0)))
+    try:
+        return NoiseSchedule(betas=np.array(betas))
+    except ValueError:
+        assume(False)  # alpha_bar underflowed to 0 before the last step
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedules())
+def test_posterior_table_is_the_posterior_formula(sched):
+    assert sched.post.shape == (sched.T, 2, 2)
+    assert ((sched.post >= 0.0) & (sched.post <= 1.0)).all()
+    for t in range(1, sched.T + 1):
+        for x_t, x0 in itertools.product((0, 1), repeat=2):
+            exact = _posterior_prob(float(x_t), float(x0), sched.betas[t - 1],
+                                    sched.alpha_bar[t - 1])
+            assert sched.post[t - 1, x_t, x0] == exact
+
+
+def test_posterior_terms_read_the_table_per_cell():
+    sched = linear_schedule(7)
+    rng = np.random.default_rng(0)
+    t = rng.integers(1, 8, size=5)
+    x_t, x0 = (rng.random((2, 5, 4)) < 0.5).astype(float)
+    pi0, pi1, q_true = md._posterior_terms(sched, t, x_t, x0)
+    beta_t, ab_prev = sched.betas[t - 1][:, None], sched.alpha_bar[t - 1][:, None]
+    assert np.array_equal(pi0, _posterior_prob(x_t, 0.0, beta_t, ab_prev))
+    assert np.array_equal(pi1, _posterior_prob(x_t, 1.0, beta_t, ab_prev))
+    assert np.array_equal(q_true, _posterior_prob(x_t, x0, beta_t, ab_prev))
+
+
 # ---------------------------------------------------------------------------
 # ELBO
 
@@ -259,21 +300,19 @@ def test_elbo_gradient_matches_finite_differences():
     pi = np.clip(s * pi1 + (1 - s) * pi0, md._PCLIP, 1 - md._PCLIP)
     dkl = -q_true / pi + (1 - q_true) / (1 - pi)
     cot = dkl * (pi1 - pi0) * s * (1 - s) * (sched.T / 4)
-    grads = netcore.gradient(net, inputs, cot)
-    flat = np.concatenate([np.concatenate([dw.ravel(), db.ravel()]) for dw, db in grads])
-    theta = flatten_params(net)
+    flat = netcore.gradient(net, netcore.activations(net, inputs), cot)
+    theta = net.theta
     h = 1e-6
     worst = 0.0
     for i in np.random.default_rng(1).choice(theta.size, 30, replace=False):
-        tp = theta.copy(); tp[i] += h
-        write_params(net, tp)
+        orig = theta[i]
+        theta[i] = orig + h
         fp = loss_of(net)
-        tm = theta.copy(); tm[i] -= h
-        write_params(net, tm)
+        theta[i] = orig - h
         fm = loss_of(net)
+        theta[i] = orig
         num = (fp - fm) / (2 * h)
         worst = max(worst, abs(num - flat[i]) / (abs(num) + abs(flat[i]) + 1e-12))
-    write_params(net, theta)
     assert worst < 1e-4
 
 
