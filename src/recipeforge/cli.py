@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rediscover", help="search the sample stream for a reference recipe")
     _add_models(p)
-    p.add_argument("--reference", required=True, help="JSONL file; first recipe is the target")
+    p.add_argument("--reference", required=True, help="JSONL file holding the one target recipe")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--steps", type=int, default=None)
     _add_common(p)
@@ -418,6 +418,9 @@ def cmd_rediscover(cfg: dict, out_dir: Path, chash: str) -> int:
     vocab = _load_vocabulary(cfg, out_dir)
     _check_vocab(vocab, mask_model, qty_model)
     ref_corpus = corpus_mod.load_corpus(cfg["paths.reference"], vocab)
+    if len(ref_corpus) != 1:
+        raise DataError(f"{cfg['paths.reference']}: a rediscover reference must hold exactly "
+                        f"one recipe, found {len(ref_corpus)}")
     reference = ref_corpus.grams[0]
     outcome = discovery.rediscover(mask_model, qty_model, reference,
                                    int(cfg["rediscover.budget"]), int(cfg["run.seed"]),

@@ -74,11 +74,19 @@ DEFAULTS: dict[str, object] = {
 }
 
 
+# least allowed value of the integer keys that size a loop or a buffer
+_MINIMUMS = {"sample.count": 0, "sample.chunk_size": 1,
+            "rediscover.budget": 0, "rediscover.chunk_size": 1}
+
+
 def _coerce(key: str, value: object) -> object:
     default = DEFAULTS[key]
     if isinstance(default, int):
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or isinstance(value, float) and not value.is_integer()):
             raise DataError(f"config key {key} expects an integer, got {value!r}")
+        if value < _MINIMUMS.get(key, value):
+            raise DataError(f"config key {key} must be >= {_MINIMUMS[key]}, got {value!r}")
         return int(value)
     if isinstance(default, float):
         if not isinstance(value, (int, float)) or isinstance(value, bool):

@@ -373,9 +373,11 @@ def load_synth_spec(path: str | Path) -> SynthSpec:
         return value
 
     def number(value, name: str, kind=float):
-        # float(True) is 1.0: a JSON boolean must not pass as a number
-        if isinstance(value, bool):
+        # a JSON number: not a string, and not a boolean (float(True) is 1.0)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise TypeError(f"field {name} must be a number, got {value!r}")
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise TypeError(f"field {name} must be an integer, got {value!r}")
         return kind(value)
 
     try:

@@ -7,8 +7,10 @@ selection operations reproduce the discovery recipes: novelty-filtered
 repetition counting, lowest-decile environmental selection,
 top-fraction nutrition selection, and personalized selection. Each
 selection takes the batch's grams matrix and returns its group's
-founder, a (K,) grams row. Rediscovery streams samples with constant
-memory until one matches a reference row at SDS = 0.
+founder, a (K,) grams row. Rediscovery streams samples until one
+matches a reference row at SDS = 0; it computes the stream's chunks a
+fixed window at a time, separate from the chunk size that defines the
+stream, so memory is constant in the budget.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import mask_diffusion, netcore
 from .corpus import Corpus
-from .errors import DataError
+from .errors import DataError, NumericError
 from .mask_diffusion import MaskDiffusionModel, _sample_chunk
 from .quantity_diffusion import QuantityScoreModel, decode_weights, reverse_integrate, reverse_sample_batch
 from .scoring import (HEIComponentStandard, ImpactTable, NutrientTable, PersonProfile,
@@ -30,6 +32,8 @@ from .scoring import (HEIComponentStandard, ImpactTable, NutrientTable, PersonPr
 # distinct stream for quantity noise so mask and weight chunks never share
 # a seed sequence
 _QTY_STREAM = 0x9E3779B9
+# rediscover's compute window: rows of stream chunks sampled in lockstep
+_WINDOW_ROWS = 512
 
 
 @dataclass
@@ -141,29 +145,56 @@ def rediscover(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreMode
     """Stream samples until one matches the (K,) reference grams row at
     SDS = 0.
 
-    Samples are generated in whole chunks of chunk_size, decoded and
-    compared a chunk at a time, so memory is constant in the budget and
-    the i-th sample of the stream depends only on (models, seed,
-    chunk_size): it is row i of generate_batch at the same seed and chunk
-    size whenever that batch's count is a multiple of chunk_size. Returns
-    the first matching stream index, or not-found once the budget is
-    exhausted.
+    The stream is made of whole chunks of chunk_size, chunk c drawn from
+    the (seed, c) generators, so the i-th sample depends only on (models,
+    seed, chunk_size): it is row i of generate_batch at the same seed and
+    chunk size whenever that batch's count is a multiple of chunk_size.
+    Chunks are computed a window of _WINDOW_ROWS rows at a time: the
+    chunks of a window are sampled in lockstep, one network call per step
+    for all of them, then decoded and compared in stream order. The
+    window sets speed only, not the stream, and memory stays constant in
+    the budget. Returns the first matching stream index, or not-found once
+    the budget is exhausted.
     """
     _check_models(mask_model, quantity_model)
     if np.shape(reference) != (mask_model.K,):
         raise DataError("reference recipe does not match model vocabulary")
-    for lo in range(0, budget, chunk_size):
-        c, n = lo // chunk_size, min(chunk_size, budget - lo)
-        masks, _ = _sample_chunk(mask_model, chunk_size, netcore.chunk_rng(seed, c), True)
-        z = reverse_integrate(quantity_model.score, masks.astype(float), quantity_model.sde,
-                              netcore.chunk_rng(seed + _QTY_STREAM, c))
-        grams = decode_weights(z[:n], masks[:n], quantity_model.codec)
-        hits = np.flatnonzero(sds(grams, reference) == 0)
-        if hits.size:
-            return RediscoveryOutcome(found=True, index=lo + int(hits[0]),
-                                      recipe=grams[hits[0]],
-                                      draws=lo + int(hits[0]) + 1)
+    chunks = range(-(-budget // chunk_size))
+    per_window = max(1, _WINDOW_ROWS // chunk_size)
+    for first in range(0, len(chunks), per_window):
+        window = chunks[first:first + per_window]
+        try:
+            found = _first_match(mask_model, quantity_model, reference, budget, seed, chunk_size,
+                                 window)
+        except NumericError:
+            # one chunk at a time: an earlier chunk's match still wins, and
+            # the error raised is the first failing chunk's
+            for c in window:
+                found = _first_match(mask_model, quantity_model, reference, budget, seed,
+                                     chunk_size, range(c, c + 1))
+                if found is not None:
+                    break
+        if found is not None:
+            return found
     return RediscoveryOutcome(found=False, index=None, recipe=None, draws=budget)
+
+
+def _first_match(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreModel,
+                 reference: np.ndarray, budget: int, seed: int, chunk_size: int,
+                 chunks: range) -> RediscoveryOutcome | None:
+    """The first match to reference among the draws of the given stream
+    chunks, sampled in lockstep, or None."""
+    lo, n = chunks[0] * chunk_size, len(chunks) * chunk_size
+    rows = min(n, budget - lo)
+    masks, _ = _sample_chunk(mask_model, n, [netcore.chunk_rng(seed, c) for c in chunks], True)
+    z = reverse_integrate(quantity_model.score, masks.astype(float), quantity_model.sde,
+                          [netcore.chunk_rng(seed + _QTY_STREAM, c) for c in chunks])
+    grams = decode_weights(z[:rows], masks[:rows], quantity_model.codec)
+    hits = np.flatnonzero(sds(grams, reference) == 0)
+    if not hits.size:
+        return None
+    index = lo + int(hits[0])
+    return RediscoveryOutcome(found=True, index=index, recipe=grams[hits[0]], draws=index + 1)
 
 
 def _top_group(grams: np.ndarray, indices) -> tuple[np.ndarray, int, int]:

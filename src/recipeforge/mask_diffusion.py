@@ -105,18 +105,6 @@ def posterior(x_t, x0, t: int, schedule: NoiseSchedule):
     return _posterior_prob(x_t, x0, schedule.betas[t - 1], schedule.alpha_bar[t - 1])
 
 
-def _reverse_prob(x_t, p_hat, beta_t, alpha_bar_prev):
-    """Model reverse kernel: posterior marginalized over x0 ~ Bern(p_hat).
-
-    At t = 1 (alpha_bar_prev = 1) the posterior is a point mass at x0,
-    so this reduces to Bern(p_hat), the reconstruction distribution.
-    """
-    pi1 = _posterior_prob(x_t, 1.0, beta_t, alpha_bar_prev)
-    pi0 = _posterior_prob(x_t, 0.0, beta_t, alpha_bar_prev)
-    p_hat = np.asarray(p_hat, dtype=float)
-    return p_hat * pi1 + (1.0 - p_hat) * pi0
-
-
 _EVIDENCE_CAP = 12.0
 
 
@@ -253,31 +241,52 @@ def train_mask_model(corpus: Corpus, schedule: NoiseSchedule, config: TrainConfi
     return model
 
 
-def _sample_chunk(model: MaskDiffusionModel, n: int, rng: np.random.Generator,
-                  discard_empty: bool) -> tuple[np.ndarray, int]:
+def _reverse_pi(sched: NoiseSchedule, t: int, x_t: np.ndarray, p_hat: np.ndarray) -> np.ndarray:
+    """Model reverse kernel P(x_{t-1} = 1 | x_t): the posterior table's
+    step-t entries at x0 = 1 and x0 = 0, mixed by p_hat = P(x0 = 1).
+
+    At t = 1 the posterior is a point mass at x0, so this is p_hat, the
+    reconstruction distribution.
+    """
+    post = sched.post[t - 1]
+    bits = x_t.astype(np.intp)  # x_t picks the row of post[t - 1, x_t, x0]
+    return p_hat * post[:, 1].take(bits) + (1.0 - p_hat) * post[:, 0].take(bits)
+
+
+def _chains(model: MaskDiffusionModel, rngs: list[np.random.Generator], n: int) -> np.ndarray:
+    """n ancestral chains as len(rngs) equal blocks run in lockstep, one
+    denoiser call per step for all of them. Block j draws its start and
+    every uniform from rngs[j], the draws its chains alone would make."""
     sched = model.schedule
-    T = sched.T
-    K = model.K
+    u = np.empty((n, model.K))
+    x = (netcore.fill_blocks(u, rngs, np.random.Generator.random) < 0.5).astype(float)
+    for t in range(sched.T, 0, -1):
+        pi = _reverse_pi(sched, t, x, _predict_p_hat(model, x, np.full(n, t)))
+        x = (netcore.fill_blocks(u, rngs, np.random.Generator.random) < pi).astype(float)
+    return x
 
-    def chain(m: int) -> np.ndarray:
-        x = (rng.random((m, K)) < 0.5).astype(float)
-        for t in range(T, 0, -1):
-            p_hat = _predict_p_hat(model, x, np.full(m, t))
-            pi = _reverse_prob(x, p_hat, sched.betas[t - 1], sched.alpha_bar[t - 1])
-            x = (rng.random((m, K)) < pi).astype(float)
-        return x
 
-    x = chain(n)
+def _sample_chunk(model: MaskDiffusionModel, n: int, rngs: list[np.random.Generator],
+                  discard_empty: bool) -> tuple[np.ndarray, int]:
+    """n masks as len(rngs) equal blocks sampled in lockstep, and the
+    number of all-zero masks discarded.
+
+    Block j is what sampling its rows alone with rngs[j] gives: its
+    all-zero masks are resampled from rngs[j] after the lockstep chains,
+    block by block.
+    """
+    x = _chains(model, rngs, n)
     discarded = 0
     if discard_empty:
-        for _ in range(1000):
-            empty = ~x.astype(bool).any(axis=1)
-            if not empty.any():
-                break
-            discarded += int(empty.sum())
-            x[empty] = chain(int(empty.sum()))
-        else:
-            raise NumericError("mask sampler kept producing all-zero masks")
+        for block, rng in zip(np.split(x, len(rngs)), rngs):
+            for _ in range(1000):
+                empty = ~block.astype(bool).any(axis=1)
+                if not empty.any():
+                    break
+                discarded += int(empty.sum())
+                block[empty] = _chains(model, [rng], int(empty.sum()))
+            else:
+                raise NumericError("mask sampler kept producing all-zero masks")
     return x.astype(np.uint8), discarded
 
 
@@ -294,7 +303,7 @@ def sample_masks(model: MaskDiffusionModel, count: int, seed: int, *,
         return np.zeros((0, model.K), dtype=np.uint8)
     return netcore.map_chunks(
         count, chunk_size, seed, threads,
-        lambda rows, rng: _sample_chunk(model, rows.stop - rows.start, rng, discard_empty)[0])
+        lambda rows, rng: _sample_chunk(model, rows.stop - rows.start, [rng], discard_empty)[0])
 
 
 def save_mask_model(path: str | Path, model: MaskDiffusionModel, seed_lineage=None) -> None:

@@ -266,6 +266,18 @@ def chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
 
 
+def fill_blocks(out: np.ndarray, rngs: list[np.random.Generator], draw) -> np.ndarray:
+    """Fill out's len(rngs) equal row blocks in order, block j by
+    draw(rngs[j], out=block j): the values draw(rngs[j], block shape)
+    would return, so lockstep blocks keep each generator's own stream."""
+    m, rest = divmod(len(out), len(rngs))
+    if rest:
+        raise ValueError(f"{len(out)} rows do not split into {len(rngs)} equal blocks")
+    for j, rng in enumerate(rngs):
+        draw(rng, out=out[j * m:(j + 1) * m])
+    return out
+
+
 def map_chunks(n: int, chunk_size: int, seed: int, threads: int,
                draw: Callable[[slice, np.random.Generator], np.ndarray]) -> np.ndarray:
     """Concatenate draw(rows, chunk_rng(seed, c)) over the chunks of n >= 1 rows.

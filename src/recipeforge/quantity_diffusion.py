@@ -205,16 +205,19 @@ def train_quantity_model(corpus: Corpus, sde: SDESpec, config: TrainConfig,
 
 
 def reverse_integrate(score_fn: ScoreFn, masks: np.ndarray, sde: SDESpec,
-                      rng: np.random.Generator) -> np.ndarray:
+                      rngs: list[np.random.Generator]) -> np.ndarray:
     """Euler-Maruyama integration of the reverse-time VP SDE.
 
     Starts from a standard normal on active coordinates at t = 1 and
     steps down to t_eps on a uniform grid; no noise is injected on the
     final step. Masked-out coordinates stay pinned at zero throughout.
+    The rows are len(rngs) equal blocks integrated in lockstep, one
+    score_fn call per step for all of them; block j draws its start and
+    every noise increment from rngs[j], the draws its rows alone would make.
     """
     masks = np.atleast_2d(np.asarray(masks, dtype=float))
-    n, K = masks.shape
-    x = rng.standard_normal((n, K)) * masks
+    noise = np.empty(masks.shape)
+    x = netcore.fill_blocks(noise, rngs, np.random.Generator.standard_normal) * masks
     ts = np.linspace(1.0, sde.t_eps, sde.steps + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(sde.steps):
@@ -224,7 +227,8 @@ def reverse_integrate(score_fn: ScoreFn, masks: np.ndarray, sde: SDESpec,
             s = score_fn(x, masks, t)
             x = x + b * (s + 0.5 * x) * dt * masks
             if k < sde.steps - 1:
-                x = x + math.sqrt(b * dt) * rng.standard_normal((n, K)) * masks
+                x = x + math.sqrt(b * dt) * netcore.fill_blocks(
+                    noise, rngs, np.random.Generator.standard_normal) * masks
             if not np.isfinite(x).all():
                 norm = float(np.abs(x[np.isfinite(x)]).max()) if np.isfinite(x).any() else float("inf")
                 raise NumericError(
@@ -245,7 +249,7 @@ def reverse_sample_batch(model: QuantityScoreModel, masks: np.ndarray, seed: int
         return np.zeros(masks.shape)
     z = netcore.map_chunks(
         masks.shape[0], chunk_size, seed, threads,
-        lambda rows, rng: reverse_integrate(model.score, masks[rows], model.sde, rng))
+        lambda rows, rng: reverse_integrate(model.score, masks[rows], model.sde, [rng]))
     return decode_weights(z, masks, model.codec)
 
 

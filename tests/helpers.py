@@ -1,8 +1,10 @@
 """Reference computations that only the tests use.
 
-Closed-form kernels of the two diffusion models, a finite-difference
-gradient check for netcore networks, a per-layer reference training
-step, and the inclusion marginals a synth spec implies. The program
+Closed-form kernels of the two diffusion models (the mask sampler's
+reverse kernel among them, evaluated from the posterior formula), small
+untrained models for sample-stream checks, a finite-difference gradient
+check for netcore networks, a per-layer reference training step, and
+the inclusion marginals a synth spec implies. The program
 never calls them; the tests compare its vectorised code against them.
 """
 
@@ -15,6 +17,7 @@ import numpy as np
 
 from recipeforge import mask_diffusion as md
 from recipeforge import netcore
+from recipeforge import quantity_diffusion as qd
 from recipeforge.corpus import SynthSpec
 from recipeforge.errors import NumericError
 from recipeforge.mask_diffusion import NoiseSchedule
@@ -45,6 +48,18 @@ def marginal_kernel(x0, t: int, schedule: NoiseSchedule):
     return ab * np.asarray(x0, dtype=float) + (1.0 - ab) / 2.0
 
 
+def reverse_prob(x_t, p_hat, beta_t, alpha_bar_prev):
+    """Model reverse kernel: posterior marginalized over x0 ~ Bern(p_hat).
+
+    At t = 1 (alpha_bar_prev = 1) the posterior is a point mass at x0,
+    so this reduces to Bern(p_hat), the reconstruction distribution.
+    """
+    pi1 = md._posterior_prob(x_t, 1.0, beta_t, alpha_bar_prev)
+    pi0 = md._posterior_prob(x_t, 0.0, beta_t, alpha_bar_prev)
+    p_hat = np.asarray(p_hat, dtype=float)
+    return p_hat * pi1 + (1.0 - p_hat) * pi0
+
+
 def perturb(x0, t: float, sde: SDESpec, seed: int) -> np.ndarray:
     """Exact VP forward marginal: sqrt(ab) x0 + sqrt(1 - ab) eps."""
     if not 0.0 < t <= 1.0:
@@ -53,6 +68,19 @@ def perturb(x0, t: float, sde: SDESpec, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     ab = float(sde.alpha_bar(t))
     return math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * rng.standard_normal(x0.shape)
+
+
+def random_models(K=6, seed=0):
+    """Untrained mask and quantity models whose samples vary, so each row of
+    a sample stream is distinctive."""
+    mask_model = md.MaskDiffusionModel(
+        schedule=md.linear_schedule(10), net=netcore.init_network([K + 3, 8, K], seed),
+        K=K, vocab_fingerprint="v")
+    codec = qd.WeightCodec(log_mean=np.full(K, np.log(100.0)), log_std=np.full(K, 0.5))
+    qty_model = qd.QuantityScoreModel(
+        sde=qd.SDESpec(steps=20), net=netcore.init_network([2 * K + 3, 8, K], seed + 1),
+        codec=codec, K=K, vocab_fingerprint="v")
+    return mask_model, qty_model
 
 
 def gradcheck(net: Network, seed: int, n_params: int = 100, h: float = 1e-5) -> float:

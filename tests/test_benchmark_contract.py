@@ -13,7 +13,11 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from helpers import random_models
+from recipeforge import discovery
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -70,3 +74,21 @@ def test_traced_method_is_defined_on_its_class(module, cls, meth):
     assert owner is not None, f"perfbench/spans.py wraps recipeforge.{module}.{cls}, which is gone"
     assert callable(vars(owner).get(meth)), (
         f"perfbench/spans.py wraps {cls}.{meth}, which {cls} does not define")
+
+
+def test_traced_rediscover_counts_stream_rows_and_draws():
+    # 600 draws in 64-row chunks: 10 chunks, computed as windows of 8 and 2
+    budget, chunk = 600, 64
+    mask_model, qty_model = random_models()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        out = discovery.rediscover(mask_model, qty_model, np.zeros(mask_model.K), budget, seed=1,
+                                   chunk_size=chunk)
+    finally:
+        tracer.uninstall()
+    assert not out.found
+    rows = -(-budget // chunk) * chunk
+    assert tracer.get("mask_diffusion.sample_chunk").counters["rows"] == rows
+    assert tracer.get("quantity_diffusion.reverse_integrate").counters["rows"] == rows
+    assert tracer.get("discovery.rediscover").counters["draws"] == budget

@@ -145,6 +145,34 @@ def test_rediscover_subcommand(pipeline, tmp_path):
         assert out["verified_sds_zero"]
 
 
+def test_rediscover_reference_must_hold_one_recipe(pipeline, tmp_path, capsys):
+    ref = tmp_path / "two.jsonl"
+    ref.write_text("".join(json.dumps({"ingredients": [{"id": "sesame_bun", "grams": g}]}) + "\n"
+                           for g in (75, 80)))
+    code = cli.run(["rediscover", "--reference", str(ref), "--budget", "8",
+                    "--out-dir", str(pipeline), "--seed", "8", "--set", "sde.steps=80"])
+    assert code == 2
+    assert f"{ref}: a rediscover reference must hold exactly one recipe, found 2" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, args, message", [
+    ("rediscover", ["--budget", "-5"], "rediscover.budget must be >= 0, got -5"),
+    ("rediscover", ["--budget", "10", "--set", "rediscover.chunk_size=-3"],
+     "rediscover.chunk_size must be >= 1, got -3"),
+    ("rediscover", ["--set", "rediscover.chunk_size=0"], "rediscover.chunk_size must be >= 1, got 0"),
+    ("sample", ["--chunk-size", "-2"], "sample.chunk_size must be >= 1, got -2"),
+    ("sample", ["--count", "-1"], "sample.count must be >= 0, got -1"),
+    ("sample", ["--set", "sample.count=Infinity"], "sample.count expects an integer, got inf"),
+], ids=["budget", "rediscover_chunk", "rediscover_chunk_zero", "sample_chunk", "sample_count",
+        "infinite_count"])
+def test_out_of_range_sizes_are_data_errors(pipeline, tmp_path, capsys, command, args, message):
+    extra = ["--reference", str(tmp_path / "ref.jsonl")] if command == "rediscover" else []
+    code = cli.run([command, *extra, *args, "--out-dir", str(pipeline), "--seed", "1"])
+    assert code == 2
+    assert f"config key {message}" in capsys.readouterr().err
+
+
 def test_discover_subcommand(pipeline):
     run_ok(["discover", "--corpus", str(pipeline / "corpus.jsonl"),
             "--samples", str(pipeline / "samples" / "samples.jsonl"),

@@ -403,7 +403,7 @@ def test_synth_spec_requires_string_ids(tmp_path, doc, message):
 @pytest.mark.parametrize("doc, message", [
     ({key: v for key, v in spec_doc().items() if key != "count"},
      "malformed synth spec: field 'count' is missing"),
-    (spec_doc(count="ten"), "malformed synth spec: invalid literal"),
+    (spec_doc(count="ten"), "malformed synth spec: field count must be a number, got 'ten'"),
     ([spec_doc()], "synth spec must be a JSON object"),
     (spec_doc(count=0), "recipe count must be >= 1"),
     (spec_doc(pairs=[{"a": "beef", "b": "tofu", "correlation": 0.2}]),
@@ -442,3 +442,28 @@ def test_synth_spec_rejects_booleans_as_numbers(tmp_path, field):
     with pytest.raises(DataError, match=rf"^{re.escape(str(f))}: malformed synth spec: "
                                         rf"field {re.escape(field)} must be a number, got True$"):
         cp.load_synth_spec(f)
+
+
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_synth_spec_rejects_strings_as_numbers(tmp_path, field):
+    doc = spec_doc(pairs=[{"a": "beef", "b": "bun", "correlation": 0.2}],
+                   planted=[{"frequency": 0.2, "ingredients": [{"id": "beef", "grams": 150}]}])
+    *parents, key = NUMBER_FIELDS[field]
+    node = doc
+    for part in parents:
+        node = node[part]
+    node[key] = str(node[key])
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=rf"^{re.escape(str(f))}: malformed synth spec: "
+                                        rf"field {re.escape(field)} must be a number, got '"):
+        cp.load_synth_spec(f)
+
+
+def test_synth_spec_count_must_be_integral(tmp_path):
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps(spec_doc(count=10.7)))
+    with pytest.raises(DataError, match=r"field count must be an integer, got 10\.7$"):
+        cp.load_synth_spec(f)
+    f.write_text(json.dumps(spec_doc(count=10.0)))
+    assert cp.load_synth_spec(f).count == 10

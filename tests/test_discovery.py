@@ -12,7 +12,8 @@ from recipeforge import netcore
 from recipeforge import quantity_diffusion as qd
 from recipeforge import scoring
 from recipeforge.corpus import Corpus, IngredientVocabulary, load_synth_spec, synthesize_corpus
-from recipeforge.errors import DataError
+from recipeforge.errors import DataError, NumericError
+from helpers import random_models
 
 DESK_SPEC = Path(dc.__file__).parent / "data" / "desk" / "synth_spec.json"
 VOCAB = IngredientVocabulary.from_ids(["beef", "bun", "cheese", "onion"])
@@ -67,29 +68,56 @@ def test_generate_batch_deterministic(trained_models):
     np.testing.assert_array_equal(a, b)
 
 
-def random_models(K=6, seed=0):
-    """Untrained models whose samples vary, so each stream row is distinctive."""
-    mask_model = md.MaskDiffusionModel(
-        schedule=md.linear_schedule(10), net=netcore.init_network([K + 3, 8, K], seed),
-        K=K, vocab_fingerprint="v")
-    codec = qd.WeightCodec(log_mean=np.full(K, np.log(100.0)), log_std=np.full(K, 0.5))
-    qty_model = qd.QuantityScoreModel(
-        sde=qd.SDESpec(steps=20), net=netcore.init_network([2 * K + 3, 8, K], seed + 1),
-        codec=codec, K=K, vocab_fingerprint="v")
-    return mask_model, qty_model
-
-
-def test_generate_batch_rows_are_the_rediscover_stream():
-    # with count a multiple of the chunk size, batch row i is rediscover's draw i
+@pytest.mark.parametrize("chunk, budget", [(8, 16), (64, 150)])
+def test_generate_batch_rows_are_the_rediscover_stream(chunk, budget):
+    # with count a multiple of the chunk size, batch row i is rediscover's
+    # draw i, also within a last chunk the budget cuts short
     mask_model, qty_model = random_models()
-    chunk = 8
-    grams = dc.generate_batch(mask_model, qty_model, 2 * chunk, seed=5, chunk_size=chunk)
-    for i in range(2 * chunk):
+    count = -(-budget // chunk) * chunk
+    grams = dc.generate_batch(mask_model, qty_model, count, seed=5, chunk_size=chunk)
+    for i in range(budget):
         out = dc.rediscover(mask_model, qty_model, grams[i],
-                            budget=2 * chunk, seed=5, chunk_size=chunk)
+                            budget=budget, seed=5, chunk_size=chunk)
         first = min(j for j in range(i + 1) if scoring.sds(grams[j], grams[i]) == 0)
         assert out.found and out.index == first and out.draws == first + 1
         np.testing.assert_array_equal(out.recipe, grams[first])
+
+
+def test_rediscover_window_does_not_change_the_outcome(monkeypatch):
+    # 1,100 draws in 64-row chunks span three 512-row windows
+    mask_model, qty_model = random_models()
+    grams = dc.generate_batch(mask_model, qty_model, 1152, seed=6, chunk_size=64)
+    refs = [grams[3], grams[700], grams[1099], np.zeros(mask_model.K)]
+    windowed = [dc.rediscover(mask_model, qty_model, r, 1100, 6) for r in refs]
+    monkeypatch.setattr(dc, "_WINDOW_ROWS", 64)
+    for ref, out in zip(refs, windowed):
+        one = dc.rediscover(mask_model, qty_model, ref, 1100, 6)
+        assert (out.found, out.index, out.draws) == (one.found, one.index, one.draws)
+        np.testing.assert_array_equal(out.recipe, one.recipe)
+    assert [o.found for o in windowed] == [True, True, True, False]
+
+
+def test_rediscover_earlier_hit_wins_over_a_later_blow_up(monkeypatch):
+    # the quantity sampler of chunks 1 and 2 fails; a window holds chunks 0-3
+    mask_model, qty_model = random_models()
+    failing = {netcore.chunk_rng(6 + dc._QTY_STREAM, c).bit_generator.state["state"]["state"]: c
+               for c in (1, 2)}
+    real = dc.reverse_integrate
+
+    def reverse_integrate(score_fn, masks, sde, rngs):
+        for rng in rngs:
+            c = failing.get(rng.bit_generator.state["state"]["state"])
+            if c is not None:
+                raise NumericError(f"blow-up in chunk {c}")
+        return real(score_fn, masks, sde, rngs)
+
+    monkeypatch.setattr(dc, "reverse_integrate", reverse_integrate)
+    grams = dc.generate_batch(mask_model, qty_model, 8, seed=6, chunk_size=8)
+    out = dc.rediscover(mask_model, qty_model, grams[5], 32, 6, chunk_size=8)
+    assert out.found and out.index <= 5
+    np.testing.assert_array_equal(out.recipe, grams[out.index])
+    with pytest.raises(NumericError, match="chunk 1$"):
+        dc.rediscover(mask_model, qty_model, np.zeros(mask_model.K), 32, 6, chunk_size=8)
 
 
 def test_generate_batch_rejects_vocabulary_mismatch(trained_models):

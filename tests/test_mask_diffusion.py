@@ -13,8 +13,8 @@ from recipeforge import netcore
 from recipeforge.corpus import Corpus, IngredientVocabulary
 from recipeforge.errors import DataError
 from recipeforge.mask_diffusion import (MaskDiffusionModel, NoiseSchedule, _kl_bernoulli,
-                                        _posterior_prob, _reverse_prob, linear_schedule)
-from helpers import forward_step_kernel, marginal_kernel
+                                        _posterior_prob, linear_schedule)
+from helpers import forward_step_kernel, marginal_kernel, reverse_prob
 
 
 def make_model(schedule, K, seed=0, width=8):
@@ -161,7 +161,7 @@ def test_reverse_prob_reduces_to_p_hat_at_t1():
     # alpha_bar_prev = 1: reconstruction distribution is Bern(p_hat)
     for x_t in (0.0, 1.0):
         for p_hat in (0.1, 0.5, 0.93):
-            assert abs(_reverse_prob(x_t, p_hat, 0.02, 1.0) - p_hat) < 1e-12
+            assert abs(reverse_prob(x_t, p_hat, 0.02, 1.0) - p_hat) < 1e-12
 
 
 @st.composite
@@ -189,6 +189,17 @@ def test_posterior_table_is_the_posterior_formula(sched):
             exact = _posterior_prob(float(x_t), float(x0), sched.betas[t - 1],
                                     sched.alpha_bar[t - 1])
             assert sched.post[t - 1, x_t, x0] == exact
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedules(), st.data())
+def test_sampler_reverse_kernel_is_the_formula(sched, data):
+    t = data.draw(st.integers(1, sched.T))
+    x_t = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=8)))
+    p_hat = np.array(data.draw(st.lists(st.floats(md._PCLIP, 1.0 - md._PCLIP),
+                                        min_size=len(x_t), max_size=len(x_t))))
+    exact = reverse_prob(x_t, p_hat, sched.betas[t - 1], sched.alpha_bar[t - 1])
+    assert md._reverse_pi(sched, t, x_t, p_hat).tobytes() == exact.tobytes()
 
 
 def test_posterior_terms_read_the_table_per_cell():
@@ -220,7 +231,7 @@ def enumerate_negative_elbo(model, x0):
         return p1 if x_t == 1 else 1 - p1
 
     def p_rev(x_prev, x_t, t):
-        pi = _reverse_prob(float(x_t), p_hat(x_t, t), sched.betas[t - 1], sched.alpha_bar[t - 1])
+        pi = reverse_prob(float(x_t), p_hat(x_t, t), sched.betas[t - 1], sched.alpha_bar[t - 1])
         return pi if x_prev == 1 else 1 - pi
 
     total = 0.0
@@ -389,6 +400,18 @@ def test_sample_threads_do_not_change_output():
     a = md.sample_masks(model, 600, seed=4, chunk_size=128, threads=1)
     b = md.sample_masks(model, 600, seed=4, chunk_size=128, threads=4)
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("blocks, m", [(4, 64), (3, 5)])
+def test_sample_chunk_blocks_are_their_single_generator_chunks(blocks, m):
+    # K = 3 from an untrained net: about one chain in eight ends all-zero and
+    # is resampled from its own block's generator
+    model = make_model(linear_schedule(10), K=3, seed=7)
+    together, discarded = md._sample_chunk(
+        model, blocks * m, [netcore.chunk_rng(9, c) for c in range(blocks)], True)
+    alone = [md._sample_chunk(model, m, [netcore.chunk_rng(9, c)], True) for c in range(blocks)]
+    np.testing.assert_array_equal(together, np.concatenate([x for x, _ in alone]))
+    assert discarded == sum(d for _, d in alone) > 0
 
 
 def test_sample_discards_empty_masks():

@@ -233,7 +233,7 @@ def test_reverse_sampler_recovers_analytic_gaussian():
         return -(x - math.sqrt(ab) * 2.0) / var
 
     rng = np.random.default_rng(6)
-    x = qd.reverse_integrate(score, np.ones((4000, 1)), sde, rng)[:, 0]
+    x = qd.reverse_integrate(score, np.ones((4000, 1)), sde, [rng])[:, 0]
     assert abs(x.mean() - 2.0) < 0.05
     assert abs(x.var() - 0.25) < 0.03
 
@@ -255,7 +255,7 @@ def test_reverse_sampler_recovers_two_component_mixture():
         return (g * (-d / var)).sum(axis=-1)
 
     rng = np.random.default_rng(7)
-    x = qd.reverse_integrate(score, np.ones((10_000, 1)), sde, rng)[:, 0]
+    x = qd.reverse_integrate(score, np.ones((10_000, 1)), sde, [rng])[:, 0]
     mass_high = (x > 0).mean()
     assert abs(mass_high - 0.5) < 0.05
     assert abs(x[x > 0].mean() - 2.0) < 0.1
@@ -291,6 +291,25 @@ def test_reverse_sample_batch_thread_determinism():
     np.testing.assert_array_equal(a, b)
 
 
+def test_reverse_integrate_blocks_are_their_single_generator_runs():
+    # at the desk spec's sizes (30 ingredients, 32 hidden units) a 64-row
+    # block gets the same bits inside the 256-row products, so lockstep
+    # integration gives the solo runs bit for bit; with fewer outputs than
+    # about 20, OpenBLAS may round blocks differently in the last bits
+    K, m = 30, 64
+    net = netcore.init_network([2 * K + 3, 32, 32, 32, K], seed=16)
+    model = qd.QuantityScoreModel(sde=qd.SDESpec(steps=50), net=net, codec=make_codec(K), K=K)
+    masks = (np.random.default_rng(17).random((4 * m, K)) < 0.4).astype(float)
+    together = qd.reverse_integrate(model.score, masks, model.sde,
+                                    [netcore.chunk_rng(18, c) for c in range(4)])
+    alone = [qd.reverse_integrate(model.score, masks[c * m:(c + 1) * m], model.sde,
+                                  [netcore.chunk_rng(18, c)]) for c in range(4)]
+    assert together.tobytes() == np.concatenate(alone).tobytes()
+    with pytest.raises(ValueError, match="equal blocks"):
+        qd.reverse_integrate(model.score, masks[:-1], model.sde,
+                             [netcore.chunk_rng(18, c) for c in range(4)])
+
+
 def test_reverse_integrate_reports_non_finite_state():
     sde = qd.SDESpec(steps=200)
 
@@ -300,7 +319,7 @@ def test_reverse_integrate_reports_non_finite_state():
 
     rng = np.random.default_rng(15)
     with pytest.raises(NumericError, match="step"):
-        qd.reverse_integrate(exploding, np.ones((8, 2)), sde, rng)
+        qd.reverse_integrate(exploding, np.ones((8, 2)), sde, [rng])
 
 
 # ---------------------------------------------------------------------------
