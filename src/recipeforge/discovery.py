@@ -9,8 +9,10 @@ top-fraction nutrition selection, and personalized selection. Each
 selection takes the batch's grams matrix and returns its group's
 founder, a (K,) grams row. Rediscovery streams samples until one
 matches a reference row at SDS = 0; it computes the stream's chunks a
-fixed window at a time, separate from the chunk size that defines the
-stream, so memory is constant in the budget.
+window at a time, separate from the chunk size that defines the
+stream: the first window is one chunk and each next one doubles, up to
+a fixed row count, so memory is constant in the budget and an early
+match costs about what it costs chunk by chunk.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .scoring import (HEIComponentStandard, ImpactTable, NutrientTable, PersonPr
 # distinct stream for quantity noise so mask and weight chunks never share
 # a seed sequence
 _QTY_STREAM = 0x9E3779B9
-# rediscover's compute window: rows of stream chunks sampled in lockstep
+# rows of stream chunks rediscover samples in lockstep, at most, per window
 _WINDOW_ROWS = 512
 
 
@@ -149,20 +151,29 @@ def rediscover(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreMode
     the (seed, c) generators, so the i-th sample depends only on (models,
     seed, chunk_size): it is row i of generate_batch at the same seed and
     chunk size whenever that batch's count is a multiple of chunk_size.
-    Chunks are computed a window of _WINDOW_ROWS rows at a time: the
-    chunks of a window are sampled in lockstep, one network call per step
-    for all of them, then decoded and compared in stream order. The
-    window sets speed only, not the stream, and memory stays constant in
-    the budget. Returns the first matching stream index, or not-found once
-    the budget is exhausted.
+    Chunks are computed a window at a time: the chunks of a window are
+    sampled in lockstep, one network call per step for all of them, then
+    decoded and compared in stream order. The first window is one chunk
+    and each next window doubles, up to _WINDOW_ROWS rows, so a search
+    that ends early computes few chunks past its match, a long one pays
+    the per-step cost once per _WINDOW_ROWS rows, and memory stays
+    constant in the budget. A chunk's draws in a window equal its draws
+    alone to the bit when the network product gives its rows the same
+    BLAS kernel inside the window as alone, as it does at 64-row chunks
+    of the desk models. With fewer than about 20 outputs, or chunks of
+    fewer than about 40 rows, the product can differ in the last bits,
+    so draw i equals generate_batch's row i only up to that rounding.
+    Returns the first matching stream index, or not-found once the
+    budget is exhausted.
     """
     _check_models(mask_model, quantity_model)
     if np.shape(reference) != (mask_model.K,):
         raise DataError("reference recipe does not match model vocabulary")
     chunks = range(-(-budget // chunk_size))
-    per_window = max(1, _WINDOW_ROWS // chunk_size)
-    for first in range(0, len(chunks), per_window):
-        window = chunks[first:first + per_window]
+    most = max(1, _WINDOW_ROWS // chunk_size)
+    first, size = 0, 1
+    while first < len(chunks):
+        window = chunks[first:first + size]
         try:
             found = _first_match(mask_model, quantity_model, reference, budget, seed, chunk_size,
                                  window)
@@ -176,6 +187,7 @@ def rediscover(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreMode
                     break
         if found is not None:
             return found
+        first, size = first + size, min(2 * size, most)
     return RediscoveryOutcome(found=False, index=None, recipe=None, draws=budget)
 
 

@@ -140,14 +140,23 @@ def _kl_bernoulli(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return rel_entr(q, p) + rel_entr(1.0 - q, 1.0 - p)
 
 
+def _post_pair(sched: NoiseSchedule, t, x_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pi0, pi1): P(x_{t-1} = 1 | x_t, x0) at x0 = 0 and at x0 = 1, per
+    cell of the bits x_t at step t (an int, or an array that broadcasts
+    against x_t), read from sched.post."""
+    post = sched.post.ravel()
+    at = x_t.astype(np.intp)
+    at *= 2
+    at += 4 * t - 4  # flat index of post[t - 1, x_t, 0]
+    pi0 = post.take(at)
+    at += 1
+    return pi0, post.take(at)
+
+
 def _posterior_terms(sched: NoiseSchedule, t: np.ndarray, x_t: np.ndarray,
                      x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pi0, pi1, q_true): P(x_{t-1} = 1 | x_t, x0) at x0 = 0, at x0 = 1 and
-    at the given x0, per cell of the (B, K) bits x_t and x0 with one step t
-    per row, read from sched.post."""
-    post = sched.post.ravel()
-    at_x0_0 = (4 * t - 4)[:, None] + 2 * x_t.astype(np.intp)  # flat index of post[t-1, x_t, 0]
-    pi0, pi1 = post.take(at_x0_0), post.take(at_x0_0 + 1)
+    """(pi0, pi1, q_true): _post_pair and the posterior at the given x0."""
+    pi0, pi1 = _post_pair(sched, t[:, None], x_t)
     return pi0, pi1, np.where(x0 == 1.0, pi1, pi0)
 
 
@@ -248,9 +257,8 @@ def _reverse_pi(sched: NoiseSchedule, t: int, x_t: np.ndarray, p_hat: np.ndarray
     At t = 1 the posterior is a point mass at x0, so this is p_hat, the
     reconstruction distribution.
     """
-    post = sched.post[t - 1]
-    bits = x_t.astype(np.intp)  # x_t picks the row of post[t - 1, x_t, x0]
-    return p_hat * post[:, 1].take(bits) + (1.0 - p_hat) * post[:, 0].take(bits)
+    pi0, pi1 = _post_pair(sched, t, x_t)
+    return p_hat * pi1 + (1.0 - p_hat) * pi0
 
 
 def _chains(model: MaskDiffusionModel, rngs: list[np.random.Generator], n: int) -> np.ndarray:

@@ -77,9 +77,12 @@ def test_traced_method_is_defined_on_its_class(module, cls, meth):
 
 
 def test_traced_rediscover_counts_stream_rows_and_draws():
-    # 600 draws in 64-row chunks: 10 chunks, computed as windows of 8 and 2
+    # 600 draws in 64-row chunks: 10 chunks, computed as windows of 1, 2, 4
+    # and 3 chunks
     budget, chunk = 600, 64
     mask_model, qty_model = random_models()
+    for module, *_ in spans.FUNCTIONS + spans.METHODS:
+        importlib.import_module(f"recipeforge.{module}")
     tracer = spans.Tracer()
     tracer.install()
     try:

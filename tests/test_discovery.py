@@ -83,8 +83,27 @@ def test_generate_batch_rows_are_the_rediscover_stream(chunk, budget):
         np.testing.assert_array_equal(out.recipe, grams[first])
 
 
+def test_rediscover_windows_double_from_one_chunk(monkeypatch):
+    mask_model, qty_model = random_models()
+    grams = dc.generate_batch(mask_model, qty_model, 64, seed=6, chunk_size=64)
+    rows = []
+    real = dc._sample_chunk
+
+    def sample_chunk(model, n, rngs, discard_empty):
+        rows.append(n)
+        return real(model, n, rngs, discard_empty)
+
+    monkeypatch.setattr(dc, "_sample_chunk", sample_chunk)
+    # an early match computes its own chunk only
+    assert dc.rediscover(mask_model, qty_model, grams[3], 1100, 6).found
+    assert rows == [64]
+    rows.clear()
+    assert not dc.rediscover(mask_model, qty_model, np.zeros(mask_model.K), 1100, 6).found
+    assert rows == [64, 128, 256, 512, 192]
+
+
 def test_rediscover_window_does_not_change_the_outcome(monkeypatch):
-    # 1,100 draws in 64-row chunks span three 512-row windows
+    # 1,100 draws in 64-row chunks: windows of 1, 2, 4, 8 and 3 chunks
     mask_model, qty_model = random_models()
     grams = dc.generate_batch(mask_model, qty_model, 1152, seed=6, chunk_size=64)
     refs = [grams[3], grams[700], grams[1099], np.zeros(mask_model.K)]
@@ -98,10 +117,11 @@ def test_rediscover_window_does_not_change_the_outcome(monkeypatch):
 
 
 def test_rediscover_earlier_hit_wins_over_a_later_blow_up(monkeypatch):
-    # the quantity sampler of chunks 1 and 2 fails; a window holds chunks 0-3
+    # the quantity sampler of chunks 4 and 5 fails; the third window holds
+    # chunks 3-6, and draw 29, in chunk 3, has no earlier match
     mask_model, qty_model = random_models()
     failing = {netcore.chunk_rng(6 + dc._QTY_STREAM, c).bit_generator.state["state"]["state"]: c
-               for c in (1, 2)}
+               for c in (4, 5)}
     real = dc.reverse_integrate
 
     def reverse_integrate(score_fn, masks, sde, rngs):
@@ -112,12 +132,12 @@ def test_rediscover_earlier_hit_wins_over_a_later_blow_up(monkeypatch):
         return real(score_fn, masks, sde, rngs)
 
     monkeypatch.setattr(dc, "reverse_integrate", reverse_integrate)
-    grams = dc.generate_batch(mask_model, qty_model, 8, seed=6, chunk_size=8)
-    out = dc.rediscover(mask_model, qty_model, grams[5], 32, 6, chunk_size=8)
-    assert out.found and out.index <= 5
-    np.testing.assert_array_equal(out.recipe, grams[out.index])
-    with pytest.raises(NumericError, match="chunk 1$"):
-        dc.rediscover(mask_model, qty_model, np.zeros(mask_model.K), 32, 6, chunk_size=8)
+    grams = dc.generate_batch(mask_model, qty_model, 32, seed=6, chunk_size=8)
+    out = dc.rediscover(mask_model, qty_model, grams[29], 64, 6, chunk_size=8)
+    assert out.found and out.index == 29
+    np.testing.assert_array_equal(out.recipe, grams[29])
+    with pytest.raises(NumericError, match="chunk 4$"):
+        dc.rediscover(mask_model, qty_model, np.zeros(mask_model.K), 64, 6, chunk_size=8)
 
 
 def test_generate_batch_rejects_vocabulary_mismatch(trained_models):
