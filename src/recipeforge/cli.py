@@ -8,6 +8,12 @@ every output embeds the hash of the resolved configuration that produced
 it; JSON-lines sample and corpus files carry the hash in a sidecar
 .meta.json so the record schema stays pure.
 
+<out-dir>/cache/ holds parsed copies of the corpus, sample and reference
+files the commands read, so that commands sharing a run directory parse
+each file once. An entry is keyed by the sha256 of the file's bytes and
+the vocabulary, so it is never read for different bytes; deleting the
+directory is always safe.
+
 Commands run with numpy's OpenBLAS on one thread (restored afterwards),
 so the worker threads that --threads sets are the only parallelism.
 
@@ -68,7 +74,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat dotted-key config file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a single config key (repeatable)")
-    p.add_argument("--out-dir", default=None, help="run directory (default runs/<command>)")
+    p.add_argument("--out-dir", default=None,
+                   help="run directory (default runs/<command>); its cache/ holds parsed copies "
+                        "of input corpora, keyed by file content (never read for other bytes) "
+                        "and safe to delete")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads (env RECIPEFORGE_THREADS as fallback)")
@@ -236,6 +245,11 @@ def _file_fingerprint(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
+def _load_corpus(path, out_dir: Path, vocab=None) -> corpus_mod.Corpus:
+    """The corpus file at path, parsed once per content and vocabulary in the run directory."""
+    return corpus_mod.load_corpus(path, vocab, cache_dir=out_dir / "cache")
+
+
 def _load_vocabulary(cfg: dict, out_dir: Path) -> corpus_mod.IngredientVocabulary:
     path = cfg["paths.vocabulary"] or (out_dir / "vocabulary.json")
     if not Path(path).exists():
@@ -269,7 +283,7 @@ def _get_batch(cfg: dict, out_dir: Path) -> tuple[np.ndarray, corpus_mod.Ingredi
               "quantity_model_fingerprint": ""}
     if cfg["paths.samples"]:
         vocab = _load_vocabulary(cfg, out_dir)
-        return corpus_mod.load_corpus(cfg["paths.samples"], vocab).grams, vocab, source
+        return _load_corpus(cfg["paths.samples"], out_dir, vocab).grams, vocab, source
     mask_model, qty_model, mfp, qfp = _load_models(cfg, out_dir)
     vocab = _load_vocabulary(cfg, out_dir)
     _check_vocab(vocab, mask_model, qty_model)
@@ -321,7 +335,7 @@ def _group_table(batch: np.ndarray, score_of) -> list[list]:
 
 def cmd_ingest(cfg: dict, out_dir: Path, chash: str) -> int:
     vocab = corpus_mod.load_vocabulary(cfg["paths.vocabulary"]) if cfg["paths.vocabulary"] else None
-    loaded = corpus_mod.load_corpus(cfg["paths.corpus"], vocab)
+    loaded = _load_corpus(cfg["paths.corpus"], out_dir, vocab)
     corpus_mod.write_corpus(out_dir / "corpus.jsonl", loaded)
     corpus_mod.write_vocabulary(out_dir / "vocabulary.json", loaded.vocabulary)
     _write_json(out_dir / "corpus.meta.json",
@@ -349,7 +363,7 @@ def cmd_synth(cfg: dict, out_dir: Path, chash: str) -> int:
 
 
 def cmd_train_mask(cfg: dict, out_dir: Path, chash: str) -> int:
-    loaded = corpus_mod.load_corpus(cfg["paths.corpus"])
+    loaded = _load_corpus(cfg["paths.corpus"], out_dir)
     schedule = mask_diffusion.linear_schedule(int(cfg["schedule.T"]),
                                               float(cfg["schedule.beta_start"]),
                                               float(cfg["schedule.beta_end"]))
@@ -367,7 +381,7 @@ def cmd_train_mask(cfg: dict, out_dir: Path, chash: str) -> int:
 
 
 def cmd_train_quantity(cfg: dict, out_dir: Path, chash: str) -> int:
-    loaded = corpus_mod.load_corpus(cfg["paths.corpus"])
+    loaded = _load_corpus(cfg["paths.corpus"], out_dir)
     sde = quantity_diffusion.SDESpec(beta_min=float(cfg["sde.beta_min"]),
                                      beta_max=float(cfg["sde.beta_max"]),
                                      steps=int(cfg["sde.steps"]),
@@ -391,7 +405,7 @@ def cmd_sample(cfg: dict, out_dir: Path, chash: str) -> int:
     _check_vocab(vocab, mask_model, qty_model)
     sample_dir = out_dir / "samples"
     if cfg["paths.samples"]:  # --mask-from: conditional weights only
-        given = corpus_mod.load_corpus(cfg["paths.samples"], vocab)
+        given = _load_corpus(cfg["paths.samples"], out_dir, vocab)
         masks = (given.grams > 0).astype(np.uint8)
         grams = quantity_diffusion.reverse_sample_batch(
             qty_model, masks, int(cfg["run.seed"]),
@@ -417,7 +431,7 @@ def cmd_rediscover(cfg: dict, out_dir: Path, chash: str) -> int:
     mask_model, qty_model, mfp, qfp = _load_models(cfg, out_dir)
     vocab = _load_vocabulary(cfg, out_dir)
     _check_vocab(vocab, mask_model, qty_model)
-    ref_corpus = corpus_mod.load_corpus(cfg["paths.reference"], vocab)
+    ref_corpus = _load_corpus(cfg["paths.reference"], out_dir, vocab)
     if len(ref_corpus) != 1:
         raise DataError(f"{cfg['paths.reference']}: a rediscover reference must hold exactly "
                         f"one recipe, found {len(ref_corpus)}")
@@ -447,7 +461,7 @@ def cmd_rediscover(cfg: dict, out_dir: Path, chash: str) -> int:
 
 def cmd_discover(cfg: dict, out_dir: Path, chash: str) -> int:
     batch, vocab, source = _get_batch(cfg, out_dir)
-    loaded = corpus_mod.load_corpus(cfg["paths.corpus"], vocab)
+    loaded = _load_corpus(cfg["paths.corpus"], out_dir, vocab)
     result = discovery.discover_novel(batch, loaded, int(cfg["select.min_sds"]))
     if cfg["paths.impact_table"]:
         result.env_score = float(scoring.env_impact_scores(result.selected,
@@ -471,7 +485,7 @@ def cmd_select_sustainable(cfg: dict, out_dir: Path, chash: str) -> int:
     result = discovery.select_sustainable(batch, table, required)
     if cfg["paths.corpus"]:
         result.novelty_sds = discovery.novelty(result.selected,
-                                               corpus_mod.load_corpus(cfg["paths.corpus"], vocab))
+                                               _load_corpus(cfg["paths.corpus"], out_dir, vocab))
     _write_json(out_dir / "selections" / "select_sustainable.json",
                 {**result.to_dict(vocab), "source": source}, chash)
     rows = _group_table(batch, lambda reps: scoring.env_impact_scores(reps, table))
@@ -488,7 +502,7 @@ def cmd_select_nutritious(cfg: dict, out_dir: Path, chash: str) -> int:
     result = discovery.select_nutritious(batch, table, float(cfg["select.top_fraction"]), standards)
     if cfg["paths.corpus"]:
         result.novelty_sds = discovery.novelty(result.selected,
-                                               corpus_mod.load_corpus(cfg["paths.corpus"], vocab))
+                                               _load_corpus(cfg["paths.corpus"], out_dir, vocab))
     _write_json(out_dir / "selections" / "select_nutritious.json",
                 {**result.to_dict(vocab), "source": source}, chash)
     rows = _group_table(batch, lambda reps: scoring.hei_totals(reps, table, standards))
@@ -524,7 +538,7 @@ def cmd_personalize(cfg: dict, out_dir: Path, chash: str) -> int:
 
 def cmd_validate(cfg: dict, out_dir: Path, chash: str) -> int:
     mask_model, qty_model, mfp, qfp = _load_models(cfg, out_dir)
-    loaded = corpus_mod.load_corpus(cfg["paths.corpus"])
+    loaded = _load_corpus(cfg["paths.corpus"], out_dir)
     _check_vocab(loaded.vocabulary, mask_model, qty_model)
     report = fidelity.fidelity_report(mask_model, qty_model, loaded,
                                       int(cfg["fidelity.sample_count"]), int(cfg["run.seed"]),
@@ -556,7 +570,7 @@ def cmd_validate(cfg: dict, out_dir: Path, chash: str) -> int:
 
 def cmd_landscape(cfg: dict, out_dir: Path, chash: str) -> int:
     batch, vocab, _ = _get_batch(cfg, out_dir)
-    loaded = corpus_mod.load_corpus(cfg["paths.corpus"], vocab)
+    loaded = _load_corpus(cfg["paths.corpus"], out_dir, vocab)
     rows = discovery.landscape_map(batch, _load_impact(cfg, vocab),
                                    _load_nutrients(cfg, vocab), loaded, _load_standards(cfg))
     _write_csv(out_dir / "reports" / "landscape.csv",

@@ -74,9 +74,14 @@ DEFAULTS: dict[str, object] = {
 }
 
 
-# least allowed value of the integer keys that size a loop or a buffer
+# least allowed value of the integer keys that size a loop, a step count or a buffer
 _MINIMUMS = {"sample.count": 0, "sample.chunk_size": 1,
-            "rediscover.budget": 0, "rediscover.chunk_size": 1}
+             "rediscover.budget": 0, "rediscover.chunk_size": 1,
+             "schedule.T": 1, "sde.steps": 1, "fidelity.sample_count": 1, "fidelity.top_k": 0,
+             "synth.count_override": 0, "select.min_sds": 0,
+             **{f"train.{model}.{key}": least for model in ("mask", "quantity")
+                for key, least in (("steps", 1), ("batch_size", 1), ("hidden_width", 1),
+                                   ("hidden_depth", 0), ("val_interval", 1))}}
 
 
 def _coerce(key: str, value: object) -> object:

@@ -14,7 +14,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import sys
+import tempfile
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -306,10 +309,13 @@ def _parse_record(path: Path, line: str, lineno: int) -> tuple[list[tuple[str, f
     return items, split
 
 
-def load_corpus(path: str | Path, vocabulary: IngredientVocabulary | None = None) -> Corpus:
-    """Load a JSON-lines corpus file; builds the vocabulary if not supplied."""
-    path = Path(path)
-    lines = [(i + 1, ln) for i, ln in enumerate(path.read_text().splitlines()) if ln.strip()]
+def _parse_corpus(path: Path, data: bytes, vocabulary: IngredientVocabulary | None) -> Corpus:
+    """The corpus in a file's bytes; builds the vocabulary if not supplied."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    lines = [(i + 1, ln) for i, ln in enumerate(text.splitlines()) if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty corpus file")
     records = [_parse_record(path, ln, no) for no, ln in lines]
@@ -325,6 +331,83 @@ def load_corpus(path: str | Path, vocabulary: IngredientVocabulary | None = None
                 raise DataError(f"{path}: line {no}: duplicate ingredient id {ing!r}")
             row[index[ing]] = g
     return Corpus(vocabulary=vocabulary, grams=grams, splits=[split for _, split in records])
+
+
+def _checksum(*arrays: np.ndarray) -> np.ndarray:
+    """sha256 over the dtypes, shapes and bytes of arrays, as 32 uint8s."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a))
+    return np.frombuffer(h.digest(), dtype=np.uint8)
+
+
+def _read_entry(entry: Path, vocabulary: IngredientVocabulary | None) -> Corpus | None:
+    """The corpus stored in a cache entry, None if it is missing or malformed.
+
+    The arrays must match the checksum stored with them (zip's own CRC is
+    only checked when a member is read to its end, which a corrupted size
+    field prevents), a supplied vocabulary must have exactly the stored
+    ids, and the vocabulary and Corpus constructors run their checks.
+    """
+    try:
+        stored = np.load(entry)
+        if not isinstance(stored, np.lib.npyio.NpzFile):  # a bare .npy array
+            return None
+        with stored:
+            grams, validation, ids = stored["grams"], stored["validation"], stored["ids"]
+            if not np.array_equal(stored["checksum"], _checksum(grams, validation, ids)):
+                return None
+        ids = ids.tolist()
+        if vocabulary is None:
+            vocabulary = IngredientVocabulary(tuple((i, i) for i in ids))
+        elif vocabulary.ids != ids:
+            return None
+        return Corpus(vocabulary=vocabulary, grams=grams,
+                      splits=[VALIDATION if v else TRAIN for v in validation.tolist()])
+    except (OSError, EOFError, KeyError, RuntimeError, ValueError, zipfile.BadZipFile):
+        return None
+
+
+def _write_entry(entry: Path, corpus: Corpus) -> None:
+    """Store the corpus at entry atomically: a unique temp file, then a rename."""
+    entry.parent.mkdir(parents=True, exist_ok=True)
+    arrays = {"grams": corpus.grams,
+              "validation": np.array([s == VALIDATION for s in corpus.splits], dtype=bool),
+              "ids": np.array(corpus.vocabulary.ids, dtype=str)}
+    fd, tmp = tempfile.mkstemp(dir=entry.parent, prefix=entry.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, checksum=_checksum(*arrays.values()), **arrays)
+        os.replace(tmp, entry)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def load_corpus(path: str | Path, vocabulary: IngredientVocabulary | None = None, *,
+                cache_dir: str | Path | None = None) -> Corpus:
+    """Load a JSON-lines corpus file; builds the vocabulary if not supplied.
+
+    With cache_dir set, the parsed corpus is kept there in one file per
+    (file content, vocabulary): `corpus-<sha256 of the bytes>-<vocabulary
+    fingerprint, or "auto">.npz`. A later load of the same bytes under
+    the same vocabulary reads that entry instead of parsing; an entry that
+    is missing, truncated or malformed is parsed again and rewritten. A
+    file that does not parse raises the same DataError either way and
+    leaves no entry.
+    """
+    path = Path(path)
+    data = path.read_bytes()
+    if cache_dir is None:
+        return _parse_corpus(path, data, vocabulary)
+    vocab_key = vocabulary.fingerprint() if vocabulary is not None else "auto"
+    entry = Path(cache_dir) / f"corpus-{hashlib.sha256(data).hexdigest()}-{vocab_key}.npz"
+    loaded = _read_entry(entry, vocabulary)
+    if loaded is None:
+        loaded = _parse_corpus(path, data, vocabulary)
+        _write_entry(entry, loaded)
+    return loaded
 
 
 def write_corpus(path: str | Path, corpus: Corpus, include_split: bool = True) -> None:

@@ -18,8 +18,10 @@ class NumericError(RuntimeError):
 
 def read_json(path):
     """The JSON document in the file at path; DataError naming the file
-    and the position if it does not parse."""
+    and the position if it is not UTF-8 or does not parse."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: invalid JSON ({e})") from None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 import recipeforge
 from recipeforge import cli, netcore
+from recipeforge.corpus import load_vocabulary
 
 DESK = Path(recipeforge.__file__).parent / "data" / "desk"
 
@@ -156,6 +158,14 @@ def test_rediscover_reference_must_hold_one_recipe(pipeline, tmp_path, capsys):
         capsys.readouterr().err
 
 
+# the least value of each integer key that sizes a loop, a step count or a buffer
+CONFIG_FLOORS = [(f"train.{m}.{k}", least) for m in ("mask", "quantity")
+                 for k, least in (("steps", 1), ("batch_size", 1), ("hidden_width", 1),
+                                  ("hidden_depth", 0), ("val_interval", 1))] + [
+    ("schedule.T", 1), ("sde.steps", 1), ("fidelity.sample_count", 1), ("fidelity.top_k", 0),
+    ("synth.count_override", 0), ("select.min_sds", 0)]
+
+
 @pytest.mark.parametrize("command, args, message", [
     ("rediscover", ["--budget", "-5"], "rediscover.budget must be >= 0, got -5"),
     ("rediscover", ["--budget", "10", "--set", "rediscover.chunk_size=-3"],
@@ -164,10 +174,19 @@ def test_rediscover_reference_must_hold_one_recipe(pipeline, tmp_path, capsys):
     ("sample", ["--chunk-size", "-2"], "sample.chunk_size must be >= 1, got -2"),
     ("sample", ["--count", "-1"], "sample.count must be >= 0, got -1"),
     ("sample", ["--set", "sample.count=Infinity"], "sample.count expects an integer, got inf"),
+    ("train-mask", ["--set", "train.mask.val_interval=0"],
+     "train.mask.val_interval must be >= 1, got 0"),
+    ("train-mask", ["--set", "train.mask.batch_size=0"], "train.mask.batch_size must be >= 1, got 0"),
+    ("validate", ["--count", "-1"], "fidelity.sample_count must be >= 1, got -1"),
+    *[("sample", ["--set", f"{key}={least - 1}"], f"{key} must be >= {least}, got {least - 1}")
+      for key, least in CONFIG_FLOORS],
 ], ids=["budget", "rediscover_chunk", "rediscover_chunk_zero", "sample_chunk", "sample_count",
-        "infinite_count"])
+        "infinite_count", "val_interval_zero", "batch_size_zero", "validate_count",
+        *[key for key, _ in CONFIG_FLOORS]])
 def test_out_of_range_sizes_are_data_errors(pipeline, tmp_path, capsys, command, args, message):
-    extra = ["--reference", str(tmp_path / "ref.jsonl")] if command == "rediscover" else []
+    extra = {"rediscover": ["--reference", str(tmp_path / "ref.jsonl")],
+             "train-mask": ["--corpus", str(pipeline / "corpus.jsonl")],
+             "validate": ["--corpus", str(pipeline / "corpus.jsonl")]}.get(command, [])
     code = cli.run([command, *extra, *args, "--out-dir", str(pipeline), "--seed", "1"])
     assert code == 2
     assert f"config key {message}" in capsys.readouterr().err
@@ -409,3 +428,34 @@ def test_run_pins_blas_to_one_thread_and_restores_it(tmp_path, monkeypatch):
     finally:
         put(before)
     assert seen == [1, 1]
+
+
+def test_selection_outputs_do_not_depend_on_the_corpus_cache(pipeline, tmp_path):
+    batch = ["--samples", str(pipeline / "samples" / "samples.jsonl"),
+             "--vocabulary", str(pipeline / "vocabulary.json"), "--out-dir", str(tmp_path)]
+    corpus = ["--corpus", str(pipeline / "corpus.jsonl")]
+    impact = ["--impact-table", str(DESK / "impact_table.csv"),
+              "--impact-norms", str(DESK / "impact_norms.json")]
+    nutrients = ["--nutrient-table", str(DESK / "nutrient_table.csv")]
+    commands = [["discover", *corpus, *impact, *nutrients, "--min-sds", "0"],
+                ["select-sustainable", *impact, *corpus],
+                ["select-nutritious", *nutrients, *corpus],
+                ["personalize", *nutrients],
+                ["landscape", *corpus, *impact, *nutrients]]
+    cache = tmp_path / "cache"
+    # one entry per distinct (file, vocabulary): the batch and the corpus, both under one vocabulary
+    fingerprint = load_vocabulary(pipeline / "vocabulary.json").fingerprint()
+    entries = sorted(f"corpus-{hashlib.sha256(f.read_bytes()).hexdigest()}-{fingerprint}.npz"
+                     for f in (pipeline / "samples" / "samples.jsonl", pipeline / "corpus.jsonl"))
+    outputs = []
+    for run in ("cold", "warm", "garbage"):
+        if run == "garbage":
+            for entry in cache.iterdir():
+                entry.write_bytes(b"garbage")
+        for args in commands:
+            run_ok([*args, *batch])
+        outputs.append({p.relative_to(tmp_path): p.read_bytes()
+                        for d in ("selections", "reports") for p in (tmp_path / d).iterdir()})
+        assert sorted(e.name for e in cache.iterdir()) == entries
+    assert len(outputs[0]) == 10
+    assert outputs[0] == outputs[1] == outputs[2]

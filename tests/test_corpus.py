@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import re
 import tempfile
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from recipeforge import corpus as cp
 from recipeforge import netcore, scoring
 from recipeforge import quantity_diffusion as qd
-from recipeforge.errors import DataError
+from recipeforge.errors import DataError, read_json
 from helpers import expected_marginals
 
 
@@ -97,6 +99,139 @@ def test_load_keeps_split_tags(tmp_path):
     ])
     corpus = cp.load_corpus(f)
     assert corpus.splits == ["validation", "train"]
+
+
+@pytest.mark.parametrize("read", [cp.load_corpus, read_json], ids=["corpus", "json"])
+def test_input_that_is_not_utf8_names_the_file(tmp_path, read):
+    f = tmp_path / "utf16.jsonl"
+    f.write_bytes(b"\xff\xfe" + '{"ingredients": []}'.encode("utf-16-le"))
+    with pytest.raises(DataError,
+                       match=r"utf16\.jsonl: not UTF-8 text \(invalid start byte at byte 0\)"):
+        read(f)
+
+
+CACHED_RECORDS = [
+    {"ingredients": [{"id": "beef", "grams": 150.25}, {"id": "bun", "grams": 80}]},
+    {"ingredients": [{"id": "bun", "grams": 1e-3}], "split": "validation"},
+    {"ingredients": [{"id": "tofu", "grams": 95}, {"id": "beef", "grams": 1e5}]},
+]
+
+
+def _no_parse(*args):
+    raise AssertionError("parsed although the cache holds this file")
+
+
+def _assert_same_corpus(a, b):
+    assert a.grams.dtype == b.grams.dtype and a.grams.tobytes() == b.grams.tobytes()
+    assert a.splits == b.splits and a.vocabulary == b.vocabulary
+
+
+@pytest.mark.parametrize("vocab", [None, cp.IngredientVocabulary(
+    (("beef", "Beef patty"), ("bun", "Bun"), ("lettuce", "Lettuce"), ("tofu", "Tofu")))],
+    ids=["vocabulary_from_file", "supplied_vocabulary"])
+def test_cache_hit_equals_a_parse(tmp_path, monkeypatch, vocab):
+    f, cache = tmp_path / "c.jsonl", tmp_path / "cache"
+    write_lines(f, CACHED_RECORDS)
+    parsed = cp.load_corpus(f, vocab)
+    _assert_same_corpus(cp.load_corpus(f, vocab, cache_dir=cache), parsed)
+    monkeypatch.setattr(cp, "_parse_corpus", _no_parse)
+    _assert_same_corpus(cp.load_corpus(f, vocab, cache_dir=cache), parsed)
+    key = vocab.fingerprint() if vocab else "auto"
+    assert [e.name for e in cache.iterdir()] == \
+        [f"corpus-{hashlib.sha256(f.read_bytes()).hexdigest()}-{key}.npz"]
+
+
+def test_cache_misses_an_edited_file(tmp_path):
+    f, cache = tmp_path / "c.jsonl", tmp_path / "cache"
+    write_lines(f, CACHED_RECORDS)
+    cp.load_corpus(f, cache_dir=cache)
+    write_lines(f, CACHED_RECORDS[:2])
+    _assert_same_corpus(cp.load_corpus(f, cache_dir=cache), cp.load_corpus(f))
+    assert len(list(cache.iterdir())) == 2
+
+
+def test_cache_keeps_one_entry_per_vocabulary(tmp_path, monkeypatch):
+    f, cache = tmp_path / "c.jsonl", tmp_path / "cache"
+    write_lines(f, CACHED_RECORDS)
+    vocabs = [None, cp.IngredientVocabulary.from_ids(["beef", "bun", "tofu"]),
+              cp.IngredientVocabulary.from_ids(["beef", "bun", "lettuce", "tofu"])]
+    parsed = [cp.load_corpus(f, v) for v in vocabs]
+    for v in vocabs:
+        cp.load_corpus(f, v, cache_dir=cache)
+    assert len(list(cache.iterdir())) == 3
+    monkeypatch.setattr(cp, "_parse_corpus", _no_parse)
+    for v, want in zip(vocabs, parsed):
+        _assert_same_corpus(cp.load_corpus(f, v, cache_dir=cache), want)
+
+
+def _checksummed_garbage(entry):
+    """A well-formed entry whose grams no longer match their checksum."""
+    with np.load(entry) as z:
+        arrays = dict(z)
+    arrays["grams"] = arrays["grams"] * 2
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+def _bare_npy(entry):
+    """A plain .npy array where an .npz archive belongs."""
+    buf = io.BytesIO()
+    np.save(buf, np.zeros(3))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda e: e.read_bytes()[: len(e.read_bytes()) // 2],
+    lambda e: b"",
+    lambda e: b"not an npz file" * 10,
+    lambda e: e.read_bytes().replace(b"grams.npy", b"grime.npy"),
+    _checksummed_garbage,
+    _bare_npy,
+], ids=["truncated", "empty", "garbage", "member_missing", "checksum_mismatch", "bare_npy"])
+def test_cache_reparses_and_rewrites_a_bad_entry(tmp_path, monkeypatch, corrupt):
+    f, cache = tmp_path / "c.jsonl", tmp_path / "cache"
+    write_lines(f, CACHED_RECORDS)
+    parsed = cp.load_corpus(f)
+    cp.load_corpus(f, cache_dir=cache)
+    (entry,) = cache.iterdir()
+    entry.write_bytes(corrupt(entry))
+    _assert_same_corpus(cp.load_corpus(f, cache_dir=cache), parsed)
+    assert list(cache.iterdir()) == [entry]
+    monkeypatch.setattr(cp, "_parse_corpus", _no_parse)
+    _assert_same_corpus(cp.load_corpus(f, cache_dir=cache), parsed)
+
+
+def test_cache_entry_must_hold_the_vocabulary_ids(tmp_path):
+    f, cache = tmp_path / "c.jsonl", tmp_path / "cache"
+    write_lines(f, CACHED_RECORDS)
+    mine = cp.IngredientVocabulary.from_ids(["apple", "beef", "bun", "tofu"])
+    other = cp.IngredientVocabulary.from_ids(["beef", "bun", "tofu", "zucchini"])
+    cp.load_corpus(f, other, cache_dir=cache)
+    (entry,) = cache.iterdir()
+    entry.rename(str(entry).replace(other.fingerprint(), mine.fingerprint()))
+    _assert_same_corpus(cp.load_corpus(f, mine, cache_dir=cache), cp.load_corpus(f, mine))
+
+
+@pytest.mark.parametrize("content, vocab, message", [
+    ('{"ingredients": [}\n', None, "line 1: invalid JSON"),
+    ('{"ingredients": [{"id": "tofu", "grams": 10}]}\n', ["beef"],
+     "line 1: unknown ingredient id 'tofu'"),
+    ('{"ingredients": [{"id": "beef", "grams": -1}]}\n', None,
+     "line 1: ingredient 'beef' has grams -1"),
+    ("\n \n", None, "empty corpus file"),
+], ids=["invalid_json", "unknown_id", "negative_grams", "empty"])
+def test_cache_leaves_no_entry_for_a_bad_corpus(tmp_path, content, vocab, message):
+    f, cache = tmp_path / "c.jsonl", tmp_path / "cache"
+    f.write_text(content)
+    vocab = cp.IngredientVocabulary.from_ids(vocab) if vocab else None
+    with pytest.raises(DataError) as plain:
+        cp.load_corpus(f, vocab)
+    with pytest.raises(DataError) as cached:
+        cp.load_corpus(f, vocab, cache_dir=cache)
+    assert str(cached.value) == str(plain.value)
+    assert str(plain.value).startswith(f"{f}: {message}")
+    assert not cache.exists() or not any(cache.iterdir())
 
 
 def test_build_vocabulary_dedups(tmp_path):
