@@ -8,6 +8,11 @@ every output embeds the hash of the resolved configuration that produced
 it; JSON-lines sample and corpus files carry the hash in a sidecar
 .meta.json so the record schema stays pure.
 
+Each flag other than --config, --set and --out-dir is shorthand for
+`--set <key>=VALUE`: its argparse dest is that config key, which --help
+shows as its metavar. Precedence, lowest first: defaults < --config <
+RECIPEFORGE_THREADS (run.threads) < flags < --set.
+
 <out-dir>/cache/ holds parsed copies of the corpus, sample and reference
 files the commands read, so that commands sharing a run directory parse
 each file once. An entry is keyed by the sha256 of the file's bytes and
@@ -34,40 +39,15 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import discovery, fidelity, mask_diffusion, quantity_diffusion, scoring
-from .config import config_hash, parse_config_file, render_config, resolve_config
+from .config import (config_hash, parse_config_file, parse_value, render_config,
+                     resolve_config)
 from .errors import DataError, NumericError
 from .netcore import TrainConfig, one_blas_thread
 
-_FLAG_KEYS = {
-    "seed": "run.seed",
-    "threads": "run.threads",
-    "count": "sample.count",
-    "chunk_size": "sample.chunk_size",
-    "steps": "sde.steps",
-    "min_sds": "select.min_sds",
-    "top": "select.top_fraction",
-    "require": "select.required",
-    "budget": "rediscover.budget",
-    "age": "profile.age",
-    "sex": "profile.sex",
-    "height": "profile.height_cm",
-    "weight": "profile.weight_kg",
-    "activity": "profile.activity",
-    "corpus": "paths.corpus",
-    "vocabulary": "paths.vocabulary",
-    "spec": "paths.spec",
-    "samples": "paths.samples",
-    "mask_model": "paths.mask_model",
-    "quantity_model": "paths.quantity_model",
-    "impact_table": "paths.impact_table",
-    "impact_norms": "paths.impact_norms",
-    "nutrient_table": "paths.nutrient_table",
-    "hei_standards": "paths.hei_standards",
-    "reference": "paths.reference",
-    "mask_from": "paths.samples",
-    "out": "paths.out",
-    "input": "paths.corpus",
-}
+
+def _flag(p: argparse.ArgumentParser, flag: str, key: str, **kw) -> None:
+    """Add flag as shorthand for --set key=VALUE."""
+    p.add_argument(flag, dest=key, metavar=key, **kw)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -78,22 +58,22 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="run directory (default runs/<command>); its cache/ holds parsed copies "
                         "of input corpora, keyed by file content (never read for other bytes) "
                         "and safe to delete")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (env RECIPEFORGE_THREADS as fallback)")
+    _flag(p, "--seed", "run.seed", type=int)
+    _flag(p, "--threads", "run.threads", type=int,
+          help="worker threads (env RECIPEFORGE_THREADS as fallback)")
 
 
 def _add_models(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mask-model", default=None)
-    p.add_argument("--quantity-model", default=None)
-    p.add_argument("--vocabulary", default=None)
+    _flag(p, "--mask-model", "paths.mask_model")
+    _flag(p, "--quantity-model", "paths.quantity_model")
+    _flag(p, "--vocabulary", "paths.vocabulary")
 
 
 def _add_batch_source(p: argparse.ArgumentParser) -> None:
     _add_models(p)
-    p.add_argument("--samples", default=None, help="previously generated samples JSONL")
-    p.add_argument("--count", type=int, default=None, help="samples to generate when no file given")
-    p.add_argument("--chunk-size", type=int, default=None)
+    _flag(p, "--samples", "paths.samples", help="previously generated samples JSONL")
+    _flag(p, "--count", "sample.count", type=int, help="samples to generate when no file given")
+    _flag(p, "--chunk-size", "sample.chunk_size", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,134 +82,105 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="validate and canonicalize a corpus file")
-    p.add_argument("--input", required=True, help="corpus JSONL to ingest")
-    p.add_argument("--vocabulary", default=None, help="existing vocabulary to enforce")
-    _add_common(p)
+    _flag(p, "--input", "paths.corpus", required=True, help="corpus JSONL to ingest")
+    _flag(p, "--vocabulary", "paths.vocabulary", help="existing vocabulary to enforce")
 
     p = sub.add_parser("synth", help="synthesize a corpus from a generative spec")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--out", default=None, help="corpus output path (default <out-dir>/corpus.jsonl)")
-    p.add_argument("--count", type=int, default=None, help="override the spec recipe count")
-    _add_common(p)
+    _flag(p, "--spec", "paths.spec", required=True)
+    _flag(p, "--out", "paths.out", help="corpus output path (default <out-dir>/corpus.jsonl)")
+    _flag(p, "--count", "synth.count_override", type=int, help="override the spec recipe count")
 
-    p = sub.add_parser("train-mask", help="train the ingredient-selection model")
-    p.add_argument("--corpus", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("train-quantity", help="train the ingredient-quantity model")
-    p.add_argument("--corpus", required=True)
-    _add_common(p)
+    for name, what in (("train-mask", "ingredient-selection"), ("train-quantity", "ingredient-quantity")):
+        p = sub.add_parser(name, help=f"train the {what} model")
+        _flag(p, "--corpus", "paths.corpus", required=True)
 
     p = sub.add_parser("sample", help="generate recipes (or weights for given masks)")
     _add_models(p)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--chunk-size", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None, help="reverse SDE integration steps")
-    p.add_argument("--mask-from", default=None,
-                   help="JSONL of recipes whose masks get fresh conditional weights")
-    _add_common(p)
+    _flag(p, "--count", "sample.count", type=int)
+    _flag(p, "--chunk-size", "sample.chunk_size", type=int)
+    _flag(p, "--steps", "sde.steps", type=int, help="reverse SDE integration steps")
+    _flag(p, "--mask-from", "paths.samples",
+          help="JSONL of recipes whose masks get fresh conditional weights")
 
     p = sub.add_parser("rediscover", help="search the sample stream for a reference recipe")
     _add_models(p)
-    p.add_argument("--reference", required=True, help="JSONL file holding the one target recipe")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    _add_common(p)
+    _flag(p, "--reference", "paths.reference", required=True,
+          help="JSONL file holding the one target recipe")
+    _flag(p, "--budget", "rediscover.budget", type=int)
+    _flag(p, "--steps", "sde.steps", type=int)
 
     p = sub.add_parser("discover", help="most repeated sample above a novelty floor")
     _add_batch_source(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--min-sds", type=int, default=None)
-    p.add_argument("--impact-table", default=None)
-    p.add_argument("--impact-norms", default=None)
-    p.add_argument("--nutrient-table", default=None)
-    p.add_argument("--hei-standards", default=None)
-    _add_common(p)
+    _flag(p, "--corpus", "paths.corpus", required=True)
+    _flag(p, "--min-sds", "select.min_sds", type=int)
+    _flag(p, "--impact-table", "paths.impact_table")
+    _flag(p, "--impact-norms", "paths.impact_norms")
+    _flag(p, "--nutrient-table", "paths.nutrient_table")
+    _flag(p, "--hei-standards", "paths.hei_standards")
 
     p = sub.add_parser("select-sustainable", help="most repeated sample in the lowest-impact decile")
     _add_batch_source(p)
-    p.add_argument("--impact-table", required=True)
-    p.add_argument("--impact-norms", default=None)
-    p.add_argument("--require", action="append", default=None,
-                   help="ingredient id the selection must contain (repeatable)")
-    p.add_argument("--corpus", default=None, help="corpus for novelty annotation")
-    _add_common(p)
+    _flag(p, "--impact-table", "paths.impact_table", required=True)
+    _flag(p, "--impact-norms", "paths.impact_norms")
+    _flag(p, "--require", "select.required", action="append",
+          help="ingredient id the selection must contain (repeatable)")
+    _flag(p, "--corpus", "paths.corpus", help="corpus for novelty annotation")
 
     p = sub.add_parser("select-nutritious", help="most repeated sample in the top HEI fraction")
     _add_batch_source(p)
-    p.add_argument("--nutrient-table", required=True)
-    p.add_argument("--hei-standards", default=None)
-    p.add_argument("--top", type=float, default=None)
-    p.add_argument("--corpus", default=None)
-    _add_common(p)
+    _flag(p, "--nutrient-table", "paths.nutrient_table", required=True)
+    _flag(p, "--hei-standards", "paths.hei_standards")
+    _flag(p, "--top", "select.top_fraction", type=float)
+    _flag(p, "--corpus", "paths.corpus")
 
     p = sub.add_parser("personalize", help="most repeated sample in the top personalized fraction")
     _add_batch_source(p)
-    p.add_argument("--nutrient-table", required=True)
-    p.add_argument("--age", type=float, default=None)
-    p.add_argument("--sex", default=None, choices=["male", "female"])
-    p.add_argument("--height", type=float, default=None, help="height in cm")
-    p.add_argument("--weight", type=float, default=None, help="weight in kg")
-    p.add_argument("--activity", default=None, choices=list(scoring.ACTIVITY_LEVELS))
-    p.add_argument("--top", type=float, default=None)
-    _add_common(p)
+    _flag(p, "--nutrient-table", "paths.nutrient_table", required=True)
+    _flag(p, "--age", "profile.age", type=float)
+    _flag(p, "--sex", "profile.sex", choices=["male", "female"], help="one of %(choices)s")
+    _flag(p, "--height", "profile.height_cm", type=float, help="height in cm")
+    _flag(p, "--weight", "profile.weight_kg", type=float, help="weight in kg")
+    _flag(p, "--activity", "profile.activity", choices=list(scoring.ACTIVITY_LEVELS),
+          help="one of %(choices)s")
+    _flag(p, "--top", "select.top_fraction", type=float)
 
     p = sub.add_parser("validate", help="fidelity report against a corpus")
     _add_models(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--count", type=int, default=None, help="fidelity sample count")
-    _add_common(p)
+    _flag(p, "--corpus", "paths.corpus", required=True)
+    _flag(p, "--count", "fidelity.sample_count", type=int, help="fidelity sample count")
 
     p = sub.add_parser("landscape", help="per-group score table over a batch")
     _add_batch_source(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--impact-table", required=True)
-    p.add_argument("--impact-norms", default=None)
-    p.add_argument("--nutrient-table", required=True)
-    p.add_argument("--hei-standards", default=None)
-    _add_common(p)
+    _flag(p, "--corpus", "paths.corpus", required=True)
+    _flag(p, "--impact-table", "paths.impact_table", required=True)
+    _flag(p, "--impact-norms", "paths.impact_norms")
+    _flag(p, "--nutrient-table", "paths.nutrient_table", required=True)
+    _flag(p, "--hei-standards", "paths.hei_standards")
 
+    for p in sub.choices.values():
+        _add_common(p)
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> dict[str, object]:
+    """Defaults < --config < RECIPEFORGE_THREADS < flags < --set."""
     file_values = parse_config_file(args.config) if args.config else {}
     overrides: dict[str, object] = {"run.command": args.command}
-    env_threads = os.environ.get("RECIPEFORGE_THREADS")
-    if env_threads:
-        overrides["run.threads"] = int(env_threads)
-    for name, key in _FLAG_KEYS.items():
-        if hasattr(args, name) and getattr(args, name) is not None:
-            overrides[key] = getattr(args, name)
+    if os.environ.get("RECIPEFORGE_THREADS"):
+        overrides["run.threads"] = parse_value(os.environ["RECIPEFORGE_THREADS"])
+    # a flag's dest is the config key it sets
+    overrides.update((k, v) for k, v in vars(args).items() if "." in k and v is not None)
     for item in args.set or []:
         if "=" not in item:
             raise DataError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, val = item.partition("=")
-        try:
-            parsed = json.loads(val.strip())
-        except json.JSONDecodeError:
-            parsed = val.strip()
-        overrides[key.strip()] = parsed
-    if args.command == "validate" and getattr(args, "count", None) is not None:
-        overrides.pop("sample.count", None)
-        overrides["fidelity.sample_count"] = args.count
-    if args.command == "synth" and getattr(args, "count", None) is not None:
-        overrides.pop("sample.count", None)
-        overrides["synth.count_override"] = args.count
+        overrides[key.strip()] = parse_value(val)
     return resolve_config(file_values, overrides)
-
-
-def _prepare_run_dir(args: argparse.Namespace, cfg: dict[str, object]) -> tuple[Path, str]:
-    out_dir = Path(args.out_dir) if args.out_dir else Path("runs") / str(args.command)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.resolved").write_text(render_config(cfg))
-    return out_dir, config_hash(cfg)
 
 
 def _write_json(path: Path, payload: dict, chash: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {"config_hash": chash}
-    doc.update(payload)
+    doc = {"config_hash": chash, **payload}
     path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
@@ -257,41 +208,44 @@ def _load_vocabulary(cfg: dict, out_dir: Path) -> corpus_mod.IngredientVocabular
     return corpus_mod.load_vocabulary(path)
 
 
-def _load_models(cfg: dict, out_dir: Path):
-    mask_path = Path(cfg["paths.mask_model"] or out_dir / "checkpoints" / "mask_model.json")
-    qty_path = Path(cfg["paths.quantity_model"] or out_dir / "checkpoints" / "quantity_model.json")
-    for p in (mask_path, qty_path):
+def _load_models(cfg: dict, out_dir: Path, vocab=None):
+    """Both checkpoints, the vocabulary they were checked against (the run's
+    vocabulary file unless vocab is given) and their file fingerprints."""
+    paths = [Path(cfg[f"paths.{m}_model"] or out_dir / "checkpoints" / f"{m}_model.json")
+             for m in ("mask", "quantity")]
+    for p in paths:
         if not p.exists():
             raise DataError(f"model checkpoint not found: {p}")
-    mask_model = mask_diffusion.load_mask_model(mask_path)
-    qty_model = quantity_diffusion.load_quantity_model(qty_path)
+    mask_model = mask_diffusion.load_mask_model(paths[0])
+    qty_model = quantity_diffusion.load_quantity_model(paths[1])
     qty_model.sde = replace(qty_model.sde, steps=int(cfg["sde.steps"]))
-    return mask_model, qty_model, _file_fingerprint(mask_path), _file_fingerprint(qty_path)
-
-
-def _check_vocab(vocab: corpus_mod.IngredientVocabulary, *models) -> None:
-    for m in models:
+    vocab = _load_vocabulary(cfg, out_dir) if vocab is None else vocab
+    for m in (mask_model, qty_model):
         if m.vocab_fingerprint and m.vocab_fingerprint != vocab.fingerprint():
             raise DataError("model/vocabulary mismatch: checkpoint was trained on a "
                             "different ingredient vocabulary")
+    fingerprints = {"mask_model_fingerprint": _file_fingerprint(paths[0]),
+                    "quantity_model_fingerprint": _file_fingerprint(paths[1])}
+    return mask_model, qty_model, vocab, fingerprints
+
+
+def _generate(cfg: dict, mask_model, qty_model) -> np.ndarray:
+    return discovery.generate_batch(mask_model, qty_model, int(cfg["sample.count"]),
+                                    int(cfg["run.seed"]), chunk_size=int(cfg["sample.chunk_size"]),
+                                    threads=int(cfg["run.threads"]))
 
 
 def _get_batch(cfg: dict, out_dir: Path) -> tuple[np.ndarray, corpus_mod.IngredientVocabulary, dict]:
     """The batch's (n, K) grams matrix, its vocabulary and its provenance:
     the seed and the checkpoint fingerprints ("" for a samples file)."""
-    source = {"seed": int(cfg["run.seed"]), "mask_model_fingerprint": "",
-              "quantity_model_fingerprint": ""}
     if cfg["paths.samples"]:
         vocab = _load_vocabulary(cfg, out_dir)
-        return _load_corpus(cfg["paths.samples"], out_dir, vocab).grams, vocab, source
-    mask_model, qty_model, mfp, qfp = _load_models(cfg, out_dir)
-    vocab = _load_vocabulary(cfg, out_dir)
-    _check_vocab(vocab, mask_model, qty_model)
-    batch = discovery.generate_batch(mask_model, qty_model, int(cfg["sample.count"]),
-                                     int(cfg["run.seed"]), chunk_size=int(cfg["sample.chunk_size"]),
-                                     threads=int(cfg["run.threads"]))
-    source.update(mask_model_fingerprint=mfp, quantity_model_fingerprint=qfp)
-    return batch, vocab, source
+        batch = _load_corpus(cfg["paths.samples"], out_dir, vocab).grams
+        fingerprints = {"mask_model_fingerprint": "", "quantity_model_fingerprint": ""}
+    else:
+        mask_model, qty_model, vocab, fingerprints = _load_models(cfg, out_dir)
+        batch = _generate(cfg, mask_model, qty_model)
+    return batch, vocab, {"seed": int(cfg["run.seed"]), **fingerprints}
 
 
 def _load_impact(cfg: dict, vocab) -> scoring.ImpactTable:
@@ -305,29 +259,6 @@ def _load_nutrients(cfg: dict, vocab) -> scoring.NutrientTable:
 
 def _load_standards(cfg: dict):
     return scoring.load_hei_standards(cfg["paths.hei_standards"] or None)
-
-
-def _train_config(cfg: dict, prefix: str) -> TrainConfig:
-    final_lr = float(cfg[f"train.{prefix}.final_learning_rate"])
-    ema = float(cfg[f"train.{prefix}.ema_decay"])
-    return TrainConfig(
-        steps=int(cfg[f"train.{prefix}.steps"]),
-        batch_size=int(cfg[f"train.{prefix}.batch_size"]),
-        learning_rate=float(cfg[f"train.{prefix}.learning_rate"]),
-        final_learning_rate=final_lr if final_lr > 0 else None,
-        ema_decay=ema if ema > 0 else None,
-        hidden_width=int(cfg[f"train.{prefix}.hidden_width"]),
-        hidden_depth=int(cfg[f"train.{prefix}.hidden_depth"]),
-        val_interval=int(cfg[f"train.{prefix}.val_interval"]),
-    )
-
-
-def _group_table(batch: np.ndarray, score_of) -> list[list]:
-    """One row per SDS-0 group; score_of maps the founders' grams matrix to scores."""
-    groups = scoring.group_recipes(batch)
-    scores = score_of(batch[[g.founder_index for g in groups]])
-    total = len(batch)
-    return [[i, g.count, g.count / total, scores[i]] for i, g in enumerate(groups)]
 
 
 # ---------------------------------------------------------------------------
@@ -362,75 +293,61 @@ def cmd_synth(cfg: dict, out_dir: Path, chash: str) -> int:
     return 0
 
 
-def cmd_train_mask(cfg: dict, out_dir: Path, chash: str) -> int:
+def cmd_train(cfg: dict, out_dir: Path, chash: str) -> int:
+    """train-mask or train-quantity: corpus -> model -> checkpoint, vocabulary and history."""
+    name = str(cfg["run.command"]).removeprefix("train-")
     loaded = _load_corpus(cfg["paths.corpus"], out_dir)
-    schedule = mask_diffusion.linear_schedule(int(cfg["schedule.T"]),
-                                              float(cfg["schedule.beta_start"]),
-                                              float(cfg["schedule.beta_end"]))
-    model = mask_diffusion.train_mask_model(loaded, schedule, _train_config(cfg, "mask"),
-                                            int(cfg["run.seed"]))
-    path = out_dir / "checkpoints" / "mask_model.json"
+    # the train.<name>.* keys are TrainConfig's fields and the sde.* keys SDESpec's;
+    # a final learning rate or EMA decay <= 0 turns it off
+    fields = {k.rpartition(".")[2]: v for k, v in cfg.items() if k.startswith(f"train.{name}.")}
+    for k in ("final_learning_rate", "ema_decay"):
+        fields[k] = fields[k] if fields[k] > 0 else None
+    config, seed = TrainConfig(**fields), int(cfg["run.seed"])
+    if name == "mask":
+        schedule = mask_diffusion.linear_schedule(int(cfg["schedule.T"]),
+                                                  float(cfg["schedule.beta_start"]),
+                                                  float(cfg["schedule.beta_end"]))
+        model = mask_diffusion.train_mask_model(loaded, schedule, config, seed)
+        save, loss, summary = mask_diffusion.save_mask_model, "val_neg_elbo", "val -ELBO {:.2f} -> {:.2f}"
+    else:
+        sde = quantity_diffusion.SDESpec(**{k[4:]: v for k, v in cfg.items() if k.startswith("sde.")})
+        model = quantity_diffusion.train_quantity_model(loaded, sde, config, seed)
+        save, loss, summary = quantity_diffusion.save_quantity_model, "val_dsm", "val DSM {:.3f} -> {:.3f}"
+    path = out_dir / "checkpoints" / f"{name}_model.json"
     path.parent.mkdir(parents=True, exist_ok=True)
-    mask_diffusion.save_mask_model(path, model, seed_lineage=[int(cfg["run.seed"])])
+    save(path, model, seed_lineage=[seed])
     corpus_mod.write_vocabulary(out_dir / "vocabulary.json", loaded.vocabulary)
-    _write_json(out_dir / "reports" / "train_mask.json",
+    _write_json(out_dir / "reports" / f"train_{name}.json",
                 {"fingerprint": _file_fingerprint(path),
-                 "history": [{"step": s, "val_neg_elbo": v} for s, v in model.history]}, chash)
-    print(f"trained mask model -> {path} (val -ELBO {model.history[0][1]:.2f} -> {model.history[-1][1]:.2f})")
-    return 0
-
-
-def cmd_train_quantity(cfg: dict, out_dir: Path, chash: str) -> int:
-    loaded = _load_corpus(cfg["paths.corpus"], out_dir)
-    sde = quantity_diffusion.SDESpec(beta_min=float(cfg["sde.beta_min"]),
-                                     beta_max=float(cfg["sde.beta_max"]),
-                                     steps=int(cfg["sde.steps"]),
-                                     t_eps=float(cfg["sde.t_eps"]))
-    model = quantity_diffusion.train_quantity_model(loaded, sde, _train_config(cfg, "quantity"),
-                                                    int(cfg["run.seed"]))
-    path = out_dir / "checkpoints" / "quantity_model.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    quantity_diffusion.save_quantity_model(path, model, seed_lineage=[int(cfg["run.seed"])])
-    corpus_mod.write_vocabulary(out_dir / "vocabulary.json", loaded.vocabulary)
-    _write_json(out_dir / "reports" / "train_quantity.json",
-                {"fingerprint": _file_fingerprint(path),
-                 "history": [{"step": s, "val_dsm": v} for s, v in model.history]}, chash)
-    print(f"trained quantity model -> {path} (val DSM {model.history[0][1]:.3f} -> {model.history[-1][1]:.3f})")
+                 "history": [{"step": s, loss: v} for s, v in model.history]}, chash)
+    print(f"trained {name} model -> {path} "
+          f"({summary.format(model.history[0][1], model.history[-1][1])})")
     return 0
 
 
 def cmd_sample(cfg: dict, out_dir: Path, chash: str) -> int:
-    mask_model, qty_model, mfp, qfp = _load_models(cfg, out_dir)
-    vocab = _load_vocabulary(cfg, out_dir)
-    _check_vocab(vocab, mask_model, qty_model)
-    sample_dir = out_dir / "samples"
+    mask_model, qty_model, vocab, fingerprints = _load_models(cfg, out_dir)
     if cfg["paths.samples"]:  # --mask-from: conditional weights only
-        given = _load_corpus(cfg["paths.samples"], out_dir, vocab)
-        masks = (given.grams > 0).astype(np.uint8)
+        masks = (_load_corpus(cfg["paths.samples"], out_dir, vocab).grams > 0).astype(np.uint8)
         grams = quantity_diffusion.reverse_sample_batch(
             qty_model, masks, int(cfg["run.seed"]),
             chunk_size=int(cfg["sample.chunk_size"]), threads=int(cfg["run.threads"]))
         mode = "conditional"
     else:
-        grams = discovery.generate_batch(mask_model, qty_model, int(cfg["sample.count"]),
-                                         int(cfg["run.seed"]),
-                                         chunk_size=int(cfg["sample.chunk_size"]),
-                                         threads=int(cfg["run.threads"]))
-        mode = "joint"
+        grams, mode = _generate(cfg, mask_model, qty_model), "joint"
     made = corpus_mod.Corpus(vocabulary=vocab, grams=grams, splits=[corpus_mod.TRAIN] * len(grams))
+    sample_dir = out_dir / "samples"
     sample_dir.mkdir(parents=True, exist_ok=True)
     corpus_mod.write_corpus(sample_dir / "samples.jsonl", made, include_split=False)
     _write_json(sample_dir / "samples.meta.json",
-                {"count": len(made), "seed": int(cfg["run.seed"]), "mode": mode,
-                 "mask_model_fingerprint": mfp, "quantity_model_fingerprint": qfp}, chash)
+                {"count": len(made), "seed": int(cfg["run.seed"]), "mode": mode, **fingerprints},
+                chash)
     print(f"sampled {len(made)} recipes -> {sample_dir / 'samples.jsonl'}")
     return 0
 
 
 def cmd_rediscover(cfg: dict, out_dir: Path, chash: str) -> int:
-    mask_model, qty_model, mfp, qfp = _load_models(cfg, out_dir)
-    vocab = _load_vocabulary(cfg, out_dir)
-    _check_vocab(vocab, mask_model, qty_model)
+    mask_model, qty_model, vocab, fingerprints = _load_models(cfg, out_dir)
     ref_corpus = _load_corpus(cfg["paths.reference"], out_dir, vocab)
     if len(ref_corpus) != 1:
         raise DataError(f"{cfg['paths.reference']}: a rediscover reference must hold exactly "
@@ -449,8 +366,7 @@ def cmd_rediscover(cfg: dict, out_dir: Path, chash: str) -> int:
         "budget": int(cfg["rediscover.budget"]),
         "ingredients": ([{"id": i, "grams": g} for i, g in vocab.items(outcome.recipe)]
                         if outcome.found else None),
-        "source": {"seed": int(cfg["run.seed"]), "mask_model_fingerprint": mfp,
-                   "quantity_model_fingerprint": qfp},
+        "source": {"seed": int(cfg["run.seed"]), **fingerprints},
     }
     _write_json(out_dir / "selections" / "rediscover.json", payload, chash)
     _write_csv(out_dir / "reports" / "rediscover.csv", ["found", "index", "draws"],
@@ -459,8 +375,12 @@ def cmd_rediscover(cfg: dict, out_dir: Path, chash: str) -> int:
     return 0
 
 
-def cmd_discover(cfg: dict, out_dir: Path, chash: str) -> int:
-    batch, vocab, source = _get_batch(cfg, out_dir)
+# The batch-scoring commands differ only in how they pick a group. Each
+# picker takes (cfg, out_dir, batch, vocab) and returns the DiscoveryResult,
+# the scorer of the group table (founders' grams matrix -> scores) and any
+# extra fields of the selection JSON.
+
+def _pick_novel(cfg: dict, out_dir: Path, batch: np.ndarray, vocab):
     loaded = _load_corpus(cfg["paths.corpus"], out_dir, vocab)
     result = discovery.discover_novel(batch, loaded, int(cfg["select.min_sds"]))
     if cfg["paths.impact_table"]:
@@ -469,85 +389,78 @@ def cmd_discover(cfg: dict, out_dir: Path, chash: str) -> int:
     if cfg["paths.nutrient_table"]:
         result.hei_total = float(scoring.hei_totals(result.selected, _load_nutrients(cfg, vocab),
                                                     _load_standards(cfg))[0])
-    _write_json(out_dir / "selections" / "discover.json",
-                {**result.to_dict(vocab), "source": source}, chash)
-    rows = _group_table(batch, lambda reps: discovery.novelty_many(reps, loaded))
-    _write_csv(out_dir / "reports" / "discover_groups.csv",
-               ["group_index", "count", "popularity", "novelty_sds"], rows, chash)
-    print(f"discover: group count {result.group_count}, novelty {result.novelty_sds}")
-    return 0
+    return result, lambda reps: discovery.novelty_many(reps, loaded), {}
 
 
-def cmd_select_sustainable(cfg: dict, out_dir: Path, chash: str) -> int:
-    batch, vocab, source = _get_batch(cfg, out_dir)
+def _pick_sustainable(cfg: dict, out_dir: Path, batch: np.ndarray, vocab):
     table = _load_impact(cfg, vocab)
-    required = set(cfg["select.required"]) or None
-    result = discovery.select_sustainable(batch, table, required)
-    if cfg["paths.corpus"]:
-        result.novelty_sds = discovery.novelty(result.selected,
-                                               _load_corpus(cfg["paths.corpus"], out_dir, vocab))
-    _write_json(out_dir / "selections" / "select_sustainable.json",
-                {**result.to_dict(vocab), "source": source}, chash)
-    rows = _group_table(batch, lambda reps: scoring.env_impact_scores(reps, table))
-    _write_csv(out_dir / "reports" / "sustainable_groups.csv",
-               ["group_index", "count", "popularity", "env_score"], rows, chash)
-    print(f"select-sustainable: env score {result.env_score:.4f}, group count {result.group_count}")
-    return 0
+    result = discovery.select_sustainable(batch, table, set(cfg["select.required"]) or None)
+    return result, lambda reps: scoring.env_impact_scores(reps, table), {}
 
 
-def cmd_select_nutritious(cfg: dict, out_dir: Path, chash: str) -> int:
-    batch, vocab, source = _get_batch(cfg, out_dir)
-    table = _load_nutrients(cfg, vocab)
-    standards = _load_standards(cfg)
+def _pick_nutritious(cfg: dict, out_dir: Path, batch: np.ndarray, vocab):
+    table, standards = _load_nutrients(cfg, vocab), _load_standards(cfg)
     result = discovery.select_nutritious(batch, table, float(cfg["select.top_fraction"]), standards)
-    if cfg["paths.corpus"]:
-        result.novelty_sds = discovery.novelty(result.selected,
-                                               _load_corpus(cfg["paths.corpus"], out_dir, vocab))
-    _write_json(out_dir / "selections" / "select_nutritious.json",
-                {**result.to_dict(vocab), "source": source}, chash)
-    rows = _group_table(batch, lambda reps: scoring.hei_totals(reps, table, standards))
-    _write_csv(out_dir / "reports" / "nutritious_groups.csv",
-               ["group_index", "count", "popularity", "hei_total"], rows, chash)
-    print(f"select-nutritious: HEI {result.hei_total:.2f}, group count {result.group_count}")
-    return 0
+    return result, lambda reps: scoring.hei_totals(reps, table, standards), {}
 
 
-def cmd_personalize(cfg: dict, out_dir: Path, chash: str) -> int:
-    batch, vocab, source = _get_batch(cfg, out_dir)
+def _pick_personalized(cfg: dict, out_dir: Path, batch: np.ndarray, vocab):
     table = _load_nutrients(cfg, vocab)
     profile = scoring.PersonProfile(age=float(cfg["profile.age"]), sex=str(cfg["profile.sex"]),
                                     height_cm=float(cfg["profile.height_cm"]),
                                     weight_kg=float(cfg["profile.weight_kg"]),
                                     activity=str(cfg["profile.activity"]))
+    meal = float(cfg["select.meal_fraction"])
     result = discovery.select_personalized(batch, profile, table,
-                                           float(cfg["select.top_fraction"]),
-                                           float(cfg["select.meal_fraction"]))
-    payload = {**result.to_dict(vocab), "source": source}
-    payload["profile"] = {"age": profile.age, "sex": profile.sex,
-                          "height_cm": profile.height_cm, "weight_kg": profile.weight_kg,
-                          "activity": profile.activity,
-                          "energy_requirement_kcal": scoring.energy_requirement(profile)}
-    _write_json(out_dir / "selections" / "personalize.json", payload, chash)
-    rows = _group_table(batch, lambda reps: scoring.personalized_scores(
-        reps, profile, table, float(cfg["select.meal_fraction"])))
-    _write_csv(out_dir / "reports" / "personalize_groups.csv",
-               ["group_index", "count", "popularity", "personalized_score"], rows, chash)
-    print(f"personalize: group count {result.group_count}")
+                                           float(cfg["select.top_fraction"]), meal)
+    extra = {"profile": {"age": profile.age, "sex": profile.sex, "height_cm": profile.height_cm,
+                         "weight_kg": profile.weight_kg, "activity": profile.activity,
+                         "energy_requirement_kcal": scoring.energy_requirement(profile)}}
+    return result, lambda reps: scoring.personalized_scores(reps, profile, table, meal), extra
+
+
+# command: (picker, group-table score column, annotate novelty against
+# paths.corpus when set, summary printed with the result as r)
+_SELECTIONS = {
+    "discover": (_pick_novel, "novelty_sds", False,
+                 "group count {r.group_count}, novelty {r.novelty_sds}"),
+    "select-sustainable": (_pick_sustainable, "env_score", True,
+                           "env score {r.env_score:.4f}, group count {r.group_count}"),
+    "select-nutritious": (_pick_nutritious, "hei_total", True,
+                          "HEI {r.hei_total:.2f}, group count {r.group_count}"),
+    "personalize": (_pick_personalized, "personalized_score", False, "group count {r.group_count}"),
+}
+
+
+def cmd_select(cfg: dict, out_dir: Path, chash: str) -> int:
+    """A batch-scoring command: load the batch, pick a group, annotate its
+    novelty, write the selection JSON and the per-group score table."""
+    command = str(cfg["run.command"])
+    pick, column, annotate, summary = _SELECTIONS[command]
+    batch, vocab, source = _get_batch(cfg, out_dir)
+    result, score_of, extra = pick(cfg, out_dir, batch, vocab)
+    if annotate and cfg["paths.corpus"]:
+        result.novelty_sds = discovery.novelty(result.selected,
+                                               _load_corpus(cfg["paths.corpus"], out_dir, vocab))
+    _write_json(out_dir / "selections" / f"{command.replace('-', '_')}.json",
+                {**result.to_dict(vocab), "source": source, **extra}, chash)
+    groups = scoring.group_recipes(batch)
+    scores = score_of(batch[[g.founder_index for g in groups]])
+    _write_csv(out_dir / "reports" / f"{command.removeprefix('select-')}_groups.csv",
+               ["group_index", "count", "popularity", column],
+               [[i, g.count, g.count / len(batch), scores[i]] for i, g in enumerate(groups)], chash)
+    print(f"{command}: {summary.format(r=result)}")
     return 0
 
 
 def cmd_validate(cfg: dict, out_dir: Path, chash: str) -> int:
-    mask_model, qty_model, mfp, qfp = _load_models(cfg, out_dir)
     loaded = _load_corpus(cfg["paths.corpus"], out_dir)
-    _check_vocab(loaded.vocabulary, mask_model, qty_model)
+    mask_model, qty_model, _, fingerprints = _load_models(cfg, out_dir, loaded.vocabulary)
     report = fidelity.fidelity_report(mask_model, qty_model, loaded,
                                       int(cfg["fidelity.sample_count"]), int(cfg["run.seed"]),
                                       top_k=int(cfg["fidelity.top_k"]),
                                       threads=int(cfg["run.threads"]))
-    payload = report.to_dict()
-    payload["mask_model_fingerprint"] = mfp
-    payload["quantity_model_fingerprint"] = qfp
-    _write_json(out_dir / "reports" / "fidelity.json", payload, chash)
+    _write_json(out_dir / "reports" / "fidelity.json", {**report.to_dict(), **fingerprints}, chash)
     ids = loaded.vocabulary.ids
     _write_csv(out_dir / "reports" / "marginals.csv",
                ["ingredient_id", "corpus_marginal", "sample_marginal"],
@@ -586,14 +499,11 @@ def cmd_landscape(cfg: dict, out_dir: Path, chash: str) -> int:
 _HANDLERS = {
     "ingest": cmd_ingest,
     "synth": cmd_synth,
-    "train-mask": cmd_train_mask,
-    "train-quantity": cmd_train_quantity,
+    "train-mask": cmd_train,
+    "train-quantity": cmd_train,
     "sample": cmd_sample,
     "rediscover": cmd_rediscover,
-    "discover": cmd_discover,
-    "select-sustainable": cmd_select_sustainable,
-    "select-nutritious": cmd_select_nutritious,
-    "personalize": cmd_personalize,
+    **dict.fromkeys(_SELECTIONS, cmd_select),
     "validate": cmd_validate,
     "landscape": cmd_landscape,
 }
@@ -607,9 +517,11 @@ def run(argv: list[str]) -> int:
         return 0 if e.code == 0 else 1
     try:
         cfg = _resolve(args)
-        out_dir, chash = _prepare_run_dir(args, cfg)
+        out_dir = Path(args.out_dir) if args.out_dir else Path("runs") / str(args.command)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "config.resolved").write_text(render_config(cfg))
         with one_blas_thread():
-            return _HANDLERS[str(args.command)](cfg, out_dir, chash)
+            return _HANDLERS[str(args.command)](cfg, out_dir, config_hash(cfg))
     except NumericError as e:
         print(f"recipeforge: numeric failure: {e}", file=sys.stderr)
         return 3

@@ -1,8 +1,9 @@
 """Flat dotted-key run configuration.
 
 Config files are plain text, one `key = value` per line with `#`
-comments; values are JSON scalars or lists. Command-line flags override
-file values, which override the defaults below. The resolved config is
+comments; values are JSON scalars or lists, and a value that is not JSON
+is taken as a string. Command-line flags override file values, which
+override the defaults below. The resolved config is
 rendered to sorted lines whose hash stamps every output file.
 """
 
@@ -12,7 +13,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, read_text
 
 DEFAULTS: dict[str, object] = {
     "run.seed": 0,
@@ -75,7 +76,7 @@ DEFAULTS: dict[str, object] = {
 
 
 # least allowed value of the integer keys that size a loop, a step count or a buffer
-_MINIMUMS = {"sample.count": 0, "sample.chunk_size": 1,
+_MINIMUMS = {"run.threads": 1, "sample.count": 0, "sample.chunk_size": 1,
              "rediscover.budget": 0, "rediscover.chunk_size": 1,
              "schedule.T": 1, "sde.steps": 1, "fidelity.sample_count": 1, "fidelity.top_k": 0,
              "synth.count_override": 0, "select.min_sds": 0,
@@ -121,21 +122,24 @@ def _strip_comment(line: str) -> str:
     return line
 
 
+def parse_value(text: str) -> object:
+    """A config value as written in a file, a --set or the environment."""
+    try:
+        return json.loads(text.strip())
+    except json.JSONDecodeError:
+        return text.strip()
+
+
 def parse_config_file(path: str | Path) -> dict[str, object]:
     out: dict[str, object] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
             continue
         if "=" not in line:
             raise DataError(f"{path}:{lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        try:
-            parsed = json.loads(val)
-        except json.JSONDecodeError:
-            parsed = val
-        out[key] = parsed
+        out[key.strip()] = parse_value(val)
     return out
 
 

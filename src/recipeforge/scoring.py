@@ -9,6 +9,8 @@ All operations are pure functions over immutable tables.
 from __future__ import annotations
 
 import csv
+import io
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import IngredientVocabulary
-from .errors import DataError, read_json
+from .errors import DataError, read_json, read_text
 
 
 # ---------------------------------------------------------------------------
@@ -110,42 +112,57 @@ def load_impact_table(path: str | Path, vocabulary: IngredientVocabulary,
                       norms_path: str | Path | None = None) -> ImpactTable:
     """Read the impact CSV; every vocabulary ingredient must be present.
 
-    Normalization constants come from a sidecar JSON when given
-    (keys land, eutrophication, water, ghg), else default to the median
-    per-kg impact of each metric across the table.
+    Normalization constants come from a sidecar JSON object when given
+    (number keys land, eutrophication, water, ghg), else default to the
+    median per-kg impact of each metric across the table.
     """
-    rows: dict[str, list[float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing_cols = {"ingredient_id", *IMPACT_METRICS} - set(reader.fieldnames or [])
-        if missing_cols:
-            raise DataError(f"impact table missing columns: {sorted(missing_cols)}")
-        for rec in reader:
-            rows[rec["ingredient_id"]] = [float(rec[m]) for m in IMPACT_METRICS]
-    missing = [i for i in vocabulary.ids if i not in rows]
-    if missing:
-        raise DataError(f"impact table missing ingredients: {missing[:5]}")
-    values = np.array([rows[i] for i in vocabulary.ids])
-    for j, metric in enumerate(IMPACT_METRICS):
-        _require_finite(path, f"column {metric}", values[:, j])
+    values = _read_table(path, "impact", IMPACT_METRICS, vocabulary)
     if norms_path is not None:
         doc = read_json(norms_path)
         keys = ("land", "eutrophication", "water", "ghg")
-        try:
-            norms = np.array([float(doc[k]) for k in keys])
-        except KeyError as e:
-            raise DataError(f"impact norms file missing key {e}") from e
-        for k, v in zip(keys, norms):
-            _require_finite(norms_path, f"key {k}", v)
+        if not isinstance(doc, dict):
+            raise DataError(f"{norms_path}: expected a JSON object with keys {', '.join(keys)}")
+        for k in keys:
+            if k not in doc:
+                raise DataError(f"{norms_path}: missing key {k}")
+            v = doc[k]
+            # the comparison is false for NaN, inf and ints too large for a float
+            if isinstance(v, bool) or not isinstance(v, (int, float)) \
+                    or not abs(v) <= sys.float_info.max:
+                raise DataError(f"{norms_path}: key {k} is {v!r}, expected a finite number")
+        norms = np.array([float(doc[k]) for k in keys])
     else:
         norms = np.median(values, axis=0)
         norms = np.where(norms <= 0, 1.0, norms)
     return ImpactTable(vocabulary=vocabulary, values=values, norms=norms)
 
 
-def _require_finite(path, field: str, values) -> None:
-    if not np.isfinite(values).all():
-        raise DataError(f"{path}: {field} has a non-finite value")
+def _read_table(path, kind: str, fields, vocabulary: IngredientVocabulary) -> np.ndarray:
+    """The (K, len(fields)) values of a per-ingredient CSV table, rows in
+    vocabulary order. DataError names the file of text that is not UTF-8,
+    of a missing column or ingredient, and of a cell that is not a finite
+    number, with that cell's ingredient and column."""
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    missing_cols = {"ingredient_id", *fields} - set(reader.fieldnames or [])
+    if missing_cols:
+        raise DataError(f"{path}: {kind} table missing columns: {sorted(missing_cols)}")
+    rows = {rec["ingredient_id"]: [_number(path, f"column {f} of {rec['ingredient_id']}", rec[f])
+                                   for f in fields] for rec in reader}
+    missing = [i for i in vocabulary.ids if i not in rows]
+    if missing:
+        raise DataError(f"{path}: {kind} table missing ingredients: {missing[:5]}")
+    return np.array([rows[i] for i in vocabulary.ids])
+
+
+def _number(path, field: str, cell) -> float:
+    """A table cell as a finite float; DataError naming the file and field if it is not one."""
+    try:
+        value = float(cell)
+    except (TypeError, ValueError):  # TypeError: a short row's missing cell is None
+        value = np.nan
+    if not np.isfinite(value):
+        raise DataError(f"{path}: {field} is {cell!r}, expected a finite number")
+    return value
 
 
 def env_impact_scores(weights: np.ndarray, table: ImpactTable) -> np.ndarray:
@@ -212,21 +229,8 @@ class NutrientTable:
 
 
 def load_nutrient_table(path: str | Path, vocabulary: IngredientVocabulary) -> NutrientTable:
-    rows: dict[str, dict[str, float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing_cols = {"ingredient_id", *NUTRIENT_FIELDS} - set(reader.fieldnames or [])
-        if missing_cols:
-            raise DataError(f"nutrient table missing columns: {sorted(missing_cols)}")
-        for rec in reader:
-            rows[rec["ingredient_id"]] = {f: float(rec[f]) for f in NUTRIENT_FIELDS}
-    missing = [i for i in vocabulary.ids if i not in rows]
-    if missing:
-        raise DataError(f"nutrient table missing ingredients: {missing[:5]}")
-    columns = {f: np.array([rows[i][f] for i in vocabulary.ids]) for f in NUTRIENT_FIELDS}
-    for f, col in columns.items():
-        _require_finite(path, f"column {f}", col)
-    return NutrientTable(vocabulary=vocabulary, columns=columns)
+    values = _read_table(path, "nutrient", NUTRIENT_FIELDS, vocabulary)
+    return NutrientTable(vocabulary=vocabulary, columns=dict(zip(NUTRIENT_FIELDS, values.T)))
 
 
 @dataclass
@@ -241,24 +245,22 @@ class HEIComponentStandard:
 def load_hei_standards(path: str | Path | None = None) -> list[HEIComponentStandard]:
     """Component curves; defaults to the bundled HEI-2015 standards file.
 
-    Raises DataError naming the file and column of a non-finite number,
-    an unknown curve or a component with max_at == zero_at.
+    Raises DataError naming the file of text that is not UTF-8, and the
+    file, column and component of a cell that is not a finite number, an
+    unknown curve or a component with max_at == zero_at.
     """
     src = resources.files("recipeforge").joinpath("data/hei2015_standards.csv") \
         if path is None else Path(path)
     out = []
-    reader = csv.DictReader(src.read_text().splitlines())
+    reader = csv.DictReader(io.StringIO(read_text(src), newline=""))
     missing_cols = ({"component", "curve", "max_points", "max_at", "zero_at"}
                     - set(reader.fieldnames or []))
     if missing_cols:
         raise DataError(f"{src}: missing columns {sorted(missing_cols)}")
     for rec in reader:
-        std = HEIComponentStandard(
-            component=rec["component"], curve=rec["curve"],
-            max_points=float(rec["max_points"]),
-            max_at=float(rec["max_at"]), zero_at=float(rec["zero_at"]))
-        for col in ("max_points", "max_at", "zero_at"):
-            _require_finite(src, f"column {col} of {std.component}", getattr(std, col))
+        std = HEIComponentStandard(component=rec["component"], curve=rec["curve"], **{
+            col: _number(src, f"column {col} of {rec['component']}", rec[col])
+            for col in ("max_points", "max_at", "zero_at")})
         if std.curve not in ("increasing", "decreasing"):
             raise DataError(f"{src}: column curve of {std.component} is {std.curve!r}, "
                             "expected increasing or decreasing")

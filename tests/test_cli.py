@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 import recipeforge
 from recipeforge import cli, netcore
+from recipeforge.config import DEFAULTS
 from recipeforge.corpus import load_vocabulary
 
 DESK = Path(recipeforge.__file__).parent / "data" / "desk"
@@ -163,7 +165,7 @@ CONFIG_FLOORS = [(f"train.{m}.{k}", least) for m in ("mask", "quantity")
                  for k, least in (("steps", 1), ("batch_size", 1), ("hidden_width", 1),
                                   ("hidden_depth", 0), ("val_interval", 1))] + [
     ("schedule.T", 1), ("sde.steps", 1), ("fidelity.sample_count", 1), ("fidelity.top_k", 0),
-    ("synth.count_override", 0), ("select.min_sds", 0)]
+    ("synth.count_override", 0), ("select.min_sds", 0), ("run.threads", 1)]
 
 
 @pytest.mark.parametrize("command, args, message", [
@@ -459,3 +461,64 @@ def test_selection_outputs_do_not_depend_on_the_corpus_cache(pipeline, tmp_path)
         assert sorted(e.name for e in cache.iterdir()) == entries
     assert len(outputs[0]) == 10
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_every_flag_sets_a_config_key():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert len(sub.choices) == 12
+    for command, p in sub.choices.items():
+        for action in p._actions:
+            if "." in action.dest:
+                assert action.dest in DEFAULTS, f"{command} {action.option_strings[0]}"
+                assert action.metavar == action.dest
+            else:
+                assert action.dest in {"help", "config", "set", "out_dir"}
+    dests = {command: {a.option_strings[0]: a.dest for a in p._actions}
+             for command, p in sub.choices.items()}
+    assert dests["validate"]["--count"] == "fidelity.sample_count"
+    assert dests["synth"]["--count"] == "synth.count_override"
+    assert dests["sample"]["--count"] == "sample.count"
+    assert dests["sample"]["--mask-from"] == "paths.samples"
+    assert "--count fidelity.sample_count" in sub.choices["validate"].format_help()
+
+
+def test_precedence_is_config_then_env_then_flags_then_set(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("run.threads = 5\nrun.seed = 5\nsynth.count_override = 5\n")
+    monkeypatch.setenv("RECIPEFORGE_THREADS", "3")
+    synth = ["synth", "--spec", str(DESK / "synth_spec.json"), "--config", str(cfg)]
+    run_ok([*synth, "--seed", "2", "--count", "20", "--set", "synth.count_override=30",
+            "--out-dir", str(tmp_path / "a")])
+    resolved = (tmp_path / "a" / "config.resolved").read_text().splitlines()
+    assert "run.threads = 3" in resolved              # env over --config
+    assert "run.seed = 2" in resolved                 # flag over --config
+    assert "synth.count_override = 30" in resolved    # --set over flag
+    run_ok([*synth, "--threads", "2", "--out-dir", str(tmp_path / "b")])
+    assert "run.threads = 2" in (tmp_path / "b" / "config.resolved").read_text().splitlines()
+
+
+@pytest.mark.parametrize("env, message", [
+    ("abc", "run.threads expects an integer, got 'abc'"),
+    ("-4", "run.threads must be >= 1, got -4"),
+], ids=["not_a_number", "negative"])
+def test_threads_env_is_parsed_like_a_set_value(tmp_path, monkeypatch, capsys, env, message):
+    monkeypatch.setenv("RECIPEFORGE_THREADS", env)
+    code = cli.run(["synth", "--spec", str(DESK / "synth_spec.json"), "--count", "20",
+                    "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert f"config key {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--impact-table", "--nutrient-table", "--hei-standards"])
+def test_input_that_is_not_utf8_names_the_file(pipeline, tmp_path, capsys, flag):
+    bad = tmp_path / "utf16.txt"
+    bad.write_bytes(b"\xff\xfe" + "ingredient_id,component\n".encode("utf-16-le"))
+    nutrients = ["--nutrient-table", str(DESK / "nutrient_table.csv")]
+    args = {"--config": ["select-nutritious", *nutrients, "--config", str(bad)],
+            "--impact-table": ["select-sustainable", "--impact-table", str(bad)],
+            "--nutrient-table": ["select-nutritious", "--nutrient-table", str(bad)],
+            "--hei-standards": ["select-nutritious", *nutrients, "--hei-standards", str(bad)]}[flag]
+    code = cli.run([*args, "--samples", str(pipeline / "samples" / "samples.jsonl"),
+                    "--vocabulary", str(pipeline / "vocabulary.json"), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert f"{bad}: not UTF-8 text (invalid start byte at byte 0)" in capsys.readouterr().err

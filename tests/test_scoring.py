@@ -258,13 +258,55 @@ def test_impact_norms_reject_non_finite_value(tmp_path):
                                       "water": float("inf"), "ghg": 2.0})
 
 
+IMPACT_HEADER = ("ingredient_id,land_m2_per_kg,eutro_gPO4eq_per_kg,water_L_per_kg,"
+                 "ghg_kgCO2eq_per_kg\n")
+
+
+@pytest.mark.parametrize("row, message", [
+    ("lettuce,1.0,abc,100.0,0.5", "column eutro_gPO4eq_per_kg of lettuce is 'abc', "
+                                  "expected a finite number"),
+    ("lettuce,1.0,2.0,100.0", "column ghg_kgCO2eq_per_kg of lettuce is None, "
+                              "expected a finite number"),
+], ids=["not_a_number", "short_row"])
+def test_impact_table_names_file_ingredient_and_column_of_a_bad_cell(tmp_path, row, message):
+    f = tmp_path / "impact.csv"
+    f.write_text(IMPACT_HEADER + "bean_patty,4.0,10.0,400.0,2.0\n" + row
+                 + "\nwhite_bun,2.0,6.0,200.0,1.0\n")
+    with pytest.raises(DataError) as e:
+        scoring.load_impact_table(f, VOCAB3)
+    assert str(e.value) == f"{f}: {message}"
+
+
+def test_impact_table_missing_column_names_the_file(tmp_path):
+    f = tmp_path / "impact.csv"
+    f.write_text(IMPACT_HEADER.replace(",water_L_per_kg", "") + "bean_patty,4.0,10.0,2.0\n")
+    with pytest.raises(DataError) as e:
+        scoring.load_impact_table(f, VOCAB3)
+    assert str(e.value) == f"{f}: impact table missing columns: ['water_L_per_kg']"
+
+
+@pytest.mark.parametrize("norms, message", [
+    ([4.0, 10.0, 400.0, 2.0], "expected a JSON object with keys land, eutrophication, water, ghg"),
+    ({"land": "x", "eutrophication": 10.0, "water": 400.0, "ghg": 2.0},
+     "key land is 'x', expected a finite number"),
+    ({"land": 4.0, "eutrophication": True, "water": 400.0, "ghg": 2.0},
+     "key eutrophication is True, expected a finite number"),
+    ({"land": 4.0, "eutrophication": 10.0, "water": 400.0}, "missing key ghg"),
+], ids=["array", "string_value", "boolean_value", "missing_key"])
+def test_impact_norms_must_be_an_object_of_numbers(tmp_path, norms, message):
+    with pytest.raises(DataError) as e:
+        impact_table(tmp_path, norms=norms)
+    assert str(e.value) == f"{tmp_path / 'norms.json'}: {message}"
+
+
 def test_env_missing_ingredient(tmp_path):
     f = tmp_path / "impact.csv"
     f.write_text(
         "ingredient_id,land_m2_per_kg,eutro_gPO4eq_per_kg,water_L_per_kg,ghg_kgCO2eq_per_kg\n"
         "bean_patty,4.0,10.0,400.0,2.0\n")
-    with pytest.raises(DataError):
+    with pytest.raises(DataError) as e:
         scoring.load_impact_table(f, VOCAB3)
+    assert str(e.value) == f"{f}: impact table missing ingredients: ['lettuce', 'white_bun']"
 
 
 def test_scorers_reject_vocabulary_mismatch(tmp_path, worksheet_table):
@@ -405,6 +447,25 @@ def test_nutrient_table_rejects_inf_kcal(tmp_path):
         write_nutrient_table(tmp_path, [nutrient_csv_row("patty", kcal_per_100g="inf")], vocab)
 
 
+def test_nutrient_table_names_file_ingredient_and_column_of_a_bad_cell(tmp_path):
+    vocab = IngredientVocabulary.from_ids(["patty"])
+    f = tmp_path / "nutrients.csv"
+    with pytest.raises(DataError) as e:
+        write_nutrient_table(tmp_path, [nutrient_csv_row("patty", sodium_mg_per_100g="abc")], vocab)
+    assert str(e.value) == f"{f}: column sodium_mg_per_100g of patty is 'abc', expected a finite number"
+
+
+def test_nutrient_table_missing_column_and_ingredient_name_the_file(tmp_path):
+    with pytest.raises(DataError) as e:
+        write_nutrient_table(tmp_path, [nutrient_csv_row("patty")],
+                             IngredientVocabulary.from_ids(["bun", "patty"]))
+    assert str(e.value) == f"{tmp_path / 'nutrients.csv'}: nutrient table missing ingredients: ['bun']"
+    f = tmp_path / "short.csv"
+    f.write_text("ingredient_id,kcal_per_100g\npatty,200\n")
+    with pytest.raises(DataError, match=rf"short\.csv: nutrient table missing columns: \['added_sugars"):
+        scoring.load_nutrient_table(f, IngredientVocabulary.from_ids(["patty"]))
+
+
 def write_standards(tmp_path, edit):
     bundled = scoring.load_hei_standards()
     lines = ["component,curve,max_points,max_at,zero_at"]
@@ -423,7 +484,8 @@ def write_standards(tmp_path, edit):
     ({"curve": "sideways"}, "curve"),
     ({"max_at": 2.0, "zero_at": 2.0}, "max_at and zero_at"),
     ({"max_points": "nan"}, "max_points"),
-], ids=["unknown_curve", "flat_curve", "nan_points"])
+    ({"max_at": "abc"}, "max_at"),
+], ids=["unknown_curve", "flat_curve", "nan_points", "text_max_at"])
 def test_hei_standards_reject_bad_rows(tmp_path, edit, column):
     with pytest.raises(DataError, match=rf"hei\.csv: columns? {column} of sodium"):
         scoring.load_hei_standards(write_standards(tmp_path, edit))
