@@ -11,6 +11,7 @@ of marginals and pairwise structure for fidelity oracles.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
@@ -52,15 +53,9 @@ class IngredientVocabulary:
         return [e[0] for e in self.entries]
 
     def index_of(self, ingredient_id: str) -> int:
-        lo, hi = 0, len(self.entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.entries[mid][0] < ingredient_id:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.entries) and self.entries[lo][0] == ingredient_id:
-            return lo
+        i = bisect.bisect_left(self.entries, ingredient_id, key=lambda e: e[0])
+        if i < len(self.entries) and self.entries[i][0] == ingredient_id:
+            return i
         raise KeyError(ingredient_id)
 
     def items(self, grams: np.ndarray) -> list[tuple[str, float]]:
@@ -106,6 +101,14 @@ class Corpus:
     def rows(self, split: str) -> np.ndarray:
         """The grams rows tagged with split, in corpus order."""
         return self.grams[[s == split for s in self.splits]]
+
+    def training_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(train, validation) grams rows, with the first 256 train rows as
+        validation when the corpus has no validation rows."""
+        train, val = self.rows(TRAIN), self.rows(VALIDATION)
+        if len(train) == 0:
+            raise DataError("training corpus is empty")
+        return train, val if len(val) else train[:256]
 
 
 @dataclass

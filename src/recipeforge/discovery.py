@@ -62,7 +62,8 @@ class DiscoveryResult:
         }
 
 
-def _check_models(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreModel) -> None:
+def check_models(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreModel) -> None:
+    """DataError unless the two models share a vocabulary fingerprint and size."""
     if mask_model.vocab_fingerprint != quantity_model.vocab_fingerprint:
         raise DataError("mask and quantity models were trained on different vocabularies")
     if mask_model.K != quantity_model.K:
@@ -79,7 +80,7 @@ def generate_batch(mask_model: MaskDiffusionModel, quantity_model: QuantityScore
     count; masks use the (seed, chunk) stream and weights an independent
     derived stream.
     """
-    _check_models(mask_model, quantity_model)
+    check_models(mask_model, quantity_model)
     masks = mask_diffusion.sample_masks(mask_model, count, seed,
                                         chunk_size=chunk_size, threads=threads)
     return reverse_sample_batch(quantity_model, masks, seed + _QTY_STREAM,
@@ -166,7 +167,7 @@ def rediscover(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreMode
     Returns the first matching stream index, or not-found once the
     budget is exhausted.
     """
-    _check_models(mask_model, quantity_model)
+    check_models(mask_model, quantity_model)
     if np.shape(reference) != (mask_model.K,):
         raise DataError("reference recipe does not match model vocabulary")
     chunks = range(-(-budget // chunk_size))
@@ -198,7 +199,7 @@ def _first_match(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreMo
     chunks, sampled in lockstep, or None."""
     lo, n = chunks[0] * chunk_size, len(chunks) * chunk_size
     rows = min(n, budget - lo)
-    masks, _ = _sample_chunk(mask_model, n, [netcore.chunk_rng(seed, c) for c in chunks], True)
+    masks, _ = _sample_chunk(mask_model, n, [netcore.chunk_rng(seed, c) for c in chunks])
     z = reverse_integrate(quantity_model.score, masks.astype(float), quantity_model.sde,
                           [netcore.chunk_rng(seed + _QTY_STREAM, c) for c in chunks])
     grams = decode_weights(z[:rows], masks[:rows], quantity_model.codec)
@@ -209,12 +210,24 @@ def _first_match(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreMo
     return RediscoveryOutcome(found=True, index=index, recipe=grams[hits[0]], draws=index + 1)
 
 
-def _top_group(grams: np.ndarray, indices) -> tuple[np.ndarray, int, int]:
-    """Founder row, size and founder's index in grams of the largest SDS-0
-    group among grams[indices]."""
-    kept = grams[indices]
+def _select(batch: np.ndarray, keep: np.ndarray, rule: str) -> tuple[DiscoveryResult, int]:
+    """The largest SDS-0 group among batch[keep] as a result under rule,
+    and its founder's row in batch."""
+    kept = batch[keep]
     best = group_recipes(kept)[0]
-    return kept[best.founder_index], best.count, int(indices[best.founder_index])
+    result = DiscoveryResult(selected=kept[best.founder_index], rule=rule, group_count=best.count,
+                             total_samples=len(batch), popularity=best.count / len(batch))
+    return result, int(keep[best.founder_index])
+
+
+def _top_fraction(batch: np.ndarray, top_fraction: float, score_of) -> np.ndarray:
+    """Rows of the top_fraction of batch (at least one) by score_of(batch), in row order."""
+    if len(batch) == 0:
+        raise DataError("batch is empty")
+    if not 0.0 < top_fraction <= 1.0:
+        raise ValueError(f"top fraction must lie in (0, 1], got {top_fraction}")
+    k = max(1, math.ceil(top_fraction * len(batch)))
+    return np.sort(np.argsort(-score_of(batch), kind="stable")[:k])
 
 
 def discover_novel(batch: np.ndarray, corpus: Corpus, min_sds: int) -> DiscoveryResult:
@@ -226,11 +239,9 @@ def discover_novel(batch: np.ndarray, corpus: Corpus, min_sds: int) -> Discovery
     keep = np.flatnonzero(nov >= min_sds)
     if not keep.size:
         raise DataError(f"no sample has novelty >= {min_sds}")
-    rep, count, row = _top_group(batch, keep)
-    return DiscoveryResult(
-        selected=rep, rule=f"discover_novel(min_sds={min_sds})",
-        group_count=count, total_samples=len(batch),
-        popularity=count / len(batch), novelty_sds=int(nov[row]))
+    result, row = _select(batch, keep, f"discover_novel(min_sds={min_sds})")
+    result.novelty_sds = int(nov[row])
+    return result
 
 
 def select_sustainable(batch: np.ndarray, table: ImpactTable,
@@ -256,45 +267,28 @@ def select_sustainable(batch: np.ndarray, table: ImpactTable,
     scores = env_impact_scores(batch[candidates], table)
     k = max(1, math.ceil(0.1 * len(candidates)))
     keep = np.sort(candidates[np.argsort(scores, kind="stable")[:k]])
-    rep, count, _ = _top_group(batch, keep)
-    return DiscoveryResult(
-        selected=rep, rule="select_sustainable" + (f"(require={sorted(required)})" if required else ""),
-        group_count=count, total_samples=len(batch),
-        popularity=count / len(batch), env_score=float(env_impact_scores(rep, table)[0]))
-
-
-def _top_fraction_group(batch: np.ndarray, top_fraction: float,
-                        score_of) -> tuple[np.ndarray, int, int]:
-    """_top_group over the top_fraction of rows (at least one) by score_of(grams)."""
-    if len(batch) == 0:
-        raise DataError("batch is empty")
-    if not 0.0 < top_fraction <= 1.0:
-        raise ValueError(f"top fraction must lie in (0, 1], got {top_fraction}")
-    k = max(1, math.ceil(top_fraction * len(batch)))
-    order = np.argsort(-score_of(batch), kind="stable")[:k]
-    return _top_group(batch, np.sort(order))
+    result, _ = _select(batch, keep, "select_sustainable"
+                        + (f"(require={sorted(required)})" if required else ""))
+    result.env_score = float(env_impact_scores(result.selected, table)[0])
+    return result
 
 
 def select_nutritious(batch: np.ndarray, table: NutrientTable, top_fraction: float,
                       standards: list[HEIComponentStandard] | None = None) -> DiscoveryResult:
     """Most repeated sample within the top fraction by healthy eating index."""
-    rep, count, _ = _top_fraction_group(batch, top_fraction,
-                                     lambda grams: hei_totals(grams, table, standards))
-    return DiscoveryResult(
-        selected=rep, rule=f"select_nutritious(top={top_fraction})",
-        group_count=count, total_samples=len(batch),
-        popularity=count / len(batch), hei_total=float(hei_totals(rep, table, standards)[0]))
+    keep = _top_fraction(batch, top_fraction, lambda grams: hei_totals(grams, table, standards))
+    result, _ = _select(batch, keep, f"select_nutritious(top={top_fraction})")
+    result.hei_total = float(hei_totals(result.selected, table, standards)[0])
+    return result
 
 
 def select_personalized(batch: np.ndarray, profile: PersonProfile, table: NutrientTable,
                         top_fraction: float, meal_fraction: float = 1.0 / 3.0) -> DiscoveryResult:
     """Most repeated sample within the top fraction by personalized score."""
-    rep, count, _ = _top_fraction_group(
+    keep = _top_fraction(
         batch, top_fraction, lambda grams: personalized_scores(grams, profile, table, meal_fraction))
-    return DiscoveryResult(
-        selected=rep,
-        rule=f"select_personalized(top={top_fraction}, age={profile.age}, sex={profile.sex})",
-        group_count=count, total_samples=len(batch), popularity=count / len(batch))
+    return _select(batch, keep, f"select_personalized(top={top_fraction}, age={profile.age}, "
+                                f"sex={profile.sex})")[0]
 
 
 @dataclass

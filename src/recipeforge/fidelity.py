@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import TRAIN, VALIDATION, Corpus
+from .discovery import check_models
 from .errors import DataError
 from .mask_diffusion import MaskDiffusionModel, sample_masks
 from .quantity_diffusion import QuantityScoreModel, reverse_sample_batch
@@ -144,8 +145,7 @@ def fidelity_report(mask_model: MaskDiffusionModel, quantity_model: QuantityScor
     on one worker thread while the masks are drawn on this one; the
     report, and any error, are the same as with threads = 1.
     """
-    if mask_model.vocab_fingerprint != quantity_model.vocab_fingerprint:
-        raise DataError("mask and quantity models were trained on different vocabularies")
+    check_models(mask_model, quantity_model)
     train_masks = (corpus.rows(TRAIN) > 0).astype(np.uint8)
     if train_masks.shape[0] == 0:
         raise DataError("corpus train split is empty")

@@ -14,7 +14,6 @@ uniformly sampled time step per example.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +21,7 @@ import numpy as np
 from scipy.special import expit, rel_entr
 
 from . import netcore
-from .corpus import TRAIN, VALIDATION, Corpus
+from .corpus import Corpus
 from .errors import DataError, NumericError
 from .netcore import Network, TrainConfig
 
@@ -192,10 +191,8 @@ def _elbo_terms(model: MaskDiffusionModel, masks: np.ndarray,
 
 
 def _train_step(model: MaskDiffusionModel, batch: np.ndarray,
-                opt: netcore.OptimizerState, rng: np.random.Generator) -> float:
+                opt: netcore.OptimizerState, rng: np.random.Generator) -> None:
     sched = model.schedule
-    T = sched.T
-    B = batch.shape[0]
     x0 = batch.astype(float)
     t, x_t = _noise(sched, x0, rng)
     acts = netcore.activations(model.net, _model_inputs(x_t, t, sched))
@@ -203,12 +200,9 @@ def _train_step(model: MaskDiffusionModel, batch: np.ndarray,
 
     pi0, pi1, q_true = _posterior_terms(sched, t, x_t, x0)
     pi = np.clip(s * pi1 + (1.0 - s) * pi0, _PCLIP, 1.0 - _PCLIP)
-
-    loss = float(_kl_bernoulli(q_true, pi).sum() * T / B)
     dkl_dpi = -q_true / pi + (1.0 - q_true) / (1.0 - pi)
-    cot = dkl_dpi * (pi1 - pi0) * s * (1.0 - s) * (T / B)
+    cot = dkl_dpi * (pi1 - pi0) * s * (1.0 - s) * (sched.T / len(batch))
     netcore.optimizer_step(model.net, netcore.gradient(model.net, acts, cot), opt)
-    return loss
 
 
 def _validation_loss(model: MaskDiffusionModel, masks: np.ndarray, seed: int, draws: int) -> float:
@@ -222,17 +216,13 @@ def train_mask_model(corpus: Corpus, schedule: NoiseSchedule, config: TrainConfi
     """Train the mask denoiser on the corpus train split.
 
     Deterministic for a fixed seed; validation negative ELBO is recorded
-    in model.history at config.val_interval (falling back to the train
-    split when the corpus has no validation recipes).
+    in model.history at config.val_interval on Corpus.training_rows'
+    validation rows.
     """
-    masks = (corpus.rows(TRAIN) > 0).astype(np.uint8)
-    if masks.shape[0] == 0:
-        raise DataError("training corpus is empty")
+    train, val = corpus.training_rows()
+    masks, val_masks = (train > 0).astype(np.uint8), (val > 0).astype(np.uint8)
     if (~masks.any(axis=1)).any():
         raise DataError("training corpus contains an all-zero mask")
-    val_masks = (corpus.rows(VALIDATION) > 0).astype(np.uint8)
-    if val_masks.shape[0] == 0:
-        val_masks = masks[: min(len(masks), 256)]
     K = corpus.vocabulary.K
     sizes = [K + 3] + [config.hidden_width] * config.hidden_depth + [K]
     net = netcore.init_network(sizes, seed)
@@ -274,8 +264,8 @@ def _chains(model: MaskDiffusionModel, rngs: list[np.random.Generator], n: int) 
     return x
 
 
-def _sample_chunk(model: MaskDiffusionModel, n: int, rngs: list[np.random.Generator],
-                  discard_empty: bool) -> tuple[np.ndarray, int]:
+def _sample_chunk(model: MaskDiffusionModel, n: int,
+                  rngs: list[np.random.Generator]) -> tuple[np.ndarray, int]:
     """n masks as len(rngs) equal blocks sampled in lockstep, and the
     number of all-zero masks discarded.
 
@@ -285,59 +275,48 @@ def _sample_chunk(model: MaskDiffusionModel, n: int, rngs: list[np.random.Genera
     """
     x = _chains(model, rngs, n)
     discarded = 0
-    if discard_empty:
-        for block, rng in zip(np.split(x, len(rngs)), rngs):
-            for _ in range(1000):
-                empty = ~block.astype(bool).any(axis=1)
-                if not empty.any():
-                    break
-                discarded += int(empty.sum())
-                block[empty] = _chains(model, [rng], int(empty.sum()))
-            else:
-                raise NumericError("mask sampler kept producing all-zero masks")
+    for block, rng in zip(np.split(x, len(rngs)), rngs):
+        for _ in range(1000):
+            empty = ~block.astype(bool).any(axis=1)
+            if not empty.any():
+                break
+            discarded += int(empty.sum())
+            block[empty] = _chains(model, [rng], int(empty.sum()))
+        else:
+            raise NumericError("mask sampler kept producing all-zero masks")
     return x.astype(np.uint8), discarded
 
 
 def sample_masks(model: MaskDiffusionModel, count: int, seed: int, *,
-                 chunk_size: int = 2048, threads: int = 1,
-                 discard_empty: bool = True) -> np.ndarray:
+                 chunk_size: int = 2048, threads: int = 1) -> np.ndarray:
     """Draw count masks by ancestral sampling; (count, K) uint8 array.
 
     The stream is partitioned into fixed-size chunks seeded by
     (seed, chunk_index), so results are byte-identical for any thread
-    count. All-zero masks are discarded and resampled by default.
+    count. All-zero masks are discarded and resampled.
     """
     if count == 0:
         return np.zeros((0, model.K), dtype=np.uint8)
     return netcore.map_chunks(
         count, chunk_size, seed, threads,
-        lambda rows, rng: _sample_chunk(model, rows.stop - rows.start, [rng], discard_empty)[0])
+        lambda rows, rng: _sample_chunk(model, rows.stop - rows.start, [rng])[0])
 
 
 def save_mask_model(path: str | Path, model: MaskDiffusionModel, seed_lineage=None) -> None:
-    doc = {
-        "schema_version": 1,
-        "kind": "mask_diffusion",
-        "K": model.K,
-        "vocab_fingerprint": model.vocab_fingerprint,
-        "schedule": {"T": model.schedule.T, "beta": model.schedule.betas.tolist()},
-        "base_logits": None if model.base_logits is None else model.base_logits.tolist(),
-        "net": netcore.net_to_dict(model.net),
-        "seed_lineage": list(seed_lineage or []),
-    }
-    Path(path).write_text(json.dumps(doc) + "\n")
+    netcore.write_checkpoint(
+        path, "mask_diffusion", model, seed_lineage,
+        schedule={"T": model.schedule.T, "beta": model.schedule.betas.tolist()},
+        base_logits=None if model.base_logits is None else model.base_logits.tolist())
 
 
 def load_mask_model(path: str | Path) -> MaskDiffusionModel:
     """Read a checkpoint; DataError names the file and field of a bad value."""
-    doc = netcore.read_checkpoint(path, "mask_diffusion")
-    K = int(netcore.field(doc, path, "K"))
+    doc, K, net, fingerprint = netcore.read_checkpoint(path, "mask_diffusion", lambda k: k + 3)
     base = doc.get("base_logits")
     return MaskDiffusionModel(
         schedule=NoiseSchedule(betas=netcore.checked_field(
             netcore.field(doc, path, "schedule.beta"), path, "schedule.beta")),
-        net=netcore.net_from_dict(netcore.field(doc, path, "net"), path, K + 3, K),
-        K=K,
+        net=net, K=K,
         base_logits=None if base is None else netcore.checked_field(base, path, "base_logits", K),
-        vocab_fingerprint=str(doc.get("vocab_fingerprint", "")),
+        vocab_fingerprint=fingerprint,
     )

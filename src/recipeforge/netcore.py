@@ -10,6 +10,10 @@ net.weights[l] (shape (sizes[l+1], sizes[l])) and net.biases[l] are views
 into theta, so writing to them writes theta and vice versa. Gradients,
 Adam's moments and the parameter average are flat vectors in the same
 layout.
+
+A model checkpoint is one JSON object with the keys schema_version,
+kind, K and vocab_fingerprint, then the model's own fields, then net
+(layer sizes and row-major parameters) and seed_lineage, in that order.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import ctypes
 import dataclasses
 import functools
 import glob
+import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -231,7 +236,7 @@ def time_embedding(t: np.ndarray | float, period: float) -> np.ndarray:
 
 
 def fit(net: Network, config: TrainConfig, seed: int, n_rows: int,
-        step: Callable[[np.ndarray, OptimizerState, np.random.Generator], object],
+        step: Callable[[np.ndarray, OptimizerState, np.random.Generator], None],
         validate: Callable[[], float]) -> list[tuple[int, float]]:
     """Train net in place with Adam; returns the (step, validation loss) history.
 
@@ -345,15 +350,27 @@ def net_to_dict(net: Network) -> dict:
     }
 
 
-def read_checkpoint(path: str | Path, kind: str) -> dict:
-    """Parse a model checkpoint and check its kind and schema_version (1)."""
+def write_checkpoint(path: str | Path, kind: str, model, seed_lineage, **fields) -> None:
+    """Write model's checkpoint in the layout above, with fields in the given order."""
+    doc = {"schema_version": 1, "kind": kind, "K": model.K,
+           "vocab_fingerprint": model.vocab_fingerprint, **fields,
+           "net": net_to_dict(model.net), "seed_lineage": list(seed_lineage or [])}
+    Path(path).write_text(json.dumps(doc) + "\n")
+
+
+def read_checkpoint(path: str | Path, kind: str,
+                    n_in: Callable[[int], int]) -> tuple[dict, int, Network, str]:
+    """(document, K, network, vocab_fingerprint) of a model checkpoint; checks
+    its kind, schema_version (1) and a network of n_in(K) inputs, K outputs."""
     doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise DataError(f"{path}: not a {kind.replace('_', ' ')} checkpoint")
     if doc.get("schema_version") != 1:
         raise DataError(f"{path}: field schema_version is {doc.get('schema_version')!r}, "
                         "expected 1")
-    return doc
+    K = int(field(doc, path, "K"))
+    net = net_from_dict(field(doc, path, "net"), path, n_in(K), K)
+    return doc, K, net, str(doc.get("vocab_fingerprint", ""))
 
 
 def field(doc: dict, path, name: str):

@@ -20,16 +20,15 @@ from t = 1 down to t_eps, pinning masked-out coordinates at zero.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import netcore
-from .corpus import TRAIN, VALIDATION, Corpus
+from .corpus import Corpus
 from .errors import DataError, NumericError
 from .netcore import Network, TrainConfig
 
@@ -92,11 +91,10 @@ class QuantityScoreModel:
         return (-x - out / sigma) * mask
 
 
-def fit_codec(corpus: Corpus) -> WeightCodec:
-    """Log-gram statistics over the train split; unseen ingredients get
-    neutral defaults (mean log 100 g, unit spread)."""
-    weights = corpus.rows(TRAIN)
-    K = corpus.vocabulary.K
+def fit_codec(weights: np.ndarray) -> WeightCodec:
+    """Log-gram statistics per column of an (n, K) grams matrix; unseen
+    ingredients get neutral defaults (mean log 100 g, unit spread)."""
+    K = weights.shape[1]
     mu = np.full(K, math.log(100.0))
     sd = np.ones(K)
     for i in range(K):
@@ -157,16 +155,14 @@ def _dsm_inputs(model: QuantityScoreModel, x0: np.ndarray, masks: np.ndarray, t:
 
 
 def _dsm_batch_step(model: QuantityScoreModel, x0: np.ndarray, masks: np.ndarray,
-                    opt: netcore.OptimizerState, rng: np.random.Generator) -> float:
+                    opt: netcore.OptimizerState, rng: np.random.Generator) -> None:
     """One Adam step on the sigma^2-weighted DSM objective (the
     noise-residual regression, same minimizer as the unweighted loss)."""
     B = x0.shape[0]
     inputs, target = _dsm_inputs(model, x0, masks, rng.uniform(model.sde.t_eps, 1.0, size=B), rng)
     acts = netcore.activations(model.net, inputs)
     resid = (acts[-1] - target) * masks
-    loss = float((resid ** 2).sum() / B)
     netcore.optimizer_step(model.net, netcore.gradient(model.net, acts, 2.0 * resid / B), opt)
-    return loss
 
 
 def _validation_dsm(model: QuantityScoreModel, x0: np.ndarray, masks: np.ndarray, seed: int) -> float:
@@ -180,25 +176,19 @@ def _validation_dsm(model: QuantityScoreModel, x0: np.ndarray, masks: np.ndarray
 
 def train_quantity_model(corpus: Corpus, sde: SDESpec, config: TrainConfig,
                          seed: int) -> QuantityScoreModel:
-    """Fit the codec and train the score network on the corpus train split."""
-    weights = corpus.rows(TRAIN)
-    masks = (weights > 0).astype(np.uint8)
-    if masks.shape[0] == 0:
-        raise DataError("training corpus is empty")
-    codec = fit_codec(corpus)
+    """Fit the codec and train the score network on the corpus train split,
+    validating on Corpus.training_rows' validation rows."""
+    weights, val_weights = corpus.training_rows()
+    codec = fit_codec(weights)
     K = corpus.vocabulary.K
     sizes = [2 * K + 3] + [config.hidden_width] * config.hidden_depth + [K]
     net = netcore.init_network(sizes, seed)
     model = QuantityScoreModel(sde=sde, net=net, codec=codec, K=K,
                                vocab_fingerprint=corpus.vocabulary.fingerprint())
-    val_weights = corpus.rows(VALIDATION)
-    val_masks = (val_weights > 0).astype(np.uint8)
-    if val_masks.shape[0] == 0:
-        val_masks, val_weights = masks[:256], weights[:256]
-    x0, fmask = encode_weights(weights, codec), masks.astype(float)
-    vx0, vmask = encode_weights(val_weights, codec), val_masks.astype(float)
+    x0, fmask = encode_weights(weights, codec), (weights > 0).astype(float)
+    vx0, vmask = encode_weights(val_weights, codec), (val_weights > 0).astype(float)
     model.history = netcore.fit(
-        net, config, seed, masks.shape[0],
+        net, config, seed, len(weights),
         lambda idx, opt, rng: _dsm_batch_step(model, x0[idx], fmask[idx], opt, rng),
         lambda: _validation_dsm(model, vx0, vmask, seed + 1))
     return model
@@ -254,33 +244,19 @@ def reverse_sample_batch(model: QuantityScoreModel, masks: np.ndarray, seed: int
 
 
 def save_quantity_model(path: str | Path, model: QuantityScoreModel, seed_lineage=None) -> None:
-    doc = {
-        "schema_version": 1,
-        "kind": "quantity_diffusion",
-        "K": model.K,
-        "vocab_fingerprint": model.vocab_fingerprint,
-        "sde": {"beta_min": model.sde.beta_min, "beta_max": model.sde.beta_max,
-                "steps": model.sde.steps, "t_eps": model.sde.t_eps},
-        "codec": {"log_mean": model.codec.log_mean.tolist(),
-                  "log_std": model.codec.log_std.tolist()},
-        "net": netcore.net_to_dict(model.net),
-        "seed_lineage": list(seed_lineage or []),
-    }
-    Path(path).write_text(json.dumps(doc) + "\n")
+    netcore.write_checkpoint(
+        path, "quantity_diffusion", model, seed_lineage, sde=asdict(model.sde),
+        codec={"log_mean": model.codec.log_mean.tolist(), "log_std": model.codec.log_std.tolist()})
 
 
 def load_quantity_model(path: str | Path) -> QuantityScoreModel:
     """Read a checkpoint; DataError names the file and field of a bad value."""
-    doc = netcore.read_checkpoint(path, "quantity_diffusion")
-    K = int(netcore.field(doc, path, "K"))
+    doc, K, net, fingerprint = netcore.read_checkpoint(path, "quantity_diffusion",
+                                                       lambda k: 2 * k + 3)
     sde = SDESpec(**{k: netcore.field(doc, path, f"sde.{k}")
                      for k in ("beta_min", "beta_max", "steps", "t_eps")})
     netcore.checked_field([sde.beta_min, sde.beta_max, sde.t_eps], path, "sde")
     codec = WeightCodec(**{k: netcore.checked_field(netcore.field(doc, path, f"codec.{k}"), path,
                                                     f"codec.{k}", K)
                            for k in ("log_mean", "log_std")})
-    return QuantityScoreModel(
-        sde=sde, net=netcore.net_from_dict(netcore.field(doc, path, "net"), path, 2 * K + 3, K),
-        codec=codec,
-        K=K, vocab_fingerprint=str(doc.get("vocab_fingerprint", "")),
-    )
+    return QuantityScoreModel(sde=sde, net=net, codec=codec, K=K, vocab_fingerprint=fingerprint)

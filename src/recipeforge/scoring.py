@@ -97,16 +97,6 @@ class ImpactTable:
     values: np.ndarray  # (K, 4) in IMPACT_METRICS order
     norms: np.ndarray   # (4,)
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.norms = np.asarray(self.norms, dtype=float)
-        if self.values.shape != (self.vocabulary.K, 4):
-            raise DataError("impact table shape does not match vocabulary")
-        if (self.values < 0).any():
-            raise DataError("impact values must be >= 0")
-        if (self.norms <= 0).any():
-            raise DataError("impact normalization constants must be > 0")
-
 
 def load_impact_table(path: str | Path, vocabulary: IngredientVocabulary,
                       norms_path: str | Path | None = None) -> ImpactTable:
@@ -130,6 +120,8 @@ def load_impact_table(path: str | Path, vocabulary: IngredientVocabulary,
             if isinstance(v, bool) or not isinstance(v, (int, float)) \
                     or not abs(v) <= sys.float_info.max:
                 raise DataError(f"{norms_path}: key {k} is {v!r}, expected a finite number")
+            if v <= 0:
+                raise DataError(f"{norms_path}: key {k} is {v!r}, expected a number > 0")
         norms = np.array([float(doc[k]) for k in keys])
     else:
         norms = np.median(values, axis=0)
@@ -141,7 +133,8 @@ def _read_table(path, kind: str, fields, vocabulary: IngredientVocabulary) -> np
     """The (K, len(fields)) values of a per-ingredient CSV table, rows in
     vocabulary order. DataError names the file of text that is not UTF-8,
     of a missing column or ingredient, and of a cell that is not a finite
-    number, with that cell's ingredient and column."""
+    number or is negative in a vocabulary row, with that cell's ingredient
+    and column."""
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
     missing_cols = {"ingredient_id", *fields} - set(reader.fieldnames or [])
     if missing_cols:
@@ -151,7 +144,12 @@ def _read_table(path, kind: str, fields, vocabulary: IngredientVocabulary) -> np
     missing = [i for i in vocabulary.ids if i not in rows]
     if missing:
         raise DataError(f"{path}: {kind} table missing ingredients: {missing[:5]}")
-    return np.array([rows[i] for i in vocabulary.ids])
+    values = np.array([rows[i] for i in vocabulary.ids])
+    if (values < 0).any():
+        r, c = np.argwhere(values < 0)[0]
+        raise DataError(f"{path}: column {fields[c]} of {vocabulary.ids[r]} is {values[r, c]:g}, "
+                        "expected a number >= 0")
+    return values
 
 
 def _number(path, field: str, cell) -> float:
@@ -207,17 +205,6 @@ class NutrientTable:
 
     vocabulary: IngredientVocabulary
     columns: dict[str, np.ndarray]  # field -> (K,)
-
-    def __post_init__(self):
-        for f in NUTRIENT_FIELDS:
-            if f not in self.columns:
-                raise DataError(f"nutrient table missing field {f}")
-            col = np.asarray(self.columns[f], dtype=float)
-            if col.shape[0] != self.vocabulary.K:
-                raise DataError(f"nutrient column {f} does not match vocabulary")
-            if (col < 0).any():
-                raise DataError(f"nutrient column {f} has negative entries")
-            self.columns[f] = col
 
     def amounts(self, weights: np.ndarray, fields: list[str]) -> np.ndarray:
         """(n, len(fields)) totals for each weight-matrix row."""

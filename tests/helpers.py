@@ -196,7 +196,7 @@ class LayerAverage:
             net.biases[l][:] = self.biases[l]
 
 
-def layer_mask_train_step(model, batch, opt: LayerAdam, rng) -> float:
+def layer_mask_train_step(model, batch, opt: LayerAdam, rng) -> None:
     """mask_diffusion._train_step with the posterior evaluated per cell and
     the reference gradient and Adam."""
     sched = model.schedule
@@ -211,11 +211,9 @@ def layer_mask_train_step(model, batch, opt: LayerAdam, rng) -> float:
     pi0 = md._posterior_prob(x_t, 0.0, beta_t, ab_prev)
     pi = np.clip(s * pi1 + (1.0 - s) * pi0, md._PCLIP, 1.0 - md._PCLIP)
     q_true = md._posterior_prob(x_t, x0, beta_t, ab_prev)
-    loss = float(md._kl_bernoulli(q_true, pi).sum() * T / B)
     dkl_dpi = -q_true / pi + (1.0 - q_true) / (1.0 - pi)
     cot = dkl_dpi * (pi1 - pi0) * s * (1.0 - s) * (T / B)
     layer_optimizer_step(model.net, layer_gradient(model.net, inputs, cot), opt)
-    return loss
 
 
 def use_layer_reference(monkeypatch) -> None:

@@ -477,7 +477,7 @@ def test_synth_spec_rejects_unknown_ingredient_ids(tmp_path, key, doc):
     cp.load_synth_spec,
     lambda p: scoring.load_impact_table(DESK / "impact_table.csv", cp.IngredientVocabulary.from_ids(
         ln.split(",")[0] for ln in (DESK / "impact_table.csv").read_text().splitlines()[1:]), p),
-    lambda p: netcore.read_checkpoint(p, "mask_model"),
+    lambda p: netcore.read_checkpoint(p, "mask_model", lambda k: k + 3),
 ], ids=["vocabulary", "synth_spec", "impact_norms", "checkpoint"])
 def test_json_inputs_name_the_file_when_they_do_not_parse(tmp_path, read):
     f = tmp_path / "broken.json"

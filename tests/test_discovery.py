@@ -89,9 +89,9 @@ def test_rediscover_windows_double_from_one_chunk(monkeypatch):
     rows = []
     real = dc._sample_chunk
 
-    def sample_chunk(model, n, rngs, discard_empty):
+    def sample_chunk(model, n, rngs):
         rows.append(n)
-        return real(model, n, rngs, discard_empty)
+        return real(model, n, rngs)
 
     monkeypatch.setattr(dc, "_sample_chunk", sample_chunk)
     # an early match computes its own chunk only

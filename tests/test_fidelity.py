@@ -189,6 +189,14 @@ def test_fidelity_report_is_the_same_for_any_thread_count(monkeypatch):
     assert callers[0] == threading.get_ident() != callers[1]
 
 
+def test_fidelity_report_rejects_models_that_differ_in_size():
+    # both models carry the same (empty) fingerprint
+    mask_model, _, corpus = untrained_models_and_corpus(K=5)
+    _, quantity_model, _ = untrained_models_and_corpus(K=6)
+    with pytest.raises(DataError, match="mask and quantity models disagree on vocabulary size"):
+        fd.fidelity_report(mask_model, quantity_model, corpus, 50, seed=4)
+
+
 def test_fidelity_report_raises_the_quantity_error_with_threads():
     mask_model, quantity_model, corpus = untrained_models_and_corpus()
     quantity_model.net.weights[-1][:] = 1e307

@@ -387,11 +387,17 @@ def test_train_rejects_empty_corpus():
 
 
 def test_sample_t0_returns_prior_draw():
+    # with T = 0 each chain is its uniform start; only all-zero starts are redrawn
     sched = linear_schedule(0)
     model = make_model(sched, K=8, seed=1)
-    samples = md.sample_masks(model, 4000, seed=3, discard_empty=False)
-    assert abs(samples.mean() - 0.5) < 0.02
-    np.testing.assert_array_equal(samples, md.sample_masks(model, 4000, seed=3, discard_empty=False))
+    samples = md.sample_masks(model, 4000, seed=3)
+    prior = np.concatenate([netcore.chunk_rng(3, 0).random((2048, 8)),
+                            netcore.chunk_rng(3, 1).random((1952, 8))]) < 0.5
+    drawn = prior.any(axis=1)
+    assert 0 < (~drawn).sum() < 40
+    np.testing.assert_array_equal(samples[drawn], prior[drawn])
+    assert samples.any(axis=1).all() and abs(samples.mean() - 0.5) < 0.02
+    np.testing.assert_array_equal(samples, md.sample_masks(model, 4000, seed=3))
 
 
 def test_sample_threads_do_not_change_output():
@@ -408,8 +414,8 @@ def test_sample_chunk_blocks_are_their_single_generator_chunks(blocks, m):
     # is resampled from its own block's generator
     model = make_model(linear_schedule(10), K=3, seed=7)
     together, discarded = md._sample_chunk(
-        model, blocks * m, [netcore.chunk_rng(9, c) for c in range(blocks)], True)
-    alone = [md._sample_chunk(model, m, [netcore.chunk_rng(9, c)], True) for c in range(blocks)]
+        model, blocks * m, [netcore.chunk_rng(9, c) for c in range(blocks)])
+    alone = [md._sample_chunk(model, m, [netcore.chunk_rng(9, c)]) for c in range(blocks)]
     np.testing.assert_array_equal(together, np.concatenate([x for x, _ in alone]))
     assert discarded == sum(d for _, d in alone) > 0
 

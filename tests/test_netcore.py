@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from recipeforge import mask_diffusion as md
 from recipeforge import netcore
 from recipeforge import quantity_diffusion as qd
 from recipeforge.errors import NumericError
-from helpers import gradcheck, use_layer_reference
+from helpers import gradcheck, random_models, use_layer_reference
 
 DESK = Path(recipeforge.__file__).parent / "data" / "desk"
 
@@ -239,11 +240,13 @@ def test_checkpoint_round_trip():
         np.testing.assert_array_equal(a, b)
 
 
-def train_both(tmp_path, tag):
+def train_both(tmp_path, tag, corpus=None):
     """Train both models 200 steps at test scale, with learning-rate decay
-    and a parameter average; returns the two models and their checkpoints."""
-    spec = dataclasses.replace(cp.load_synth_spec(DESK / "synth_spec.json"), count=300)
-    corpus = cp.synthesize_corpus(spec, seed=3)
+    and a parameter average, on corpus (by default a 300-recipe synthetic
+    one); returns the two models and their checkpoints."""
+    if corpus is None:
+        spec = dataclasses.replace(cp.load_synth_spec(DESK / "synth_spec.json"), count=300)
+        corpus = cp.synthesize_corpus(spec, seed=3)
     cfg = netcore.TrainConfig(steps=200, batch_size=32, learning_rate=3e-3,
                               final_learning_rate=3e-4, ema_decay=0.95, hidden_width=16,
                               hidden_depth=2, val_interval=50, val_draws=64)
@@ -265,3 +268,27 @@ def test_training_is_bit_identical_to_the_per_layer_reference(tmp_path):
         for (step, loss), (ref_step, ref_loss) in zip(model.history, ref.history):
             assert step == ref_step and np.array_equal(loss, ref_loss)
     assert ckpts == ref_ckpts
+
+
+def test_without_a_validation_split_training_validates_on_the_first_256_train_rows(tmp_path):
+    spec = dataclasses.replace(cp.load_synth_spec(DESK / "synth_spec.json"), count=300)
+    synth = cp.synthesize_corpus(spec, seed=3)
+    train = synth.grams
+    alone = cp.Corpus(synth.vocabulary, train, [cp.TRAIN] * len(train))
+    tagged = cp.Corpus(synth.vocabulary, np.concatenate([train, train[:256]]),
+                       [cp.TRAIN] * len(train) + [cp.VALIDATION] * 256)
+    models, ckpts = train_both(tmp_path, "alone", alone)
+    tagged_models, tagged_ckpts = train_both(tmp_path, "tagged", tagged)
+    for model, tagged_model in zip(models, tagged_models):
+        assert model.history == tagged_model.history
+    assert ckpts == tagged_ckpts
+
+
+def test_checkpoint_layout_is_header_model_fields_net_and_seed_lineage(tmp_path):
+    mask, qty = random_models()
+    md.save_mask_model(tmp_path / "mask.json", mask, [1, 2])
+    qd.save_quantity_model(tmp_path / "qty.json", qty)
+    header, tail = ["schema_version", "kind", "K", "vocab_fingerprint"], ["net", "seed_lineage"]
+    assert list(json.loads((tmp_path / "mask.json").read_text())) == \
+        header + ["schedule", "base_logits"] + tail
+    assert list(json.loads((tmp_path / "qty.json").read_text())) == header + ["sde", "codec"] + tail

@@ -267,7 +267,8 @@ IMPACT_HEADER = ("ingredient_id,land_m2_per_kg,eutro_gPO4eq_per_kg,water_L_per_k
                                   "expected a finite number"),
     ("lettuce,1.0,2.0,100.0", "column ghg_kgCO2eq_per_kg of lettuce is None, "
                               "expected a finite number"),
-], ids=["not_a_number", "short_row"])
+    ("lettuce,-1,2.0,100.0,0.5", "column land_m2_per_kg of lettuce is -1, expected a number >= 0"),
+], ids=["not_a_number", "short_row", "negative"])
 def test_impact_table_names_file_ingredient_and_column_of_a_bad_cell(tmp_path, row, message):
     f = tmp_path / "impact.csv"
     f.write_text(IMPACT_HEADER + "bean_patty,4.0,10.0,400.0,2.0\n" + row
@@ -292,7 +293,9 @@ def test_impact_table_missing_column_names_the_file(tmp_path):
     ({"land": 4.0, "eutrophication": True, "water": 400.0, "ghg": 2.0},
      "key eutrophication is True, expected a finite number"),
     ({"land": 4.0, "eutrophication": 10.0, "water": 400.0}, "missing key ghg"),
-], ids=["array", "string_value", "boolean_value", "missing_key"])
+    ({"land": 0, "eutrophication": 10.0, "water": 400.0, "ghg": 2.0},
+     "key land is 0, expected a number > 0"),
+], ids=["array", "string_value", "boolean_value", "missing_key", "zero_value"])
 def test_impact_norms_must_be_an_object_of_numbers(tmp_path, norms, message):
     with pytest.raises(DataError) as e:
         impact_table(tmp_path, norms=norms)
@@ -453,6 +456,15 @@ def test_nutrient_table_names_file_ingredient_and_column_of_a_bad_cell(tmp_path)
     with pytest.raises(DataError) as e:
         write_nutrient_table(tmp_path, [nutrient_csv_row("patty", sodium_mg_per_100g="abc")], vocab)
     assert str(e.value) == f"{f}: column sodium_mg_per_100g of patty is 'abc', expected a finite number"
+
+
+def test_nutrient_table_names_file_ingredient_and_column_of_a_negative_cell(tmp_path):
+    vocab = IngredientVocabulary.from_ids(["bun", "patty"])
+    f = tmp_path / "nutrients.csv"
+    with pytest.raises(DataError) as e:
+        write_nutrient_table(tmp_path, [nutrient_csv_row("bun"),
+                                        nutrient_csv_row("patty", dairy_cup_per_100g=-0.5)], vocab)
+    assert str(e.value) == f"{f}: column dairy_cup_per_100g of patty is -0.5, expected a number >= 0"
 
 
 def test_nutrient_table_missing_column_and_ingredient_name_the_file(tmp_path):
