@@ -16,8 +16,8 @@ RECIPEFORGE_THREADS (run.threads) < flags < --set.
 <out-dir>/cache/ holds parsed copies of the corpus, sample and reference
 files the commands read, so that commands sharing a run directory parse
 each file once. An entry is keyed by the sha256 of the file's bytes and
-the vocabulary, so it is never read for different bytes; deleting the
-directory is always safe.
+the vocabulary, so it is never read for different bytes. Entries are never
+evicted, so the directory only grows; deleting it is always safe.
 
 Commands run with numpy's OpenBLAS on one thread (restored afterwards),
 so the worker threads that --threads sets are the only parallelism.
@@ -56,8 +56,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="override a single config key (repeatable)")
     p.add_argument("--out-dir", default=None,
                    help="run directory (default runs/<command>); its cache/ holds parsed copies "
-                        "of input corpora, keyed by file content (never read for other bytes) "
-                        "and safe to delete")
+                        "of input corpora, keyed by file content (never read for other bytes); "
+                        "entries are never evicted, and deleting cache/ is always safe")
     _flag(p, "--seed", "run.seed", type=int)
     _flag(p, "--threads", "run.threads", type=int,
           help="worker threads (env RECIPEFORGE_THREADS as fallback)")

@@ -84,6 +84,19 @@ _MINIMUMS = {"run.threads": 1, "sample.count": 0, "sample.chunk_size": 1,
                 for key, least in (("steps", 1), ("batch_size", 1), ("hidden_width", 1),
                                    ("hidden_depth", 0), ("val_interval", 1))}}
 
+# interval of the float keys that are rates, fractions or SDE constants
+_RANGES = {"corpus.val_fraction": "[0, 1)", "sde.beta_min": "(0, inf)", "sde.t_eps": "(0, 1)",
+           "select.top_fraction": "(0, 1]",
+           **{f"train.{model}.{key}": interval for model in ("mask", "quantity") for key, interval
+              in (("learning_rate", "[0, inf)"), ("final_learning_rate", "[0, inf)"),
+                  ("ema_decay", "[0, 1)"))}}
+
+
+def _in_interval(value: float, interval: str) -> bool:
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return ((lo <= value if interval[0] == "[" else lo < value)
+            and (value <= hi if interval[-1] == "]" else value < hi))
+
 
 def _coerce(key: str, value: object) -> object:
     default = DEFAULTS[key]
@@ -97,6 +110,8 @@ def _coerce(key: str, value: object) -> object:
     if isinstance(default, float):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise DataError(f"config key {key} expects a number, got {value!r}")
+        if key in _RANGES and not _in_interval(value, _RANGES[key]):
+            raise DataError(f"config key {key} must lie in {_RANGES[key]}, got {value!r}")
         return float(value)
     if isinstance(default, str):
         return str(value)

@@ -26,6 +26,7 @@ from .errors import DataError, NumericError
 from .netcore import Network, TrainConfig
 
 _PCLIP = 1e-7
+_EVIDENCE_CAP = 12.0
 
 
 @dataclass
@@ -35,12 +36,15 @@ class NoiseSchedule:
     alpha_bar has length T + 1 with alpha_bar[0] = 1 (the t = 0
     convention); alpha_bar[t] = prod_{s<=t} (1 - beta_s). post is the
     forward-chain posterior for bits: post[t - 1, x_t, x0] =
-    P(x_{t-1} = 1 | x_t, x0), shape (T, 2, 2).
+    P(x_{t-1} = 1 | x_t, x0), shape (T, 2, 2). For t = 0..T, emb[t] is the
+    time embedding and evidence[t] the capped lambda(t) of MaskDiffusionModel.
     """
 
     betas: np.ndarray
     alpha_bar: np.ndarray = field(init=False)
     post: np.ndarray = field(init=False)
+    emb: np.ndarray = field(init=False)
+    evidence: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.betas = np.asarray(self.betas, dtype=float)
@@ -52,6 +56,9 @@ class NoiseSchedule:
         bits = np.array([0.0, 1.0])
         self.post = _posterior_prob(bits[None, :, None], bits[None, None, :],
                                     self.betas[:, None, None], self.alpha_bar[:-1, None, None])
+        self.emb = netcore.time_embedding(np.arange(self.T + 1), float(max(self.T, 1)))
+        ab = self.alpha_bar
+        self.evidence = np.minimum(np.log((1.0 + ab) / np.maximum(1.0 - ab, 1e-15)), _EVIDENCE_CAP)
 
     @property
     def T(self) -> int:
@@ -97,40 +104,31 @@ def _posterior_prob(x_t, x0_prob, beta_t, alpha_bar_prev):
     return num / (num + like0 * (1.0 - m))
 
 
-def posterior(x_t, x0, t: int, schedule: NoiseSchedule):
-    """P(x_{t-1} = 1 | x_t, x_0) for a forward-chain step, 2 <= t <= T."""
-    if not 2 <= t <= schedule.T:
-        raise ValueError(f"t must lie in 2..{schedule.T}, got {t}")
-    return _posterior_prob(x_t, x0, schedule.betas[t - 1], schedule.alpha_bar[t - 1])
-
-
-_EVIDENCE_CAP = 12.0
-
-
-def _model_inputs(x_t: np.ndarray, t: np.ndarray, schedule: NoiseSchedule) -> np.ndarray:
+def _model_inputs(x_t: np.ndarray, t, schedule: NoiseSchedule) -> np.ndarray:
+    """Denoiser inputs at bits x_t and steps t (int or per row): 2 x_t - 1, time embedding."""
     # bits enter as +-1; tanh layers calibrate better on centered inputs
-    emb = netcore.time_embedding(t, float(max(schedule.T, 1)))
-    return np.concatenate([2.0 * x_t - 1.0, emb], axis=-1)
+    K = x_t.shape[-1]
+    inputs = np.empty(x_t.shape[:-1] + (K + 3,))
+    signs = np.multiply(x_t, 2.0, out=inputs[..., :K])
+    signs -= 1.0
+    inputs[..., K:] = schedule.emb[t]
+    return inputs
 
 
-def _evidence_weight(t, schedule: NoiseSchedule) -> np.ndarray:
-    """Per-bit log-likelihood ratio lambda(t) = log((1+ab_t)/(1-ab_t))."""
-    ab = schedule.alpha_bar[np.asarray(t, dtype=int)]
-    return np.minimum(np.log((1.0 + ab) / np.maximum(1.0 - ab, 1e-15)), _EVIDENCE_CAP)
-
-
-def _predict_p_hat(model: MaskDiffusionModel, x_t: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _predict_p_hat(model: MaskDiffusionModel, x_t: np.ndarray, t) -> np.ndarray:
     """Denoiser output probabilities, clipped away from 0 and 1."""
-    return _p_hat(model, netcore.forward(model.net, _model_inputs(x_t, t, model.schedule)), x_t, t)
+    inputs = _model_inputs(x_t, t, model.schedule)
+    return _p_hat(model, netcore.forward(model.net, inputs), inputs, t)
 
 
-def _p_hat(model: MaskDiffusionModel, logits: np.ndarray, x_t: np.ndarray,
-           t: np.ndarray) -> np.ndarray:
-    """_predict_p_hat from the network's output logits at (x_t, t)."""
+def _p_hat(model: MaskDiffusionModel, logits: np.ndarray, inputs: np.ndarray,
+           t) -> np.ndarray:
+    """_predict_p_hat from the network's output logits at its _model_inputs."""
     if model.base_logits is not None:
-        lam = _evidence_weight(t, model.schedule)
-        logits = logits + model.base_logits + (2.0 * x_t - 1.0) * lam[..., None]
-    return np.clip(expit(logits), _PCLIP, 1.0 - _PCLIP)
+        logits = logits + model.base_logits
+        logits += inputs[..., :model.K] * model.schedule.evidence[t][..., None]
+    p = expit(logits)
+    return np.clip(p, _PCLIP, 1.0 - _PCLIP, out=p)
 
 
 def _kl_bernoulli(q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -143,13 +141,13 @@ def _post_pair(sched: NoiseSchedule, t, x_t: np.ndarray) -> tuple[np.ndarray, np
     """(pi0, pi1): P(x_{t-1} = 1 | x_t, x0) at x0 = 0 and at x0 = 1, per
     cell of the bits x_t at step t (an int, or an array that broadcasts
     against x_t), read from sched.post."""
-    post = sched.post.ravel()
-    at = x_t.astype(np.intp)
-    at *= 2
-    at += 4 * t - 4  # flat index of post[t - 1, x_t, 0]
-    pi0 = post.take(at)
-    at += 1
-    return pi0, post.take(at)
+    post = sched.post[t - 1]
+    # for bits x_t, x_t a + (1 - x_t) b is a or b exactly: a + 0 or 0 + b
+    flip = 1.0 - x_t
+    pi0, pi1 = x_t * post[..., 1, 0], x_t * post[..., 1, 1]
+    pi0 += flip * post[..., 0, 0]
+    pi1 += flip * post[..., 0, 1]
+    return pi0, pi1
 
 
 def _posterior_terms(sched: NoiseSchedule, t: np.ndarray, x_t: np.ndarray,
@@ -195,8 +193,9 @@ def _train_step(model: MaskDiffusionModel, batch: np.ndarray,
     sched = model.schedule
     x0 = batch.astype(float)
     t, x_t = _noise(sched, x0, rng)
-    acts = netcore.activations(model.net, _model_inputs(x_t, t, sched))
-    s = _p_hat(model, acts[-1], x_t, t)
+    inputs = _model_inputs(x_t, t, sched)
+    acts = netcore.activations(model.net, inputs)
+    s = _p_hat(model, acts[-1], inputs, t)
 
     pi0, pi1, q_true = _posterior_terms(sched, t, x_t, x0)
     pi = np.clip(s * pi1 + (1.0 - s) * pi0, _PCLIP, 1.0 - _PCLIP)
@@ -248,7 +247,10 @@ def _reverse_pi(sched: NoiseSchedule, t: int, x_t: np.ndarray, p_hat: np.ndarray
     reconstruction distribution.
     """
     pi0, pi1 = _post_pair(sched, t, x_t)
-    return p_hat * pi1 + (1.0 - p_hat) * pi0
+    pi1 *= p_hat
+    pi0 *= 1.0 - p_hat
+    pi0 += pi1  # p_hat pi1 + (1 - p_hat) pi0
+    return pi0
 
 
 def _chains(model: MaskDiffusionModel, rngs: list[np.random.Generator], n: int) -> np.ndarray:
@@ -256,11 +258,11 @@ def _chains(model: MaskDiffusionModel, rngs: list[np.random.Generator], n: int) 
     denoiser call per step for all of them. Block j draws its start and
     every uniform from rngs[j], the draws its chains alone would make."""
     sched = model.schedule
-    u = np.empty((n, model.K))
-    x = (netcore.fill_blocks(u, rngs, np.random.Generator.random) < 0.5).astype(float)
+    u, x = np.empty((n, model.K)), np.empty((n, model.K))
+    np.less(netcore.fill_blocks(u, rngs, np.random.Generator.random), 0.5, out=x)
     for t in range(sched.T, 0, -1):
-        pi = _reverse_pi(sched, t, x, _predict_p_hat(model, x, np.full(n, t)))
-        x = (netcore.fill_blocks(u, rngs, np.random.Generator.random) < pi).astype(float)
+        pi = _reverse_pi(sched, t, x, _predict_p_hat(model, x, t))
+        np.less(netcore.fill_blocks(u, rngs, np.random.Generator.random), pi, out=x)
     return x
 
 

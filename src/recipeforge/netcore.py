@@ -148,9 +148,23 @@ def _check_input(net: Network, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _layer_outputs(net: Network, a: np.ndarray):
+    """Each layer's output in turn, from the input a: a @ w.T + b, then
+    tanh in place except at the linear output layer."""
+    last = len(net.weights) - 1
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        a = a @ w.T
+        a += b
+        if l != last:
+            np.tanh(a, out=a)
+        yield a
+
+
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
     """Pure forward pass; tanh hidden activations, linear output."""
-    return activations(net, x)[-1]
+    for out in _layer_outputs(net, _check_input(net, x)):
+        pass  # each hidden layer is freed as soon as the next one is computed
+    return out
 
 
 def activations(net: Network, x: np.ndarray) -> list[np.ndarray]:
@@ -159,14 +173,7 @@ def activations(net: Network, x: np.ndarray) -> list[np.ndarray]:
     Element l is the input to layer l; the last element is the output.
     """
     a = _check_input(net, x)
-    acts = [a]
-    last = len(net.weights) - 1
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        a = a @ w.T + b
-        if l != last:
-            a = np.tanh(a)
-        acts.append(a)
-    return acts
+    return [a, *_layer_outputs(net, a)]
 
 
 def gradient(net: Network, acts: list[np.ndarray], loss_grad_at_output: np.ndarray) -> np.ndarray:
@@ -183,8 +190,8 @@ def gradient(net: Network, acts: list[np.ndarray], loss_grad_at_output: np.ndarr
     dws, dbs = _layer_views(net.sizes, grad)
     last = len(dws) - 1
     for l in range(last, -1, -1):
-        if l != last:
-            g = g * (1.0 - acts[l + 1] ** 2)  # tanh'
+        if l != last:  # g is the product below, never the caller's cotangent
+            g *= 1.0 - np.square(acts[l + 1])  # tanh'
         if g.ndim == 2:
             np.matmul(g.T, acts[l], out=dws[l])
             g.sum(axis=0, out=dbs[l])
@@ -214,13 +221,18 @@ def optimizer_step(net: Network, grad: np.ndarray,
     corr1 = 1.0 - b1 ** state.step
     corr2 = 1.0 - b2 ** state.step
     scale = state.learning_rate * math.sqrt(corr2) / corr1
-    # b1 m + (1 - b1) g and b2 v + (1 - b2) g g, in place but in that order
+    # b1 m + (1 - b1) g, b2 v + (1 - b2) g g, scale m / (sqrt(v) + eps): in place, in that order
     m, v, theta = state.m, state.v, net.theta
+    scratch = np.multiply(grad, 1 - b1)
     m *= b1
-    m += (1 - b1) * grad
+    m += scratch
+    np.multiply(grad, 1 - b2, out=scratch)
+    scratch *= grad
     v *= b2
-    v += (1 - b2) * grad * grad
-    theta -= scale * m / (np.sqrt(v) + state.eps)
+    v += scratch
+    np.sqrt(v, out=scratch)
+    scratch += state.eps
+    theta -= np.divide(m * scale, scratch, out=scratch)
     return net, state
 
 

@@ -86,9 +86,12 @@ class QuantityScoreModel:
         x = np.asarray(x, dtype=float)
         mask = np.asarray(mask, dtype=float)
         emb = np.broadcast_to(netcore.time_embedding(t, 1.0), (x.shape[0], 3))
-        out = netcore.forward(self.net, np.concatenate([x, mask, emb], axis=1))
-        sigma = math.sqrt(max(1.0 - float(self.sde.alpha_bar(t)), 1e-12))
-        return (-x - out / sigma) * mask
+        score = netcore.forward(self.net, np.concatenate([x, mask, emb], axis=1))
+        # (-x - out / sigma) * mask, summed as out / -sigma - x: the same two terms, exactly
+        score /= -math.sqrt(max(1.0 - float(self.sde.alpha_bar(t)), 1e-12))
+        score -= x
+        score *= mask
+        return score
 
 
 def fit_codec(weights: np.ndarray) -> WeightCodec:
@@ -208,17 +211,25 @@ def reverse_integrate(score_fn: ScoreFn, masks: np.ndarray, sde: SDESpec,
     masks = np.atleast_2d(np.asarray(masks, dtype=float))
     noise = np.empty(masks.shape)
     x = netcore.fill_blocks(noise, rngs, np.random.Generator.standard_normal) * masks
+    drift = np.empty(masks.shape)
     ts = np.linspace(1.0, sde.t_eps, sde.steps + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(sde.steps):
             t = float(ts[k])
             dt = float(ts[k] - ts[k + 1])
             b = float(sde.beta(t))
-            s = score_fn(x, masks, t)
-            x = x + b * (s + 0.5 * x) * dt * masks
+            # x += b * (s + 0.5 x) * dt * masks, then sqrt(b dt) * noise * masks
+            np.multiply(x, 0.5, out=drift)
+            drift += score_fn(x, masks, t)
+            drift *= b
+            drift *= dt
+            drift *= masks
+            x += drift
             if k < sde.steps - 1:
-                x = x + math.sqrt(b * dt) * netcore.fill_blocks(
-                    noise, rngs, np.random.Generator.standard_normal) * masks
+                netcore.fill_blocks(noise, rngs, np.random.Generator.standard_normal)
+                noise *= math.sqrt(b * dt)
+                noise *= masks
+                x += noise
             if not np.isfinite(x).all():
                 norm = float(np.abs(x[np.isfinite(x)]).max()) if np.isfinite(x).any() else float("inf")
                 raise NumericError(

@@ -8,8 +8,9 @@ import pytest
 
 import recipeforge
 from recipeforge import cli, netcore
-from recipeforge.config import DEFAULTS
+from recipeforge.config import DEFAULTS, resolve_config
 from recipeforge.corpus import load_vocabulary
+from recipeforge.errors import DataError
 
 DESK = Path(recipeforge.__file__).parent / "data" / "desk"
 
@@ -192,6 +193,47 @@ def test_out_of_range_sizes_are_data_errors(pipeline, tmp_path, capsys, command,
     code = cli.run([command, *extra, *args, "--out-dir", str(pipeline), "--seed", "1"])
     assert code == 2
     assert f"config key {message}" in capsys.readouterr().err
+
+
+# each ranged float key: its interval, values outside it and values at its closed ends
+FLOAT_RANGES = [
+    ("corpus.val_fraction", "[0, 1)", [-0.1, 1.0, 1.5], [0.0, 0.5]),
+    ("sde.beta_min", "(0, inf)", [0.0, -1.0, float("inf")], [1e-9, 20.0]),
+    ("sde.t_eps", "(0, 1)", [0.0, -0.0, -1.0, 1.0, 2.0], [1e-9, 0.5]),
+    ("select.top_fraction", "(0, 1]", [0.0, -0.5, 1.5], [1e-9, 1.0]),
+    *[(f"train.{m}.{k}", interval, bad, good) for m in ("mask", "quantity")
+      for k, interval, bad, good in (
+          ("learning_rate", "[0, inf)", [-1.0, float("inf")], [0.0, 1e-3]),
+          ("final_learning_rate", "[0, inf)", [-1e-9, float("inf")], [0.0, 1e-3]),
+          ("ema_decay", "[0, 1)", [-0.5, 1.0, 2.0], [0.0, 0.9995]))],
+]
+
+
+@pytest.mark.parametrize("key, interval, bad, good", FLOAT_RANGES,
+                         ids=[key for key, *_ in FLOAT_RANGES])
+def test_out_of_range_floats_are_data_errors_naming_the_key(key, interval, bad, good):
+    for value in [*bad, float("nan")]:
+        with pytest.raises(DataError) as err:
+            resolve_config(overrides={key: value})
+        assert str(err.value) == f"config key {key} must lie in {interval}, got {value!r}"
+    for value in good:
+        assert resolve_config(overrides={key: value})[key] == value
+
+
+@pytest.mark.parametrize("command, args, message", [
+    ("train-quantity", ["--set", "train.quantity.ema_decay=2"],
+     "train.quantity.ema_decay must lie in [0, 1), got 2"),
+    ("train-mask", ["--set", "train.mask.learning_rate=-1"],
+     "train.mask.learning_rate must lie in [0, inf), got -1"),
+    ("select-nutritious", ["--nutrient-table", str(DESK / "nutrient_table.csv"), "--top", "0"],
+     "select.top_fraction must lie in (0, 1], got 0.0"),
+], ids=["ema_decay", "learning_rate", "top_fraction"])
+def test_out_of_range_floats_stop_the_command(pipeline, tmp_path, capsys, command, args, message):
+    code = cli.run([command, "--corpus", str(pipeline / "corpus.jsonl"), *args,
+                    "--out-dir", str(tmp_path), "--seed", "1"])
+    assert code == 2
+    assert f"config key {message}" in capsys.readouterr().err
+    assert not (tmp_path / "checkpoints").exists() and not (tmp_path / "selections").exists()
 
 
 def test_discover_subcommand(pipeline):

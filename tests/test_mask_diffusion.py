@@ -89,7 +89,7 @@ def test_kernel_consistency_identity():
 
 
 # ---------------------------------------------------------------------------
-# posterior
+# posterior: the schedule's table post[t - 1, x_t, x0] and the formula it is built from
 
 def brute_posterior(x_t, x0, t, sched):
     # normalize P(x_t | x_{t-1}) P(x_{t-1} | x0) over x_{t-1} in {0, 1}
@@ -106,7 +106,7 @@ def brute_posterior(x_t, x0, t, sched):
 
 def test_posterior_matches_brute_force_enumeration():
     sched = NoiseSchedule(betas=np.array([0.5, 0.5]))
-    got = md.posterior(1, 1, 2, sched)
+    got = sched.post[1, 1, 1]
     assert abs(got - brute_posterior(1, 1, 2, sched)) < 1e-12
     assert abs(got - 0.9) < 1e-12
     rng = np.random.default_rng(1)
@@ -115,7 +115,7 @@ def test_posterior_matches_brute_force_enumeration():
         sched = NoiseSchedule(betas=rng.uniform(0.01, 0.99, T))
         t = int(rng.integers(2, T + 1))
         x_t, x0 = int(rng.integers(0, 2)), int(rng.integers(0, 2))
-        assert abs(md.posterior(x_t, x0, t, sched) - brute_posterior(x_t, x0, t, sched)) < 1e-12
+        assert abs(sched.post[t - 1, x_t, x0] - brute_posterior(x_t, x0, t, sched)) < 1e-12
 
 
 def test_posterior_normalization():
@@ -133,7 +133,7 @@ def test_posterior_normalization():
             m = marginal_kernel(x0, t - 1, sched)
             p1 = l1 * m / (l1 * m + l0 * (1 - m))
             assert abs(p1 + (l0 * (1 - m)) / (l1 * m + l0 * (1 - m)) - 1.0) < 1e-12
-            assert abs(md.posterior(x_t, x0, t, sched) - p1) < 1e-12
+            assert abs(sched.post[t - 1, x_t, x0] - p1) < 1e-12
 
 
 def test_posterior_zero_beta_is_point_mass():
@@ -146,15 +146,7 @@ def test_posterior_zero_beta_is_point_mass():
 def test_posterior_tiny_beta_continuity():
     sched = NoiseSchedule(betas=np.array([1e-9, 1e-9]))
     for b in (0, 1):
-        assert abs(md.posterior(b, b, 2, sched) - b) < 1e-6
-
-
-def test_posterior_range_check():
-    sched = linear_schedule(5)
-    with pytest.raises(ValueError):
-        md.posterior(1, 1, 1, sched)
-    with pytest.raises(ValueError):
-        md.posterior(1, 1, 6, sched)
+        assert abs(sched.post[1, b, b] - b) < 1e-6
 
 
 def test_reverse_prob_reduces_to_p_hat_at_t1():
