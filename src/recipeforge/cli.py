@@ -22,7 +22,9 @@ evicted, so the directory only grows; deleting it is always safe.
 Commands run with numpy's OpenBLAS on one thread (restored afterwards),
 so the worker threads that --threads sets are the only parallelism.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error (a DataError or an
+OSError), 3 numeric failure. Any other exception, a ValueError included,
+is a programming error and surfaces as a traceback (exit 1).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -210,29 +212,26 @@ def _load_vocabulary(cfg: dict, out_dir: Path) -> corpus_mod.IngredientVocabular
 
 def _load_models(cfg: dict, out_dir: Path, vocab=None):
     """Both checkpoints, the vocabulary they were checked against (the run's
-    vocabulary file unless vocab is given) and their file fingerprints."""
+    vocabulary file unless vocab, read from paths.corpus, is given) and their fingerprints."""
     paths = [Path(cfg[f"paths.{m}_model"] or out_dir / "checkpoints" / f"{m}_model.json")
              for m in ("mask", "quantity")]
-    for p in paths:
-        if not p.exists():
-            raise DataError(f"model checkpoint not found: {p}")
     mask_model = mask_diffusion.load_mask_model(paths[0])
     qty_model = quantity_diffusion.load_quantity_model(paths[1])
-    qty_model.sde = replace(qty_model.sde, steps=int(cfg["sde.steps"]))
-    vocab = _load_vocabulary(cfg, out_dir) if vocab is None else vocab
-    for m in (mask_model, qty_model):
-        if m.vocab_fingerprint and m.vocab_fingerprint != vocab.fingerprint():
-            raise DataError("model/vocabulary mismatch: checkpoint was trained on a "
-                            "different ingredient vocabulary")
+    qty_model.sde = replace(qty_model.sde, steps=cfg["sde.steps"])
+    source = cfg["paths.corpus"] if vocab else cfg["paths.vocabulary"] or out_dir / "vocabulary.json"
+    vocab = vocab or _load_vocabulary(cfg, out_dir)
+    for m, p in zip((mask_model, qty_model), paths):
+        if m.vocab_fingerprint != vocab.fingerprint():
+            raise DataError(f"{p}: model/vocabulary mismatch: checkpoint was trained on a "
+                            f"different ingredient vocabulary than {source}")
     fingerprints = {"mask_model_fingerprint": _file_fingerprint(paths[0]),
                     "quantity_model_fingerprint": _file_fingerprint(paths[1])}
     return mask_model, qty_model, vocab, fingerprints
 
 
 def _generate(cfg: dict, mask_model, qty_model) -> np.ndarray:
-    return discovery.generate_batch(mask_model, qty_model, int(cfg["sample.count"]),
-                                    int(cfg["run.seed"]), chunk_size=int(cfg["sample.chunk_size"]),
-                                    threads=int(cfg["run.threads"]))
+    return discovery.generate_batch(mask_model, qty_model, cfg["sample.count"], cfg["run.seed"],
+                                    chunk_size=cfg["sample.chunk_size"], threads=cfg["run.threads"])
 
 
 def _get_batch(cfg: dict, out_dir: Path) -> tuple[np.ndarray, corpus_mod.IngredientVocabulary, dict]:
@@ -245,7 +244,7 @@ def _get_batch(cfg: dict, out_dir: Path) -> tuple[np.ndarray, corpus_mod.Ingredi
     else:
         mask_model, qty_model, vocab, fingerprints = _load_models(cfg, out_dir)
         batch = _generate(cfg, mask_model, qty_model)
-    return batch, vocab, {"seed": int(cfg["run.seed"]), **fingerprints}
+    return batch, vocab, {"seed": cfg["run.seed"], **fingerprints}
 
 
 def _load_impact(cfg: dict, vocab) -> scoring.ImpactTable:
@@ -271,42 +270,41 @@ def cmd_ingest(cfg: dict, out_dir: Path, chash: str) -> int:
     corpus_mod.write_vocabulary(out_dir / "vocabulary.json", loaded.vocabulary)
     _write_json(out_dir / "corpus.meta.json",
                 {"recipes": len(loaded), "ingredients": loaded.vocabulary.K,
-                 "source": str(cfg["paths.corpus"])}, chash)
+                 "source": cfg["paths.corpus"]}, chash)
     print(f"ingested {len(loaded)} recipes over {loaded.vocabulary.K} ingredients")
     return 0
 
 
 def cmd_synth(cfg: dict, out_dir: Path, chash: str) -> int:
     spec = corpus_mod.load_synth_spec(cfg["paths.spec"])
-    if int(cfg["synth.count_override"]) > 0:
-        spec.count = int(cfg["synth.count_override"])
-    made = corpus_mod.synthesize_corpus(spec, int(cfg["run.seed"]),
-                                        val_fraction=float(cfg["corpus.val_fraction"]))
+    if cfg["synth.count_override"] > 0:
+        spec.count = cfg["synth.count_override"]
+    made = corpus_mod.synthesize_corpus(spec, cfg["run.seed"],
+                                        val_fraction=cfg["corpus.val_fraction"])
     out = Path(cfg["paths.out"]) if cfg["paths.out"] else out_dir / "corpus.jsonl"
     out.parent.mkdir(parents=True, exist_ok=True)
     corpus_mod.write_corpus(out, made)
     corpus_mod.write_vocabulary(out_dir / "vocabulary.json", made.vocabulary)
     _write_json(out.with_suffix(out.suffix + ".meta.json"),
                 {"recipes": len(made), "ingredients": made.vocabulary.K,
-                 "seed": int(cfg["run.seed"])}, chash)
+                 "seed": cfg["run.seed"]}, chash)
     print(f"synthesized {len(made)} recipes -> {out}")
     return 0
 
 
 def cmd_train(cfg: dict, out_dir: Path, chash: str) -> int:
     """train-mask or train-quantity: corpus -> model -> checkpoint, vocabulary and history."""
-    name = str(cfg["run.command"]).removeprefix("train-")
+    name = cfg["run.command"].removeprefix("train-")
     loaded = _load_corpus(cfg["paths.corpus"], out_dir)
     # the train.<name>.* keys are TrainConfig's fields and the sde.* keys SDESpec's;
     # a final learning rate or EMA decay <= 0 turns it off
     fields = {k.rpartition(".")[2]: v for k, v in cfg.items() if k.startswith(f"train.{name}.")}
     for k in ("final_learning_rate", "ema_decay"):
         fields[k] = fields[k] if fields[k] > 0 else None
-    config, seed = TrainConfig(**fields), int(cfg["run.seed"])
+    config, seed = TrainConfig(**fields), cfg["run.seed"]
     if name == "mask":
-        schedule = mask_diffusion.linear_schedule(int(cfg["schedule.T"]),
-                                                  float(cfg["schedule.beta_start"]),
-                                                  float(cfg["schedule.beta_end"]))
+        schedule = mask_diffusion.linear_schedule(cfg["schedule.T"], cfg["schedule.beta_start"],
+                                                  cfg["schedule.beta_end"])
         model = mask_diffusion.train_mask_model(loaded, schedule, config, seed)
         save, loss, summary = mask_diffusion.save_mask_model, "val_neg_elbo", "val -ELBO {:.2f} -> {:.2f}"
     else:
@@ -330,8 +328,8 @@ def cmd_sample(cfg: dict, out_dir: Path, chash: str) -> int:
     if cfg["paths.samples"]:  # --mask-from: conditional weights only
         masks = (_load_corpus(cfg["paths.samples"], out_dir, vocab).grams > 0).astype(np.uint8)
         grams = quantity_diffusion.reverse_sample_batch(
-            qty_model, masks, int(cfg["run.seed"]),
-            chunk_size=int(cfg["sample.chunk_size"]), threads=int(cfg["run.threads"]))
+            qty_model, masks, cfg["run.seed"], chunk_size=cfg["sample.chunk_size"],
+            threads=cfg["run.threads"])
         mode = "conditional"
     else:
         grams, mode = _generate(cfg, mask_model, qty_model), "joint"
@@ -340,7 +338,7 @@ def cmd_sample(cfg: dict, out_dir: Path, chash: str) -> int:
     sample_dir.mkdir(parents=True, exist_ok=True)
     corpus_mod.write_corpus(sample_dir / "samples.jsonl", made, include_split=False)
     _write_json(sample_dir / "samples.meta.json",
-                {"count": len(made), "seed": int(cfg["run.seed"]), "mode": mode, **fingerprints},
+                {"count": len(made), "seed": cfg["run.seed"], "mode": mode, **fingerprints},
                 chash)
     print(f"sampled {len(made)} recipes -> {sample_dir / 'samples.jsonl'}")
     return 0
@@ -353,9 +351,8 @@ def cmd_rediscover(cfg: dict, out_dir: Path, chash: str) -> int:
         raise DataError(f"{cfg['paths.reference']}: a rediscover reference must hold exactly "
                         f"one recipe, found {len(ref_corpus)}")
     reference = ref_corpus.grams[0]
-    outcome = discovery.rediscover(mask_model, qty_model, reference,
-                                   int(cfg["rediscover.budget"]), int(cfg["run.seed"]),
-                                   chunk_size=int(cfg["rediscover.chunk_size"]))
+    outcome = discovery.rediscover(mask_model, qty_model, reference, cfg["rediscover.budget"],
+                                   cfg["run.seed"], chunk_size=cfg["rediscover.chunk_size"])
     verified = bool(outcome.found and scoring.sds(outcome.recipe, reference) == 0)
     payload = {
         "rule": "rediscover",
@@ -363,10 +360,10 @@ def cmd_rediscover(cfg: dict, out_dir: Path, chash: str) -> int:
         "index": outcome.index,
         "draws": outcome.draws,
         "verified_sds_zero": verified,
-        "budget": int(cfg["rediscover.budget"]),
+        "budget": cfg["rediscover.budget"],
         "ingredients": ([{"id": i, "grams": g} for i, g in vocab.items(outcome.recipe)]
                         if outcome.found else None),
-        "source": {"seed": int(cfg["run.seed"]), **fingerprints},
+        "source": {"seed": cfg["run.seed"], **fingerprints},
     }
     _write_json(out_dir / "selections" / "rediscover.json", payload, chash)
     _write_csv(out_dir / "reports" / "rediscover.csv", ["found", "index", "draws"],
@@ -382,7 +379,7 @@ def cmd_rediscover(cfg: dict, out_dir: Path, chash: str) -> int:
 
 def _pick_novel(cfg: dict, out_dir: Path, batch: np.ndarray, vocab):
     loaded = _load_corpus(cfg["paths.corpus"], out_dir, vocab)
-    result = discovery.discover_novel(batch, loaded, int(cfg["select.min_sds"]))
+    result = discovery.discover_novel(batch, loaded, cfg["select.min_sds"])
     if cfg["paths.impact_table"]:
         result.env_score = float(scoring.env_impact_scores(result.selected,
                                                            _load_impact(cfg, vocab))[0])
@@ -400,21 +397,18 @@ def _pick_sustainable(cfg: dict, out_dir: Path, batch: np.ndarray, vocab):
 
 def _pick_nutritious(cfg: dict, out_dir: Path, batch: np.ndarray, vocab):
     table, standards = _load_nutrients(cfg, vocab), _load_standards(cfg)
-    result = discovery.select_nutritious(batch, table, float(cfg["select.top_fraction"]), standards)
+    result = discovery.select_nutritious(batch, table, cfg["select.top_fraction"], standards)
     return result, lambda reps: scoring.hei_totals(reps, table, standards), {}
 
 
 def _pick_personalized(cfg: dict, out_dir: Path, batch: np.ndarray, vocab):
     table = _load_nutrients(cfg, vocab)
-    profile = scoring.PersonProfile(age=float(cfg["profile.age"]), sex=str(cfg["profile.sex"]),
-                                    height_cm=float(cfg["profile.height_cm"]),
-                                    weight_kg=float(cfg["profile.weight_kg"]),
-                                    activity=str(cfg["profile.activity"]))
-    meal = float(cfg["select.meal_fraction"])
-    result = discovery.select_personalized(batch, profile, table,
-                                           float(cfg["select.top_fraction"]), meal)
-    extra = {"profile": {"age": profile.age, "sex": profile.sex, "height_cm": profile.height_cm,
-                         "weight_kg": profile.weight_kg, "activity": profile.activity,
+    # the profile.* keys are PersonProfile's fields
+    profile = scoring.PersonProfile(**{k.rpartition(".")[2]: v for k, v in cfg.items()
+                                       if k.startswith("profile.")})
+    meal = cfg["select.meal_fraction"]
+    result = discovery.select_personalized(batch, profile, table, cfg["select.top_fraction"], meal)
+    extra = {"profile": {**asdict(profile),
                          "energy_requirement_kcal": scoring.energy_requirement(profile)}}
     return result, lambda reps: scoring.personalized_scores(reps, profile, table, meal), extra
 
@@ -435,7 +429,7 @@ _SELECTIONS = {
 def cmd_select(cfg: dict, out_dir: Path, chash: str) -> int:
     """A batch-scoring command: load the batch, pick a group, annotate its
     novelty, write the selection JSON and the per-group score table."""
-    command = str(cfg["run.command"])
+    command = cfg["run.command"]
     pick, column, annotate, summary = _SELECTIONS[command]
     batch, vocab, source = _get_batch(cfg, out_dir)
     result, score_of, extra = pick(cfg, out_dir, batch, vocab)
@@ -456,10 +450,9 @@ def cmd_select(cfg: dict, out_dir: Path, chash: str) -> int:
 def cmd_validate(cfg: dict, out_dir: Path, chash: str) -> int:
     loaded = _load_corpus(cfg["paths.corpus"], out_dir)
     mask_model, qty_model, _, fingerprints = _load_models(cfg, out_dir, loaded.vocabulary)
-    report = fidelity.fidelity_report(mask_model, qty_model, loaded,
-                                      int(cfg["fidelity.sample_count"]), int(cfg["run.seed"]),
-                                      top_k=int(cfg["fidelity.top_k"]),
-                                      threads=int(cfg["run.threads"]))
+    report = fidelity.fidelity_report(mask_model, qty_model, loaded, cfg["fidelity.sample_count"],
+                                      cfg["run.seed"], top_k=cfg["fidelity.top_k"],
+                                      threads=cfg["run.threads"])
     _write_json(out_dir / "reports" / "fidelity.json", {**report.to_dict(), **fingerprints}, chash)
     ids = loaded.vocabulary.ids
     _write_csv(out_dir / "reports" / "marginals.csv",
@@ -525,7 +518,7 @@ def run(argv: list[str]) -> int:
     except NumericError as e:
         print(f"recipeforge: numeric failure: {e}", file=sys.stderr)
         return 3
-    except (DataError, ValueError, OSError) as e:
+    except (DataError, OSError) as e:
         print(f"recipeforge: data error: {e}", file=sys.stderr)
         return 2
 

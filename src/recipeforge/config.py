@@ -13,7 +13,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from .errors import DataError, read_text
+from .errors import DataError, number, read_text, shown
 
 DEFAULTS: dict[str, object] = {
     "run.seed": 0,
@@ -75,51 +75,33 @@ DEFAULTS: dict[str, object] = {
 }
 
 
-# least allowed value of the integer keys that size a loop, a step count or a buffer
-_MINIMUMS = {"run.threads": 1, "sample.count": 0, "sample.chunk_size": 1,
-             "rediscover.budget": 0, "rediscover.chunk_size": 1,
-             "schedule.T": 1, "sde.steps": 1, "fidelity.sample_count": 1, "fidelity.top_k": 0,
-             "synth.count_override": 0, "select.min_sds": 0,
-             **{f"train.{model}.{key}": least for model in ("mask", "quantity")
-                for key, least in (("steps", 1), ("batch_size", 1), ("hidden_width", 1),
-                                   ("hidden_depth", 0), ("val_interval", 1))}}
-
-# interval of the float keys that are rates, fractions or SDE constants
-_RANGES = {"corpus.val_fraction": "[0, 1)", "sde.beta_min": "(0, inf)", "sde.t_eps": "(0, 1)",
-           "select.top_fraction": "(0, 1]",
-           **{f"train.{model}.{key}": interval for model in ("mask", "quantity") for key, interval
-              in (("learning_rate", "[0, inf)"), ("final_learning_rate", "[0, inf)"),
-                  ("ema_decay", "[0, 1)"))}}
-
-
-def _in_interval(value: float, interval: str) -> bool:
-    lo, hi = (float(end) for end in interval[1:-1].split(","))
-    return ((lo <= value if interval[0] == "[" else lo < value)
-            and (value <= hi if interval[-1] == "]" else value < hi))
+# the interval of every numeric key; a key whose default is an int takes integers only
+_RANGES = {
+    "run.seed": "[0, inf)", "run.threads": "[1, inf)", "corpus.val_fraction": "[0, 1)",
+    "schedule.T": "[1, inf)", "schedule.beta_start": "(0, 1)", "schedule.beta_end": "(0, 1)",
+    "sde.beta_min": "(0, inf)", "sde.beta_max": "(0, inf)", "sde.steps": "[1, inf)",
+    "sde.t_eps": "(0, 1)", "sample.count": "[0, inf)", "sample.chunk_size": "[1, inf)",
+    "synth.count_override": "[0, inf)", "select.min_sds": "[0, inf)",
+    "select.top_fraction": "(0, 1]", "select.meal_fraction": "(0, 1]",
+    "rediscover.budget": "[0, inf)", "rediscover.chunk_size": "[1, inf)",
+    "fidelity.sample_count": "[1, inf)", "fidelity.top_k": "[0, inf)",
+    **dict.fromkeys(("profile.age", "profile.height_cm", "profile.weight_kg"), "(0, inf)"),
+    **{f"train.{model}.{key}": interval for model in ("mask", "quantity") for key, interval in (
+        ("steps", "[1, inf)"), ("batch_size", "[1, inf)"), ("learning_rate", "[0, inf)"),
+        ("final_learning_rate", "[0, inf)"), ("ema_decay", "[0, 1)"),
+        ("hidden_width", "[1, inf)"), ("hidden_depth", "[0, inf)"), ("val_interval", "[1, inf)"))},
+}
 
 
 def _coerce(key: str, value: object) -> object:
     default = DEFAULTS[key]
-    if isinstance(default, int):
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or isinstance(value, float) and not value.is_integer()):
-            raise DataError(f"config key {key} expects an integer, got {value!r}")
-        if value < _MINIMUMS.get(key, value):
-            raise DataError(f"config key {key} must be >= {_MINIMUMS[key]}, got {value!r}")
-        return int(value)
-    if isinstance(default, float):
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise DataError(f"config key {key} expects a number, got {value!r}")
-        if key in _RANGES and not _in_interval(value, _RANGES[key]):
-            raise DataError(f"config key {key} must lie in {_RANGES[key]}, got {value!r}")
-        return float(value)
+    if isinstance(default, (int, float)):
+        return number(value, f"config key {key}", _RANGES[key], integer=isinstance(default, int))
     if isinstance(default, str):
         return str(value)
-    if isinstance(default, list):
-        if not isinstance(value, list):
-            raise DataError(f"config key {key} expects a list, got {value!r}")
-        return [str(v) for v in value]
-    raise DataError(f"unsupported config type for {key}")
+    if not isinstance(value, list):  # the default is a list of strings
+        raise DataError(f"config key {key} is {shown(value)}, expected a list")
+    return [str(v) for v in value]
 
 
 def _strip_comment(line: str) -> str:

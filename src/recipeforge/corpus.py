@@ -16,7 +16,6 @@ import hashlib
 import json
 import math
 import os
-import sys
 import tempfile
 import zipfile
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import multivariate_normal, norm
 
-from .errors import DataError, read_json
+from .errors import ANY, DataError, as_numbers, not_utf8, number, read_json, shown
 
 TRAIN = "train"
 VALIDATION = "validation"
@@ -142,37 +141,25 @@ class SynthSpec:
         return IngredientVocabulary.from_ids([s.ingredient_id for s in self.ingredients])
 
     def validate(self) -> None:
-        if self.count < 1:
-            raise DataError("recipe count must be >= 1")
+        """The checks across fields; load_synth_spec checks each value's range."""
         ids = [s.ingredient_id for s in self.ingredients]
         if len(set(ids)) != len(ids):
             raise DataError("duplicate ingredient ids in synth spec")
-        for s in self.ingredients:
-            if not 0.0 <= s.marginal <= 1.0:
-                raise DataError(f"marginal out of [0,1] for {s.ingredient_id}")
-            if s.weight_log_sd <= 0:
-                raise DataError(f"weight_log_sd must be > 0 for {s.ingredient_id}")
         seen: set[str] = set()
-        for a, b, rho in self.pairs:
+        for a, b, _ in self.pairs:
             if a in seen or b in seen or a == b:
                 raise DataError("correlated pairs must be disjoint")
             seen.update((a, b))
-            if not -1.0 < rho < 1.0:
-                raise DataError(f"pair correlation must be in (-1,1), got {rho}")
         known = set(ids)
         for key, named in (("pairs", {i for a, b, _ in self.pairs for i in (a, b)}),
                            ("planted", {i for items, _ in self.planted for i in items})):
             unknown = sorted(named - known)
             if unknown:
                 raise DataError(f"synth spec field {key} names unknown ingredients: {unknown}")
-        total = sum(f for _, f in self.planted)
-        if total > 1.0 + 1e-12:
+        if sum(f for _, f in self.planted) > 1.0 + 1e-12:
             raise DataError("planted frequencies must sum to <= 1")
-        for items, f in self.planted:
-            if f <= 0:
-                raise DataError("planted frequency must be > 0")
-            if not items:
-                raise DataError("planted recipe must be nonempty")
+        if not all(items for items, _ in self.planted):
+            raise DataError("planted recipe must be nonempty")
 
 
 def _phi_bounds(p: float, q: float) -> tuple[float, float]:
@@ -256,8 +243,6 @@ def synthesize_corpus(spec: SynthSpec, seed: int, val_fraction: float = 0.1) -> 
         row_w = np.zeros(K)
         for ing, grams in items.items():
             idx = vocab.index_of(ing)
-            if grams <= 0:
-                raise DataError(f"planted recipe has nonpositive grams for {ing}")
             row_mask[idx] = 1
             row_w[idx] = grams
         sel = (u >= cum) & (u < cum + freq)
@@ -284,13 +269,13 @@ def synthesize_corpus(spec: SynthSpec, seed: int, val_fraction: float = 0.1) -> 
     return Corpus(vocabulary=vocab, grams=weights, splits=splits)
 
 
-def _parse_record(path: Path, line: str, lineno: int) -> tuple[list[tuple[str, float]], str]:
-    """The (id, grams) entries and the split tag of one corpus line."""
+def _parse_record(path: Path, line: str, lineno: int) -> tuple[list[tuple[str, object]], str]:
+    """The (id, grams as written) entries and the split tag of one corpus line."""
     where = f"{path}: line {lineno}"
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise DataError(f"{where}: invalid JSON ({e.msg})") from e
+    except ValueError as e:  # JSONDecodeError, or an integer literal too long to convert
+        raise DataError(f"{where}: invalid JSON ({e})") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("ingredients"), list):
         raise DataError(f"{where}: record must be an object with an 'ingredients' list")
     if not obj["ingredients"]:
@@ -302,13 +287,7 @@ def _parse_record(path: Path, line: str, lineno: int) -> tuple[list[tuple[str, f
     for j, item in enumerate(obj["ingredients"]):
         if not isinstance(item, dict) or not isinstance(item.get("id"), str):
             raise DataError(f"{where}: ingredient {j} must be an object with a string 'id'")
-        ing, grams = item["id"], item.get("grams")
-        # the chained comparison is false for NaN, inf and ints too large for a float
-        if (isinstance(grams, bool) or not isinstance(grams, (int, float))
-                or not 0 < grams <= sys.float_info.max):
-            raise DataError(f"{where}: ingredient {ing!r} has grams {grams!r}; "
-                            "expected a finite number > 0")
-        items.append((ing, float(grams)))
+        items.append((item["id"], item.get("grams")))
     return items, split
 
 
@@ -317,11 +296,15 @@ def _parse_corpus(path: Path, data: bytes, vocabulary: IngredientVocabulary | No
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+        raise not_utf8(path, e) from None
     lines = [(i + 1, ln) for i, ln in enumerate(text.splitlines()) if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty corpus file")
     records = [_parse_record(path, ln, no) for no, ln in lines]
+    if as_numbers([g for items, _ in records for _, g in items], "(0, inf)") is None:
+        for (items, _), (no, _) in zip(records, lines):  # name the first bad grams, which raises
+            for ing, g in items:
+                number(g, f"{path}: line {no}: grams of {ing!r}", "(0, inf)")
     if vocabulary is None:
         vocabulary = IngredientVocabulary.from_ids({i for items, _ in records for i, _ in items})
     index = {ing: k for k, ing in enumerate(vocabulary.ids)}
@@ -453,44 +436,37 @@ def load_synth_spec(path: str | Path) -> SynthSpec:
     if not isinstance(data, dict):
         raise DataError(f"{path}: synth spec must be a JSON object")
 
-    def text(value, name: str) -> str:
-        if not isinstance(value, str):
-            raise TypeError(f"field {name} must be a string, got {value!r}")
-        return value
+    def get(obj: dict, key: str, name: str, kind=ANY, default=None, integer=False):
+        """obj[key]: a string (kind str), a list of objects (kind list), or a number in kind."""
+        if key not in obj:
+            if default is None:
+                raise DataError(f"{path}: field {name} is missing")
+            return default
+        value = obj[key]
+        if kind not in (str, list):
+            return number(value, f"{path}: field {name}", kind, integer)
+        if isinstance(value, kind) and (kind is str or all(isinstance(e, dict) for e in value)):
+            return value
+        expected = "a string" if kind is str else "a list of objects"
+        raise DataError(f"{path}: field {name} is {shown(value)}, expected {expected}")
 
-    def number(value, name: str, kind=float):
-        # a JSON number: not a string, and not a boolean (float(True) is 1.0)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise TypeError(f"field {name} must be a number, got {value!r}")
-        if kind is int and isinstance(value, float) and not value.is_integer():
-            raise TypeError(f"field {name} must be an integer, got {value!r}")
-        return kind(value)
-
-    try:
-        ingredients = [
-            SynthIngredient(
-                ingredient_id=text(e["id"], "ingredients[].id"),
-                marginal=number(e["marginal"], "ingredients[].marginal"),
-                weight_log_mean=number(e["weight_log_mean"], "ingredients[].weight_log_mean"),
-                weight_log_sd=number(e["weight_log_sd"], "ingredients[].weight_log_sd"),
-            )
-            for e in data["ingredients"]
-        ]
-        pairs = [(text(p["a"], "pairs[].a"), text(p["b"], "pairs[].b"),
-                  number(p["correlation"], "pairs[].correlation"))
-                 for p in data.get("pairs", [])]
-        planted = [
-            ({text(i["id"], "planted[].ingredients[].id"):
-              number(i["grams"], "planted[].ingredients[].grams")
-              for i in e["ingredients"]}, number(e["frequency"], "planted[].frequency"))
-            for e in data.get("planted", [])
-        ]
-        count = number(data["count"], "count", int)
-    except KeyError as e:
-        raise DataError(f"{path}: malformed synth spec: field {e} is missing") from e
-    except (TypeError, ValueError) as e:
-        raise DataError(f"{path}: malformed synth spec: {e}") from e
-    spec = SynthSpec(ingredients=ingredients, pairs=pairs, planted=planted, count=count)
+    ingredients = [
+        SynthIngredient(get(e, "id", f"ingredients[{i}].id", str),
+                        *(get(e, k, f"ingredients[{i}].{k}", interval) for k, interval in (
+                            ("marginal", "[0, 1]"), ("weight_log_mean", ANY),
+                            ("weight_log_sd", "(0, inf)"))))
+        for i, e in enumerate(get(data, "ingredients", "ingredients", list))]
+    pairs = [(get(p, "a", f"pairs[{i}].a", str), get(p, "b", f"pairs[{i}].b", str),
+              get(p, "correlation", f"pairs[{i}].correlation", "(-1, 1)"))
+             for i, p in enumerate(get(data, "pairs", "pairs", list, []))]
+    planted = [
+        ({get(g, "id", f"planted[{i}].ingredients[{j}].id", str):
+          get(g, "grams", f"planted[{i}].ingredients[{j}].grams", "(0, inf)")
+          for j, g in enumerate(get(e, "ingredients", f"planted[{i}].ingredients", list))},
+         get(e, "frequency", f"planted[{i}].frequency", "(0, 1]"))
+        for i, e in enumerate(get(data, "planted", "planted", list, []))]
+    spec = SynthSpec(ingredients=ingredients, pairs=pairs, planted=planted,
+                     count=get(data, "count", "count", "[1, inf)", integer=True))
     try:
         spec.validate()
     except DataError as e:

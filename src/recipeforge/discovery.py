@@ -24,7 +24,7 @@ import numpy as np
 
 from . import mask_diffusion, netcore
 from .corpus import Corpus
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, number
 from .mask_diffusion import MaskDiffusionModel, _sample_chunk
 from .quantity_diffusion import QuantityScoreModel, decode_weights, reverse_integrate, reverse_sample_batch
 from .scoring import (HEIComponentStandard, ImpactTable, NutrientTable, PersonProfile,
@@ -224,8 +224,7 @@ def _top_fraction(batch: np.ndarray, top_fraction: float, score_of) -> np.ndarra
     """Rows of the top_fraction of batch (at least one) by score_of(batch), in row order."""
     if len(batch) == 0:
         raise DataError("batch is empty")
-    if not 0.0 < top_fraction <= 1.0:
-        raise ValueError(f"top fraction must lie in (0, 1], got {top_fraction}")
+    number(top_fraction, "select.top_fraction", "(0, 1]")
     k = max(1, math.ceil(top_fraction * len(batch)))
     return np.sort(np.argsort(-score_of(batch), kind="stable")[:k])
 

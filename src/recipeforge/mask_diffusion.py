@@ -22,7 +22,7 @@ from scipy.special import expit, rel_entr
 
 from . import netcore
 from .corpus import Corpus
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, number, numbers
 from .netcore import Network, TrainConfig
 
 _PCLIP = 1e-7
@@ -47,12 +47,11 @@ class NoiseSchedule:
     evidence: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.betas = np.asarray(self.betas, dtype=float)
-        if ((self.betas <= 0) | (self.betas > 1)).any():
-            raise ValueError("all beta_t must lie in (0, 1]")
+        self.betas = numbers(np.asarray(self.betas, dtype=float).tolist(), "schedule.beta", "(0, 1]")
         self.alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - self.betas)])
         if (np.diff(self.alpha_bar) >= 0).any():
-            raise ValueError("alpha_bar must be strictly decreasing")
+            raise DataError(f"schedule.beta stops alpha_bar decreasing within schedule.T = {self.T} "
+                            "steps; expected fewer steps or smaller betas")
         bits = np.array([0.0, 1.0])
         self.post = _posterior_prob(bits[None, :, None], bits[None, None, :],
                                     self.betas[:, None, None], self.alpha_bar[:-1, None, None])
@@ -314,11 +313,15 @@ def save_mask_model(path: str | Path, model: MaskDiffusionModel, seed_lineage=No
 def load_mask_model(path: str | Path) -> MaskDiffusionModel:
     """Read a checkpoint; DataError names the file and field of a bad value."""
     doc, K, net, fingerprint = netcore.read_checkpoint(path, "mask_diffusion", lambda k: k + 3)
+    T = netcore.field(doc, path, "schedule.T", number, "[1, inf)", integer=True)
+    betas = netcore.field(doc, path, "schedule.beta", numbers, length=T)
     base = doc.get("base_logits")
+    try:
+        schedule = NoiseSchedule(betas=betas)
+    except DataError as e:
+        raise DataError(f"{path}: field {e}") from None
     return MaskDiffusionModel(
-        schedule=NoiseSchedule(betas=netcore.checked_field(
-            netcore.field(doc, path, "schedule.beta"), path, "schedule.beta")),
-        net=net, K=K,
-        base_logits=None if base is None else netcore.checked_field(base, path, "base_logits", K),
+        schedule=schedule, net=net, K=K,
+        base_logits=None if base is None else numbers(base, f"{path}: field base_logits", length=K),
         vocab_fingerprint=fingerprint,
     )

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, NumericError, read_json
+from .errors import DataError, NumericError, number, numbers, read_json, shown
 
 
 def _layer_views(sizes: list[int], flat: np.ndarray) -> tuple[tuple, tuple]:
@@ -378,54 +378,44 @@ def read_checkpoint(path: str | Path, kind: str,
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise DataError(f"{path}: not a {kind.replace('_', ' ')} checkpoint")
     if doc.get("schema_version") != 1:
-        raise DataError(f"{path}: field schema_version is {doc.get('schema_version')!r}, "
+        raise DataError(f"{path}: field schema_version is {shown(doc.get('schema_version'))}, "
                         "expected 1")
-    K = int(field(doc, path, "K"))
-    net = net_from_dict(field(doc, path, "net"), path, n_in(K), K)
-    return doc, K, net, str(doc.get("vocab_fingerprint", ""))
+    K = field(doc, path, "K", number, "[1, inf)", integer=True)
+    fingerprint = field(doc, path, "vocab_fingerprint")
+    if not isinstance(fingerprint, str):
+        raise DataError(f"{path}: field vocab_fingerprint is {shown(fingerprint)}, expected a string")
+    return doc, K, net_from_dict(field(doc, path, "net"), path, n_in(K), K), fingerprint
 
 
-def field(doc: dict, path, name: str):
-    """The value of a dotted field name (e.g. "codec.log_mean") in the
-    checkpoint document read from path; DataError naming the file and the
-    field if it is absent."""
+def field(doc: dict, path, name: str, read=None, *args, **kwargs):
+    """The value of a dotted field name (e.g. "codec.log_mean") in the checkpoint
+    document read from path, or read(value, "<path>: field <name>", *args, **kwargs)
+    for a reader such as errors.numbers; DataError naming both if it is absent."""
     value = doc
     for part in name.split("."):
         if not isinstance(value, dict) or part not in value:
             raise DataError(f"{path}: field {name} is missing")
         value = value[part]
-    return value
-
-
-def checked_field(values, path, name: str, length: int | None = None) -> np.ndarray:
-    """A checkpoint field as a finite float vector of the given length.
-
-    Raises DataError naming the file and the field otherwise.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or (length is not None and v.shape[0] != length):
-        raise DataError(f"{path}: field {name} has shape {v.shape}, expected ({length},)")
-    if not np.isfinite(v).all():
-        raise DataError(f"{path}: field {name} has a non-finite value")
-    return v
+    return value if read is None else read(value, f"{path}: field {name}", *args, **kwargs)
 
 
 def net_from_dict(d: dict, path, n_in: int, n_out: int) -> Network:
     """Inverse of net_to_dict for a checkpoint file at path.
 
     Checks the sizes against n_in -> ... -> n_out, the parameter counts
-    and finiteness, raising DataError that names the file and field.
+    and types, raising DataError that names the file and field.
     """
     for key in ("sizes", "weights", "biases"):
         if not isinstance(d, dict) or key not in d:
             raise DataError(f"{path}: field net.{key} is missing")
-    sizes = [int(s) for s in d["sizes"]]
+    sizes = [int(s) for s in numbers(d["sizes"], f"{path}: field net.sizes", "[1, inf)", integer=True)]
     if len(sizes) < 2 or sizes[0] != n_in or sizes[-1] != n_out:
         raise DataError(f"{path}: field net.sizes is {sizes}, expected {n_in} -> ... -> {n_out}")
-    if len(d["weights"]) != len(sizes) - 1 or len(d["biases"]) != len(sizes) - 1:
-        raise DataError(f"{path}: field net needs one weight and bias array per layer")
+    for key in ("weights", "biases"):
+        if not isinstance(d[key], list) or len(d[key]) != len(sizes) - 1:
+            raise DataError(f"{path}: field net.{key} is {shown(d[key])}, expected {len(sizes) - 1} layers")
     parts = []
     for l, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        parts.append(checked_field(d["weights"][l], path, f"net.weights[{l}]", fan_in * fan_out))
-        parts.append(checked_field(d["biases"][l], path, f"net.biases[{l}]", fan_out))
+        parts.append(numbers(d["weights"][l], f"{path}: field net.weights[{l}]", length=fan_in * fan_out))
+        parts.append(numbers(d["biases"][l], f"{path}: field net.biases[{l}]", length=fan_out))
     return Network(sizes, np.concatenate(parts))

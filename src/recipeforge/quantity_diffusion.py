@@ -29,7 +29,7 @@ import numpy as np
 
 from . import netcore
 from .corpus import Corpus
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, number, numbers
 from .netcore import Network, TrainConfig
 
 ScoreFn = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
@@ -45,10 +45,10 @@ class SDESpec:
     t_eps: float = 1e-3
 
     def __post_init__(self):
-        if self.beta_min <= 0 or self.beta_max < self.beta_min:
-            raise ValueError("need 0 < beta_min <= beta_max")
-        if self.steps < 1:
-            raise ValueError("integration step count must be >= 1")
+        self.beta_min = number(self.beta_min, "sde.beta_min", "(0, inf)")
+        self.beta_max = number(self.beta_max, "sde.beta_max", f"[{self.beta_min!r}, inf)")
+        self.steps = number(self.steps, "sde.steps", "[1, inf)", integer=True)
+        self.t_eps = number(self.t_eps, "sde.t_eps", "(0, 1)")
 
     def beta(self, t):
         return self.beta_min + (self.beta_max - self.beta_min) * np.asarray(t, dtype=float)
@@ -264,10 +264,11 @@ def load_quantity_model(path: str | Path) -> QuantityScoreModel:
     """Read a checkpoint; DataError names the file and field of a bad value."""
     doc, K, net, fingerprint = netcore.read_checkpoint(path, "quantity_diffusion",
                                                        lambda k: 2 * k + 3)
-    sde = SDESpec(**{k: netcore.field(doc, path, f"sde.{k}")
-                     for k in ("beta_min", "beta_max", "steps", "t_eps")})
-    netcore.checked_field([sde.beta_min, sde.beta_max, sde.t_eps], path, "sde")
-    codec = WeightCodec(**{k: netcore.checked_field(netcore.field(doc, path, f"codec.{k}"), path,
-                                                    f"codec.{k}", K)
+    fields = {k: netcore.field(doc, path, f"sde.{k}") for k in asdict(SDESpec())}
+    try:
+        sde = SDESpec(**fields)
+    except DataError as e:
+        raise DataError(f"{path}: field {e}") from None
+    codec = WeightCodec(**{k: netcore.field(doc, path, f"codec.{k}", numbers, length=K)
                            for k in ("log_mean", "log_std")})
     return QuantityScoreModel(sde=sde, net=net, codec=codec, K=K, vocab_fingerprint=fingerprint)

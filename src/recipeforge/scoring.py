@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import IngredientVocabulary
-from .errors import DataError, read_json, read_text
+from .errors import ANY, DataError, number, read_json, read_text
 
 
 # ---------------------------------------------------------------------------
@@ -115,14 +114,7 @@ def load_impact_table(path: str | Path, vocabulary: IngredientVocabulary,
         for k in keys:
             if k not in doc:
                 raise DataError(f"{norms_path}: missing key {k}")
-            v = doc[k]
-            # the comparison is false for NaN, inf and ints too large for a float
-            if isinstance(v, bool) or not isinstance(v, (int, float)) \
-                    or not abs(v) <= sys.float_info.max:
-                raise DataError(f"{norms_path}: key {k} is {v!r}, expected a finite number")
-            if v <= 0:
-                raise DataError(f"{norms_path}: key {k} is {v!r}, expected a number > 0")
-        norms = np.array([float(doc[k]) for k in keys])
+        norms = np.array([number(doc[k], f"{norms_path}: key {k}", "(0, inf)") for k in keys])
     else:
         norms = np.median(values, axis=0)
         norms = np.where(norms <= 0, 1.0, norms)
@@ -133,34 +125,27 @@ def _read_table(path, kind: str, fields, vocabulary: IngredientVocabulary) -> np
     """The (K, len(fields)) values of a per-ingredient CSV table, rows in
     vocabulary order. DataError names the file of text that is not UTF-8,
     of a missing column or ingredient, and of a cell that is not a finite
-    number or is negative in a vocabulary row, with that cell's ingredient
-    and column."""
+    number >= 0, with that cell's ingredient and column."""
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
     missing_cols = {"ingredient_id", *fields} - set(reader.fieldnames or [])
     if missing_cols:
         raise DataError(f"{path}: {kind} table missing columns: {sorted(missing_cols)}")
-    rows = {rec["ingredient_id"]: [_number(path, f"column {f} of {rec['ingredient_id']}", rec[f])
-                                   for f in fields] for rec in reader}
+    rows = {rec["ingredient_id"]: [_cell(path, rec, "ingredient_id", f, "[0, inf)") for f in fields]
+            for rec in reader}
     missing = [i for i in vocabulary.ids if i not in rows]
     if missing:
         raise DataError(f"{path}: {kind} table missing ingredients: {missing[:5]}")
-    values = np.array([rows[i] for i in vocabulary.ids])
-    if (values < 0).any():
-        r, c = np.argwhere(values < 0)[0]
-        raise DataError(f"{path}: column {fields[c]} of {vocabulary.ids[r]} is {values[r, c]:g}, "
-                        "expected a number >= 0")
-    return values
+    return np.array([rows[i] for i in vocabulary.ids])
 
 
-def _number(path, field: str, cell) -> float:
-    """A table cell as a finite float; DataError naming the file and field if it is not one."""
+def _cell(path, rec: dict, key: str, column: str, interval: str = ANY) -> float:
+    """The number in a CSV record's column, as errors.number reads it."""
+    cell = rec[column]
     try:
         value = float(cell)
     except (TypeError, ValueError):  # TypeError: a short row's missing cell is None
-        value = np.nan
-    if not np.isfinite(value):
-        raise DataError(f"{path}: {field} is {cell!r}, expected a finite number")
-    return value
+        value = cell
+    return number(value, f"{path}: column {column} of {rec[key]}", interval)
 
 
 def env_impact_scores(weights: np.ndarray, table: ImpactTable) -> np.ndarray:
@@ -230,33 +215,36 @@ class HEIComponentStandard:
 
 
 def load_hei_standards(path: str | Path | None = None) -> list[HEIComponentStandard]:
-    """Component curves; defaults to the bundled HEI-2015 standards file.
+    """Component curves in file order; defaults to the bundled HEI-2015 standards file.
 
-    Raises DataError naming the file of text that is not UTF-8, and the
-    file, column and component of a cell that is not a finite number, an
-    unknown curve or a component with max_at == zero_at.
+    Each of the 13 HEI_COMPONENTS must appear once. DataError names the file, and the line
+    of a bad row: an unknown or repeated component, a bad cell or curve, max_at == zero_at.
     """
     src = resources.files("recipeforge").joinpath("data/hei2015_standards.csv") \
         if path is None else Path(path)
-    out = []
+    out: dict[str, HEIComponentStandard] = {}
     reader = csv.DictReader(io.StringIO(read_text(src), newline=""))
     missing_cols = ({"component", "curve", "max_points", "max_at", "zero_at"}
                     - set(reader.fieldnames or []))
     if missing_cols:
         raise DataError(f"{src}: missing columns {sorted(missing_cols)}")
     for rec in reader:
-        std = HEIComponentStandard(component=rec["component"], curve=rec["curve"], **{
-            col: _number(src, f"column {col} of {rec['component']}", rec[col])
-            for col in ("max_points", "max_at", "zero_at")})
+        where, name = f"{src}: line {reader.line_num}", rec["component"]
+        if name not in HEI_COMPONENTS or name in out:
+            raise DataError(f"{where}: component {name!r} is "
+                            f"{'repeated' if name in out else 'not an HEI component'}")
+        std = HEIComponentStandard(component=name, curve=rec["curve"], **{
+            col: _cell(where, rec, "component", col) for col in ("max_points", "max_at", "zero_at")})
         if std.curve not in ("increasing", "decreasing"):
-            raise DataError(f"{src}: column curve of {std.component} is {std.curve!r}, "
+            raise DataError(f"{where}: column curve of {name} is {std.curve!r}, "
                             "expected increasing or decreasing")
         if std.max_at == std.zero_at:
-            raise DataError(f"{src}: columns max_at and zero_at of {std.component} are equal")
-        out.append(std)
-    if len(out) != 13:
-        raise DataError(f"expected 13 HEI components, found {len(out)}")
-    return out
+            raise DataError(f"{where}: columns max_at and zero_at of {name} are equal")
+        out[name] = std
+    missing = [c for c in HEI_COMPONENTS if c not in out]
+    if missing:
+        raise DataError(f"{src}: HEI components {missing} are missing")
+    return list(out.values())
 
 
 def _component_score(std: HEIComponentStandard, value: np.ndarray) -> np.ndarray:
@@ -280,6 +268,8 @@ _HEI_DENSITY_FIELDS = {
     "seafood_plant_proteins": "seafood_plant_proteins_oz_per_100g",
     "refined_grains": "refined_grains_oz_per_100g",
 }
+
+HEI_COMPONENTS = (*_HEI_DENSITY_FIELDS, "fatty_acids", "sodium", "added_sugars", "saturated_fats")
 
 
 def hei_components_matrix(weights: np.ndarray, table: NutrientTable,
@@ -357,15 +347,17 @@ class PersonProfile:
         if self.age <= 0 or self.height_cm <= 0 or self.weight_kg <= 0:
             raise DataError("age, height, and weight must be positive")
         if self.sex not in ("male", "female"):
-            raise DataError(f"unsupported sex {self.sex!r}")
+            raise DataError(f"profile.sex is {self.sex!r}, expected male or female")
         if self.activity not in ACTIVITY_LEVELS:
-            raise DataError(f"activity must be one of {ACTIVITY_LEVELS}")
+            raise DataError(f"profile.activity is {self.activity!r}, expected one of "
+                            f"{', '.join(ACTIVITY_LEVELS)}")
 
 
 def energy_requirement(profile: PersonProfile) -> float:
     """Estimated energy requirement in kcal/day from the DRI equations."""
     if profile.age < 1:
-        raise DataError("energy requirement is not defined below age 1")
+        raise DataError(f"profile.age is {profile.age!r}, expected at least 1 for an energy "
+                        "requirement")
     a, w = profile.age, profile.weight_kg
     h = profile.height_cm / 100.0
     if a < 3:

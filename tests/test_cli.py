@@ -8,7 +8,7 @@ import pytest
 
 import recipeforge
 from recipeforge import cli, netcore
-from recipeforge.config import DEFAULTS, resolve_config
+from recipeforge.config import _RANGES, DEFAULTS, resolve_config
 from recipeforge.corpus import load_vocabulary
 from recipeforge.errors import DataError
 
@@ -166,22 +166,26 @@ CONFIG_FLOORS = [(f"train.{m}.{k}", least) for m in ("mask", "quantity")
                  for k, least in (("steps", 1), ("batch_size", 1), ("hidden_width", 1),
                                   ("hidden_depth", 0), ("val_interval", 1))] + [
     ("schedule.T", 1), ("sde.steps", 1), ("fidelity.sample_count", 1), ("fidelity.top_k", 0),
-    ("synth.count_override", 0), ("select.min_sds", 0), ("run.threads", 1)]
+    ("synth.count_override", 0), ("select.min_sds", 0), ("run.threads", 1), ("run.seed", 0)]
 
 
 @pytest.mark.parametrize("command, args, message", [
-    ("rediscover", ["--budget", "-5"], "rediscover.budget must be >= 0, got -5"),
+    ("rediscover", ["--budget", "-5"], "rediscover.budget is -5, expected an integer in [0, inf)"),
     ("rediscover", ["--budget", "10", "--set", "rediscover.chunk_size=-3"],
-     "rediscover.chunk_size must be >= 1, got -3"),
-    ("rediscover", ["--set", "rediscover.chunk_size=0"], "rediscover.chunk_size must be >= 1, got 0"),
-    ("sample", ["--chunk-size", "-2"], "sample.chunk_size must be >= 1, got -2"),
-    ("sample", ["--count", "-1"], "sample.count must be >= 0, got -1"),
-    ("sample", ["--set", "sample.count=Infinity"], "sample.count expects an integer, got inf"),
+     "rediscover.chunk_size is -3, expected an integer in [1, inf)"),
+    ("rediscover", ["--set", "rediscover.chunk_size=0"],
+     "rediscover.chunk_size is 0, expected an integer in [1, inf)"),
+    ("sample", ["--chunk-size", "-2"], "sample.chunk_size is -2, expected an integer in [1, inf)"),
+    ("sample", ["--count", "-1"], "sample.count is -1, expected an integer in [0, inf)"),
+    ("sample", ["--set", "sample.count=Infinity"],
+     "sample.count is inf, expected an integer in [0, inf)"),
     ("train-mask", ["--set", "train.mask.val_interval=0"],
-     "train.mask.val_interval must be >= 1, got 0"),
-    ("train-mask", ["--set", "train.mask.batch_size=0"], "train.mask.batch_size must be >= 1, got 0"),
-    ("validate", ["--count", "-1"], "fidelity.sample_count must be >= 1, got -1"),
-    *[("sample", ["--set", f"{key}={least - 1}"], f"{key} must be >= {least}, got {least - 1}")
+     "train.mask.val_interval is 0, expected an integer in [1, inf)"),
+    ("train-mask", ["--set", "train.mask.batch_size=0"],
+     "train.mask.batch_size is 0, expected an integer in [1, inf)"),
+    ("validate", ["--count", "-1"], "fidelity.sample_count is -1, expected an integer in [1, inf)"),
+    *[("sample", ["--set", f"{key}={least - 1}"],
+       f"{key} is {least - 1}, expected an integer in [{least}, inf)")
       for key, least in CONFIG_FLOORS],
 ], ids=["budget", "rediscover_chunk", "rediscover_chunk_zero", "sample_chunk", "sample_count",
         "infinite_count", "val_interval_zero", "batch_size_zero", "validate_count",
@@ -195,12 +199,25 @@ def test_out_of_range_sizes_are_data_errors(pipeline, tmp_path, capsys, command,
     assert f"config key {message}" in capsys.readouterr().err
 
 
+def test_every_numeric_config_key_has_a_range_holding_its_default():
+    numeric = {key for key, value in DEFAULTS.items() if isinstance(value, (int, float))}
+    assert numeric == set(_RANGES)
+    for key in numeric:
+        assert resolve_config(overrides={key: DEFAULTS[key]})[key] == DEFAULTS[key]
+
+
 # each ranged float key: its interval, values outside it and values at its closed ends
 FLOAT_RANGES = [
     ("corpus.val_fraction", "[0, 1)", [-0.1, 1.0, 1.5], [0.0, 0.5]),
     ("sde.beta_min", "(0, inf)", [0.0, -1.0, float("inf")], [1e-9, 20.0]),
+    ("sde.beta_max", "(0, inf)", [0.0, -1.0, float("inf")], [1e-9, 20.0]),
     ("sde.t_eps", "(0, 1)", [0.0, -0.0, -1.0, 1.0, 2.0], [1e-9, 0.5]),
+    ("schedule.beta_start", "(0, 1)", [0.0, -0.1, 1.0], [1e-9, 0.5]),
+    ("schedule.beta_end", "(0, 1)", [0.0, 1.0, 1.5], [1e-9, 0.5]),
     ("select.top_fraction", "(0, 1]", [0.0, -0.5, 1.5], [1e-9, 1.0]),
+    ("select.meal_fraction", "(0, 1]", [0.0, -0.5, 1.5], [1e-9, 1.0]),
+    *[(f"profile.{k}", "(0, inf)", [0.0, -1.0, float("inf")], [1e-9, 30.0])
+      for k in ("age", "height_cm", "weight_kg")],
     *[(f"train.{m}.{k}", interval, bad, good) for m in ("mask", "quantity")
       for k, interval, bad, good in (
           ("learning_rate", "[0, inf)", [-1.0, float("inf")], [0.0, 1e-3]),
@@ -215,18 +232,19 @@ def test_out_of_range_floats_are_data_errors_naming_the_key(key, interval, bad, 
     for value in [*bad, float("nan")]:
         with pytest.raises(DataError) as err:
             resolve_config(overrides={key: value})
-        assert str(err.value) == f"config key {key} must lie in {interval}, got {value!r}"
+        assert str(err.value) == (f"config key {key} is {value!r}, "
+                                  f"expected a finite number in {interval}")
     for value in good:
         assert resolve_config(overrides={key: value})[key] == value
 
 
 @pytest.mark.parametrize("command, args, message", [
     ("train-quantity", ["--set", "train.quantity.ema_decay=2"],
-     "train.quantity.ema_decay must lie in [0, 1), got 2"),
+     "train.quantity.ema_decay is 2, expected a finite number in [0, 1)"),
     ("train-mask", ["--set", "train.mask.learning_rate=-1"],
-     "train.mask.learning_rate must lie in [0, inf), got -1"),
+     "train.mask.learning_rate is -1, expected a finite number in [0, inf)"),
     ("select-nutritious", ["--nutrient-table", str(DESK / "nutrient_table.csv"), "--top", "0"],
-     "select.top_fraction must lie in (0, 1], got 0.0"),
+     "select.top_fraction is 0.0, expected a finite number in (0, 1]"),
 ], ids=["ema_decay", "learning_rate", "top_fraction"])
 def test_out_of_range_floats_stop_the_command(pipeline, tmp_path, capsys, command, args, message):
     code = cli.run([command, "--corpus", str(pipeline / "corpus.jsonl"), *args,
@@ -540,8 +558,8 @@ def test_precedence_is_config_then_env_then_flags_then_set(tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize("env, message", [
-    ("abc", "run.threads expects an integer, got 'abc'"),
-    ("-4", "run.threads must be >= 1, got -4"),
+    ("abc", "run.threads is 'abc', expected an integer in [1, inf)"),
+    ("-4", "run.threads is -4, expected an integer in [1, inf)"),
 ], ids=["not_a_number", "negative"])
 def test_threads_env_is_parsed_like_a_set_value(tmp_path, monkeypatch, capsys, env, message):
     monkeypatch.setenv("RECIPEFORGE_THREADS", env)

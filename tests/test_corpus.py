@@ -40,19 +40,24 @@ def test_load_two_line_file(tmp_path):
 def test_load_rejects_zero_grams(tmp_path):
     f = tmp_path / "c.jsonl"
     write_lines(f, [{"ingredients": [{"id": "beef", "grams": 0}]}])
-    with pytest.raises(DataError, match=r"c\.jsonl: line 1: ingredient 'beef' has grams 0"):
+    with pytest.raises(DataError) as err:
         cp.load_corpus(f)
+    assert str(err.value) == f"{f}: line 1: grams of 'beef' is 0, expected a finite number in (0, inf)"
+
+
+POSITIVE = "expected a finite number in (0, inf)"
 
 
 @pytest.mark.parametrize("record, message", [
     ({"ingredients": [{"grams": 5}]}, "ingredient 0 must be an object with a string 'id'"),
     ({"ingredients": [{"id": None, "grams": 5}]}, "ingredient 0 must be an object with a string 'id'"),
     ({"ingredients": ["beef"]}, "ingredient 0 must be an object with a string 'id'"),
-    ({"ingredients": [{"id": "beef", "grams": True}]}, "ingredient 'beef' has grams True"),
-    ({"ingredients": [{"id": "beef", "grams": "5"}]}, "ingredient 'beef' has grams '5'"),
-    ({"ingredients": [{"id": "beef"}]}, "ingredient 'beef' has grams None"),
-    ({"ingredients": [{"id": "beef", "grams": float("nan")}]}, "ingredient 'beef' has grams nan"),
-    ({"ingredients": [{"id": "beef", "grams": 10 ** 400}]}, "ingredient 'beef' has grams 1000"),
+    ({"ingredients": [{"id": "beef", "grams": True}]}, f"grams of 'beef' is True, {POSITIVE}"),
+    ({"ingredients": [{"id": "beef", "grams": "5"}]}, f"grams of 'beef' is '5', {POSITIVE}"),
+    ({"ingredients": [{"id": "beef"}]}, f"grams of 'beef' is None, {POSITIVE}"),
+    ({"ingredients": [{"id": "beef", "grams": float("nan")}]}, f"grams of 'beef' is nan, {POSITIVE}"),
+    ({"ingredients": [{"id": "beef", "grams": 10 ** 400}]},
+     f"grams of 'beef' is 1{'0' * 36}..., {POSITIVE}"),
     ({"ingredients": [{"id": "beef", "grams": 1}, {"id": "beef", "grams": 2}]},
      "duplicate ingredient id 'beef'"),
     ({"ingredients": []}, "empty recipe is not trainable"),
@@ -66,7 +71,7 @@ def test_load_rejects_bad_record_naming_file_and_line(tmp_path, record, message)
     write_lines(f, [{"ingredients": [{"id": "beef", "grams": 1}]}, record])
     with pytest.raises(DataError) as err:
         cp.load_corpus(f)
-    assert str(err.value).startswith(f"{f}: line 2: ") and message in str(err.value)
+    assert str(err.value) == f"{f}: line 2: {message}"
 
 
 def test_load_rejects_malformed_json(tmp_path):
@@ -218,7 +223,7 @@ def test_cache_entry_must_hold_the_vocabulary_ids(tmp_path):
     ('{"ingredients": [{"id": "tofu", "grams": 10}]}\n', ["beef"],
      "line 1: unknown ingredient id 'tofu'"),
     ('{"ingredients": [{"id": "beef", "grams": -1}]}\n', None,
-     "line 1: ingredient 'beef' has grams -1"),
+     "line 1: grams of 'beef' is -1, expected a finite number in (0, inf)"),
     ("\n \n", None, "empty corpus file"),
 ], ids=["invalid_json", "unknown_id", "negative_grams", "empty"])
 def test_cache_leaves_no_entry_for_a_bad_corpus(tmp_path, content, vocab, message):
@@ -520,27 +525,28 @@ def spec_doc(**changes):
 @pytest.mark.parametrize("doc, message", [
     (spec_doc(ingredients=[{"id": 7, "marginal": 0.5, "weight_log_mean": 5.0,
                             "weight_log_sd": 0.3}]),
-     "field ingredients\\[\\].id must be a string, got 7"),
+     "field ingredients[0].id is 7, expected a string"),
     (spec_doc(pairs=[{"a": None, "b": "bun", "correlation": 0.2}]),
-     "field pairs\\[\\].a must be a string, got None"),
+     "field pairs[0].a is None, expected a string"),
     (spec_doc(pairs=[{"a": "beef", "b": 1, "correlation": 0.2}]),
-     "field pairs\\[\\].b must be a string, got 1"),
+     "field pairs[0].b is 1, expected a string"),
     (spec_doc(planted=[{"frequency": 0.2, "ingredients": [{"id": True, "grams": 90}]}]),
-     "field planted\\[\\].ingredients\\[\\].id must be a string, got True"),
+     "field planted[0].ingredients[0].id is True, expected a string"),
 ], ids=["ingredient_id", "pair_a", "pair_b", "planted_id"])
 def test_synth_spec_requires_string_ids(tmp_path, doc, message):
     f = tmp_path / "spec.json"
     f.write_text(json.dumps(doc))
-    with pytest.raises(DataError, match=rf"spec\.json: malformed synth spec: {message}$"):
+    with pytest.raises(DataError) as err:
         cp.load_synth_spec(f)
+    assert str(err.value) == f"{f}: {message}"
 
 
 @pytest.mark.parametrize("doc, message", [
     ({key: v for key, v in spec_doc().items() if key != "count"},
-     "malformed synth spec: field 'count' is missing"),
-    (spec_doc(count="ten"), "malformed synth spec: field count must be a number, got 'ten'"),
+     "field count is missing"),
+    (spec_doc(count="ten"), "field count is 'ten', expected an integer"),
     ([spec_doc()], "synth spec must be a JSON object"),
-    (spec_doc(count=0), "recipe count must be >= 1"),
+    (spec_doc(count=0), r"field count is 0, expected an integer in \[1, inf\)$"),
     (spec_doc(pairs=[{"a": "beef", "b": "tofu", "correlation": 0.2}]),
      "synth spec field pairs names unknown ingredients"),
 ], ids=["missing_count", "bad_count", "not_an_object", "zero_count", "unknown_pair_id"])
@@ -551,54 +557,63 @@ def test_synth_spec_errors_name_the_file(tmp_path, doc, message):
         cp.load_synth_spec(f)
 
 
-# each numeric field of a synth spec, and the path to it in spec_doc's document
+# each numeric field of a synth spec, the path to it in spec_doc's document
+# and the values it takes
 NUMBER_FIELDS = {
-    "count": ("count",),
-    "ingredients[].marginal": ("ingredients", 0, "marginal"),
-    "ingredients[].weight_log_mean": ("ingredients", 1, "weight_log_mean"),
-    "ingredients[].weight_log_sd": ("ingredients", 0, "weight_log_sd"),
-    "pairs[].correlation": ("pairs", 0, "correlation"),
-    "planted[].frequency": ("planted", 0, "frequency"),
-    "planted[].ingredients[].grams": ("planted", 0, "ingredients", 0, "grams"),
+    "count": (("count",), "an integer in [1, inf)"),
+    "ingredients[0].marginal": (("ingredients", 0, "marginal"), "a finite number in [0, 1]"),
+    "ingredients[1].weight_log_mean": (("ingredients", 1, "weight_log_mean"), "a finite number"),
+    "ingredients[0].weight_log_sd": (("ingredients", 0, "weight_log_sd"),
+                                     "a finite number in (0, inf)"),
+    "pairs[0].correlation": (("pairs", 0, "correlation"), "a finite number in (-1, 1)"),
+    "planted[0].frequency": (("planted", 0, "frequency"), "a finite number in (0, 1]"),
+    "planted[0].ingredients[0].grams": (("planted", 0, "ingredients", 0, "grams"),
+                                        "a finite number in (0, inf)"),
 }
+
+
+def expected_number(field):
+    return NUMBER_FIELDS[field][1]
 
 
 @pytest.mark.parametrize("field", NUMBER_FIELDS)
 def test_synth_spec_rejects_booleans_as_numbers(tmp_path, field):
     doc = spec_doc(pairs=[{"a": "beef", "b": "bun", "correlation": 0.2}],
                    planted=[{"frequency": 0.2, "ingredients": [{"id": "beef", "grams": 150}]}])
-    *parents, key = NUMBER_FIELDS[field]
+    *parents, key = NUMBER_FIELDS[field][0]
     node = doc
     for part in parents:
         node = node[part]
     node[key] = True
     f = tmp_path / "spec.json"
     f.write_text(json.dumps(doc))
-    with pytest.raises(DataError, match=rf"^{re.escape(str(f))}: malformed synth spec: "
-                                        rf"field {re.escape(field)} must be a number, got True$"):
+    with pytest.raises(DataError) as err:
         cp.load_synth_spec(f)
+    assert str(err.value) == f"{f}: field {field} is True, expected {expected_number(field)}"
 
 
 @pytest.mark.parametrize("field", NUMBER_FIELDS)
 def test_synth_spec_rejects_strings_as_numbers(tmp_path, field):
     doc = spec_doc(pairs=[{"a": "beef", "b": "bun", "correlation": 0.2}],
                    planted=[{"frequency": 0.2, "ingredients": [{"id": "beef", "grams": 150}]}])
-    *parents, key = NUMBER_FIELDS[field]
+    *parents, key = NUMBER_FIELDS[field][0]
     node = doc
     for part in parents:
         node = node[part]
     node[key] = str(node[key])
     f = tmp_path / "spec.json"
     f.write_text(json.dumps(doc))
-    with pytest.raises(DataError, match=rf"^{re.escape(str(f))}: malformed synth spec: "
-                                        rf"field {re.escape(field)} must be a number, got '"):
+    with pytest.raises(DataError) as err:
         cp.load_synth_spec(f)
+    assert str(err.value) == (f"{f}: field {field} is {node[key]!r}, "
+                              f"expected {expected_number(field)}")
 
 
 def test_synth_spec_count_must_be_integral(tmp_path):
     f = tmp_path / "spec.json"
     f.write_text(json.dumps(spec_doc(count=10.7)))
-    with pytest.raises(DataError, match=r"field count must be an integer, got 10\.7$"):
+    with pytest.raises(DataError) as err:
         cp.load_synth_spec(f)
+    assert str(err.value) == f"{f}: field count is 10.7, expected an integer in [1, inf)"
     f.write_text(json.dumps(spec_doc(count=10.0)))
     assert cp.load_synth_spec(f).count == 10

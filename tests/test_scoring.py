@@ -264,10 +264,11 @@ IMPACT_HEADER = ("ingredient_id,land_m2_per_kg,eutro_gPO4eq_per_kg,water_L_per_k
 
 @pytest.mark.parametrize("row, message", [
     ("lettuce,1.0,abc,100.0,0.5", "column eutro_gPO4eq_per_kg of lettuce is 'abc', "
-                                  "expected a finite number"),
+                                  "expected a finite number in [0, inf)"),
     ("lettuce,1.0,2.0,100.0", "column ghg_kgCO2eq_per_kg of lettuce is None, "
-                              "expected a finite number"),
-    ("lettuce,-1,2.0,100.0,0.5", "column land_m2_per_kg of lettuce is -1, expected a number >= 0"),
+                              "expected a finite number in [0, inf)"),
+    ("lettuce,-1,2.0,100.0,0.5", "column land_m2_per_kg of lettuce is -1.0, "
+                                 "expected a finite number in [0, inf)"),
 ], ids=["not_a_number", "short_row", "negative"])
 def test_impact_table_names_file_ingredient_and_column_of_a_bad_cell(tmp_path, row, message):
     f = tmp_path / "impact.csv"
@@ -289,12 +290,12 @@ def test_impact_table_missing_column_names_the_file(tmp_path):
 @pytest.mark.parametrize("norms, message", [
     ([4.0, 10.0, 400.0, 2.0], "expected a JSON object with keys land, eutrophication, water, ghg"),
     ({"land": "x", "eutrophication": 10.0, "water": 400.0, "ghg": 2.0},
-     "key land is 'x', expected a finite number"),
+     "key land is 'x', expected a finite number in (0, inf)"),
     ({"land": 4.0, "eutrophication": True, "water": 400.0, "ghg": 2.0},
-     "key eutrophication is True, expected a finite number"),
+     "key eutrophication is True, expected a finite number in (0, inf)"),
     ({"land": 4.0, "eutrophication": 10.0, "water": 400.0}, "missing key ghg"),
     ({"land": 0, "eutrophication": 10.0, "water": 400.0, "ghg": 2.0},
-     "key land is 0, expected a number > 0"),
+     "key land is 0, expected a finite number in (0, inf)"),
 ], ids=["array", "string_value", "boolean_value", "missing_key", "zero_value"])
 def test_impact_norms_must_be_an_object_of_numbers(tmp_path, norms, message):
     with pytest.raises(DataError) as e:
@@ -455,7 +456,8 @@ def test_nutrient_table_names_file_ingredient_and_column_of_a_bad_cell(tmp_path)
     f = tmp_path / "nutrients.csv"
     with pytest.raises(DataError) as e:
         write_nutrient_table(tmp_path, [nutrient_csv_row("patty", sodium_mg_per_100g="abc")], vocab)
-    assert str(e.value) == f"{f}: column sodium_mg_per_100g of patty is 'abc', expected a finite number"
+    assert str(e.value) == (f"{f}: column sodium_mg_per_100g of patty is 'abc', "
+                            "expected a finite number in [0, inf)")
 
 
 def test_nutrient_table_names_file_ingredient_and_column_of_a_negative_cell(tmp_path):
@@ -464,7 +466,8 @@ def test_nutrient_table_names_file_ingredient_and_column_of_a_negative_cell(tmp_
     with pytest.raises(DataError) as e:
         write_nutrient_table(tmp_path, [nutrient_csv_row("bun"),
                                         nutrient_csv_row("patty", dairy_cup_per_100g=-0.5)], vocab)
-    assert str(e.value) == f"{f}: column dairy_cup_per_100g of patty is -0.5, expected a number >= 0"
+    assert str(e.value) == (f"{f}: column dairy_cup_per_100g of patty is -0.5, "
+                            "expected a finite number in [0, inf)")
 
 
 def test_nutrient_table_missing_column_and_ingredient_name_the_file(tmp_path):
@@ -492,15 +495,17 @@ def write_standards(tmp_path, edit):
     return f
 
 
-@pytest.mark.parametrize("edit, column", [
-    ({"curve": "sideways"}, "curve"),
-    ({"max_at": 2.0, "zero_at": 2.0}, "max_at and zero_at"),
-    ({"max_points": "nan"}, "max_points"),
-    ({"max_at": "abc"}, "max_at"),
+@pytest.mark.parametrize("edit, message", [
+    ({"curve": "sideways"}, "column curve of sodium is 'sideways', expected increasing or decreasing"),
+    ({"max_at": 2.0, "zero_at": 2.0}, "columns max_at and zero_at of sodium are equal"),
+    ({"max_points": "nan"}, "column max_points of sodium is nan, expected a finite number"),
+    ({"max_at": "abc"}, "column max_at of sodium is 'abc', expected a finite number"),
 ], ids=["unknown_curve", "flat_curve", "nan_points", "text_max_at"])
-def test_hei_standards_reject_bad_rows(tmp_path, edit, column):
-    with pytest.raises(DataError, match=rf"hei\.csv: columns? {column} of sodium"):
-        scoring.load_hei_standards(write_standards(tmp_path, edit))
+def test_hei_standards_reject_bad_rows(tmp_path, edit, message):
+    f = write_standards(tmp_path, edit)
+    with pytest.raises(DataError) as e:
+        scoring.load_hei_standards(f)
+    assert str(e.value) == f"{f}: line 12: {message}"
     assert len(scoring.load_hei_standards(write_standards(tmp_path, {}))) == 13
 
 
@@ -509,6 +514,27 @@ def test_hei_standards_reject_missing_column(tmp_path):
     f.write_text(f.read_text().replace("component,curve,", "component,shape,", 1))
     with pytest.raises(DataError, match=r"hei\.csv: missing columns \['curve'\]"):
         scoring.load_hei_standards(f)
+
+
+@pytest.mark.parametrize("rename, message", [
+    ("total_fruits", "line 7: component 'total_fruits' is repeated"),
+    ("dairy_products", "line 7: component 'dairy_products' is not an HEI component"),
+], ids=["repeated", "misspelt"])
+def test_hei_standards_require_each_component_once(tmp_path, rename, message):
+    f = write_standards(tmp_path, {})
+    f.write_text(f.read_text().replace("\ndairy,", f"\n{rename},"))
+    with pytest.raises(DataError) as e:
+        scoring.load_hei_standards(f)
+    assert str(e.value) == f"{f}: {message}"
+
+
+def test_hei_standards_name_a_missing_component(tmp_path):
+    f = write_standards(tmp_path, {})
+    f.write_text("".join(line for line in f.read_text().splitlines(keepends=True)
+                         if not line.startswith("dairy,")))
+    with pytest.raises(DataError) as e:
+        scoring.load_hei_standards(f)
+    assert str(e.value) == f"{f}: HEI components ['dairy'] are missing"
 
 
 def test_hei_standards_bundled_file():
