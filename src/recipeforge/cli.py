@@ -296,11 +296,8 @@ def cmd_train(cfg: dict, out_dir: Path, chash: str) -> int:
     """train-mask or train-quantity: corpus -> model -> checkpoint, vocabulary and history."""
     name = cfg["run.command"].removeprefix("train-")
     loaded = _load_corpus(cfg["paths.corpus"], out_dir)
-    # the train.<name>.* keys are TrainConfig's fields and the sde.* keys SDESpec's;
-    # a final learning rate or EMA decay <= 0 turns it off
+    # the train.<name>.* keys are TrainConfig's fields and the sde.* keys SDESpec's
     fields = {k.rpartition(".")[2]: v for k, v in cfg.items() if k.startswith(f"train.{name}.")}
-    for k in ("final_learning_rate", "ema_decay"):
-        fields[k] = fields[k] if fields[k] > 0 else None
     config, seed = TrainConfig(**fields), cfg["run.seed"]
     if name == "mask":
         schedule = mask_diffusion.linear_schedule(cfg["schedule.T"], cfg["schedule.beta_start"],

@@ -133,10 +133,6 @@ class SynthSpec:
     planted: list[tuple[dict[str, float], float]]  # ({id: grams}, frequency)
     count: int
 
-    @property
-    def K(self) -> int:
-        return len(self.ingredients)
-
     def vocabulary(self) -> IngredientVocabulary:
         return IngredientVocabulary.from_ids([s.ingredient_id for s in self.ingredients])
 

@@ -1,18 +1,17 @@
 """Generation and selection pipelines.
 
 A batch of generated recipes is one (n, K) grams matrix; an ingredient
-is present where its grams are > 0. Batch sampling couples the two
-models (mask first, then weights conditioned on the mask), and the
-selection operations reproduce the discovery recipes: novelty-filtered
-repetition counting, lowest-decile environmental selection,
-top-fraction nutrition selection, and personalized selection. Each
-selection takes the batch's grams matrix and returns its group's
-founder, a (K,) grams row. Rediscovery streams samples until one
-matches a reference row at SDS = 0; it computes the stream's chunks a
-window at a time, separate from the chunk size that defines the
-stream: the first window is one chunk and each next one doubles, up to
-a fixed row count, so memory is constant in the budget and an early
-match costs about what it costs chunk by chunk.
+is present where its grams are > 0. _draw is the one draw of the sample
+stream: chunk c couples the two models, a mask from the (seed, c)
+generators, then weights given the mask. generate_batch draws a batch
+chunk by chunk; rediscovery draws the stream until a row matches a
+reference at SDS = 0, a window of chunks at a time: the first window is
+one chunk and each next one doubles, up to a fixed row count, so memory
+is constant in the budget and an early match costs about what it costs
+chunk by chunk. The selections reproduce the discovery recipes:
+novelty-filtered repetition counting, lowest-decile environmental,
+top-fraction nutrition and personalized selection; each returns the
+founder of a group of the batch, a (K,) grams row.
 """
 
 from __future__ import annotations
@@ -22,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mask_diffusion, netcore
+from . import netcore
 from .corpus import Corpus
 from .errors import DataError, NumericError, number
 from .mask_diffusion import MaskDiffusionModel, _sample_chunk
-from .quantity_diffusion import QuantityScoreModel, decode_weights, reverse_integrate, reverse_sample_batch
+from .quantity_diffusion import QuantityScoreModel, decode_weights, reverse_integrate
 from .scoring import (HEIComponentStandard, ImpactTable, NutrientTable, PersonProfile,
                       _sds_rows, env_impact_scores, group_recipes, hei_totals,
                       personalized_scores, sds)
@@ -73,18 +72,27 @@ def check_models(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreMo
 def generate_batch(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreModel,
                    count: int, seed: int, *, chunk_size: int = 2048,
                    threads: int = 1) -> np.ndarray:
-    """Draw count complete recipes, a (count, K) grams matrix: a mask,
-    then weights given the mask.
-
-    Deterministic for a fixed seed and chunk size regardless of thread
-    count; masks use the (seed, chunk) stream and weights an independent
-    derived stream.
-    """
+    """Draw count complete recipes, a (count, K) grams matrix: chunk c of
+    chunk_size rows (the last one cut to count) is _draw of stream chunk c,
+    so the batch is the same for a fixed seed and chunk size at any thread
+    count."""
     check_models(mask_model, quantity_model)
-    masks = mask_diffusion.sample_masks(mask_model, count, seed,
-                                        chunk_size=chunk_size, threads=threads)
-    return reverse_sample_batch(quantity_model, masks, seed + _QTY_STREAM,
-                                chunk_size=chunk_size, threads=threads)
+    return netcore.map_chunks(
+        count, chunk_size, threads,
+        lambda c, rows: _draw(mask_model, quantity_model, seed, range(c, c + 1),
+                              rows.stop - rows.start))
+
+
+def _draw(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreModel, seed: int,
+          chunks: range, n: int) -> np.ndarray:
+    """The (n, K) grams of the given stream chunks, drawn in lockstep as
+    len(chunks) equal blocks: block j is what chunk c = chunks[j] draws
+    alone, masks from chunk_rng(seed, c), then weights given them from the
+    independent chunk_rng(seed + _QTY_STREAM, c)."""
+    masks, _ = _sample_chunk(mask_model, n, [netcore.chunk_rng(seed, c) for c in chunks])
+    z = reverse_integrate(quantity_model.score, masks, quantity_model.sde,
+                          [netcore.chunk_rng(seed + _QTY_STREAM, c) for c in chunks])
+    return decode_weights(z, masks, quantity_model.codec)
 
 
 def novelty(grams: np.ndarray, corpus: Corpus) -> int:
@@ -196,13 +204,9 @@ def _first_match(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreMo
                  reference: np.ndarray, budget: int, seed: int, chunk_size: int,
                  chunks: range) -> RediscoveryOutcome | None:
     """The first match to reference among the draws of the given stream
-    chunks, sampled in lockstep, or None."""
-    lo, n = chunks[0] * chunk_size, len(chunks) * chunk_size
-    rows = min(n, budget - lo)
-    masks, _ = _sample_chunk(mask_model, n, [netcore.chunk_rng(seed, c) for c in chunks])
-    z = reverse_integrate(quantity_model.score, masks.astype(float), quantity_model.sde,
-                          [netcore.chunk_rng(seed + _QTY_STREAM, c) for c in chunks])
-    grams = decode_weights(z[:rows], masks[:rows], quantity_model.codec)
+    chunks within the budget, or None."""
+    lo = chunks[0] * chunk_size
+    grams = _draw(mask_model, quantity_model, seed, chunks, len(chunks) * chunk_size)[:budget - lo]
     hits = np.flatnonzero(sds(grams, reference) == 0)
     if not hits.size:
         return None
@@ -263,9 +267,8 @@ def select_sustainable(batch: np.ndarray, table: ImpactTable,
     candidates = np.flatnonzero((batch[:, idx] > 0).all(axis=1))
     if not candidates.size:
         raise DataError(f"no sample in the batch contains all of {sorted(required)}")
-    scores = env_impact_scores(batch[candidates], table)
-    k = max(1, math.ceil(0.1 * len(candidates)))
-    keep = np.sort(candidates[np.argsort(scores, kind="stable")[:k]])
+    keep = candidates[_top_fraction(batch[candidates], 0.1,
+                                    lambda grams: -env_impact_scores(grams, table))]
     result, _ = _select(batch, keep, "select_sustainable"
                         + (f"(require={sorted(required)})" if required else ""))
     result.env_score = float(env_impact_scores(result.selected, table)[0])

@@ -75,16 +75,17 @@ class MaskDiffusionModel:
     The prediction for P(x0_i = 1 | x_t) is
     sigmoid(base_logits_i + (2 x_t_i - 1) lambda(t) + net(x_t, t)_i) with
     lambda(t) = log((1 + ab_t) / (1 - ab_t)), the exact log-likelihood
-    ratio one noisy bit contributes under the mixing kernel. With
-    base_logits at the corpus base rates and a zero residual this is the
-    exact posterior for independent ingredients; the network only has to
-    learn ingredient interactions.
+    ratio one noisy bit contributes under the mixing kernel. Every model
+    has base_logits (training sets them to the corpus base rates' logits,
+    and a checkpoint without them does not load). With a zero residual
+    this is the exact posterior for independent ingredients; the network
+    only has to learn ingredient interactions.
     """
 
     schedule: NoiseSchedule
     net: Network
     K: int
-    base_logits: np.ndarray | None = None
+    base_logits: np.ndarray
     vocab_fingerprint: str = ""
     history: list[tuple[int, float]] = field(default_factory=list)
 
@@ -123,9 +124,8 @@ def _predict_p_hat(model: MaskDiffusionModel, x_t: np.ndarray, t) -> np.ndarray:
 def _p_hat(model: MaskDiffusionModel, logits: np.ndarray, inputs: np.ndarray,
            t) -> np.ndarray:
     """_predict_p_hat from the network's output logits at its _model_inputs."""
-    if model.base_logits is not None:
-        logits = logits + model.base_logits
-        logits += inputs[..., :model.K] * model.schedule.evidence[t][..., None]
+    logits = logits + model.base_logits
+    logits += inputs[..., :model.K] * model.schedule.evidence[t][..., None]
     p = expit(logits)
     return np.clip(p, _PCLIP, 1.0 - _PCLIP, out=p)
 
@@ -296,18 +296,16 @@ def sample_masks(model: MaskDiffusionModel, count: int, seed: int, *,
     (seed, chunk_index), so results are byte-identical for any thread
     count. All-zero masks are discarded and resampled.
     """
-    if count == 0:
-        return np.zeros((0, model.K), dtype=np.uint8)
     return netcore.map_chunks(
-        count, chunk_size, seed, threads,
-        lambda rows, rng: _sample_chunk(model, rows.stop - rows.start, [rng])[0])
+        count, chunk_size, threads,
+        lambda c, rows: _sample_chunk(model, rows.stop - rows.start, [netcore.chunk_rng(seed, c)])[0])
 
 
 def save_mask_model(path: str | Path, model: MaskDiffusionModel, seed_lineage=None) -> None:
     netcore.write_checkpoint(
         path, "mask_diffusion", model, seed_lineage,
         schedule={"T": model.schedule.T, "beta": model.schedule.betas.tolist()},
-        base_logits=None if model.base_logits is None else model.base_logits.tolist())
+        base_logits=model.base_logits.tolist())
 
 
 def load_mask_model(path: str | Path) -> MaskDiffusionModel:
@@ -315,13 +313,12 @@ def load_mask_model(path: str | Path) -> MaskDiffusionModel:
     doc, K, net, fingerprint = netcore.read_checkpoint(path, "mask_diffusion", lambda k: k + 3)
     T = netcore.field(doc, path, "schedule.T", number, "[1, inf)", integer=True)
     betas = netcore.field(doc, path, "schedule.beta", numbers, length=T)
-    base = doc.get("base_logits")
     try:
         schedule = NoiseSchedule(betas=betas)
     except DataError as e:
         raise DataError(f"{path}: field {e}") from None
     return MaskDiffusionModel(
         schedule=schedule, net=net, K=K,
-        base_logits=None if base is None else numbers(base, f"{path}: field base_logits", length=K),
+        base_logits=netcore.field(doc, path, "base_logits", numbers, length=K),
         vocab_fingerprint=fingerprint,
     )

@@ -35,6 +35,9 @@ import numpy as np
 
 from .errors import DataError, NumericError, number, numbers, read_json, shown
 
+# Adam's moment decay rates b1, b2 and denominator guard eps
+_B1, _B2, _EPS = 0.9, 0.999, 1e-8
+
 
 def _layer_views(sizes: list[int], flat: np.ndarray) -> tuple[tuple, tuple]:
     """(weights, biases): per-layer views of a flat vector laid out w0, b0, w1, b1, ..."""
@@ -79,25 +82,22 @@ class OptimizerState:
     v: np.ndarray
     step: int = 0
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 @dataclass
 class TrainConfig:
     """Shared training hyperparameters for both diffusion models.
 
-    final_learning_rate enables a linear decay across the run;
-    ema_decay keeps an exponential moving average of the parameters
-    that replaces the raw weights when training finishes.
+    final_learning_rate ends a linear decay across the run; ema_decay
+    keeps an exponential moving average of the parameters that replaces
+    the raw weights when training finishes. 0 turns either off.
     """
 
     steps: int = 20000
     batch_size: int = 64
     learning_rate: float = 1e-3
-    final_learning_rate: float | None = None
-    ema_decay: float | None = None
+    final_learning_rate: float = 0.0
+    ema_decay: float = 0.0
     hidden_width: int = 32
     hidden_depth: int = 3
     val_interval: int = 1000
@@ -203,11 +203,9 @@ def gradient(net: Network, acts: list[np.ndarray], loss_grad_at_output: np.ndarr
     return grad
 
 
-def init_optimizer(net: Network, learning_rate: float = 1e-3,
-                   beta1: float = 0.9, beta2: float = 0.999,
-                   eps: float = 1e-8) -> OptimizerState:
+def init_optimizer(net: Network, learning_rate: float = 1e-3) -> OptimizerState:
     return OptimizerState(m=np.zeros_like(net.theta), v=np.zeros_like(net.theta),
-                          learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps)
+                          learning_rate=learning_rate)
 
 
 def optimizer_step(net: Network, grad: np.ndarray,
@@ -217,21 +215,20 @@ def optimizer_step(net: Network, grad: np.ndarray,
     if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient component in optimizer step")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    corr1 = 1.0 - b1 ** state.step
-    corr2 = 1.0 - b2 ** state.step
+    corr1 = 1.0 - _B1 ** state.step
+    corr2 = 1.0 - _B2 ** state.step
     scale = state.learning_rate * math.sqrt(corr2) / corr1
     # b1 m + (1 - b1) g, b2 v + (1 - b2) g g, scale m / (sqrt(v) + eps): in place, in that order
     m, v, theta = state.m, state.v, net.theta
-    scratch = np.multiply(grad, 1 - b1)
-    m *= b1
+    scratch = np.multiply(grad, 1 - _B1)
+    m *= _B1
     m += scratch
-    np.multiply(grad, 1 - b2, out=scratch)
+    np.multiply(grad, 1 - _B2, out=scratch)
     scratch *= grad
-    v *= b2
+    v *= _B2
     v += scratch
     np.sqrt(v, out=scratch)
-    scratch += state.eps
+    scratch += _EPS
     theta -= np.divide(m * scale, scratch, out=scratch)
     return net, state
 
@@ -254,16 +251,16 @@ def fit(net: Network, config: TrainConfig, seed: int, n_rows: int,
 
     Each step draws config.batch_size row indices in [0, n_rows) and calls
     step(idx, opt, rng), which takes one optimizer step on those rows. The
-    learning rate decays linearly to config.final_learning_rate when set;
-    with config.ema_decay the parameter average replaces the raw weights
-    at the end. validate() is recorded at step 0, every val_interval steps,
-    at the last step and, with an average, once more after the swap.
+    learning rate decays linearly to config.final_learning_rate and the
+    config.ema_decay parameter average replaces the raw weights at the end;
+    0 turns either off. validate() is recorded at step 0, every val_interval
+    steps, at the last step and, with an average, once more after the swap.
     """
     opt = init_optimizer(net, learning_rate=config.learning_rate)
     rng = np.random.default_rng(seed)
     ema = ParameterAverage(net, config.ema_decay) if config.ema_decay else None
     lr0 = config.learning_rate
-    lr1 = config.final_learning_rate if config.final_learning_rate is not None else lr0
+    lr1 = config.final_learning_rate or lr0
     history = [(0, validate())]
     for i in range(1, config.steps + 1):
         opt.learning_rate = lr0 + (lr1 - lr0) * (i / config.steps)
@@ -295,18 +292,18 @@ def fill_blocks(out: np.ndarray, rngs: list[np.random.Generator], draw) -> np.nd
     return out
 
 
-def map_chunks(n: int, chunk_size: int, seed: int, threads: int,
-               draw: Callable[[slice, np.random.Generator], np.ndarray]) -> np.ndarray:
-    """Concatenate draw(rows, chunk_rng(seed, c)) over the chunks of n >= 1 rows.
+def map_chunks(n: int, chunk_size: int, threads: int,
+               draw: Callable[[int, slice], np.ndarray]) -> np.ndarray:
+    """Concatenate draw(c, rows) over the chunks c of n rows, on up to threads workers.
 
     Chunk c covers rows [c * chunk_size, (c + 1) * chunk_size), clipped to
-    n. Each chunk draws from its own generator, so the output is
-    byte-identical for any thread count.
+    n; n = 0 is one empty chunk. A draw seeded by chunk_rng(seed, c) alone
+    gives output that is byte-identical for any thread count.
     """
-    starts = range(0, n, chunk_size)
+    starts = range(0, max(n, 1), chunk_size)
 
     def run(c: int) -> np.ndarray:
-        return draw(slice(starts[c], min(n, starts[c] + chunk_size)), chunk_rng(seed, c))
+        return draw(c, slice(starts[c], min(n, starts[c] + chunk_size)))
 
     if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:

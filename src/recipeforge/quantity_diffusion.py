@@ -246,11 +246,10 @@ def reverse_sample_batch(model: QuantityScoreModel, masks: np.ndarray, seed: int
     identical output.
     """
     masks = np.atleast_2d(np.asarray(masks, dtype=np.uint8))
-    if masks.shape[0] == 0:
-        return np.zeros(masks.shape)
     z = netcore.map_chunks(
-        masks.shape[0], chunk_size, seed, threads,
-        lambda rows, rng: reverse_integrate(model.score, masks[rows], model.sde, [rng]))
+        masks.shape[0], chunk_size, threads,
+        lambda c, rows: reverse_integrate(model.score, masks[rows], model.sde,
+                                          [netcore.chunk_rng(seed, c)]))
     return decode_weights(z, masks, model.codec)
 
 

@@ -250,10 +250,8 @@ def load_hei_standards(path: str | Path | None = None) -> list[HEIComponentStand
 def _component_score(std: HEIComponentStandard, value: np.ndarray) -> np.ndarray:
     if std.curve == "increasing":
         frac = (value - std.zero_at) / (std.max_at - std.zero_at)
-    elif std.curve == "decreasing":
+    else:  # decreasing, the one other curve load_hei_standards admits
         frac = (std.zero_at - value) / (std.zero_at - std.max_at)
-    else:
-        raise DataError(f"unknown HEI curve {std.curve!r}")
     return std.max_points * np.clip(frac, 0.0, 1.0)
 
 
@@ -273,8 +271,8 @@ HEI_COMPONENTS = (*_HEI_DENSITY_FIELDS, "fatty_acids", "sodium", "added_sugars",
 
 
 def hei_components_matrix(weights: np.ndarray, table: NutrientTable,
-                          standards: list[HEIComponentStandard]) -> tuple[np.ndarray, list[str]]:
-    """Component scores (n, 13) for each weight-matrix row.
+                          standards: list[HEIComponentStandard]) -> np.ndarray:
+    """Component scores (n, 13) for each weight-matrix row, in the order of standards.
 
     Scoring normalizes each recipe to a 500 kcal serving; the component
     inputs are per-1000-kcal densities (or percent of energy, or the
@@ -285,7 +283,6 @@ def hei_components_matrix(weights: np.ndarray, table: NutrientTable,
     energy = table.amounts(weights, ["kcal_per_100g"])[:, 0]
     if (energy <= 0).any():
         raise DataError("healthy eating index undefined for a zero-energy recipe")
-    names = [s.component for s in standards]
     scores = np.zeros((weights.shape[0], len(standards)))
     for c, std in enumerate(standards):
         if std.component in _HEI_DENSITY_FIELDS:
@@ -304,21 +301,18 @@ def hei_components_matrix(weights: np.ndarray, table: NutrientTable,
         elif std.component == "added_sugars":
             amt = table.amounts(weights, ["added_sugars_g_per_100g"])[:, 0]
             value = amt * 4.0 / energy * 100.0  # percent of energy
-        elif std.component == "saturated_fats":
+        else:  # saturated_fats, the last of the 13 load_hei_standards admits
             amt = table.amounts(weights, ["saturated_fat_g_per_100g"])[:, 0]
             value = amt * 9.0 / energy * 100.0
-        else:
-            raise DataError(f"unknown HEI component {std.component!r}")
         scores[:, c] = _component_score(std, value)
-    return scores, names
+    return scores
 
 
 def hei_totals(weights: np.ndarray, table: NutrientTable,
                standards: list[HEIComponentStandard] | None = None) -> np.ndarray:
     """13-component healthy eating index in [0, 100] per grams-matrix row."""
     standards = standards or load_hei_standards()
-    scores, _ = hei_components_matrix(weights, table, standards)
-    return scores.sum(axis=1)
+    return hei_components_matrix(weights, table, standards).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ def random_models(K=6, seed=0):
     a sample stream is distinctive."""
     mask_model = md.MaskDiffusionModel(
         schedule=md.linear_schedule(10), net=netcore.init_network([K + 3, 8, K], seed),
-        K=K, vocab_fingerprint="v")
+        K=K, base_logits=np.zeros(K), vocab_fingerprint="v")
     codec = qd.WeightCodec(log_mean=np.full(K, np.log(100.0)), log_std=np.full(K, 0.5))
     qty_model = qd.QuantityScoreModel(
         sde=qd.SDESpec(steps=20), net=netcore.init_network([2 * K + 3, 8, K], seed + 1),
@@ -230,7 +230,7 @@ def use_layer_reference(monkeypatch) -> None:
 def expected_marginals(spec: SynthSpec) -> np.ndarray:
     """Inclusion probability per vocabulary index under the spec's full mixture."""
     vocab = spec.vocabulary()
-    base = np.zeros(spec.K)
+    base = np.zeros(len(spec.ingredients))
     for s in spec.ingredients:
         base[vocab.index_of(s.ingredient_id)] = s.marginal
     planted_total = sum(f for _, f in spec.planted)

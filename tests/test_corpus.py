@@ -457,7 +457,7 @@ def test_synth_spec_json_round_trip(tmp_path):
     f = tmp_path / "spec.json"
     f.write_text(json.dumps(doc))
     spec = cp.load_synth_spec(f)
-    assert spec.K == 2 and spec.count == 10
+    assert len(spec.ingredients) == 2 and spec.count == 10
     assert spec.pairs == [("beef", "bun", 0.2)]
     corpus = cp.synthesize_corpus(spec, seed=0)
     assert len(corpus) == 10

@@ -261,7 +261,7 @@ def test_novelty_many_memory_at_realistic_sparsity():
     corpus = synthesize_corpus(spec, seed=11)
     spec.count = 256
     samples = synthesize_corpus(spec, seed=12).grams
-    assert traced_peak(samples, corpus) <= dense_bytes(256, 20_000, spec.K) / 4
+    assert traced_peak(samples, corpus) <= dense_bytes(256, 20_000, corpus.vocabulary.K) / 4
 
 
 def test_novelty_many_checks_few_pairs_at_realistic_sparsity(monkeypatch):

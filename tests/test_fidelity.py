@@ -164,7 +164,8 @@ def untrained_models_and_corpus(K=5):
     corpus = Corpus(vocabulary=vocab, grams=masks * rng.uniform(20.0, 200.0, masks.shape),
                     splits=["train"] * 60 + ["validation"] * 20)
     mask_model = md.MaskDiffusionModel(schedule=md.linear_schedule(10),
-                                       net=netcore.init_network([K + 3, 8, K], seed=1), K=K)
+                                       net=netcore.init_network([K + 3, 8, K], seed=1), K=K,
+                                       base_logits=np.zeros(K))
     quantity_model = qd.QuantityScoreModel(
         sde=qd.SDESpec(steps=30), net=netcore.init_network([2 * K + 3, 8, K], seed=2),
         codec=qd.WeightCodec(log_mean=np.full(K, 4.0), log_std=np.full(K, 0.5)), K=K)

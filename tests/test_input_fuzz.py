@@ -223,6 +223,8 @@ CHECKPOINT_PROBES = [
     ("mask", ("net", "weights", 0, 0), True, "field net.weights[0][0] is True"),
     ("mask", ("K",), "abc", "field K is 'abc'"),
     ("mask", ("base_logits", 0), True, "field base_logits[0] is True"),
+    ("mask", ("base_logits",), _DROP, "field base_logits is missing"),
+    ("mask", ("base_logits",), None, "field base_logits is None"),
     ("mask", ("schedule", "beta", 0), _DROP, "field schedule.beta is a list of 3"),
     ("quantity", ("sde", "steps"), [1], "field sde.steps is [1]"),
     ("quantity", ("sde", "t_eps"), 2, "field sde.t_eps is 2"),

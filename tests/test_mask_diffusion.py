@@ -19,7 +19,7 @@ from helpers import forward_step_kernel, marginal_kernel, reverse_prob
 
 def make_model(schedule, K, seed=0, width=8):
     net = netcore.init_network([K + 3, width, K], seed=seed)
-    return MaskDiffusionModel(schedule=schedule, net=net, K=K)
+    return MaskDiffusionModel(schedule=schedule, net=net, K=K, base_logits=np.zeros(K))
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +215,7 @@ def enumerate_negative_elbo(model, x0):
     T = sched.T
 
     def p_hat(x_t, t):
-        inp = md._model_inputs(np.array([[float(x_t)]]), np.array([t]), sched)
-        return float(np.clip(expit(netcore.forward(model.net, inp))[0, 0], md._PCLIP, 1 - md._PCLIP))
+        return float(md._predict_p_hat(model, np.array([[float(x_t)]]), np.array([t]))[0, 0])
 
     def q_step(x_t, x_prev, beta):
         p1 = forward_step_kernel(x_prev, beta)
@@ -281,7 +280,6 @@ def test_elbo_gradient_matches_finite_differences():
     sched = linear_schedule(10)
     K = 5
     net = netcore.init_network([K + 3, 8, K], seed=3)
-    model = MaskDiffusionModel(schedule=sched, net=net, K=K)
     rng = np.random.default_rng(0)
     x0 = (rng.random((4, K)) < 0.5).astype(float)
     t = rng.integers(1, 11, size=4)
@@ -293,13 +291,15 @@ def test_elbo_gradient_matches_finite_differences():
     pi1 = _posterior_prob(x_t, 1.0, beta_t, ab_prev)
     pi0 = _posterior_prob(x_t, 0.0, beta_t, ab_prev)
     q_true = _posterior_prob(x_t, x0, beta_t, ab_prev)
+    # the evidence term of the denoiser training runs (its base logits are 0 here)
+    evidence = (2 * x_t - 1) * sched.evidence[t][:, None]
 
     def loss_of(net):
-        s = np.clip(expit(netcore.forward(net, inputs)), md._PCLIP, 1 - md._PCLIP)
+        s = np.clip(expit(netcore.forward(net, inputs) + evidence), md._PCLIP, 1 - md._PCLIP)
         pi = np.clip(s * pi1 + (1 - s) * pi0, md._PCLIP, 1 - md._PCLIP)
         return float(_kl_bernoulli(q_true, pi).sum() * sched.T / 4)
 
-    s = np.clip(expit(netcore.forward(net, inputs)), md._PCLIP, 1 - md._PCLIP)
+    s = np.clip(expit(netcore.forward(net, inputs) + evidence), md._PCLIP, 1 - md._PCLIP)
     pi = np.clip(s * pi1 + (1 - s) * pi0, md._PCLIP, 1 - md._PCLIP)
     dkl = -q_true / pi + (1 - q_true) / (1 - pi)
     cot = dkl * (pi1 - pi0) * s * (1 - s) * (sched.T / 4)

@@ -25,8 +25,9 @@ def hei_total(r: np.ndarray, table) -> float:
 
 
 def hei_components(r: np.ndarray, table) -> dict[str, float]:
-    scores, names = scoring.hei_components_matrix(r, table, scoring.load_hei_standards())
-    return dict(zip(names, scores[0]))
+    standards = scoring.load_hei_standards()
+    scores = scoring.hei_components_matrix(r, table, standards)
+    return dict(zip([s.component for s in standards], scores[0]))
 
 
 # ---------------------------------------------------------------------------
