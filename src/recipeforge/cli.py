@@ -279,8 +279,11 @@ def cmd_synth(cfg: dict, out_dir: Path, chash: str) -> int:
     spec = corpus_mod.load_synth_spec(cfg["paths.spec"])
     if cfg["synth.count_override"] > 0:
         spec.count = cfg["synth.count_override"]
-    made = corpus_mod.synthesize_corpus(spec, cfg["run.seed"],
-                                        val_fraction=cfg["corpus.val_fraction"])
+    try:
+        made = corpus_mod.synthesize_corpus(spec, cfg["run.seed"],
+                                            val_fraction=cfg["corpus.val_fraction"])
+    except DataError as e:
+        raise DataError(f"{cfg['paths.spec']}: {e}") from None
     out = Path(cfg["paths.out"]) if cfg["paths.out"] else out_dir / "corpus.jsonl"
     out.parent.mkdir(parents=True, exist_ok=True)
     corpus_mod.write_corpus(out, made)
@@ -464,10 +467,11 @@ def cmd_validate(cfg: dict, out_dir: Path, chash: str) -> int:
                ["ingredient_count", "corpus_fraction", "sample_fraction"],
                [[i, report.corpus_length_hist[i], report.sample_length_hist[i]]
                 for i in range(len(report.corpus_length_hist))], chash)
-    mae = report.quantity_mae_grams
+    mae, recall = report.quantity_mae_grams, report.mode_recall
     print(f"fidelity: max marginal err {report.max_marginal_error:.4f}, "
           f"quantity MAE {'n/a' if mae is None else f'{mae:.1f} g'}, "
-          f"length TV {report.length_total_variation:.4f}")
+          f"length TV {report.length_total_variation:.4f}, "
+          f"mode recall {'n/a' if recall is None else f'{recall:.3f}'}")
     return 0
 
 

@@ -197,7 +197,9 @@ def synthesize_corpus(spec: SynthSpec, seed: int, val_fraction: float = 0.1) -> 
     recipes appear at their target frequencies up to binomial noise.
     All-zero masks are redrawn (they are not trainable), which tilts the
     realized marginals upward by about marginal * P(all absent); keep
-    that probability negligible when exact marginals matter.
+    that probability negligible when exact marginals matter. DataError
+    names the ingredient whose drawn grams overflow to inf or underflow
+    to 0, and its weight_log_mean field.
     """
     spec.validate()
     vocab = spec.vocabulary()
@@ -226,7 +228,8 @@ def synthesize_corpus(spec: SynthSpec, seed: int, val_fraction: float = 0.1) -> 
         mask = (z < thresholds).astype(np.uint8)
         mask[:, p <= 0.0] = 0
         mask[:, p >= 1.0] = 1
-        grams = np.exp(mu + sd * rng.standard_normal((m, K))) * mask
+        with np.errstate(over="ignore"):  # checked below, naming the ingredient
+            grams = np.where(mask == 1, np.exp(mu + sd * rng.standard_normal((m, K))), 0.0)
         return mask, grams
 
     masks, weights = draw_rows(n)
@@ -257,9 +260,13 @@ def synthesize_corpus(spec: SynthSpec, seed: int, val_fraction: float = 0.1) -> 
     else:
         raise DataError("could not draw nonempty masks; marginals too small")
 
-    if ((weights > 0) != (masks == 1)).any():
-        raise DataError("drawn grams underflow to 0 for a present ingredient; "
-                        "raise its weight_log_mean")
+    bad = np.isinf(weights) | ((weights > 0) != (masks == 1))
+    if bad.any():
+        i = order.index(int(np.flatnonzero(bad.any(axis=0))[0]))
+        s = spec.ingredients[i]
+        how = "overflow to inf" if np.isinf(weights[:, order[i]]).any() else "underflow to 0"
+        raise DataError(f"field ingredients[{i}].weight_log_mean is {s.weight_log_mean!r}: "
+                        f"grams drawn for {s.ingredient_id} {how}")
     n_train = n - int(round(val_fraction * n))
     splits = [TRAIN if i < n_train else VALIDATION for i in range(n)]
     return Corpus(vocabulary=vocab, grams=weights, splits=splits)

@@ -1,9 +1,10 @@
 """Statistical validation of the generators against a reference corpus.
 
 Checks the per-ingredient inclusion marginals, held-out quantity error,
-pairwise presence correlations, and the recipe-length distribution of
-generated samples, mirroring how the learned distribution is compared
-against the training data.
+pairwise presence correlations, the recipe-length distribution and the
+recall of the corpus's frequent presence patterns in generated samples,
+mirroring how the learned distribution is compared against the training
+data.
 """
 
 from __future__ import annotations
@@ -44,6 +45,29 @@ def length_distance(samples, corpus) -> float:
     """Total-variation distance between ingredient-count histograms."""
     pa, pb = _length_hists(samples, corpus)
     return float(0.5 * np.abs(pa - pb).sum())
+
+
+def _pattern_keys(masks: np.ndarray) -> np.ndarray:
+    """One key per row of an (n, K) mask set: its presence bits packed into one bytes value."""
+    packed = np.packbits(masks > 0, axis=1)
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+
+
+def mode_recall(samples: np.ndarray, corpus: np.ndarray) -> float | None:
+    """The least ratio of sample frequency to corpus frequency over the
+    presence patterns that hold at least 1% of the rows of the corpus mask
+    set, or None when no pattern does. samples and corpus are (n, K) mask
+    sets; a sampler that draws every frequent pattern as often as the
+    corpus holds it scores about 1."""
+    patterns, counts = np.unique(_pattern_keys(corpus), return_counts=True)
+    frequent = 100 * counts >= len(corpus)
+    if not frequent.any():
+        return None
+    modes = patterns[frequent]
+    # each mode once ahead of the samples: its count among them is one less than in the union
+    _, inverse = np.unique(np.concatenate([modes, _pattern_keys(samples)]), return_inverse=True)
+    drawn = np.bincount(inverse)[inverse[:len(modes)]] - 1
+    return float(np.min(drawn / len(samples) / (counts[frequent] / len(corpus))))
 
 
 def pairwise_correlations(masks: np.ndarray) -> np.ndarray:
@@ -103,6 +127,7 @@ class FidelityReport:
     quantity_mae_grams: float | None  # None without validation rows
     top_pairs: list[PairAgreement]
     length_total_variation: float
+    mode_recall: float | None  # None when no corpus pattern holds 1% of the train rows
     sample_count: int
     corpus_count: int
     corpus_marginals: np.ndarray = field(repr=False, default=None)
@@ -115,6 +140,7 @@ class FidelityReport:
             "max_marginal_error": self.max_marginal_error,
             "quantity_mae_grams": self.quantity_mae_grams,
             "length_total_variation": self.length_total_variation,
+            "mode_recall": self.mode_recall,
             "sample_count": self.sample_count,
             "corpus_count": self.corpus_count,
             "top_pairs": [
@@ -136,7 +162,7 @@ def top_correlated_pairs(corr: np.ndarray, k: int) -> list[tuple[int, int]]:
 def fidelity_report(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreModel,
                     corpus: Corpus, sample_count: int, seed: int, *,
                     top_k: int = 10, threads: int = 1) -> FidelityReport:
-    """Run all four checks against the corpus train split; the quantity
+    """Run all five checks against the corpus train split; the quantity
     error is measured on the validation split, None when it is empty.
 
     Deterministic for a fixed seed: masks come from (seed), the held-out
@@ -175,6 +201,7 @@ def fidelity_report(mask_model: MaskDiffusionModel, quantity_model: QuantityScor
         quantity_mae_grams=mae,
         top_pairs=pairs,
         length_total_variation=length_distance(samples, train_masks),
+        mode_recall=mode_recall(samples, train_masks),
         sample_count=sample_count,
         corpus_count=train_masks.shape[0],
         corpus_marginals=train_masks.mean(axis=0),

@@ -121,17 +121,31 @@ def load_impact_table(path: str | Path, vocabulary: IngredientVocabulary,
     return ImpactTable(vocabulary=vocabulary, values=values, norms=norms)
 
 
-def _read_table(path, kind: str, fields, vocabulary: IngredientVocabulary) -> np.ndarray:
-    """The (K, len(fields)) values of a per-ingredient CSV table, rows in
-    vocabulary order. DataError names the file of text that is not UTF-8,
-    of a missing column or ingredient, and of a cell that is not a finite
-    number >= 0, with that cell's ingredient and column."""
+def _records(path, kind: str, key: str, columns):
+    """("<path>: line <n>", record) for each row of the CSV table at path,
+    in file order. DataError names the file of text that is not UTF-8 or
+    that lacks the key column or one of columns, and the file, line and
+    key of a key that repeats an earlier row's."""
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
-    missing_cols = {"ingredient_id", *fields} - set(reader.fieldnames or [])
-    if missing_cols:
-        raise DataError(f"{path}: {kind} table missing columns: {sorted(missing_cols)}")
+    missing = {key, *columns} - set(reader.fieldnames or [])
+    if missing:
+        raise DataError(f"{path}: {kind} table missing columns: {sorted(missing)}")
+    seen = set()
+    for rec in reader:
+        where = f"{path}: line {reader.line_num}"
+        if rec[key] in seen:
+            raise DataError(f"{where}: {key} {rec[key]!r} is repeated")
+        seen.add(rec[key])
+        yield where, rec
+
+
+def _read_table(path, kind: str, fields, vocabulary: IngredientVocabulary) -> np.ndarray:
+    """The (K, len(fields)) values of a per-ingredient CSV table read by
+    _records, rows in vocabulary order. DataError also names the file of a
+    missing ingredient, and of a cell that is not a finite number >= 0,
+    with that cell's ingredient and column."""
     rows = {rec["ingredient_id"]: [_cell(path, rec, "ingredient_id", f, "[0, inf)") for f in fields]
-            for rec in reader}
+            for _, rec in _records(path, kind, "ingredient_id", fields)}
     missing = [i for i in vocabulary.ids if i not in rows]
     if missing:
         raise DataError(f"{path}: {kind} table missing ingredients: {missing[:5]}")
@@ -217,22 +231,18 @@ class HEIComponentStandard:
 def load_hei_standards(path: str | Path | None = None) -> list[HEIComponentStandard]:
     """Component curves in file order; defaults to the bundled HEI-2015 standards file.
 
-    Each of the 13 HEI_COMPONENTS must appear once. DataError names the file, and the line
-    of a bad row: an unknown or repeated component, a bad cell or curve, max_at == zero_at.
+    The file is read by _records. Each of the 13 HEI_COMPONENTS must appear once.
+    DataError names the file, and the line of a bad row: an unknown or repeated
+    component, a bad cell or curve, max_at == zero_at.
     """
     src = resources.files("recipeforge").joinpath("data/hei2015_standards.csv") \
         if path is None else Path(path)
     out: dict[str, HEIComponentStandard] = {}
-    reader = csv.DictReader(io.StringIO(read_text(src), newline=""))
-    missing_cols = ({"component", "curve", "max_points", "max_at", "zero_at"}
-                    - set(reader.fieldnames or []))
-    if missing_cols:
-        raise DataError(f"{src}: missing columns {sorted(missing_cols)}")
-    for rec in reader:
-        where, name = f"{src}: line {reader.line_num}", rec["component"]
-        if name not in HEI_COMPONENTS or name in out:
-            raise DataError(f"{where}: component {name!r} is "
-                            f"{'repeated' if name in out else 'not an HEI component'}")
+    for where, rec in _records(src, "HEI standards", "component",
+                               ("curve", "max_points", "max_at", "zero_at")):
+        name = rec["component"]
+        if name not in HEI_COMPONENTS:
+            raise DataError(f"{where}: component {name!r} is not an HEI component")
         std = HEIComponentStandard(component=name, curve=rec["curve"], **{
             col: _cell(where, rec, "component", col) for col in ("max_points", "max_at", "zero_at")})
         if std.curve not in ("increasing", "decreasing"):

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -121,13 +122,16 @@ def test_sample_mask_from_conditions_on_given_masks(pipeline, tmp_path):
         assert g_ids == o_ids
 
 
-def test_validate_writes_reports(pipeline):
+def test_validate_writes_reports(pipeline, capsys):
     run_ok(["validate", "--corpus", str(pipeline / "corpus.jsonl"),
             "--out-dir", str(pipeline), "--count", "400", "--seed", "7",
             "--set", "sde.steps=80"])
     rep = json.loads((pipeline / "reports" / "fidelity.json").read_text())
     assert 0.0 <= rep["max_marginal_error"] <= 1.0
     assert 0.0 <= rep["length_total_variation"] <= 1.0
+    # the desk spec plants a recipe in about 9% of the rows, so a pattern reaches 1%
+    assert rep["mode_recall"] >= 0.0
+    assert f"mode recall {rep['mode_recall']:.3f}" in capsys.readouterr().out
     assert len(rep["top_pairs"]) == 10
     for name in ("marginals.csv", "correlations.csv", "length_hist.csv"):
         text = (pipeline / "reports" / name).read_text()
@@ -582,3 +586,39 @@ def test_input_that_is_not_utf8_names_the_file(pipeline, tmp_path, capsys, flag)
                     "--vocabulary", str(pipeline / "vocabulary.json"), "--out-dir", str(tmp_path)])
     assert code == 2
     assert f"{bad}: not UTF-8 text (invalid start byte at byte 0)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, key", [("--impact-table", "ingredient_id 'avocado'"),
+                                       ("--nutrient-table", "ingredient_id 'avocado'"),
+                                       ("--hei-standards", "component 'sodium'")])
+def test_repeated_table_row_names_the_file_line_and_key(pipeline, tmp_path, capsys, flag, key):
+    source = {"--impact-table": DESK / "impact_table.csv",
+              "--nutrient-table": DESK / "nutrient_table.csv",
+              "--hei-standards": Path(recipeforge.__file__).parent / "data" / "hei2015_standards.csv"}
+    lines = source[flag].read_text().splitlines()
+    repeat = next(line for line in lines if line.startswith(key.split("'")[1] + ","))
+    bad = tmp_path / "repeated.csv"
+    bad.write_text("\n".join([*lines, repeat]) + "\n")
+    nutrients = ["--nutrient-table", str(DESK / "nutrient_table.csv")]
+    args = {"--impact-table": ["select-sustainable", "--impact-table", str(bad)],
+            "--nutrient-table": ["select-nutritious", "--nutrient-table", str(bad)],
+            "--hei-standards": ["select-nutritious", *nutrients, "--hei-standards", str(bad)]}[flag]
+    code = cli.run([*args, "--samples", str(pipeline / "samples" / "samples.jsonl"),
+                    "--vocabulary", str(pipeline / "vocabulary.json"), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert f"{bad}: line {len(lines) + 1}: {key} is repeated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("log_mean, how", [(1000, "overflow to inf"), (-1000, "underflow to 0")])
+def test_synth_weight_overflow_names_the_spec_ingredient_and_field(tmp_path, capsys, log_mean, how):
+    spec = json.loads((DESK / "synth_spec.json").read_text())
+    spec["ingredients"][1]["weight_log_mean"] = log_mean
+    bad = tmp_path / "spec.json"
+    bad.write_text(json.dumps(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would escape as an error
+        code = cli.run(["synth", "--spec", str(bad), "--count", "50", "--seed", "1",
+                        "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert (f"{bad}: field ingredients[1].weight_log_mean is {float(log_mean)!r}: grams drawn for "
+            f"{spec['ingredients'][1]['id']} {how}") in capsys.readouterr().err

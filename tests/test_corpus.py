@@ -3,6 +3,7 @@ import io
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -420,11 +421,17 @@ def test_synthesize_rejects_infeasible_correlation():
         cp.synthesize_corpus(spec, seed=0)
 
 
-def test_synthesize_rejects_grams_that_underflow_to_zero():
+@pytest.mark.parametrize("log_mean, how", [(-800.0, "underflow to 0"), (1000.0, "overflow to inf")])
+def test_synthesize_rejects_grams_that_underflow_or_overflow(log_mean, how):
+    # exp(-800) is 0.0 and exp(1000) is inf in float64
     spec = small_spec(n=50)
-    spec.ingredients[0].weight_log_mean = -800.0  # exp(-800) is 0.0 in float64
-    with pytest.raises(DataError, match="underflow to 0 for a present ingredient"):
-        cp.synthesize_corpus(spec, seed=0)
+    spec.ingredients[2].weight_log_mean = log_mean
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError) as e:
+            cp.synthesize_corpus(spec, seed=0)
+    assert str(e.value) == (f"field ingredients[2].weight_log_mean is {log_mean!r}: "
+                            f"grams drawn for cheese {how}")
 
 
 def test_synthesize_split_partition():

@@ -109,6 +109,32 @@ def test_top_correlated_pairs_ranking():
     assert pairs == [(0, 1), (2, 3)]
 
 
+def patterns(*codes, K=10) -> np.ndarray:
+    """The presence rows whose bits are the binary digits of codes, a (len(codes), K) mask set."""
+    return ((np.asarray(codes)[:, None] >> np.arange(K)) & 1).astype(np.uint8)
+
+
+def test_mode_recall_is_the_least_frequency_ratio_of_the_frequent_patterns():
+    # corpus of 200: pattern 1023 holds 25%, 513 holds 2% and 6 exactly 1%; the
+    # other 144 patterns hold 0.5% each and are not modes
+    rare = [c for c in range(1024) if c not in (1023, 513, 6)][:144]
+    corpus = patterns(*[1023] * 50, *[513] * 4, *[6] * 2, *rare)
+    # 100 samples: 1023 at 30% (ratio 1.2), 513 at 1% (0.5), 6 at 1% (1.0)
+    samples = patterns(*[1023] * 30, 513, 6, *rare[:68])
+    assert fd.mode_recall(samples, corpus) == 0.5
+    assert fd.mode_recall(patterns(*[1023] * 30, *[513] * 4, 6, *rare[:65]), corpus) == 1.0
+    # a frequent pattern never drawn
+    assert fd.mode_recall(patterns(*[1023] * 30, *[6] * 70), corpus) == 0.0
+    # the corpus's own frequencies
+    assert fd.mode_recall(corpus, corpus) == 1.0
+
+
+def test_mode_recall_is_none_without_a_pattern_at_one_percent():
+    corpus = patterns(*range(101))  # each pattern holds 1 row in 101, under 1%
+    assert fd.mode_recall(patterns(1, 2, 3), corpus) is None
+    assert fd.mode_recall(patterns(1, 2, 3), patterns(*range(100))) == 0.0
+
+
 def trained_delta_quantity_model():
     vocab = IngredientVocabulary.from_ids(["beef", "bun"])
     w = np.array([150.0, 75.0])
@@ -185,6 +211,7 @@ def test_fidelity_report_is_the_same_for_any_thread_count(monkeypatch):
     serial = fd.fidelity_report(mask_model, quantity_model, corpus, 300, seed=4, threads=1)
     concurrent = fd.fidelity_report(mask_model, quantity_model, corpus, 300, seed=4, threads=2)
     assert serial.to_dict() == concurrent.to_dict()
+    assert serial.to_dict()["mode_recall"] == serial.mode_recall > 0
     assert serial.quantity_mae_grams is not None
     # threads = 2 draws the held-out quantities on a worker thread
     assert callers[0] == threading.get_ident() != callers[1]

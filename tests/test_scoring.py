@@ -513,7 +513,7 @@ def test_hei_standards_reject_bad_rows(tmp_path, edit, message):
 def test_hei_standards_reject_missing_column(tmp_path):
     f = write_standards(tmp_path, {})
     f.write_text(f.read_text().replace("component,curve,", "component,shape,", 1))
-    with pytest.raises(DataError, match=r"hei\.csv: missing columns \['curve'\]"):
+    with pytest.raises(DataError, match=r"hei\.csv: HEI standards table missing columns: \['curve'\]"):
         scoring.load_hei_standards(f)
 
 
