@@ -90,7 +90,7 @@ def _draw(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreModel, se
     alone, masks from chunk_rng(seed, c), then weights given them from the
     independent chunk_rng(seed + _QTY_STREAM, c)."""
     masks, _ = _sample_chunk(mask_model, n, [netcore.chunk_rng(seed, c) for c in chunks])
-    z = reverse_integrate(quantity_model.score, masks, quantity_model.sde,
+    z = reverse_integrate(quantity_model.chunk_score(masks), masks, quantity_model.sde,
                           [netcore.chunk_rng(seed + _QTY_STREAM, c) for c in chunks])
     return decode_weights(z, masks, quantity_model.codec)
 

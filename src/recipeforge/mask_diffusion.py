@@ -104,29 +104,33 @@ def _posterior_prob(x_t, x0_prob, beta_t, alpha_bar_prev):
     return num / (num + like0 * (1.0 - m))
 
 
-def _model_inputs(x_t: np.ndarray, t, schedule: NoiseSchedule) -> np.ndarray:
-    """Denoiser inputs at bits x_t and steps t (int or per row): 2 x_t - 1, time embedding."""
+def _model_inputs(x_t: np.ndarray, t, schedule: NoiseSchedule, out=None) -> np.ndarray:
+    """Denoiser inputs (into out if given) at bits x_t and steps t (int or
+    per row): 2 x_t - 1, time embedding."""
     # bits enter as +-1; tanh layers calibrate better on centered inputs
     K = x_t.shape[-1]
-    inputs = np.empty(x_t.shape[:-1] + (K + 3,))
+    inputs = np.empty(x_t.shape[:-1] + (K + 3,)) if out is None else out
     signs = np.multiply(x_t, 2.0, out=inputs[..., :K])
     signs -= 1.0
     inputs[..., K:] = schedule.emb[t]
     return inputs
 
 
-def _predict_p_hat(model: MaskDiffusionModel, x_t: np.ndarray, t) -> np.ndarray:
-    """Denoiser output probabilities, clipped away from 0 and 1."""
-    inputs = _model_inputs(x_t, t, model.schedule)
-    return _p_hat(model, netcore.forward(model.net, inputs), inputs, t)
+def _predict_p_hat(model: MaskDiffusionModel, x_t: np.ndarray, t, ws=None) -> np.ndarray:
+    """Denoiser output probabilities, clipped away from 0 and 1; a sampler's
+    workspace ws = (inputs, layer_buffers, (n, K) term) holds every array."""
+    inputs, layers, term = ws or (None,) * 3
+    inputs = _model_inputs(x_t, t, model.schedule, inputs)
+    return _p_hat(model, netcore.forward(model.net, inputs, layers), inputs, t, term)
 
 
 def _p_hat(model: MaskDiffusionModel, logits: np.ndarray, inputs: np.ndarray,
-           t) -> np.ndarray:
-    """_predict_p_hat from the network's output logits at its _model_inputs."""
-    logits = logits + model.base_logits
-    logits += inputs[..., :model.K] * model.schedule.evidence[t][..., None]
-    p = expit(logits)
+           t, term: np.ndarray | None = None) -> np.ndarray:
+    """_predict_p_hat from the network's output logits at its _model_inputs,
+    computed in the logits' own buffer (term, if given, holds the evidence)."""
+    logits += model.base_logits
+    logits += np.multiply(inputs[..., :model.K], model.schedule.evidence[t][..., None], out=term)
+    p = expit(logits, out=logits)
     return np.clip(p, _PCLIP, 1.0 - _PCLIP, out=p)
 
 
@@ -136,16 +140,18 @@ def _kl_bernoulli(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return rel_entr(q, p) + rel_entr(1.0 - q, 1.0 - p)
 
 
-def _post_pair(sched: NoiseSchedule, t, x_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _post_pair(sched: NoiseSchedule, t, x_t: np.ndarray, ws=None) -> tuple[np.ndarray, np.ndarray]:
     """(pi0, pi1): P(x_{t-1} = 1 | x_t, x0) at x0 = 0 and at x0 = 1, per
     cell of the bits x_t at step t (an int, or an array that broadcasts
-    against x_t), read from sched.post."""
+    against x_t), read from sched.post; in ws = (pi0, pi1, flip, term) if given."""
     post = sched.post[t - 1]
+    pi0, pi1, flip, term = ws or (None,) * 4
     # for bits x_t, x_t a + (1 - x_t) b is a or b exactly: a + 0 or 0 + b
-    flip = 1.0 - x_t
-    pi0, pi1 = x_t * post[..., 1, 0], x_t * post[..., 1, 1]
-    pi0 += flip * post[..., 0, 0]
-    pi1 += flip * post[..., 0, 1]
+    flip = np.subtract(1.0, x_t, out=flip)
+    pi0 = np.multiply(x_t, post[..., 1, 0], out=pi0)
+    pi1 = np.multiply(x_t, post[..., 1, 1], out=pi1)
+    pi0 += np.multiply(flip, post[..., 0, 0], out=term)
+    pi1 += np.multiply(flip, post[..., 0, 1], out=term)
     return pi0, pi1
 
 
@@ -238,16 +244,16 @@ def train_mask_model(corpus: Corpus, schedule: NoiseSchedule, config: TrainConfi
     return model
 
 
-def _reverse_pi(sched: NoiseSchedule, t: int, x_t: np.ndarray, p_hat: np.ndarray) -> np.ndarray:
+def _reverse_pi(sched: NoiseSchedule, t: int, x_t: np.ndarray, p_hat, ws=None) -> np.ndarray:
     """Model reverse kernel P(x_{t-1} = 1 | x_t): the posterior table's
-    step-t entries at x0 = 1 and x0 = 0, mixed by p_hat = P(x0 = 1).
+    step-t entries at x0 = 1 and x0 = 0, mixed by p_hat = P(x0 = 1); ws as in _post_pair.
 
     At t = 1 the posterior is a point mass at x0, so this is p_hat, the
     reconstruction distribution.
     """
-    pi0, pi1 = _post_pair(sched, t, x_t)
+    pi0, pi1 = _post_pair(sched, t, x_t, ws)
     pi1 *= p_hat
-    pi0 *= 1.0 - p_hat
+    pi0 *= np.subtract(1.0, p_hat, out=None if ws is None else ws[3])
     pi0 += pi1  # p_hat pi1 + (1 - p_hat) pi0
     return pi0
 
@@ -255,12 +261,14 @@ def _reverse_pi(sched: NoiseSchedule, t: int, x_t: np.ndarray, p_hat: np.ndarray
 def _chains(model: MaskDiffusionModel, rngs: list[np.random.Generator], n: int) -> np.ndarray:
     """n ancestral chains as len(rngs) equal blocks run in lockstep, one
     denoiser call per step for all of them. Block j draws its start and
-    every uniform from rngs[j], the draws its chains alone would make."""
+    every uniform from rngs[j], the draws its chains alone would make. Steps write
+    into the call's workspace (u holds 1 - x between draws; the output layer p_hat)."""
     sched = model.schedule
-    u, x = np.empty((n, model.K)), np.empty((n, model.K))
+    u, x, pi0, pi1, term = (np.empty((n, model.K)) for _ in range(5))
+    ws = (np.empty((n, model.K + 3)), netcore.layer_buffers(model.net, n), term)
     np.less(netcore.fill_blocks(u, rngs, np.random.Generator.random), 0.5, out=x)
     for t in range(sched.T, 0, -1):
-        pi = _reverse_pi(sched, t, x, _predict_p_hat(model, x, t))
+        pi = _reverse_pi(sched, t, x, _predict_p_hat(model, x, t, ws), (pi0, pi1, u, term))
         np.less(netcore.fill_blocks(u, rngs, np.random.Generator.random), pi, out=x)
     return x
 

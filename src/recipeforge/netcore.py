@@ -9,7 +9,8 @@ by layer as w0, b0, w1, b1, ... with each weight matrix row-major.
 net.weights[l] (shape (sizes[l+1], sizes[l])) and net.biases[l] are views
 into theta, so writing to them writes theta and vice versa. Gradients,
 Adam's moments and the parameter average are flat vectors in the same
-layout.
+layout. forward writes new arrays, or a caller's layer_buffers: each sampler
+call owns its own, never a model, since map_chunks threads share models.
 
 A model checkpoint is one JSON object with the keys schema_version,
 kind, K and vocab_fingerprint, then the model's own fields, then net
@@ -148,23 +149,31 @@ def _check_input(net: Network, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _layer_outputs(net: Network, a: np.ndarray):
-    """Each layer's output in turn, from the input a: a @ w.T + b, then
-    tanh in place except at the linear output layer."""
+def _layer_outputs(net: Network, a: np.ndarray, out: list[np.ndarray] | None = None):
+    """Each layer's output in turn, from the input a: a @ w.T + b (into
+    out[l] if given), then tanh in place except at the linear output layer."""
     last = len(net.weights) - 1
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        a = a @ w.T
+        a = np.matmul(a, w.T, out=None if out is None else out[l])
         a += b
         if l != last:
             np.tanh(a, out=a)
         yield a
 
 
-def forward(net: Network, x: np.ndarray) -> np.ndarray:
-    """Pure forward pass; tanh hidden activations, linear output."""
-    for out in _layer_outputs(net, _check_input(net, x)):
-        pass  # each hidden layer is freed as soon as the next one is computed
-    return out
+def forward(net: Network, x: np.ndarray, out: list[np.ndarray] | None = None) -> np.ndarray:
+    """Forward pass; tanh hidden activations, linear output; into out = layer_buffers if given."""
+    for y in _layer_outputs(net, _check_input(net, x), out):
+        pass  # each hidden layer is freed (or its buffer reused) once the next one is computed
+    return y
+
+
+def layer_buffers(net: Network, rows: int) -> list[np.ndarray]:
+    """forward's outputs on rows rows, the hidden layers taking turns in two buffers."""
+    hidden = net.sizes[1:-1]
+    pair = [np.empty(rows * max(hidden, default=0)) for _ in range(2)]
+    return ([pair[l % 2][:rows * s].reshape(rows, s) for l, s in enumerate(hidden)]
+            + [np.empty((rows, net.sizes[-1]))])
 
 
 def activations(net: Network, x: np.ndarray) -> list[np.ndarray]:
@@ -240,8 +249,7 @@ def time_embedding(t: np.ndarray | float, period: float) -> np.ndarray:
     continuous time on [0, 1].
     """
     frac = np.asarray(t, dtype=float) / period
-    emb = np.stack([frac, np.sin(2 * np.pi * frac), np.cos(2 * np.pi * frac)], axis=-1)
-    return emb
+    return np.stack([frac, np.sin(2 * np.pi * frac), np.cos(2 * np.pi * frac)], axis=-1)
 
 
 def fit(net: Network, config: TrainConfig, seed: int, n_rows: int,

@@ -15,11 +15,14 @@ alone cannot (the true score grows linearly in x). The residual is
 regressed with the sigma^2-weighted matching objective, i.e. onto
 eps - sigma(t) x_t, an order-one target at all times. Reverse-time
 sampling integrates dx = [g^2 score - f] dt + g dB~ with Euler-Maruyama
-from t = 1 down to t_eps, pinning masked-out coordinates at zero.
+from t = 1 down to t_eps, pinning masked-out coordinates at zero, on
+SDESpec.table. Each reverse_integrate call owns its drift, noise and
+finiteness buffers, and chunk_score gives it the score's input and layers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -50,13 +53,23 @@ class SDESpec:
         self.steps = number(self.steps, "sde.steps", "[1, inf)", integer=True)
         self.t_eps = number(self.t_eps, "sde.t_eps", "(0, 1)")
 
-    def beta(self, t):
-        return self.beta_min + (self.beta_max - self.beta_min) * np.asarray(t, dtype=float)
-
     def alpha_bar(self, t):
         t = np.asarray(t, dtype=float)
         integral = self.beta_min * t + 0.5 * (self.beta_max - self.beta_min) * t * t
         return np.exp(-integral)
+
+    def score_terms(self, t: float) -> tuple[np.ndarray, float]:
+        """(time embedding, -sigma(t)) of the score at t."""
+        return netcore.time_embedding(t, 1.0), -math.sqrt(max(1.0 - float(self.alpha_bar(t)), 1e-12))
+
+    @functools.cached_property
+    def table(self) -> dict[float, tuple]:
+        """Once per spec, each reverse step from t = 1 down to t_eps, in order:
+        t -> (dt, beta(t), sqrt(beta(t) dt), *score_terms(t))."""
+        ts = np.linspace(1.0, self.t_eps, self.steps + 1)
+        beta = self.beta_min + (self.beta_max - self.beta_min) * ts[:-1]
+        steps = zip(ts[:-1].tolist(), (ts[:-1] - ts[1:]).tolist(), beta.tolist())
+        return {t: (dt, b, math.sqrt(b * dt), *self.score_terms(t)) for t, dt, b in steps}
 
 
 @dataclass
@@ -80,18 +93,32 @@ class QuantityScoreModel:
     vocab_fingerprint: str = ""
     history: list[tuple[int, float]] = field(default_factory=list)
 
-    def score(self, x: np.ndarray, mask: np.ndarray, t: float) -> np.ndarray:
+    def score(self, x: np.ndarray, mask: np.ndarray, t: float, ws=None) -> np.ndarray:
         """Approximate score of the time-t marginal at the (n, K) states x,
-        zero on masked coords."""
+        zero on masked coords; computed in the workspace ws of chunk_score(mask)
+        when given, in a new one otherwise."""
         x = np.asarray(x, dtype=float)
         mask = np.asarray(mask, dtype=float)
-        emb = np.broadcast_to(netcore.time_embedding(t, 1.0), (x.shape[0], 3))
-        score = netcore.forward(self.net, np.concatenate([x, mask, emb], axis=1))
+        emb, neg_sigma = self.sde.table[t][3:] if t in self.sde.table else self.sde.score_terms(t)
+        inputs, layers = ws or self._workspace(mask)
+        inputs[:, :self.K] = x
+        inputs[:, 2 * self.K:] = emb
+        score = netcore.forward(self.net, inputs, layers)
         # (-x - out / sigma) * mask, summed as out / -sigma - x: the same two terms, exactly
-        score /= -math.sqrt(max(1.0 - float(self.sde.alpha_bar(t)), 1e-12))
+        score /= neg_sigma
         score -= x
         score *= mask
         return score
+
+    def _workspace(self, masks: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        inputs = np.empty((len(masks), 2 * self.K + 3))
+        inputs[:, self.K:2 * self.K] = masks
+        return inputs, netcore.layer_buffers(self.net, len(masks))
+
+    def chunk_score(self, masks: np.ndarray) -> ScoreFn:
+        """self.score on these mask rows, with one workspace for all its calls: the
+        network input, its mask columns written once, and the layer buffers."""
+        return functools.partial(self.score, ws=self._workspace(masks))
 
 
 def fit_codec(weights: np.ndarray) -> WeightCodec:
@@ -207,17 +234,14 @@ def reverse_integrate(score_fn: ScoreFn, masks: np.ndarray, sde: SDESpec,
     The rows are len(rngs) equal blocks integrated in lockstep, one
     score_fn call per step for all of them; block j draws its start and
     every noise increment from rngs[j], the draws its rows alone would make.
+    With QuantityScoreModel.chunk_score(masks), no step allocates.
     """
     masks = np.atleast_2d(np.asarray(masks, dtype=float))
     noise = np.empty(masks.shape)
     x = netcore.fill_blocks(noise, rngs, np.random.Generator.standard_normal) * masks
-    drift = np.empty(masks.shape)
-    ts = np.linspace(1.0, sde.t_eps, sde.steps + 1)
+    drift, finite = np.empty(masks.shape), np.empty(masks.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(sde.steps):
-            t = float(ts[k])
-            dt = float(ts[k] - ts[k + 1])
-            b = float(sde.beta(t))
+        for k, (t, (dt, b, noise_scale, *_)) in enumerate(sde.table.items()):
             # x += b * (s + 0.5 x) * dt * masks, then sqrt(b dt) * noise * masks
             np.multiply(x, 0.5, out=drift)
             drift += score_fn(x, masks, t)
@@ -227,11 +251,11 @@ def reverse_integrate(score_fn: ScoreFn, masks: np.ndarray, sde: SDESpec,
             x += drift
             if k < sde.steps - 1:
                 netcore.fill_blocks(noise, rngs, np.random.Generator.standard_normal)
-                noise *= math.sqrt(b * dt)
+                noise *= noise_scale
                 noise *= masks
                 x += noise
-            if not np.isfinite(x).all():
-                norm = float(np.abs(x[np.isfinite(x)]).max()) if np.isfinite(x).any() else float("inf")
+            if not np.isfinite(x, out=finite).all():
+                norm = float(np.abs(x[finite]).max()) if finite.any() else float("inf")
                 raise NumericError(
                     f"non-finite state at reverse step {k + 1}/{sde.steps} "
                     f"(t={t:.4f}, max |x|={norm:.3e})")
@@ -248,7 +272,7 @@ def reverse_sample_batch(model: QuantityScoreModel, masks: np.ndarray, seed: int
     masks = np.atleast_2d(np.asarray(masks, dtype=np.uint8))
     z = netcore.map_chunks(
         masks.shape[0], chunk_size, threads,
-        lambda c, rows: reverse_integrate(model.score, masks[rows], model.sde,
+        lambda c, rows: reverse_integrate(model.chunk_score(masks[rows]), masks[rows], model.sde,
                                           [netcore.chunk_rng(seed, c)]))
     return decode_weights(z, masks, model.codec)
 

@@ -1,19 +1,25 @@
-"""The samplers' and training steps' inner loops: fixed output bits and
-untouched inputs.
+"""The samplers' and training steps' inner loops: fixed output bits,
+untouched inputs and steps that fault in no memory.
 
-The pins are sha256 digests of outputs of a tiny fixed-seed run, recorded
-at commit 264df32, before the inner loops were rewritten in place. A speed-up
-that moves any bit of a sample or a trained parameter fails here. They
-hold for one numpy/OpenBLAS build and CPU kernel family; a platform whose
-BLAS sums in another order needs them re-recorded from that earlier code.
+The pins are sha256 digests of outputs of fixed-seed runs. The first five,
+of a tiny run, were recorded at commit 264df32, before the inner loops were
+rewritten in place; the three 2,048-row ones at commit d595960, before the
+samplers wrote their steps into per-call workspaces. A speed-up that moves
+any bit of a sample or a trained parameter fails here. They hold for one
+numpy/OpenBLAS build and CPU kernel family; a platform whose BLAS sums in
+another order needs them re-recorded from that earlier code.
 """
 
+import dataclasses
 import hashlib
+import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recipeforge import discovery as dc
 from recipeforge import mask_diffusion as md
 from recipeforge import netcore
 from recipeforge import quantity_diffusion as qd
@@ -31,6 +37,12 @@ PINS = {
         "21e2d9ce77366ef9aeac17eab4f1fbdde65acdaca86c63b4af9736411e130b3c",
     "train_quantity_model theta":
         "c011df78f440ecced7fcd5f6fad5897e86ebdde6efc8c54c0aa258189797089e",
+    "sample_masks one 2048-row chunk":
+        "411e4ae742cc28773b1972a3c58583f1cfe904b7b4e23aa62a019a1d94ff5810",
+    "reverse_sample_batch one 2048-row chunk":
+        "aca896d63dda4e9a26f907c8ceaa4e201cc4e34c076049fb1f0842dc165464a8",
+    "_draw 4-chunk lockstep window":
+        "6725da8fe2a1d922003b316d8cde7ab7632ac405c732f295ef533156fb4f0844",
 }
 
 
@@ -62,8 +74,73 @@ def pinned_outputs() -> dict[str, str]:
     }
 
 
+def desk_size_models(T: int = 20,
+                     steps: int = 40) -> tuple[md.MaskDiffusionModel, qd.QuantityScoreModel]:
+    """Untrained models of the desk config's size: K = 30, three hidden
+    layers of 32, base logits that leave about a quarter of the cells
+    present, and T mask and `steps` SDE steps."""
+    K = 30
+    mask = md.MaskDiffusionModel(
+        schedule=md.linear_schedule(T), net=netcore.init_network([K + 3, 32, 32, 32, K], 11),
+        K=K, base_logits=np.random.default_rng(12).normal(-1.2, 0.8, K), vocab_fingerprint="v")
+    codec = qd.WeightCodec(log_mean=np.full(K, np.log(80.0)), log_std=np.full(K, 0.6))
+    qty = qd.QuantityScoreModel(
+        sde=qd.SDESpec(steps=steps), net=netcore.init_network([2 * K + 3, 32, 32, 32, K], 13),
+        codec=codec, K=K, vocab_fingerprint="v")
+    return mask, qty
+
+
+def pinned_large_outputs() -> dict[str, str]:
+    """Digests at the sizes the CLI samples at: one full 2,048-row chunk of
+    each sampler, and four 512-row stream chunks drawn in lockstep."""
+    mask, qty = desk_size_models()
+    masks = md.sample_masks(mask, 2048, seed=5)
+    return {
+        "sample_masks one 2048-row chunk": _sha(masks),
+        "reverse_sample_batch one 2048-row chunk": _sha(qd.reverse_sample_batch(qty, masks, seed=6)),
+        "_draw 4-chunk lockstep window": _sha(dc._draw(mask, qty, 7, range(4), 2048)),
+    }
+
+
 def test_outputs_keep_their_pinned_bits():
-    assert pinned_outputs() == PINS
+    assert {**pinned_outputs(), **pinned_large_outputs()} == PINS
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RUSAGE_THREAD is Linux-only")
+def test_sampler_steps_fault_in_no_memory():
+    # glibc trims freed chunk-sized temporaries off the heap top and each
+    # next step faults them in again: hundreds of minor faults a step at
+    # 2,048 rows. A step that writes into its sampler's workspace faults
+    # in nothing, so a run's faults do not grow with its step count.
+    import resource  # POSIX only
+
+    def faults(draw) -> int:
+        before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        draw()
+        return resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+
+    mask, qty = desk_size_models()
+    masks = md.sample_masks(mask, 2048, seed=1)
+    counts = {}
+    with netcore.one_blas_thread():
+        for steps in (10, 50):
+            m = dataclasses.replace(mask, schedule=md.linear_schedule(steps))
+            q = dataclasses.replace(qty, sde=qd.SDESpec(steps=steps))
+            counts[steps] = (faults(lambda: md._chains(m, [netcore.chunk_rng(2, 0)], 2048)),
+                             faults(lambda: qd.reverse_sample_batch(q, masks, seed=3)))
+    growth = [late - early for early, late in zip(counts[10], counts[50])]
+    # under 5 a step over the 40 extra steps; per-step temporaries made about 230 and 480
+    assert max(growth) < 200, (counts, growth)
+
+
+def test_generate_batch_is_the_same_on_one_and_two_threads():
+    # concurrent 512-row chunks share both models: a workspace that lived
+    # on a model, not on each sampler call, would mix their steps
+    mask, qty = desk_size_models(T=8, steps=12)
+    one = dc.generate_batch(mask, qty, 2048, seed=4, chunk_size=512, threads=1)
+    two = dc.generate_batch(mask, qty, 2048, seed=4, chunk_size=512, threads=2)
+    assert one.tobytes() == two.tobytes()
 
 
 @st.composite
