@@ -116,18 +116,18 @@ def _model_inputs(x_t: np.ndarray, t, schedule: NoiseSchedule, out=None) -> np.n
     return inputs
 
 
-def _predict_p_hat(model: MaskDiffusionModel, x_t: np.ndarray, t, ws=None) -> np.ndarray:
-    """Denoiser output probabilities, clipped away from 0 and 1; a sampler's
-    workspace ws = (inputs, layer_buffers, (n, K) term) holds every array."""
-    inputs, layers, term = ws or (None,) * 3
+def _predict_p_hat(model: MaskDiffusionModel, x_t: np.ndarray, t, inputs=None,
+                   layers=None, term=None) -> np.ndarray:
+    """Denoiser output probabilities, clipped away from 0 and 1, in layers[-1]:
+    a sampler passes its own inputs, layer_buffers and (n, K) term scratch."""
     inputs = _model_inputs(x_t, t, model.schedule, inputs)
     return _p_hat(model, netcore.forward(model.net, inputs, layers), inputs, t, term)
 
 
 def _p_hat(model: MaskDiffusionModel, logits: np.ndarray, inputs: np.ndarray,
            t, term: np.ndarray | None = None) -> np.ndarray:
-    """_predict_p_hat from the network's output logits at its _model_inputs,
-    computed in the logits' own buffer (term, if given, holds the evidence)."""
+    """_predict_p_hat from the network's output logits at its _model_inputs.
+    Overwrites logits with the result (term, if given, holds the evidence)."""
     logits += model.base_logits
     logits += np.multiply(inputs[..., :model.K], model.schedule.evidence[t][..., None], out=term)
     p = expit(logits, out=logits)
@@ -140,18 +140,18 @@ def _kl_bernoulli(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return rel_entr(q, p) + rel_entr(1.0 - q, 1.0 - p)
 
 
-def _post_pair(sched: NoiseSchedule, t, x_t: np.ndarray, ws=None) -> tuple[np.ndarray, np.ndarray]:
-    """(pi0, pi1): P(x_{t-1} = 1 | x_t, x0) at x0 = 0 and at x0 = 1, per
-    cell of the bits x_t at step t (an int, or an array that broadcasts
-    against x_t), read from sched.post; in ws = (pi0, pi1, flip, term) if given."""
+def _post_pair(sched: NoiseSchedule, t, x_t: np.ndarray, out0=None, out1=None,
+               flip=None, scratch=None) -> tuple[np.ndarray, np.ndarray]:
+    """(pi0, pi1): P(x_{t-1} = 1 | x_t, x0) at x0 = 0 and at x0 = 1, per cell
+    of the bits x_t at step t (an int, or an array that broadcasts against x_t),
+    read from sched.post; out0, out1, flip (1 - x_t) and scratch are optional buffers."""
     post = sched.post[t - 1]
-    pi0, pi1, flip, term = ws or (None,) * 4
     # for bits x_t, x_t a + (1 - x_t) b is a or b exactly: a + 0 or 0 + b
     flip = np.subtract(1.0, x_t, out=flip)
-    pi0 = np.multiply(x_t, post[..., 1, 0], out=pi0)
-    pi1 = np.multiply(x_t, post[..., 1, 1], out=pi1)
-    pi0 += np.multiply(flip, post[..., 0, 0], out=term)
-    pi1 += np.multiply(flip, post[..., 0, 1], out=term)
+    pi0 = np.multiply(x_t, post[..., 1, 0], out=out0)
+    pi1 = np.multiply(x_t, post[..., 1, 1], out=out1)
+    pi0 += np.multiply(flip, post[..., 0, 0], out=scratch)
+    pi1 += np.multiply(flip, post[..., 0, 1], out=scratch)
     return pi0, pi1
 
 
@@ -200,7 +200,7 @@ def _train_step(model: MaskDiffusionModel, batch: np.ndarray,
     t, x_t = _noise(sched, x0, rng)
     inputs = _model_inputs(x_t, t, sched)
     acts = netcore.activations(model.net, inputs)
-    s = _p_hat(model, acts[-1], inputs, t)
+    s = _p_hat(model, acts[-1].copy(), inputs, t)  # acts stays the network's output
 
     pi0, pi1, q_true = _posterior_terms(sched, t, x_t, x0)
     pi = np.clip(s * pi1 + (1.0 - s) * pi0, _PCLIP, 1.0 - _PCLIP)
@@ -244,16 +244,18 @@ def train_mask_model(corpus: Corpus, schedule: NoiseSchedule, config: TrainConfi
     return model
 
 
-def _reverse_pi(sched: NoiseSchedule, t: int, x_t: np.ndarray, p_hat, ws=None) -> np.ndarray:
+def _reverse_pi(sched: NoiseSchedule, t: int, x_t: np.ndarray, p_hat: np.ndarray,
+                out0=None, out1=None, flip=None, scratch=None) -> np.ndarray:
     """Model reverse kernel P(x_{t-1} = 1 | x_t): the posterior table's
-    step-t entries at x0 = 1 and x0 = 0, mixed by p_hat = P(x0 = 1); ws as in _post_pair.
+    step-t entries at x0 = 1 and x0 = 0, mixed by p_hat = P(x0 = 1), in
+    out0 if given; the buffers are _post_pair's.
 
     At t = 1 the posterior is a point mass at x0, so this is p_hat, the
     reconstruction distribution.
     """
-    pi0, pi1 = _post_pair(sched, t, x_t, ws)
+    pi0, pi1 = _post_pair(sched, t, x_t, out0, out1, flip, scratch)
     pi1 *= p_hat
-    pi0 *= np.subtract(1.0, p_hat, out=None if ws is None else ws[3])
+    pi0 *= np.subtract(1.0, p_hat, out=scratch)
     pi0 += pi1  # p_hat pi1 + (1 - p_hat) pi0
     return pi0
 
@@ -265,10 +267,11 @@ def _chains(model: MaskDiffusionModel, rngs: list[np.random.Generator], n: int) 
     into the call's workspace (u holds 1 - x between draws; the output layer p_hat)."""
     sched = model.schedule
     u, x, pi0, pi1, term = (np.empty((n, model.K)) for _ in range(5))
-    ws = (np.empty((n, model.K + 3)), netcore.layer_buffers(model.net, n), term)
+    inputs, layers = np.empty((n, model.K + 3)), netcore.layer_buffers(model.net, n)
     np.less(netcore.fill_blocks(u, rngs, np.random.Generator.random), 0.5, out=x)
     for t in range(sched.T, 0, -1):
-        pi = _reverse_pi(sched, t, x, _predict_p_hat(model, x, t, ws), (pi0, pi1, u, term))
+        p_hat = _predict_p_hat(model, x, t, inputs, layers, term)
+        pi = _reverse_pi(sched, t, x, p_hat, pi0, pi1, flip=u, scratch=term)
         np.less(netcore.fill_blocks(u, rngs, np.random.Generator.random), pi, out=x)
     return x
 

@@ -15,9 +15,10 @@ alone cannot (the true score grows linearly in x). The residual is
 regressed with the sigma^2-weighted matching objective, i.e. onto
 eps - sigma(t) x_t, an order-one target at all times. Reverse-time
 sampling integrates dx = [g^2 score - f] dt + g dB~ with Euler-Maruyama
-from t = 1 down to t_eps, pinning masked-out coordinates at zero, on
-SDESpec.table. Each reverse_integrate call owns its drift, noise and
-finiteness buffers, and chunk_score gives it the score's input and layers.
+from t = 1 down to t_eps, pinning masked-out coordinates at zero.
+Each reverse_integrate call owns its drift, noise and finiteness
+buffers, and chunk_score gives the score its own network input and
+layer buffers; no model holds one, since map_chunks threads share models.
 """
 
 from __future__ import annotations
@@ -53,23 +54,13 @@ class SDESpec:
         self.steps = number(self.steps, "sde.steps", "[1, inf)", integer=True)
         self.t_eps = number(self.t_eps, "sde.t_eps", "(0, 1)")
 
+    def beta(self, t):
+        return self.beta_min + (self.beta_max - self.beta_min) * np.asarray(t, dtype=float)
+
     def alpha_bar(self, t):
         t = np.asarray(t, dtype=float)
         integral = self.beta_min * t + 0.5 * (self.beta_max - self.beta_min) * t * t
         return np.exp(-integral)
-
-    def score_terms(self, t: float) -> tuple[np.ndarray, float]:
-        """(time embedding, -sigma(t)) of the score at t."""
-        return netcore.time_embedding(t, 1.0), -math.sqrt(max(1.0 - float(self.alpha_bar(t)), 1e-12))
-
-    @functools.cached_property
-    def table(self) -> dict[float, tuple]:
-        """Once per spec, each reverse step from t = 1 down to t_eps, in order:
-        t -> (dt, beta(t), sqrt(beta(t) dt), *score_terms(t))."""
-        ts = np.linspace(1.0, self.t_eps, self.steps + 1)
-        beta = self.beta_min + (self.beta_max - self.beta_min) * ts[:-1]
-        steps = zip(ts[:-1].tolist(), (ts[:-1] - ts[1:]).tolist(), beta.tolist())
-        return {t: (dt, b, math.sqrt(b * dt), *self.score_terms(t)) for t, dt, b in steps}
 
 
 @dataclass
@@ -93,32 +84,34 @@ class QuantityScoreModel:
     vocab_fingerprint: str = ""
     history: list[tuple[int, float]] = field(default_factory=list)
 
-    def score(self, x: np.ndarray, mask: np.ndarray, t: float, ws=None) -> np.ndarray:
+    def score(self, x: np.ndarray, mask: np.ndarray, t: float, inputs: np.ndarray | None = None,
+              layers: list[np.ndarray] | None = None) -> np.ndarray:
         """Approximate score of the time-t marginal at the (n, K) states x,
-        zero on masked coords; computed in the workspace ws of chunk_score(mask)
-        when given, in a new one otherwise."""
+        zero on masked coords. chunk_score(mask) passes the network input,
+        its mask columns already written, and the layer buffers; without
+        them both are new arrays."""
         x = np.asarray(x, dtype=float)
         mask = np.asarray(mask, dtype=float)
-        emb, neg_sigma = self.sde.table[t][3:] if t in self.sde.table else self.sde.score_terms(t)
-        inputs, layers = ws or self._workspace(mask)
+        inputs = self._inputs(mask) if inputs is None else inputs
         inputs[:, :self.K] = x
-        inputs[:, 2 * self.K:] = emb
+        inputs[:, 2 * self.K:] = netcore.time_embedding(t, 1.0)
         score = netcore.forward(self.net, inputs, layers)
         # (-x - out / sigma) * mask, summed as out / -sigma - x: the same two terms, exactly
-        score /= neg_sigma
+        score /= -math.sqrt(max(1.0 - float(self.sde.alpha_bar(t)), 1e-12))
         score -= x
         score *= mask
         return score
 
-    def _workspace(self, masks: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    def _inputs(self, masks: np.ndarray) -> np.ndarray:
         inputs = np.empty((len(masks), 2 * self.K + 3))
         inputs[:, self.K:2 * self.K] = masks
-        return inputs, netcore.layer_buffers(self.net, len(masks))
+        return inputs
 
     def chunk_score(self, masks: np.ndarray) -> ScoreFn:
-        """self.score on these mask rows, with one workspace for all its calls: the
-        network input, its mask columns written once, and the layer buffers."""
-        return functools.partial(self.score, ws=self._workspace(masks))
+        """self.score on these mask rows, all its calls sharing one network
+        input, its mask columns written once, and one set of layer buffers."""
+        return functools.partial(self.score, inputs=self._inputs(masks),
+                                 layers=netcore.layer_buffers(self.net, len(masks)))
 
 
 def fit_codec(weights: np.ndarray) -> WeightCodec:
@@ -240,8 +233,12 @@ def reverse_integrate(score_fn: ScoreFn, masks: np.ndarray, sde: SDESpec,
     noise = np.empty(masks.shape)
     x = netcore.fill_blocks(noise, rngs, np.random.Generator.standard_normal) * masks
     drift, finite = np.empty(masks.shape), np.empty(masks.shape, dtype=bool)
+    ts = np.linspace(1.0, sde.t_eps, sde.steps + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (t, (dt, b, noise_scale, *_)) in enumerate(sde.table.items()):
+        for k in range(sde.steps):
+            t = float(ts[k])
+            dt = float(ts[k] - ts[k + 1])
+            b = float(sde.beta(t))
             # x += b * (s + 0.5 x) * dt * masks, then sqrt(b dt) * noise * masks
             np.multiply(x, 0.5, out=drift)
             drift += score_fn(x, masks, t)
@@ -251,7 +248,7 @@ def reverse_integrate(score_fn: ScoreFn, masks: np.ndarray, sde: SDESpec,
             x += drift
             if k < sde.steps - 1:
                 netcore.fill_blocks(noise, rngs, np.random.Generator.standard_normal)
-                noise *= noise_scale
+                noise *= math.sqrt(b * dt)
                 noise *= masks
                 x += noise
             if not np.isfinite(x, out=finite).all():

@@ -171,6 +171,8 @@ def test_network_kernels_leave_their_inputs_alone(case):
     grad = netcore.gradient(net, acts, cot)
     assert _unchanged(kept, [x, cot, net.theta]) and _unchanged(acts_kept, acts)
     assert not np.shares_memory(out, x) and out.tobytes() == acts[-1].tobytes()
+    if x.ndim == 2:  # a sampler's caller-owned buffers give the same bits
+        assert netcore.forward(net, x, netcore.layer_buffers(net, len(x))).tobytes() == out.tobytes()
 
     grad_kept = grad.copy()
     netcore.optimizer_step(net, grad, netcore.init_optimizer(net))
@@ -188,5 +190,7 @@ def test_quantity_sampler_leaves_its_inputs_alone(K, rows, seed):
     x = rng.standard_normal(np.atleast_2d(masks).shape)
     kept = [x.copy(), masks.copy()]
     model.score(x, np.atleast_2d(masks), 0.5)
-    qd.reverse_integrate(model.score, masks, model.sde, [netcore.chunk_rng(seed, 0)])
-    assert _unchanged(kept, [x, masks])
+    z = qd.reverse_integrate(model.score, masks, model.sde, [netcore.chunk_rng(seed, 0)])
+    chunk_score = model.chunk_score(np.atleast_2d(masks))
+    z_chunk = qd.reverse_integrate(chunk_score, masks, model.sde, [netcore.chunk_rng(seed, 0)])
+    assert _unchanged(kept, [x, masks]) and z_chunk.tobytes() == z.tobytes()
