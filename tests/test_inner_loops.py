@@ -4,7 +4,9 @@ untouched inputs and steps that fault in no memory.
 The pins are sha256 digests of outputs of fixed-seed runs. The first five,
 of a tiny run, were recorded at commit 264df32, before the inner loops were
 rewritten in place; the three 2,048-row ones at commit d595960, before the
-samplers wrote their steps into per-call workspaces. A speed-up that moves
+samplers wrote their steps into per-call workspaces; the 64-row one at
+commit e67925c, before the reverse SDE read its per-step scalars from one
+grid per call. A speed-up that moves
 any bit of a sample or a trained parameter fails here. They hold for one
 numpy/OpenBLAS build and CPU kernel family; a platform whose BLAS sums in
 another order needs them re-recorded from that earlier code.
@@ -43,6 +45,8 @@ PINS = {
         "aca896d63dda4e9a26f907c8ceaa4e201cc4e34c076049fb1f0842dc165464a8",
     "_draw 4-chunk lockstep window":
         "6725da8fe2a1d922003b316d8cde7ab7632ac405c732f295ef533156fb4f0844",
+    "_draw 4-chunk 64-row window at the desk grid":
+        "da0263e9982410c3fea26302589a2c9500c5364e7f47c2273c7790bbb0bec906",
 }
 
 
@@ -92,13 +96,18 @@ def desk_size_models(T: int = 20,
 
 def pinned_large_outputs() -> dict[str, str]:
     """Digests at the sizes the CLI samples at: one full 2,048-row chunk of
-    each sampler, and four 512-row stream chunks drawn in lockstep."""
+    each sampler, four 512-row stream chunks drawn in lockstep, and a
+    rediscover window of four 64-row chunks on the desk config's full
+    grid (T = 100, sde.steps = 500), which reaches the late grid points."""
     mask, qty = desk_size_models()
     masks = md.sample_masks(mask, 2048, seed=5)
+    desk_mask, desk_qty = desk_size_models(T=100, steps=500)
     return {
         "sample_masks one 2048-row chunk": _sha(masks),
         "reverse_sample_batch one 2048-row chunk": _sha(qd.reverse_sample_batch(qty, masks, seed=6)),
         "_draw 4-chunk lockstep window": _sha(dc._draw(mask, qty, 7, range(4), 2048)),
+        "_draw 4-chunk 64-row window at the desk grid":
+            _sha(dc._draw(desk_mask, desk_qty, 7, range(4), 256)),
     }
 
 
