@@ -84,7 +84,7 @@ _RANGES = {
     "synth.count_override": "[0, inf)", "select.min_sds": "[0, inf)",
     "select.top_fraction": "(0, 1]", "select.meal_fraction": "(0, 1]",
     "rediscover.budget": "[0, inf)", "rediscover.chunk_size": "[1, inf)",
-    "fidelity.sample_count": "[1, inf)", "fidelity.top_k": "[0, inf)",
+    "fidelity.sample_count": "[2, inf)", "fidelity.top_k": "[0, inf)",
     **dict.fromkeys(("profile.age", "profile.height_cm", "profile.weight_kg"), "(0, inf)"),
     **{f"train.{model}.{key}": interval for model in ("mask", "quantity") for key, interval in (
         ("steps", "[1, inf)"), ("batch_size", "[1, inf)"), ("learning_rate", "[0, inf)"),

@@ -19,11 +19,15 @@ from t = 1 down to t_eps, pinning masked-out coordinates at zero.
 Each reverse_integrate call owns its drift, noise and finiteness
 buffers, and chunk_score gives the score its own network input and
 layer buffers; no model holds one, since map_chunks threads share models.
+Each call also computes its step grid once: t_k, dt_k, beta(t_k) and
+sqrt(beta dt) for the loop, and for a ChunkScore the time embedding rows
+and -sigma(t_k), which score would otherwise compute from t on every
+step. The grid's expressions are the per-step ones, applied elementwise,
+so the grid gives the same bits; nothing caches it on the SDESpec.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -85,19 +89,22 @@ class QuantityScoreModel:
     history: list[tuple[int, float]] = field(default_factory=list)
 
     def score(self, x: np.ndarray, mask: np.ndarray, t: float, inputs: np.ndarray | None = None,
-              layers: list[np.ndarray] | None = None) -> np.ndarray:
+              layers: list[np.ndarray] | None = None,
+              terms: tuple[np.ndarray, float] | None = None) -> np.ndarray:
         """Approximate score of the time-t marginal at the (n, K) states x,
-        zero on masked coords. chunk_score(mask) passes the network input,
-        its mask columns already written, and the layer buffers; without
-        them both are new arrays."""
+        zero on masked coords. A ChunkScore passes the network input, its
+        mask columns already written, and the layer buffers; without them
+        both are new arrays. terms is _score_terms at t, read from
+        reverse_integrate's step grid; without it score computes them."""
         x = np.asarray(x, dtype=float)
         mask = np.asarray(mask, dtype=float)
         inputs = self._inputs(mask) if inputs is None else inputs
+        embedding, neg_sigma = _score_terms(self.sde, t) if terms is None else terms
         inputs[:, :self.K] = x
-        inputs[:, 2 * self.K:] = netcore.time_embedding(t, 1.0)
+        inputs[:, 2 * self.K:] = embedding
         score = netcore.forward(self.net, inputs, layers)
         # (-x - out / sigma) * mask, summed as out / -sigma - x: the same two terms, exactly
-        score /= -math.sqrt(max(1.0 - float(self.sde.alpha_bar(t)), 1e-12))
+        score /= neg_sigma
         score -= x
         score *= mask
         return score
@@ -107,11 +114,33 @@ class QuantityScoreModel:
         inputs[:, self.K:2 * self.K] = masks
         return inputs
 
-    def chunk_score(self, masks: np.ndarray) -> ScoreFn:
+    def chunk_score(self, masks: np.ndarray) -> ChunkScore:
         """self.score on these mask rows, all its calls sharing one network
         input, its mask columns written once, and one set of layer buffers."""
-        return functools.partial(self.score, inputs=self._inputs(masks),
-                                 layers=netcore.layer_buffers(self.net, len(masks)))
+        return ChunkScore(self, self._inputs(masks), netcore.layer_buffers(self.net, len(masks)))
+
+
+def _score_terms(sde: SDESpec, t):
+    """The time embedding and -sigma(t) = -sqrt(max(1 - ab(t), 1e-12)) that
+    QuantityScoreModel.score reads at t, a float or an array of times
+    (elementwise, so a grid's rows are the bits of the float calls)."""
+    return (netcore.time_embedding(t, 1.0),
+            -np.sqrt(np.maximum(1.0 - sde.alpha_bar(t), 1e-12)))
+
+
+@dataclass
+class ChunkScore:
+    """A ScoreFn: model.score on one chunk's mask rows, with the network
+    input and layer buffers that model.chunk_score made for them.
+    reverse_integrate passes it each step's terms from its step grid."""
+
+    model: QuantityScoreModel
+    inputs: np.ndarray
+    layers: list[np.ndarray]
+
+    def __call__(self, x: np.ndarray, masks: np.ndarray, t: float,
+                 terms: tuple[np.ndarray, float] | None = None) -> np.ndarray:
+        return self.model.score(x, masks, t, self.inputs, self.layers, terms)
 
 
 def fit_codec(weights: np.ndarray) -> WeightCodec:
@@ -228,27 +257,36 @@ def reverse_integrate(score_fn: ScoreFn, masks: np.ndarray, sde: SDESpec,
     score_fn call per step for all of them; block j draws its start and
     every noise increment from rngs[j], the draws its rows alone would make.
     With QuantityScoreModel.chunk_score(masks), no step allocates.
+
+    The step scalars come from a grid made once per call over
+    t_k = linspace(1, t_eps, steps + 1): t_k, dt_k = t_k - t_{k+1},
+    beta(t_k) and sqrt(beta dt), and, when score_fn is a ChunkScore,
+    _score_terms(sde, t_k), so each score call reads step k's embedding row
+    and -sigma. Any other score_fn is called as score_fn(x, masks, t_k).
     """
     masks = np.atleast_2d(np.asarray(masks, dtype=float))
     noise = np.empty(masks.shape)
     x = netcore.fill_blocks(noise, rngs, np.random.Generator.standard_normal) * masks
     drift, finite = np.empty(masks.shape), np.empty(masks.shape, dtype=bool)
     ts = np.linspace(1.0, sde.t_eps, sde.steps + 1)
+    # the step grid: each step's scalars, computed once per call with the
+    # expressions a single step would use, elementwise, so the same bits
+    t_k, dt_k = ts[:-1], ts[:-1] - ts[1:]
+    beta_k = sde.beta(t_k)
+    grid = zip(t_k.tolist(), dt_k.tolist(), beta_k.tolist(), np.sqrt(beta_k * dt_k).tolist())
+    terms = list(zip(*_score_terms(sde, t_k))) if isinstance(score_fn, ChunkScore) else None
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(sde.steps):
-            t = float(ts[k])
-            dt = float(ts[k] - ts[k + 1])
-            b = float(sde.beta(t))
+        for k, (t, dt, b, noise_scale) in enumerate(grid):
             # x += b * (s + 0.5 x) * dt * masks, then sqrt(b dt) * noise * masks
             np.multiply(x, 0.5, out=drift)
-            drift += score_fn(x, masks, t)
+            drift += score_fn(x, masks, t) if terms is None else score_fn(x, masks, t, terms[k])
             drift *= b
             drift *= dt
             drift *= masks
             x += drift
             if k < sde.steps - 1:
                 netcore.fill_blocks(noise, rngs, np.random.Generator.standard_normal)
-                noise *= math.sqrt(b * dt)
+                noise *= noise_scale
                 noise *= masks
                 x += noise
             if not np.isfinite(x, out=finite).all():

@@ -169,7 +169,7 @@ def test_rediscover_reference_must_hold_one_recipe(pipeline, tmp_path, capsys):
 CONFIG_FLOORS = [(f"train.{m}.{k}", least) for m in ("mask", "quantity")
                  for k, least in (("steps", 1), ("batch_size", 1), ("hidden_width", 1),
                                   ("hidden_depth", 0), ("val_interval", 1))] + [
-    ("schedule.T", 1), ("sde.steps", 1), ("fidelity.sample_count", 1), ("fidelity.top_k", 0),
+    ("schedule.T", 1), ("sde.steps", 1), ("fidelity.sample_count", 2), ("fidelity.top_k", 0),
     ("synth.count_override", 0), ("select.min_sds", 0), ("run.threads", 1), ("run.seed", 0)]
 
 
@@ -187,12 +187,15 @@ CONFIG_FLOORS = [(f"train.{m}.{k}", least) for m in ("mask", "quantity")
      "train.mask.val_interval is 0, expected an integer in [1, inf)"),
     ("train-mask", ["--set", "train.mask.batch_size=0"],
      "train.mask.batch_size is 0, expected an integer in [1, inf)"),
-    ("validate", ["--count", "-1"], "fidelity.sample_count is -1, expected an integer in [1, inf)"),
+    ("validate", ["--count", "-1"], "fidelity.sample_count is -1, expected an integer in [2, inf)"),
+    # one sample has no correlations: refused at load, not after sampling
+    ("validate", ["--count", "1"], "fidelity.sample_count is 1, expected an integer in [2, inf)"),
     *[("sample", ["--set", f"{key}={least - 1}"],
        f"{key} is {least - 1}, expected an integer in [{least}, inf)")
       for key, least in CONFIG_FLOORS],
 ], ids=["budget", "rediscover_chunk", "rediscover_chunk_zero", "sample_chunk", "sample_count",
         "infinite_count", "val_interval_zero", "batch_size_zero", "validate_count",
+        "validate_count_one",
         *[key for key, _ in CONFIG_FLOORS]])
 def test_out_of_range_sizes_are_data_errors(pipeline, tmp_path, capsys, command, args, message):
     extra = {"rediscover": ["--reference", str(tmp_path / "ref.jsonl")],

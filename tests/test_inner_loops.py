@@ -203,3 +203,20 @@ def test_quantity_sampler_leaves_its_inputs_alone(K, rows, seed):
     chunk_score = model.chunk_score(np.atleast_2d(masks))
     z_chunk = qd.reverse_integrate(chunk_score, masks, model.sde, [netcore.chunk_rng(seed, 0)])
     assert _unchanged(kept, [x, masks]) and z_chunk.tobytes() == z.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.01, 5.0), st.floats(0.0, 40.0), st.floats(1e-5, 0.5),
+       st.sampled_from([1, 2, 3, 17, 60]), st.sampled_from([1, 2, 7, 64]), st.integers(0, 2**16))
+def test_step_grid_gives_the_bits_of_per_step_terms(beta_min, spread, t_eps, steps, rows, seed):
+    # a ChunkScore reads each step's embedding and -sigma from
+    # reverse_integrate's grid; a plain score function makes score compute
+    # them from t on every step
+    _, model = desk_size_models()
+    model.sde = qd.SDESpec(beta_min=beta_min, beta_max=beta_min + spread, steps=steps, t_eps=t_eps)
+    masks = (np.random.default_rng(seed).random((rows, model.K)) < 0.4).astype(float)
+    on_grid = qd.reverse_integrate(model.chunk_score(masks), masks, model.sde,
+                                   [netcore.chunk_rng(seed, 0)])
+    per_step = qd.reverse_integrate(lambda x, m, t: model.score(x, m, t), masks, model.sde,
+                                    [netcore.chunk_rng(seed, 0)])
+    assert on_grid.tobytes() == per_step.tobytes()
