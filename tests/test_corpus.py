@@ -363,6 +363,25 @@ def test_synthesize_deterministic():
     assert any(not np.array_equal(ra, rc) for ra, rc in zip(a.grams, c.grams))
 
 
+# sha256 of the desk corpus's grams and of its split tags joined by newlines,
+# recorded at commit 127397e. Every pipeline starts from this draw, so a change
+# to synthesize_corpus that moves a bit of it moves every downstream output.
+DESK_SYNTH_PINS = {
+    1: "a0ce9930aa3d972c5e4bc29a024325385bebd9fd0656b499732cc234b711ace3",
+    5: "74c42020e3b2ad1ef0c2a9acbf66577fb456c21f89c3720d7021d290025360be",
+    123456: "cd7bdcc9818d185b414ac97b1b0dff38325c902e2c0288a3a530cb29792fc947",
+}
+DESK_SPLITS_PIN = "44848e036f84b1fac76abe960b34f92919e806574286625f885d5ae223e22ce8"
+
+
+@pytest.mark.parametrize("seed", sorted(DESK_SYNTH_PINS))
+def test_desk_synth_corpus_bits_are_pinned(seed):
+    corpus = cp.synthesize_corpus(cp.load_synth_spec(DESK / "synth_spec.json"), seed)
+    assert hashlib.sha256(np.ascontiguousarray(corpus.grams).tobytes()).hexdigest() \
+        == DESK_SYNTH_PINS[seed]
+    assert hashlib.sha256("\n".join(corpus.splits).encode()).hexdigest() == DESK_SPLITS_PIN
+
+
 def test_synthesize_marginal_within_binomial_ci():
     # p = 0.5, n = 10,000: 99% CI half-width = 2.576 * sqrt(0.25/n) = 0.0129
     spec = small_spec(n=10_000)
