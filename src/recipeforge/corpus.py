@@ -67,10 +67,8 @@ class IngredientVocabulary:
         return hashlib.sha256(raw).hexdigest()[:16]
 
     @staticmethod
-    def from_ids(ids, names=None) -> "IngredientVocabulary":
-        uniq = sorted(set(ids))
-        names = names or {}
-        return IngredientVocabulary(tuple((i, names.get(i, i)) for i in uniq))
+    def from_ids(ids) -> "IngredientVocabulary":
+        return IngredientVocabulary(tuple((i, i) for i in sorted(set(ids))))
 
 
 @dataclass
@@ -167,8 +165,8 @@ def _phi_bounds(p: float, q: float) -> tuple[float, float]:
 
 
 def _phi_from_latent(a: float, b: float, r: float, p: float, q: float) -> float:
-    cov = [[1.0, r], [r, 1.0]]
-    p11 = float(multivariate_normal(mean=[0.0, 0.0], cov=cov, allow_singular=True).cdf([a, b]))
+    p11 = float(multivariate_normal.cdf([a, b], mean=[0.0, 0.0], cov=[[1.0, r], [r, 1.0]],
+                                        allow_singular=True))
     return (p11 - p * q) / math.sqrt(p * (1 - p) * q * (1 - q))
 
 

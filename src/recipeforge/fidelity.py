@@ -109,8 +109,6 @@ def quantity_mae(model: QuantityScoreModel, held_out: np.ndarray, seed: int) -> 
 
 @dataclass
 class PairAgreement:
-    index_a: int
-    index_b: int
     id_a: str
     id_b: str
     corpus_corr: float
@@ -185,8 +183,7 @@ def fidelity_report(mask_model: MaskDiffusionModel, quantity_model: QuantityScor
     corr_samples = pairwise_correlations(samples)
     ids = corpus.vocabulary.ids
     pairs = [
-        PairAgreement(i, j, ids[i], ids[j],
-                      float(corr_corpus[i, j]), float(corr_samples[i, j]))
+        PairAgreement(ids[i], ids[j], float(corr_corpus[i, j]), float(corr_samples[i, j]))
         for i, j in top_correlated_pairs(corr_corpus, top_k)
     ]
 

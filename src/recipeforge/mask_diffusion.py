@@ -303,9 +303,10 @@ def sample_masks(model: MaskDiffusionModel, count: int, seed: int, *,
                  chunk_size: int = 2048, threads: int = 1) -> np.ndarray:
     """Draw count masks by ancestral sampling; (count, K) uint8 array.
 
-    The stream is partitioned into fixed-size chunks seeded by
-    (seed, chunk_index), so results are byte-identical for any thread
-    count. All-zero masks are discarded and resampled.
+    Chunk c of chunk_size rows, the last one cut to count, is seeded by
+    (seed, c), so results are byte-identical for any thread count; row i
+    depends on count unless count is a multiple of chunk_size. All-zero
+    masks are discarded and resampled.
     """
     return netcore.map_chunks(
         count, chunk_size, threads,

@@ -217,10 +217,8 @@ def init_optimizer(net: Network, learning_rate: float = 1e-3) -> OptimizerState:
                           learning_rate=learning_rate)
 
 
-def optimizer_step(net: Network, grad: np.ndarray,
-                   state: OptimizerState) -> tuple[Network, OptimizerState]:
-    """One Adam update of net.theta from the flat gradient, applied in
-    place; returns (net, state) for chaining."""
+def optimizer_step(net: Network, grad: np.ndarray, state: OptimizerState) -> None:
+    """One Adam update of net.theta from the flat gradient, applied in place."""
     if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient component in optimizer step")
     state.step += 1
@@ -239,7 +237,6 @@ def optimizer_step(net: Network, grad: np.ndarray,
     np.sqrt(v, out=scratch)
     scratch += _EPS
     theta -= np.divide(m * scale, scratch, out=scratch)
-    return net, state
 
 
 def time_embedding(t: np.ndarray | float, period: float) -> np.ndarray:

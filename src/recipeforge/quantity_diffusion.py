@@ -20,14 +20,15 @@ Each reverse_integrate call owns its drift, noise and finiteness
 buffers, and chunk_score gives the score its own network input and
 layer buffers; no model holds one, since map_chunks threads share models.
 Each call also computes its step grid once: t_k, dt_k, beta(t_k) and
-sqrt(beta dt) for the loop, and for a ChunkScore the time embedding rows
-and -sigma(t_k), which score would otherwise compute from t on every
-step. The grid's expressions are the per-step ones, applied elementwise,
-so the grid gives the same bits; nothing caches it on the SDESpec.
+sqrt(beta dt) for the loop, and the time embedding rows and -sigma(t_k)
+that it passes to every score call. The grid's expressions are the
+per-step ones, applied elementwise, so the grid gives the bits that score
+computes from t alone; nothing caches it on the SDESpec.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -40,7 +41,7 @@ from .corpus import Corpus
 from .errors import DataError, NumericError, number, numbers
 from .netcore import Network, TrainConfig
 
-ScoreFn = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+ScoreFn = Callable[[np.ndarray, np.ndarray, float, tuple[np.ndarray, float]], np.ndarray]
 
 
 @dataclass
@@ -88,14 +89,14 @@ class QuantityScoreModel:
     vocab_fingerprint: str = ""
     history: list[tuple[int, float]] = field(default_factory=list)
 
-    def score(self, x: np.ndarray, mask: np.ndarray, t: float, inputs: np.ndarray | None = None,
-              layers: list[np.ndarray] | None = None,
-              terms: tuple[np.ndarray, float] | None = None) -> np.ndarray:
+    def score(self, x: np.ndarray, mask: np.ndarray, t: float,
+              terms: tuple[np.ndarray, float] | None = None, inputs: np.ndarray | None = None,
+              layers: list[np.ndarray] | None = None) -> np.ndarray:
         """Approximate score of the time-t marginal at the (n, K) states x,
-        zero on masked coords. A ChunkScore passes the network input, its
-        mask columns already written, and the layer buffers; without them
-        both are new arrays. terms is _score_terms at t, read from
-        reverse_integrate's step grid; without it score computes them."""
+        zero on masked coords. terms is _score_terms(sde, t), read from
+        reverse_integrate's step grid; without it score computes them.
+        chunk_score passes the network input, its mask columns already
+        written, and the layer buffers; without them both are new arrays."""
         x = np.asarray(x, dtype=float)
         mask = np.asarray(mask, dtype=float)
         inputs = self._inputs(mask) if inputs is None else inputs
@@ -114,10 +115,11 @@ class QuantityScoreModel:
         inputs[:, self.K:2 * self.K] = masks
         return inputs
 
-    def chunk_score(self, masks: np.ndarray) -> ChunkScore:
+    def chunk_score(self, masks: np.ndarray) -> ScoreFn:
         """self.score on these mask rows, all its calls sharing one network
         input, its mask columns written once, and one set of layer buffers."""
-        return ChunkScore(self, self._inputs(masks), netcore.layer_buffers(self.net, len(masks)))
+        return functools.partial(self.score, inputs=self._inputs(masks),
+                                 layers=netcore.layer_buffers(self.net, len(masks)))
 
 
 def _score_terms(sde: SDESpec, t):
@@ -126,21 +128,6 @@ def _score_terms(sde: SDESpec, t):
     (elementwise, so a grid's rows are the bits of the float calls)."""
     return (netcore.time_embedding(t, 1.0),
             -np.sqrt(np.maximum(1.0 - sde.alpha_bar(t), 1e-12)))
-
-
-@dataclass
-class ChunkScore:
-    """A ScoreFn: model.score on one chunk's mask rows, with the network
-    input and layer buffers that model.chunk_score made for them.
-    reverse_integrate passes it each step's terms from its step grid."""
-
-    model: QuantityScoreModel
-    inputs: np.ndarray
-    layers: list[np.ndarray]
-
-    def __call__(self, x: np.ndarray, masks: np.ndarray, t: float,
-                 terms: tuple[np.ndarray, float] | None = None) -> np.ndarray:
-        return self.model.score(x, masks, t, self.inputs, self.layers, terms)
 
 
 def fit_codec(weights: np.ndarray) -> WeightCodec:
@@ -260,9 +247,8 @@ def reverse_integrate(score_fn: ScoreFn, masks: np.ndarray, sde: SDESpec,
 
     The step scalars come from a grid made once per call over
     t_k = linspace(1, t_eps, steps + 1): t_k, dt_k = t_k - t_{k+1},
-    beta(t_k) and sqrt(beta dt), and, when score_fn is a ChunkScore,
-    _score_terms(sde, t_k), so each score call reads step k's embedding row
-    and -sigma. Any other score_fn is called as score_fn(x, masks, t_k).
+    beta(t_k), sqrt(beta dt) and _score_terms(sde, t_k). Step k calls
+    score_fn(x, masks, t_k, terms_k) with its embedding row and -sigma.
     """
     masks = np.atleast_2d(np.asarray(masks, dtype=float))
     noise = np.empty(masks.shape)
@@ -273,13 +259,13 @@ def reverse_integrate(score_fn: ScoreFn, masks: np.ndarray, sde: SDESpec,
     # expressions a single step would use, elementwise, so the same bits
     t_k, dt_k = ts[:-1], ts[:-1] - ts[1:]
     beta_k = sde.beta(t_k)
-    grid = zip(t_k.tolist(), dt_k.tolist(), beta_k.tolist(), np.sqrt(beta_k * dt_k).tolist())
-    terms = list(zip(*_score_terms(sde, t_k))) if isinstance(score_fn, ChunkScore) else None
+    grid = zip(t_k.tolist(), dt_k.tolist(), beta_k.tolist(), np.sqrt(beta_k * dt_k).tolist(),
+               zip(*_score_terms(sde, t_k)))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (t, dt, b, noise_scale) in enumerate(grid):
+        for k, (t, dt, b, noise_scale, terms) in enumerate(grid):
             # x += b * (s + 0.5 x) * dt * masks, then sqrt(b dt) * noise * masks
             np.multiply(x, 0.5, out=drift)
-            drift += score_fn(x, masks, t) if terms is None else score_fn(x, masks, t, terms[k])
+            drift += score_fn(x, masks, t, terms)
             drift *= b
             drift *= dt
             drift *= masks

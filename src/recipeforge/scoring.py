@@ -203,20 +203,21 @@ class NutrientTable:
     """Per-100 g nutrient and food-pattern-equivalent data per ingredient."""
 
     vocabulary: IngredientVocabulary
-    columns: dict[str, np.ndarray]  # field -> (K,)
+    values: np.ndarray  # (K, 17) in NUTRIENT_FIELDS order
 
     def amounts(self, weights: np.ndarray, fields: list[str]) -> np.ndarray:
         """(n, len(fields)) totals for each weight-matrix row."""
         weights = np.atleast_2d(np.asarray(weights, dtype=float))
         if weights.shape[1] != self.vocabulary.K:
             raise DataError("recipe does not match nutrient table vocabulary")
-        mat = np.stack([self.columns[f] for f in fields], axis=1)
+        # take copies C-ordered; values[:, idx] is F-ordered, and BLAS rounds it otherwise
+        mat = self.values.take([NUTRIENT_FIELDS.index(f) for f in fields], axis=1)
         return (weights / 100.0) @ mat
 
 
 def load_nutrient_table(path: str | Path, vocabulary: IngredientVocabulary) -> NutrientTable:
     values = _read_table(path, "nutrient", NUTRIENT_FIELDS, vocabulary)
-    return NutrientTable(vocabulary=vocabulary, columns=dict(zip(NUTRIENT_FIELDS, values.T)))
+    return NutrientTable(vocabulary=vocabulary, values=values)
 
 
 @dataclass

@@ -274,7 +274,7 @@ def test_vocabulary_index_is_sorted_rank():
 
 
 def test_vocabulary_file_round_trip(tmp_path):
-    vocab = cp.IngredientVocabulary.from_ids(["beef", "bun"], names={"beef": "Beef patty"})
+    vocab = cp.IngredientVocabulary((("beef", "Beef patty"), ("bun", "bun")))
     f = tmp_path / "v.json"
     cp.write_vocabulary(f, vocab)
     loaded = cp.load_vocabulary(f)

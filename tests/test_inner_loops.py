@@ -209,14 +209,14 @@ def test_quantity_sampler_leaves_its_inputs_alone(K, rows, seed):
 @given(st.floats(0.01, 5.0), st.floats(0.0, 40.0), st.floats(1e-5, 0.5),
        st.sampled_from([1, 2, 3, 17, 60]), st.sampled_from([1, 2, 7, 64]), st.integers(0, 2**16))
 def test_step_grid_gives_the_bits_of_per_step_terms(beta_min, spread, t_eps, steps, rows, seed):
-    # a ChunkScore reads each step's embedding and -sigma from
-    # reverse_integrate's grid; a plain score function makes score compute
+    # a chunk score reads each step's embedding and -sigma from
+    # reverse_integrate's grid; the reference drops them, so score computes
     # them from t on every step
     _, model = desk_size_models()
     model.sde = qd.SDESpec(beta_min=beta_min, beta_max=beta_min + spread, steps=steps, t_eps=t_eps)
     masks = (np.random.default_rng(seed).random((rows, model.K)) < 0.4).astype(float)
     on_grid = qd.reverse_integrate(model.chunk_score(masks), masks, model.sde,
                                    [netcore.chunk_rng(seed, 0)])
-    per_step = qd.reverse_integrate(lambda x, m, t: model.score(x, m, t), masks, model.sde,
+    per_step = qd.reverse_integrate(lambda x, m, t, terms: model.score(x, m, t), masks, model.sde,
                                     [netcore.chunk_rng(seed, 0)])
     assert on_grid.tobytes() == per_step.tobytes()

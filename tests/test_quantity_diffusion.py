@@ -222,12 +222,12 @@ def test_dsm_gradient_matches_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# reverse-time sampling against analytic oracles
+# reverse-time sampling against analytic oracles, which ignore the grid's terms
 
 def test_reverse_sampler_recovers_analytic_gaussian():
     sde = qd.SDESpec()
 
-    def score(x, mask, t):
+    def score(x, mask, t, terms):
         ab = float(sde.alpha_bar(t))
         var = ab * 0.25 + 1.0 - ab
         return -(x - math.sqrt(ab) * 2.0) / var
@@ -243,7 +243,7 @@ def test_reverse_sampler_recovers_two_component_mixture():
     mus = np.array([-2.0, 2.0])
     var0 = 0.25
 
-    def score(x, mask, t):
+    def score(x, mask, t, terms):
         ab = float(sde.alpha_bar(t))
         means = math.sqrt(ab) * mus
         var = ab * var0 + 1.0 - ab
@@ -310,10 +310,31 @@ def test_reverse_integrate_blocks_are_their_single_generator_runs():
                              [netcore.chunk_rng(18, c) for c in range(4)])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.01, 5.0), st.floats(0.0, 40.0), st.floats(1e-5, 0.5),
+       st.sampled_from([1, 2, 3, 17, 500]))
+def test_each_step_gets_the_score_terms_of_its_scalar_time(beta_min, spread, t_eps, steps):
+    # the step grid computes every step's terms at once; each must be the
+    # bits _score_terms gives at that step's time alone
+    sde = qd.SDESpec(beta_min=beta_min, beta_max=beta_min + spread, steps=steps, t_eps=t_eps)
+    seen = []
+
+    def recording(x, mask, t, terms):
+        seen.append((t, terms))
+        return np.zeros_like(x)
+
+    qd.reverse_integrate(recording, np.ones((2, 3)), sde, [np.random.default_rng(0)])
+    assert [t for t, _ in seen] == np.linspace(1.0, t_eps, steps + 1)[:-1].tolist()
+    for t, (embedding, neg_sigma) in seen:
+        want_embedding, want_neg_sigma = qd._score_terms(sde, t)
+        assert embedding.tobytes() == want_embedding.tobytes()
+        assert np.asarray(neg_sigma).tobytes() == np.asarray(want_neg_sigma).tobytes()
+
+
 def test_reverse_integrate_reports_non_finite_state():
     sde = qd.SDESpec(steps=200)
 
-    def exploding(x, mask, t):
+    def exploding(x, mask, t, terms):
         with np.errstate(over="ignore"):
             return 50.0 * x ** 3 + 10.0
 
