@@ -374,31 +374,31 @@ def cmd_rediscover(cfg: dict, out_dir: Path, chash: str) -> int:
 
 # The batch-scoring commands differ only in how they pick a group. Each
 # picker takes (cfg, out_dir, batch, vocab) and returns the DiscoveryResult,
-# the scorer of the group table (founders' grams matrix -> scores) and any
-# extra fields of the selection JSON.
+# the scorer of the group table (founders' rows of the batch -> scores) and
+# any extra fields of the selection JSON.
 
 def _pick_novel(cfg: dict, out_dir: Path, batch: np.ndarray, vocab):
-    loaded = _load_corpus(cfg["paths.corpus"], out_dir, vocab)
-    result = discovery.discover_novel(batch, loaded, cfg["select.min_sds"])
+    nov = discovery.novelty_many(batch, _load_corpus(cfg["paths.corpus"], out_dir, vocab))
+    result = discovery.discover_novel(batch, nov, cfg["select.min_sds"])
     if cfg["paths.impact_table"]:
         result.env_score = float(scoring.env_impact_scores(result.selected,
                                                            _load_impact(cfg, vocab))[0])
     if cfg["paths.nutrient_table"]:
         result.hei_total = float(scoring.hei_totals(result.selected, _load_nutrients(cfg, vocab),
                                                     _load_standards(cfg))[0])
-    return result, lambda reps: discovery.novelty_many(reps, loaded), {}
+    return result, lambda rows: nov[rows], {}
 
 
 def _pick_sustainable(cfg: dict, out_dir: Path, batch: np.ndarray, vocab):
     table = _load_impact(cfg, vocab)
     result = discovery.select_sustainable(batch, table, set(cfg["select.required"]) or None)
-    return result, lambda reps: scoring.env_impact_scores(reps, table), {}
+    return result, lambda rows: scoring.env_impact_scores(batch[rows], table), {}
 
 
 def _pick_nutritious(cfg: dict, out_dir: Path, batch: np.ndarray, vocab):
     table, standards = _load_nutrients(cfg, vocab), _load_standards(cfg)
     result = discovery.select_nutritious(batch, table, cfg["select.top_fraction"], standards)
-    return result, lambda reps: scoring.hei_totals(reps, table, standards), {}
+    return result, lambda rows: scoring.hei_totals(batch[rows], table, standards), {}
 
 
 def _pick_personalized(cfg: dict, out_dir: Path, batch: np.ndarray, vocab):
@@ -410,7 +410,8 @@ def _pick_personalized(cfg: dict, out_dir: Path, batch: np.ndarray, vocab):
     result = discovery.select_personalized(batch, profile, table, cfg["select.top_fraction"], meal)
     extra = {"profile": {**asdict(profile),
                          "energy_requirement_kcal": scoring.energy_requirement(profile)}}
-    return result, lambda reps: scoring.personalized_scores(reps, profile, table, meal), extra
+    return result, lambda rows: scoring.personalized_scores(batch[rows], profile, table,
+                                                           meal), extra
 
 
 # command: (picker, group-table score column, annotate novelty against
@@ -427,8 +428,8 @@ _SELECTIONS = {
 
 
 def cmd_select(cfg: dict, out_dir: Path, chash: str) -> int:
-    """A batch-scoring command: load the batch, pick a group, annotate its
-    novelty, write the selection JSON and the per-group score table."""
+    """A batch-scoring command: load the batch, pick a group, annotate its novelty, write the
+    selection JSON and the group score table (discover's reads the novelty its pick computed)."""
     command = cfg["run.command"]
     pick, column, annotate, summary = _SELECTIONS[command]
     batch, vocab, source = _get_batch(cfg, out_dir)
@@ -439,7 +440,7 @@ def cmd_select(cfg: dict, out_dir: Path, chash: str) -> int:
     _write_json(out_dir / "selections" / f"{command.replace('-', '_')}.json",
                 {**result.to_dict(vocab), "source": source, **extra}, chash)
     groups = scoring.group_recipes(batch)
-    scores = score_of(batch[[g.founder_index for g in groups]])
+    scores = score_of([g.founder_index for g in groups])
     _write_csv(out_dir / "reports" / f"{command.removeprefix('select-')}_groups.csv",
                ["group_index", "count", "popularity", column],
                [[i, g.count, g.count / len(batch), scores[i]] for i, g in enumerate(groups)], chash)

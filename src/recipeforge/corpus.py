@@ -398,13 +398,19 @@ def load_corpus(path: str | Path, vocabulary: IngredientVocabulary | None = None
 
 
 def write_corpus(path: str | Path, corpus: Corpus, include_split: bool = True) -> None:
+    """One line per row, the bytes json.dumps writes for {"ingredients": [{"id", "grams"} per
+    present ingredient], "split" if include_split}; 256 rows at a time, so memory stays flat."""
+    ids = [f'{{"id": {json.dumps(i)}, "grams": ' for i in corpus.vocabulary.ids]
+    tails = {s: f', "split": {json.dumps(s)}' if include_split else "" for s in set(corpus.splits)}
     with open(path, "w") as fh:
-        for row, split in zip(corpus.grams, corpus.splits):
-            obj: dict = {"ingredients": [{"id": i, "grams": g}
-                                         for i, g in corpus.vocabulary.items(row)]}
-            if include_split:
-                obj["split"] = split
-            fh.write(json.dumps(obj) + "\n")
+        for lo in range(0, len(corpus), 256):
+            block = corpus.grams[lo:lo + 256]
+            present = block > 0
+            cells = [f"{ids[j]}{g!r}}}" if g < math.inf else f"{ids[j]}{json.dumps(g)}}}"
+                     for j, g in zip(np.nonzero(present)[1].tolist(), block[present].tolist())]
+            ends = np.cumsum(present.sum(axis=1)).tolist()
+            fh.writelines(f'{{"ingredients": [{", ".join(cells[a:b])}]{tails[split]}}}\n'
+                          for a, b, split in zip([0, *ends], ends, corpus.splits[lo:lo + 256]))
 
 
 def write_vocabulary(path: str | Path, vocabulary: IngredientVocabulary) -> None:

@@ -106,28 +106,28 @@ def novelty_many(samples: np.ndarray, corpus: Corpus, block: int = 256) -> np.nd
     """Novelty of each row of an (n, K) grams matrix, block rows at a time.
 
     Exact, but only a few (sample, corpus row) pairs are checked in full.
-    SDS(a, b) >= H(a, b), the Hamming distance between the two presence
-    masks, because presence in exactly one recipe is one of the terms SDS
-    counts and the ratio term only adds. Per block, H comes from one
-    matrix product, |a| + |b| - 2 a.b on 0/1 floats (exact: every value is
-    an integer <= K). The exact SDS to each sample's Hamming-nearest
-    corpus row is an upper bound u on its novelty, and a row j can only
-    lower it if H(sample, j) < u; SDS is computed for those pairs alone
-    and reduced with a running minimum. Candidate pairs are evaluated in
-    slices of at most block * N / 8, so even when every pair is a
-    candidate a block holds less memory than a dense (block, N, K) SDS.
+    SDS(a, b) >= H(a, b), the Hamming distance between the two presence masks,
+    because presence in exactly one recipe is one of the terms SDS counts and
+    the ratio term only adds. Per block, H comes from one matrix product,
+    |a| + |b| - 2 a.b on 0/1 float32s: exact, because every value is an integer
+    <= K, and half the bytes of float64. The exact SDS to each sample's
+    Hamming-nearest corpus row is an upper bound u on its novelty, and a row j
+    can only lower it if H(sample, j) < u; SDS is computed for those pairs
+    alone and reduced with a running minimum. Candidate pairs are evaluated in
+    slices of at most block * N / 8, so even when every pair is a candidate a
+    block holds less memory than a dense (block, N, K) SDS.
     """
     if len(corpus) == 0:
         raise DataError("novelty undefined against an empty corpus")
     W = corpus.grams
-    P = (W > 0).astype(float)
+    P = (W > 0).astype(np.float32)
     sizes = P.sum(axis=1)
     N = len(W)
     step = max(1, block * N // 8)
     out = np.zeros(len(samples), dtype=int)
     for lo in range(0, len(samples), block):
         S = samples[lo:lo + block]
-        Ps = (S > 0).astype(float)
+        Ps = (S > 0).astype(np.float32)
         ham = Ps @ P.T
         ham *= -2.0
         ham += Ps.sum(axis=1)[:, None]
@@ -233,12 +233,11 @@ def _top_fraction(batch: np.ndarray, top_fraction: float, score_of) -> np.ndarra
     return np.sort(np.argsort(-score_of(batch), kind="stable")[:k])
 
 
-def discover_novel(batch: np.ndarray, corpus: Corpus, min_sds: int) -> DiscoveryResult:
-    """Most repeated row of the (n, K) grams batch among those with
-    novelty >= min_sds."""
+def discover_novel(batch: np.ndarray, nov: np.ndarray, min_sds: int) -> DiscoveryResult:
+    """Most repeated row of the (n, K) grams batch among those whose
+    novelty in nov, one int per row as novelty_many gives it, is >= min_sds."""
     if len(batch) == 0:
         raise DataError("batch is empty")
-    nov = novelty_many(batch, corpus)
     keep = np.flatnonzero(nov >= min_sds)
     if not keep.size:
         raise DataError(f"no sample has novelty >= {min_sds}")

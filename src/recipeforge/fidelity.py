@@ -19,6 +19,7 @@ from .discovery import check_models
 from .errors import DataError
 from .mask_diffusion import MaskDiffusionModel, sample_masks
 from .quantity_diffusion import QuantityScoreModel, reverse_sample_batch
+from .scoring import _pattern_keys
 
 
 def marginal_error(samples: np.ndarray, corpus: np.ndarray) -> float:
@@ -45,12 +46,6 @@ def length_distance(samples, corpus) -> float:
     """Total-variation distance between ingredient-count histograms."""
     pa, pb = _length_hists(samples, corpus)
     return float(0.5 * np.abs(pa - pb).sum())
-
-
-def _pattern_keys(masks: np.ndarray) -> np.ndarray:
-    """One key per row of an (n, K) mask set: its presence bits packed into one bytes value."""
-    packed = np.packbits(masks > 0, axis=1)
-    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
 def mode_recall(samples: np.ndarray, corpus: np.ndarray) -> float | None:

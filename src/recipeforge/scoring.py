@@ -55,30 +55,38 @@ class SDSGroup:
     founder_index: int  # row of the group's first member, its representative
 
 
+def _pattern_keys(masks: np.ndarray) -> np.ndarray:
+    """One key per row of an (n, K) mask set: its presence bits packed into one bytes value."""
+    packed = np.packbits(masks > 0, axis=1)
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+
+
 def group_recipes(samples: np.ndarray) -> list[SDSGroup]:
     """Greedy leader clustering at SDS = 0 of the rows of an (n, K) grams
     matrix, in row order.
 
     Each row joins the first existing group whose founder row is at
     SDS = 0, else founds a new group. SDS = 0 requires identical presence
-    (grams > 0), so founders are bucketed by presence; within a bucket
-    only the weight ratio rule decides. Output is sorted by count
+    (grams > 0), so rows are bucketed by presence pattern in one np.unique
+    pass. A bucket of one row is a group of one; in a larger one the
+    earliest remaining row founds a group that every remaining row at
+    SDS = 0 to it joins, and the rest repeat. Output is sorted by count
     descending, ties broken by earliest founder.
     """
     if len(samples) == 0:
         raise DataError("cannot group an empty sample list")
-    buckets: dict[bytes, list[int]] = {}  # presence pattern -> founder rows
-    founded: dict[int, SDSGroup] = {}
-    for i, w in enumerate(samples):
-        founders = buckets.setdefault(np.packbits(w > 0).tobytes(), [])
-        if founders:
-            hits = np.flatnonzero(_sds_rows(w, samples[founders]) == 0)
-            if hits.size:
-                founded[founders[hits[0]]].count += 1
-                continue
-        founders.append(i)
-        founded[i] = SDSGroup(count=1, founder_index=i)
-    return sorted(founded.values(), key=lambda g: (-g.count, g.founder_index))
+    _, first, bucket, sizes = np.unique(_pattern_keys(samples), return_index=True,
+                                        return_inverse=True, return_counts=True)
+    groups = [(1, f) for f in first[sizes == 1].tolist()]
+    by_bucket, ends = np.argsort(bucket, kind="stable"), np.cumsum(sizes)
+    for b in np.flatnonzero(sizes > 1):
+        rest = by_bucket[ends[b] - sizes[b]:ends[b]]
+        while rest.size:
+            same = _sds_rows(samples[rest], samples[rest[0]]) == 0
+            same[0] = True  # its founder, though a row with an infinite gram is at SDS 1 to itself
+            groups.append((int(same.sum()), int(rest[0])))
+            rest = rest[~same]
+    return [SDSGroup(c, f) for c, f in sorted(groups, key=lambda g: (-g[0], g[1]))]
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +215,18 @@ class NutrientTable:
 
     def amounts(self, weights: np.ndarray, fields: list[str]) -> np.ndarray:
         """(n, len(fields)) totals for each weight-matrix row."""
+        return self._hectograms(weights) @ self._columns(fields)
+
+    def _hectograms(self, weights: np.ndarray) -> np.ndarray:
+        """The (n, K) matrix of weights / 100 of a weight matrix or (K,) row."""
         weights = np.atleast_2d(np.asarray(weights, dtype=float))
         if weights.shape[1] != self.vocabulary.K:
             raise DataError("recipe does not match nutrient table vocabulary")
+        return weights / 100.0
+
+    def _columns(self, fields: list[str]) -> np.ndarray:
         # take copies C-ordered; values[:, idx] is F-ordered, and BLAS rounds it otherwise
-        mat = self.values.take([NUTRIENT_FIELDS.index(f) for f in fields], axis=1)
-        return (weights / 100.0) @ mat
+        return self.values.take([NUTRIENT_FIELDS.index(f) for f in fields], axis=1)
 
 
 def load_nutrient_table(path: str | Path, vocabulary: IngredientVocabulary) -> NutrientTable:
@@ -290,31 +304,31 @@ def hei_components_matrix(weights: np.ndarray, table: NutrientTable,
     unsaturated/saturated fat ratio), which that scaling leaves
     invariant.
     """
-    weights = np.atleast_2d(np.asarray(weights, dtype=float))
-    energy = table.amounts(weights, ["kcal_per_100g"])[:, 0]
+    hectograms = table._hectograms(weights)  # once for the 15 one-column products
+
+    def total(field: str) -> np.ndarray:
+        return (hectograms @ table._columns([field]))[:, 0]
+
+    energy = total("kcal_per_100g")
     if (energy <= 0).any():
         raise DataError("healthy eating index undefined for a zero-energy recipe")
-    scores = np.zeros((weights.shape[0], len(standards)))
+    scores = np.zeros((len(hectograms), len(standards)))
     for c, std in enumerate(standards):
         if std.component in _HEI_DENSITY_FIELDS:
-            amt = table.amounts(weights, [_HEI_DENSITY_FIELDS[std.component]])[:, 0]
-            value = amt * 1000.0 / energy
+            value = total(_HEI_DENSITY_FIELDS[std.component]) * 1000.0 / energy
         elif std.component == "fatty_acids":
-            unsat = table.amounts(weights, ["unsaturated_fat_g_per_100g"])[:, 0]
-            sat = table.amounts(weights, ["saturated_fat_g_per_100g"])[:, 0]
+            unsat = total("unsaturated_fat_g_per_100g")
+            sat = total("saturated_fat_g_per_100g")
             # zero saturated fat: max ratio credit if any unsaturated fat, else none
             with np.errstate(divide="ignore", invalid="ignore"):
                 value = np.where(sat > 0, unsat / np.where(sat > 0, sat, 1.0),
                                  np.where(unsat > 0, std.max_at, std.zero_at))
         elif std.component == "sodium":
-            amt = table.amounts(weights, ["sodium_mg_per_100g"])[:, 0]
-            value = amt / 1000.0 * 1000.0 / energy  # grams per 1000 kcal
+            value = total("sodium_mg_per_100g") / 1000.0 * 1000.0 / energy  # grams per 1000 kcal
         elif std.component == "added_sugars":
-            amt = table.amounts(weights, ["added_sugars_g_per_100g"])[:, 0]
-            value = amt * 4.0 / energy * 100.0  # percent of energy
+            value = total("added_sugars_g_per_100g") * 4.0 / energy * 100.0  # percent of energy
         else:  # saturated_fats, the last of the 13 load_hei_standards admits
-            amt = table.amounts(weights, ["saturated_fat_g_per_100g"])[:, 0]
-            value = amt * 9.0 / energy * 100.0
+            value = total("saturated_fat_g_per_100g") * 9.0 / energy * 100.0
         scores[:, c] = _component_score(std, value)
     return scores
 

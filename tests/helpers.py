@@ -3,9 +3,10 @@
 Closed-form kernels of the two diffusion models (the mask sampler's
 reverse kernel among them, evaluated from the posterior formula), small
 untrained models for sample-stream checks, a finite-difference gradient
-check for netcore networks, a per-layer reference training step, and
-the inclusion marginals a synth spec implies. The program
-never calls them; the tests compare its vectorised code against them.
+check for netcore networks, a per-layer reference training step, the
+inclusion marginals a synth spec implies, and SDS-0 grouping one row at
+a time. The program never calls them; the tests compare its vectorised
+code against them.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from recipeforge import mask_diffusion as md
 from recipeforge import netcore
 from recipeforge import quantity_diffusion as qd
+from recipeforge import scoring
 from recipeforge.corpus import SynthSpec
 from recipeforge.errors import NumericError
 from recipeforge.mask_diffusion import NoiseSchedule
@@ -239,3 +241,21 @@ def expected_marginals(spec: SynthSpec) -> np.ndarray:
         for ing in items:
             out[vocab.index_of(ing)] += f
     return out
+
+
+def group_recipes_loop(samples: np.ndarray) -> list[scoring.SDSGroup]:
+    """scoring.group_recipes one row at a time: each row joins the first
+    group, in founding order, whose founder is at SDS = 0 to it among the
+    founders of its presence pattern, else founds a new group."""
+    buckets: dict[bytes, list[int]] = {}  # presence pattern -> founder rows
+    founded: dict[int, scoring.SDSGroup] = {}
+    for i, w in enumerate(samples):
+        founders = buckets.setdefault(np.packbits(w > 0).tobytes(), [])
+        if founders:
+            hits = np.flatnonzero(scoring._sds_rows(w, samples[founders]) == 0)
+            if hits.size:
+                founded[founders[hits[0]]].count += 1
+                continue
+        founders.append(i)
+        founded[i] = scoring.SDSGroup(count=1, founder_index=i)
+    return sorted(founded.values(), key=lambda g: (-g.count, g.founder_index))

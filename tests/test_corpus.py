@@ -453,6 +453,34 @@ def test_synthesize_rejects_grams_that_underflow_or_overflow(log_mean, how):
                             f"grams drawn for cheese {how}")
 
 
+# subnormal, huge, integral and ordinary grams, and absent cells
+_WRITTEN_GRAMS = st.one_of(st.just(0.0), st.floats(5e-324, 2e-308), st.floats(1e300, 1.7e308),
+                           st.integers(1, 10**6).map(float), st.floats(0.0, 1e4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.text(min_size=1, max_size=6), min_size=1, max_size=5).flatmap(
+           lambda ids: st.tuples(st.just(sorted(ids)), st.lists(st.tuples(
+               st.lists(_WRITTEN_GRAMS, min_size=len(ids), max_size=len(ids)),
+               st.sampled_from([cp.TRAIN, cp.VALIDATION])), min_size=1, max_size=6))),
+       st.booleans(), st.sampled_from([1, 97]))
+def test_write_corpus_writes_json_dumps_bytes(table, include_split, repeats):
+    # ids are any text: quotes, backslashes, control and non-ASCII characters;
+    # 97 repeats of up to 6 rows cross the writer's 256-row blocks at varied offsets
+    ids, rows = table
+    rows = rows * repeats
+    corpus = cp.Corpus(vocabulary=cp.IngredientVocabulary(tuple((i, i) for i in ids)),
+                       grams=[g for g, _ in rows], splits=[s for _, s in rows])
+    want = "".join(json.dumps({"ingredients": [{"id": i, "grams": g}
+                                               for i, g in zip(ids, grams) if g > 0],
+                               **({"split": split} if include_split else {})}) + "\n"
+                   for grams, split in rows)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "c.jsonl"
+        cp.write_corpus(path, corpus, include_split=include_split)
+        assert path.read_bytes() == want.encode()
+
+
 def test_synthesize_split_partition():
     spec = small_spec(n=1000)
     corpus = cp.synthesize_corpus(spec, seed=1, val_fraction=0.2)

@@ -364,7 +364,7 @@ def test_discover_novel_min_zero_is_most_repeated():
     common = recipe([150.0, 75.0, 25.0, 0.0])
     rare = recipe([0.0, 75.0, 25.0, 10.0])
     batch = batch_of([rare] + [common] * 4)
-    result = dc.discover_novel(batch, corpus, min_sds=0)
+    result = dc.discover_novel(batch, dc.novelty_many(batch, corpus), min_sds=0)
     np.testing.assert_array_equal(result.selected, common)
     assert result.group_count == 4
     assert result.popularity == pytest.approx(0.8)
@@ -374,7 +374,7 @@ def test_discover_novel_unsatisfiable():
     corpus = small_corpus()
     batch = batch_of([corpus.grams[0]] * 3)
     with pytest.raises(DataError):
-        dc.discover_novel(batch, corpus, min_sds=VOCAB.K + 1)
+        dc.discover_novel(batch, dc.novelty_many(batch, corpus), min_sds=VOCAB.K + 1)
 
 
 def test_discover_novel_planted_cluster():
@@ -382,7 +382,7 @@ def test_discover_novel_planted_cluster():
     novel = recipe([40.0, 0.0, 90.0, 55.0])  # far from every corpus recipe
     boring = corpus.grams[0]
     batch = batch_of([boring] * 6 + [novel] * 3)
-    result = dc.discover_novel(batch, corpus, min_sds=3)
+    result = dc.discover_novel(batch, dc.novelty_many(batch, corpus), min_sds=3)
     np.testing.assert_array_equal(result.selected, novel)
     assert result.novelty_sds == dc.novelty(novel, corpus) >= 3
     assert result.group_count == 3
@@ -392,7 +392,7 @@ def test_discover_novel_reports_the_founder_novelty():
     corpus = small_corpus()
     near = recipe([150.0, 75.0, 25.0, 10.0])  # corpus row 0 plus onion: novelty 1
     batch = batch_of([corpus.grams[0], recipe([40.0, 0.0, 90.0, 55.0]), near, near])
-    result = dc.discover_novel(batch, corpus, min_sds=1)
+    result = dc.discover_novel(batch, dc.novelty_many(batch, corpus), min_sds=1)
     np.testing.assert_array_equal(result.selected, near)
     assert result.novelty_sds == dc.novelty(near, corpus) == 1
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recipeforge import discovery, scoring
 from recipeforge.corpus import Corpus, IngredientVocabulary
 from recipeforge.errors import DataError
+from helpers import group_recipes_loop
 
 
 def recipe(weights) -> np.ndarray:
@@ -174,6 +175,26 @@ def test_group_counts_sum_and_membership():
         assert any(scoring.sds(r, rs[g.founder_index]) == 0 for g in groups)
 
 
+# x, 2x and just under 2x; 100 ~ 150 ~ 225 is a chain with 100 !~ 225
+_GROUP_GRAMS = [0.0, 100.0, 150.0, 225.0, float(np.nextafter(200.0, 0.0)), 200.0, 300.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda K: st.lists(
+           st.lists(st.sampled_from(_GROUP_GRAMS), min_size=K, max_size=K), min_size=1, max_size=8)),
+       st.lists(st.integers(0, 7), min_size=1, max_size=40))
+@example([[100.0]], [0])  # n = 1, K = 1
+@example([[0.0, 0.0], [100.0, 0.0]], [0, 1, 0, 0, 1])  # all-absent rows
+@example([[225.0], [100.0], [150.0]], [0, 1, 2, 1, 0, 2])  # the chain, in both orders
+@example([[np.inf], [100.0]], [0, 1, 0])  # an infinite gram is at SDS 1 to itself
+def test_group_recipes_matches_the_row_loop(pool, picks):
+    # rows repeat: each is a pick from a pool of at most 8
+    samples = np.array([pool[i % len(pool)] for i in picks])
+    groups = scoring.group_recipes(samples)
+    assert groups == group_recipes_loop(samples)
+    assert all(type(g.count) is int and type(g.founder_index) is int for g in groups)
+
+
 def test_group_first_match_wins():
     # second sample is SDS-0 to the first founder, so no new group
     groups = scoring.group_recipes(np.array([[100.0], [199.0], [150.0]]))
@@ -186,9 +207,10 @@ def test_popularity_values():
                     grams=[[1000.0]], splits=["train"])
     for grams, share in (([100.0] * 5 + [400.0] * 3, 5 / 8), ([100.0] * 7, 1.0)):
         batch = np.array(grams)[:, None]
-        assert discovery.discover_novel(batch, corpus, min_sds=0).popularity == share
+        nov = discovery.novelty_many(batch, corpus)
+        assert discovery.discover_novel(batch, nov, min_sds=0).popularity == share
     with pytest.raises(DataError):
-        discovery.discover_novel(np.zeros((0, 1)), corpus, min_sds=0)
+        discovery.discover_novel(np.zeros((0, 1)), np.zeros(0, dtype=int), min_sds=0)
 
 
 # ---------------------------------------------------------------------------
