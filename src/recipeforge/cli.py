@@ -186,12 +186,24 @@ def _write_json(path: Path, payload: dict, chash: str) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list], chash: str) -> None:
+def _write_csv(path: Path, header: list[str], rows, chash: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# config_hash={chash}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(x) for x in row))
+    lines = [f"# config_hash={chash}", ",".join(header), *(",".join(map(str, r)) for r in rows)]
     path.write_text("\n".join(lines) + "\n")
+
+
+def _write_groups(path: Path, batch: np.ndarray, columns: dict, chash: str) -> int:
+    """The one writer of the five batch commands' group tables; returns the group count. A row
+    per SDS-0 group of the batch: its count, its share of the batch, then per named column the
+    score that column's function, given all founders' rows, gives the group's founder."""
+    if len(batch) == 0:
+        raise DataError("batch is empty")
+    groups = scoring.group_recipes(batch)
+    counts, founders = [g.count for g in groups], [g.founder_index for g in groups]
+    scores = [score_of(founders).tolist() for score_of in columns.values()]
+    _write_csv(path, ["group_index", "count", "popularity", *columns],
+               zip(range(len(groups)), counts, [c / len(batch) for c in counts], *scores), chash)
+    return len(groups)
 
 
 def _file_fingerprint(path: Path) -> str:
@@ -372,10 +384,10 @@ def cmd_rediscover(cfg: dict, out_dir: Path, chash: str) -> int:
     return 0
 
 
-# The batch-scoring commands differ only in how they pick a group. Each
-# picker takes (cfg, out_dir, batch, vocab) and returns the DiscoveryResult,
-# the scorer of the group table (founders' rows of the batch -> scores) and
-# any extra fields of the selection JSON.
+# The selection commands differ only in how they pick a group. Each picker
+# takes (cfg, out_dir, batch, vocab) and returns the DiscoveryResult, the
+# scorer of its group-table column (founders' rows of the batch -> scores)
+# and any extra fields of the selection JSON.
 
 def _pick_novel(cfg: dict, out_dir: Path, batch: np.ndarray, vocab):
     nov = discovery.novelty_many(batch, _load_corpus(cfg["paths.corpus"], out_dir, vocab))
@@ -428,8 +440,8 @@ _SELECTIONS = {
 
 
 def cmd_select(cfg: dict, out_dir: Path, chash: str) -> int:
-    """A batch-scoring command: load the batch, pick a group, annotate its novelty, write the
-    selection JSON and the group score table (discover's reads the novelty its pick computed)."""
+    """A selection command: load the batch, pick a group, annotate its novelty, write the
+    selection JSON and the group table of its score (discover's reads its pick's novelty)."""
     command = cfg["run.command"]
     pick, column, annotate, summary = _SELECTIONS[command]
     batch, vocab, source = _get_batch(cfg, out_dir)
@@ -439,11 +451,8 @@ def cmd_select(cfg: dict, out_dir: Path, chash: str) -> int:
                                                _load_corpus(cfg["paths.corpus"], out_dir, vocab))
     _write_json(out_dir / "selections" / f"{command.replace('-', '_')}.json",
                 {**result.to_dict(vocab), "source": source, **extra}, chash)
-    groups = scoring.group_recipes(batch)
-    scores = score_of([g.founder_index for g in groups])
-    _write_csv(out_dir / "reports" / f"{command.removeprefix('select-')}_groups.csv",
-               ["group_index", "count", "popularity", column],
-               [[i, g.count, g.count / len(batch), scores[i]] for i, g in enumerate(groups)], chash)
+    _write_groups(out_dir / "reports" / f"{command.removeprefix('select-')}_groups.csv", batch,
+                  {column: score_of}, chash)
     print(f"{command}: {summary.format(r=result)}")
     return 0
 
@@ -455,19 +464,18 @@ def cmd_validate(cfg: dict, out_dir: Path, chash: str) -> int:
                                       cfg["run.seed"], top_k=cfg["fidelity.top_k"],
                                       threads=cfg["run.threads"])
     _write_json(out_dir / "reports" / "fidelity.json", {**report.to_dict(), **fingerprints}, chash)
-    ids = loaded.vocabulary.ids
     _write_csv(out_dir / "reports" / "marginals.csv",
                ["ingredient_id", "corpus_marginal", "sample_marginal"],
-               [[ids[i], report.corpus_marginals[i], report.sample_marginals[i]]
-                for i in range(len(ids))], chash)
+               zip(loaded.vocabulary.ids, report.corpus_marginals.tolist(),
+                   report.sample_marginals.tolist()), chash)
     _write_csv(out_dir / "reports" / "correlations.csv",
                ["ingredient_a", "ingredient_b", "corpus_corr", "sample_corr", "difference"],
                [[p.id_a, p.id_b, p.corpus_corr, p.sample_corr, p.difference]
                 for p in report.top_pairs], chash)
     _write_csv(out_dir / "reports" / "length_hist.csv",
                ["ingredient_count", "corpus_fraction", "sample_fraction"],
-               [[i, report.corpus_length_hist[i], report.sample_length_hist[i]]
-                for i in range(len(report.corpus_length_hist))], chash)
+               zip(range(len(report.corpus_length_hist)), report.corpus_length_hist.tolist(),
+                   report.sample_length_hist.tolist()), chash)
     mae, recall = report.quantity_mae_grams, report.mode_recall
     print(f"fidelity: max marginal err {report.max_marginal_error:.4f}, "
           f"quantity MAE {'n/a' if mae is None else f'{mae:.1f} g'}, "
@@ -479,15 +487,15 @@ def cmd_validate(cfg: dict, out_dir: Path, chash: str) -> int:
 def cmd_landscape(cfg: dict, out_dir: Path, chash: str) -> int:
     batch, vocab, _ = _get_batch(cfg, out_dir)
     loaded = _load_corpus(cfg["paths.corpus"], out_dir, vocab)
-    rows = discovery.landscape_map(batch, _load_impact(cfg, vocab),
-                                   _load_nutrients(cfg, vocab), loaded, _load_standards(cfg))
-    _write_csv(out_dir / "reports" / "landscape.csv",
-               ["group_index", "count", "popularity", "env_score", "hei_total", "novelty_sds"],
-               [[r.group_index, r.count, r.popularity, r.env_score, r.hei_total, r.novelty_sds]
-                for r in rows], chash)
+    impact, nutrients, standards = (_load_impact(cfg, vocab), _load_nutrients(cfg, vocab),
+                                    _load_standards(cfg))
+    groups = _write_groups(out_dir / "reports" / "landscape.csv", batch, {
+        "env_score": lambda rows: scoring.env_impact_scores(batch[rows], impact),
+        "hei_total": lambda rows: scoring.hei_totals(batch[rows], nutrients, standards),
+        "novelty_sds": lambda rows: discovery.novelty_many(batch[rows], loaded)}, chash)
     _write_json(out_dir / "reports" / "landscape.meta.json",
-                {"groups": len(rows), "samples": len(batch)}, chash)
-    print(f"landscape: {len(rows)} groups over {len(batch)} samples")
+                {"groups": groups, "samples": len(batch)}, chash)
+    print(f"landscape: {groups} groups over {len(batch)} samples")
     return 0
 
 

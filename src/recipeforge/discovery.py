@@ -11,13 +11,14 @@ is constant in the budget and an early match costs about what it costs
 chunk by chunk. The selections reproduce the discovery recipes:
 novelty-filtered repetition counting, lowest-decile environmental,
 top-fraction nutrition and personalized selection; each returns the
-founder of a group of the batch, a (K,) grams row.
+founder of a group of the batch, a (K,) grams row. The CLI writes the
+group tables, landscape included, from these scorers and group_recipes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,7 +40,7 @@ _WINDOW_ROWS = 512
 
 @dataclass
 class DiscoveryResult:
-    selected: np.ndarray  # (K,) grams row of the chosen group's founder
+    selected: np.ndarray = field(repr=False)  # the founder's (K,) grams, to_dict's ingredients
     rule: str
     group_count: int
     total_samples: int
@@ -49,16 +50,9 @@ class DiscoveryResult:
     hei_total: float | None = None
 
     def to_dict(self, vocabulary) -> dict:
-        return {
-            "rule": self.rule,
-            "ingredients": [{"id": i, "grams": g} for i, g in vocabulary.items(self.selected)],
-            "group_count": self.group_count,
-            "total_samples": self.total_samples,
-            "popularity": self.popularity,
-            "novelty_sds": self.novelty_sds,
-            "env_score": self.env_score,
-            "hei_total": self.hei_total,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
+        doc["ingredients"] = [{"id": i, "grams": g} for i, g in vocabulary.items(self.selected)]
+        return doc
 
 
 def check_models(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreModel) -> None:
@@ -290,33 +284,3 @@ def select_personalized(batch: np.ndarray, profile: PersonProfile, table: Nutrie
         batch, top_fraction, lambda grams: personalized_scores(grams, profile, table, meal_fraction))
     return _select(batch, keep, f"select_personalized(top={top_fraction}, age={profile.age}, "
                                 f"sex={profile.sex})")[0]
-
-
-@dataclass
-class LandscapeRow:
-    group_index: int
-    count: int
-    popularity: float
-    env_score: float
-    hei_total: float
-    novelty_sds: int
-
-
-def landscape_map(batch: np.ndarray, impact: ImpactTable, nutrients: NutrientTable,
-                  corpus: Corpus,
-                  standards: list[HEIComponentStandard] | None = None) -> list[LandscapeRow]:
-    """One row per SDS-0 group: popularity, impact, nutrition, novelty."""
-    if len(batch) == 0:
-        raise DataError("batch is empty")
-    groups = group_recipes(batch)
-    W = batch[[g.founder_index for g in groups]]
-    env = env_impact_scores(W, impact)
-    hei = hei_totals(W, nutrients, standards)
-    nov = novelty_many(W, corpus)
-    total = len(batch)
-    return [
-        LandscapeRow(group_index=g_i, count=g.count, popularity=g.count / total,
-                     env_score=float(env[g_i]), hei_total=float(hei[g_i]),
-                     novelty_sds=int(nov[g_i]))
-        for g_i, g in enumerate(groups)
-    ]

@@ -10,7 +10,7 @@ data.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -129,19 +129,12 @@ class FidelityReport:
     sample_length_hist: np.ndarray = field(repr=False, default=None)
 
     def to_dict(self) -> dict:
-        return {
-            "max_marginal_error": self.max_marginal_error,
-            "quantity_mae_grams": self.quantity_mae_grams,
-            "length_total_variation": self.length_total_variation,
-            "mode_recall": self.mode_recall,
-            "sample_count": self.sample_count,
-            "corpus_count": self.corpus_count,
-            "top_pairs": [
-                {"a": p.id_a, "b": p.id_b, "corpus_corr": p.corpus_corr,
-                 "sample_corr": p.sample_corr, "difference": p.difference}
-                for p in self.top_pairs
-            ],
-        }
+        """The repr-visible fields, the top pairs as objects; the arrays go to the CSVs."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
+        doc["top_pairs"] = [{"a": p.id_a, "b": p.id_b, "corpus_corr": p.corpus_corr,
+                             "sample_corr": p.sample_corr, "difference": p.difference}
+                            for p in self.top_pairs]
+        return doc
 
 
 def top_correlated_pairs(corr: np.ndarray, k: int) -> list[tuple[int, int]]:

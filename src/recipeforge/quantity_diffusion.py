@@ -177,7 +177,10 @@ def decode_weights(encoded, mask, codec: WeightCodec) -> np.ndarray:
         raise DataError("non-finite encoded weight value")
     mean, std = _active_codec(codec, active)
     grams = np.zeros_like(z)
-    grams[active] = np.maximum(1.0, np.round(np.exp(std * z[active] + mean)))
+    with np.errstate(over="ignore"):
+        grams[active] = np.maximum(1.0, np.round(np.exp(std * z[active] + mean)))
+    if np.isinf(grams).any():
+        raise NumericError("decoded grams overflow to inf")
     return grams
 
 

@@ -83,6 +83,30 @@ def test_corrupt_checkpoint_is_numeric_error(pipeline, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("command, args", [
+    ("sample", ["--count", "64"]),
+    ("discover", ["--count", "64", "--corpus", "@corpus", "--min-sds", "0"]),
+    ("rediscover", ["--reference", "@reference", "--budget", "64"]),
+])
+def test_grams_that_overflow_are_numeric_errors(pipeline, tmp_path, capsys, command, args):
+    doc = json.loads((pipeline / "checkpoints" / "quantity_model.json").read_text())
+    doc["net"]["weights"] = [[3000 * w for w in layer] for layer in doc["net"]["weights"]]
+    bad = tmp_path / "scaled_quantity.json"
+    bad.write_text(json.dumps(doc))
+    reference = tmp_path / "reference.jsonl"
+    reference.write_text((pipeline / "corpus.jsonl").read_text().splitlines()[0] + "\n")
+    paths = {"@corpus": str(pipeline / "corpus.jsonl"), "@reference": str(reference)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.run([command, *[paths.get(a, a) for a in args], "--out-dir", str(tmp_path),
+                        "--mask-model", str(pipeline / "checkpoints" / "mask_model.json"),
+                        "--quantity-model", str(bad),
+                        "--vocabulary", str(pipeline / "vocabulary.json"),
+                        "--seed", "1", "--set", "sde.steps=80"])
+    assert code == 3
+    assert "numeric failure: decoded grams overflow to inf" in capsys.readouterr().err
+
+
 def test_pipeline_outputs_exist(pipeline):
     assert (pipeline / "checkpoints" / "mask_model.json").exists()
     assert (pipeline / "checkpoints" / "quantity_model.json").exists()

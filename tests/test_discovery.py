@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,17 @@ def test_rediscover_earlier_hit_wins_over_a_later_blow_up(monkeypatch):
     np.testing.assert_array_equal(out.recipe, grams[29])
     with pytest.raises(NumericError, match="chunk 4$"):
         dc.rediscover(mask_model, qty_model, np.zeros(mask_model.K), 64, 6, chunk_size=8)
+
+
+def test_generate_batch_raises_numeric_error_when_grams_overflow():
+    # finite weights, 3,000 times too large: the score is finite, its decoded grams are not
+    mask_model, qty_model = random_models()
+    for w in qty_model.net.weights:
+        w *= 3000.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="decoded grams overflow to inf"):
+            dc.generate_batch(mask_model, qty_model, 64, seed=1, chunk_size=64)
 
 
 def test_generate_batch_rejects_vocabulary_mismatch(trained_models):
@@ -479,31 +491,3 @@ def test_select_personalized_dominant_recipe_wins_for_both_profiles(tmp_path):
     for profile in (teen, senior):
         result = dc.select_personalized(batch, profile, table, 0.5)
         np.testing.assert_array_equal(result.selected, balanced)
-
-
-def test_landscape_single_recipe(tmp_path):
-    impact = impact_table(tmp_path)
-    nutrients = nutrient_table(tmp_path)
-    corpus = small_corpus()
-    rows = dc.landscape_map(batch_of([corpus.grams[0]]), impact, nutrients, corpus)
-    assert len(rows) == 1
-    assert rows[0].count == 1 and rows[0].novelty_sds == 0
-
-
-def test_landscape_row_count_matches_groups(tmp_path):
-    impact = impact_table(tmp_path)
-    nutrients = nutrient_table(tmp_path)
-    corpus = small_corpus()
-    rng = np.random.default_rng(9)
-    samples = []
-    for _ in range(60):
-        w = np.where(rng.random(4) < 0.6, rng.choice([40.0, 90.0, 200.0], 4), 0.0)
-        if not (w > 0).any():
-            w[1] = 75.0
-        samples.append(recipe(w))
-    batch = batch_of(samples)
-    rows = dc.landscape_map(batch, impact, nutrients, corpus)
-    groups = scoring.group_recipes(batch)
-    assert len(rows) == len(groups)
-    assert sum(r.count for r in rows) == 60
-    assert all(0 <= r.hei_total <= 100 for r in rows)

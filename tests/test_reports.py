@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 
 import recipeforge
-from recipeforge import cli, netcore
+from recipeforge import cli, netcore, scoring
 from recipeforge import mask_diffusion as md
 from recipeforge import quantity_diffusion as qd
-from recipeforge.corpus import load_vocabulary
+from recipeforge.corpus import load_corpus, load_vocabulary
 
 DESK = Path(recipeforge.__file__).parent / "data" / "desk"
 
@@ -82,9 +82,14 @@ def _batch(root: Path, samples: Path, out: Path) -> list:
             "--out-dir", out]
 
 
-def _save_untrained_models(root: Path) -> list:
-    """Untrained mask and quantity checkpoints over the run's vocabulary,
-    and the flags that pass them."""
+def _models(root: Path) -> list:
+    return ["--mask-model", root / "checkpoints" / "mask_model.json",
+            "--quantity-model", root / "checkpoints" / "quantity_model.json",
+            "--vocabulary", root / "vocabulary.json", "--set", "sde.steps=20"]
+
+
+def _save_untrained_models(root: Path) -> None:
+    """Untrained mask and quantity checkpoints over the run's vocabulary."""
     vocab = load_vocabulary(root / "vocabulary.json")
     K, fingerprint = vocab.K, vocab.fingerprint()
     mask = md.MaskDiffusionModel(
@@ -96,9 +101,6 @@ def _save_untrained_models(root: Path) -> list:
     (root / "checkpoints").mkdir()
     md.save_mask_model(root / "checkpoints" / "mask_model.json", mask, seed_lineage=[1])
     qd.save_quantity_model(root / "checkpoints" / "quantity_model.json", qty, seed_lineage=[2])
-    return ["--mask-model", root / "checkpoints" / "mask_model.json",
-            "--quantity-model", root / "checkpoints" / "quantity_model.json",
-            "--vocabulary", root / "vocabulary.json", "--set", "sde.steps=20"]
 
 
 @pytest.fixture(scope="module")
@@ -114,8 +116,8 @@ def reports(tmp_path_factory):
     out = root / "out"
     for command, extra in BATCH_COMMANDS.items():
         run_ok([command, *_args(extra, root), *_batch(root, root / "batch.jsonl", out)])
-    models = _save_untrained_models(root)
-    run_ok(["validate", *models, "--corpus", root / "corpus.jsonl", "--count", "64",
+    _save_untrained_models(root)
+    run_ok(["validate", *_models(root), "--corpus", root / "corpus.jsonl", "--count", "64",
             "--seed", "3", "--out-dir", out])
     return root
 
@@ -135,3 +137,41 @@ def test_report_bytes_hold_their_pins(reports):
     digests = {p.relative_to(reports / "out").as_posix(): _digest(p)
                for p in _report_files(reports / "out")}
     assert digests == PINS
+
+
+def _columns(path: Path) -> dict[str, list[str]]:
+    """The columns of a group table, by header name, as written."""
+    header, *rows = path.read_text().splitlines()[1:]
+    return dict(zip(header.split(","), zip(*(r.split(",") for r in rows))))
+
+
+def test_group_tables_agree_with_the_landscape(reports):
+    out = reports / "out" / "reports"
+    landscape = _columns(out / "landscape.csv")
+    batch = load_corpus(reports / "batch.jsonl", load_vocabulary(reports / "vocabulary.json")).grams
+    assert len(landscape["group_index"]) == len(scoring.group_recipes(batch))
+    assert sum(int(c) for c in landscape["count"]) == len(batch)
+    assert all(0 <= float(h) <= 100 for h in landscape["hei_total"])
+    for table, column in (("sustainable_groups.csv", "env_score"),
+                          ("nutritious_groups.csv", "hei_total"),
+                          ("discover_groups.csv", "novelty_sds")):
+        groups = _columns(out / table)
+        assert list(groups) == ["group_index", "count", "popularity", column]
+        assert groups == {k: landscape[k] for k in groups}
+
+
+def test_one_recipe_is_one_group_at_novelty_zero(reports, tmp_path):
+    samples = tmp_path / "one.jsonl"
+    samples.write_text((reports / "corpus.jsonl").read_text().splitlines()[0] + "\n")
+    run_ok(["landscape", *_args(BATCH_COMMANDS["landscape"], reports),
+            *_batch(reports, samples, tmp_path)])
+    landscape = _columns(tmp_path / "reports" / "landscape.csv")
+    assert (landscape["count"], landscape["novelty_sds"]) == (("1",), ("0",))
+
+
+@pytest.mark.parametrize("command", ["landscape", "discover"])
+def test_an_empty_batch_is_a_data_error(reports, tmp_path, capsys, command):
+    code = cli.run([str(a) for a in [command, *_args(BATCH_COMMANDS[command], reports),
+                                     *_models(reports), "--count", "0", "--out-dir", tmp_path]])
+    assert code == 2
+    assert "data error: batch is empty" in capsys.readouterr().err
