@@ -13,14 +13,14 @@ depend on the BLAS kernels, as the pins of test_inner_loops do.
 import hashlib
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import recipeforge
-from recipeforge import cli, netcore, scoring
+from recipeforge import cli, scoring
 from recipeforge import mask_diffusion as md
 from recipeforge import quantity_diffusion as qd
 from recipeforge.corpus import load_corpus, load_vocabulary
+from helpers import random_models
 
 DESK = Path(recipeforge.__file__).parent / "data" / "desk"
 
@@ -91,13 +91,8 @@ def _models(root: Path) -> list:
 def _save_untrained_models(root: Path) -> None:
     """Untrained mask and quantity checkpoints over the run's vocabulary."""
     vocab = load_vocabulary(root / "vocabulary.json")
-    K, fingerprint = vocab.K, vocab.fingerprint()
-    mask = md.MaskDiffusionModel(
-        schedule=md.linear_schedule(10), net=netcore.init_network([K + 3, 8, K], 1), K=K,
-        base_logits=np.zeros(K), vocab_fingerprint=fingerprint)
-    codec = qd.WeightCodec(log_mean=np.full(K, np.log(100.0)), log_std=np.full(K, 0.5))
-    qty = qd.QuantityScoreModel(sde=qd.SDESpec(steps=20), net=netcore.init_network(
-        [2 * K + 3, 8, K], 2), codec=codec, K=K, vocab_fingerprint=fingerprint)
+    mask, qty = random_models(K=vocab.K, seed=1)
+    mask.vocab_fingerprint = qty.vocab_fingerprint = vocab.fingerprint()
     (root / "checkpoints").mkdir()
     md.save_mask_model(root / "checkpoints" / "mask_model.json", mask, seed_lineage=[1])
     qd.save_quantity_model(root / "checkpoints" / "quantity_model.json", qty, seed_lineage=[2])
