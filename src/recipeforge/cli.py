@@ -196,8 +196,6 @@ def _write_groups(path: Path, batch: np.ndarray, columns: dict, chash: str) -> i
     """The one writer of the five batch commands' group tables; returns the group count. A row
     per SDS-0 group of the batch: its count, its share of the batch, then per named column the
     score that column's function, given all founders' rows, gives the group's founder."""
-    if len(batch) == 0:
-        raise DataError("batch is empty")
     groups = scoring.group_recipes(batch)
     counts, founders = [g.count for g in groups], [g.founder_index for g in groups]
     scores = [score_of(founders).tolist() for score_of in columns.values()]
@@ -236,6 +234,8 @@ def _load_models(cfg: dict, out_dir: Path, vocab=None):
         if m.vocab_fingerprint != vocab.fingerprint():
             raise DataError(f"{p}: model/vocabulary mismatch: checkpoint was trained on a "
                             f"different ingredient vocabulary than {source}")
+        if m.K != vocab.K:
+            raise DataError(f"{p}: field K is {m.K}, expected {vocab.K}, the size of {source}")
     fingerprints = {"mask_model_fingerprint": _file_fingerprint(paths[0]),
                     "quantity_model_fingerprint": _file_fingerprint(paths[1])}
     return mask_model, qty_model, vocab, fingerprints
@@ -248,7 +248,7 @@ def _generate(cfg: dict, mask_model, qty_model) -> np.ndarray:
 
 def _get_batch(cfg: dict, out_dir: Path) -> tuple[np.ndarray, corpus_mod.IngredientVocabulary, dict]:
     """The batch's (n, K) grams matrix, its vocabulary and its provenance:
-    the seed and the checkpoint fingerprints ("" for a samples file)."""
+    the seed and the checkpoint fingerprints ("" for a samples file); DataError if it is empty."""
     if cfg["paths.samples"]:
         vocab = _load_vocabulary(cfg, out_dir)
         batch = _load_corpus(cfg["paths.samples"], out_dir, vocab).grams
@@ -256,20 +256,47 @@ def _get_batch(cfg: dict, out_dir: Path) -> tuple[np.ndarray, corpus_mod.Ingredi
     else:
         mask_model, qty_model, vocab, fingerprints = _load_models(cfg, out_dir)
         batch = _generate(cfg, mask_model, qty_model)
+    if len(batch) == 0:
+        raise DataError("batch is empty")
     return batch, vocab, {"seed": cfg["run.seed"], **fingerprints}
 
 
-def _load_impact(cfg: dict, vocab) -> scoring.ImpactTable:
-    norms = cfg["paths.impact_norms"] or None
-    return scoring.load_impact_table(cfg["paths.impact_table"], vocab, norms)
+def _profile(cfg: dict) -> scoring.PersonProfile:
+    # the profile.* keys are PersonProfile's fields
+    return scoring.PersonProfile(**{k.rpartition(".")[2]: v for k, v in cfg.items()
+                                    if k.startswith("profile.")})
 
 
-def _load_nutrients(cfg: dict, vocab) -> scoring.NutrientTable:
-    return scoring.load_nutrient_table(cfg["paths.nutrient_table"], vocab)
+# reported score: the config key of its input file
+_INPUTS = {"novelty_sds": "paths.corpus", "env_score": "paths.impact_table",
+           "hei_total": "paths.nutrient_table"}
 
 
-def _load_standards(cfg: dict):
-    return scoring.load_hei_standards(cfg["paths.hei_standards"] or None)
+def _scorer(cfg: dict, out_dir: Path, vocab, name: str):
+    """The score called name as a function of grams rows, with its input files loaded now.
+
+    Commands call a scorer on the rows they always scored: a ranking on the batch, or on
+    the rows holding the required ingredients; an annotation on the pick's (K,) row alone;
+    a group table on batch[founders]. The float scores round differently with the rows
+    scored beside a row and its place among them (hei_totals of a founder alone, within
+    batch[founders] and within the batch can differ in the last digit), so scoring other
+    rows, say one batch-wide vector for all three uses, would move report bytes.
+    """
+    if name == "novelty_sds":
+        corpus = _load_corpus(cfg["paths.corpus"], out_dir, vocab)
+        # a pick's (K,) row goes through novelty, rows through novelty_many
+        return lambda grams: (discovery.novelty(grams, corpus) if grams.ndim == 1
+                              else discovery.novelty_many(grams, corpus))
+    if name == "env_score":
+        impact = scoring.load_impact_table(cfg["paths.impact_table"], vocab,
+                                           cfg["paths.impact_norms"] or None)
+        return lambda grams: scoring.env_impact_scores(grams, impact)
+    table = scoring.load_nutrient_table(cfg["paths.nutrient_table"], vocab)
+    if name == "hei_total":
+        standards = scoring.load_hei_standards(cfg["paths.hei_standards"] or None)
+        return lambda grams: scoring.hei_totals(grams, table, standards)
+    profile, meal = _profile(cfg), cfg["select.meal_fraction"]
+    return lambda grams: scoring.personalized_scores(grams, profile, table, meal)
 
 
 # ---------------------------------------------------------------------------
@@ -384,75 +411,53 @@ def cmd_rediscover(cfg: dict, out_dir: Path, chash: str) -> int:
     return 0
 
 
-# The selection commands differ only in how they pick a group. Each picker
-# takes (cfg, out_dir, batch, vocab) and returns the DiscoveryResult, the
-# scorer of its group-table column (founders' rows of the batch -> scores)
-# and any extra fields of the selection JSON.
-
-def _pick_novel(cfg: dict, out_dir: Path, batch: np.ndarray, vocab):
-    nov = discovery.novelty_many(batch, _load_corpus(cfg["paths.corpus"], out_dir, vocab))
-    result = discovery.discover_novel(batch, nov, cfg["select.min_sds"])
-    if cfg["paths.impact_table"]:
-        result.env_score = float(scoring.env_impact_scores(result.selected,
-                                                           _load_impact(cfg, vocab))[0])
-    if cfg["paths.nutrient_table"]:
-        result.hei_total = float(scoring.hei_totals(result.selected, _load_nutrients(cfg, vocab),
-                                                    _load_standards(cfg))[0])
-    return result, lambda rows: nov[rows], {}
-
-
-def _pick_sustainable(cfg: dict, out_dir: Path, batch: np.ndarray, vocab):
-    table = _load_impact(cfg, vocab)
-    result = discovery.select_sustainable(batch, table, set(cfg["select.required"]) or None)
-    return result, lambda rows: scoring.env_impact_scores(batch[rows], table), {}
-
-
-def _pick_nutritious(cfg: dict, out_dir: Path, batch: np.ndarray, vocab):
-    table, standards = _load_nutrients(cfg, vocab), _load_standards(cfg)
-    result = discovery.select_nutritious(batch, table, cfg["select.top_fraction"], standards)
-    return result, lambda rows: scoring.hei_totals(batch[rows], table, standards), {}
-
-
-def _pick_personalized(cfg: dict, out_dir: Path, batch: np.ndarray, vocab):
-    table = _load_nutrients(cfg, vocab)
-    # the profile.* keys are PersonProfile's fields
-    profile = scoring.PersonProfile(**{k.rpartition(".")[2]: v for k, v in cfg.items()
-                                       if k.startswith("profile.")})
-    meal = cfg["select.meal_fraction"]
-    result = discovery.select_personalized(batch, profile, table, cfg["select.top_fraction"], meal)
-    extra = {"profile": {**asdict(profile),
-                         "energy_requirement_kcal": scoring.energy_requirement(profile)}}
-    return result, lambda rows: scoring.personalized_scores(batch[rows], profile, table,
-                                                           meal), extra
-
-
-# command: (picker, group-table score column, annotate novelty against
-# paths.corpus when set, summary printed with the result as r)
+# command: (the score it ranks by, the scores its selection JSON reports when their input
+# file is set, summary printed with the result as r)
 _SELECTIONS = {
-    "discover": (_pick_novel, "novelty_sds", False,
+    "discover": ("novelty_sds", ("env_score", "hei_total"),
                  "group count {r.group_count}, novelty {r.novelty_sds}"),
-    "select-sustainable": (_pick_sustainable, "env_score", True,
+    "select-sustainable": ("env_score", ("env_score", "novelty_sds"),
                            "env score {r.env_score:.4f}, group count {r.group_count}"),
-    "select-nutritious": (_pick_nutritious, "hei_total", True,
+    "select-nutritious": ("hei_total", ("hei_total", "novelty_sds"),
                           "HEI {r.hei_total:.2f}, group count {r.group_count}"),
-    "personalize": (_pick_personalized, "personalized_score", False, "group count {r.group_count}"),
+    "personalize": ("personalized_score", (), "group count {r.group_count}"),
 }
 
 
 def cmd_select(cfg: dict, out_dir: Path, chash: str) -> int:
-    """A selection command: load the batch, pick a group, annotate its novelty, write the
-    selection JSON and the group table of its score (discover's reads its pick's novelty)."""
-    command = cfg["run.command"]
-    pick, column, annotate, summary = _SELECTIONS[command]
+    """A selection command: load the batch and the input of the score it ranks by, rank and
+    pick a group, fill the pick's reported scores whose input file is set, then write the
+    selection JSON and the group table of the ranking score (discover's reads its novelty
+    vector)."""
+    command, top, extra = cfg["run.command"], cfg["select.top_fraction"], {}
+    name, reported, summary = _SELECTIONS[command]
     batch, vocab, source = _get_batch(cfg, out_dir)
-    result, score_of, extra = pick(cfg, out_dir, batch, vocab)
-    if annotate and cfg["paths.corpus"]:
-        result.novelty_sds = discovery.novelty(result.selected,
-                                               _load_corpus(cfg["paths.corpus"], out_dir, vocab))
+    score = _scorer(cfg, out_dir, vocab, name)
+    if command == "discover":
+        nov = score(batch)
+        result = discovery.discover_novel(batch, nov, cfg["select.min_sds"])
+    elif command == "select-sustainable":
+        required = set(cfg["select.required"])
+        rows = discovery.rows_with(batch, vocab, required)
+        rule = "select_sustainable" + (f"(require={sorted(required)})" if required else "")
+        result = discovery.select_top(batch, -score(batch[rows]), 0.1, rule, rows)
+    elif command == "select-nutritious":
+        result = discovery.select_top(batch, score(batch), top, f"select_nutritious(top={top})")
+    else:
+        profile = _profile(cfg)
+        result = discovery.select_top(batch, score(batch), top, f"select_personalized(top={top}, "
+                                      f"age={profile.age}, sex={profile.sex})")
+        extra = {"profile": {**asdict(profile),
+                             "energy_requirement_kcal": scoring.energy_requirement(profile)}}
+    for field in reported:
+        if cfg[_INPUTS[field]]:
+            score_of = score if field == name else _scorer(cfg, out_dir, vocab, field)
+            setattr(result, field, np.asarray(score_of(result.selected)).item())
     _write_json(out_dir / "selections" / f"{command.replace('-', '_')}.json",
                 {**result.to_dict(vocab), "source": source, **extra}, chash)
+    column = nov.__getitem__ if command == "discover" else lambda rows: score(batch[rows])
     _write_groups(out_dir / "reports" / f"{command.removeprefix('select-')}_groups.csv", batch,
-                  {column: score_of}, chash)
+                  {name: column}, chash)
     print(f"{command}: {summary.format(r=result)}")
     return 0
 
@@ -486,13 +491,11 @@ def cmd_validate(cfg: dict, out_dir: Path, chash: str) -> int:
 
 def cmd_landscape(cfg: dict, out_dir: Path, chash: str) -> int:
     batch, vocab, _ = _get_batch(cfg, out_dir)
-    loaded = _load_corpus(cfg["paths.corpus"], out_dir, vocab)
-    impact, nutrients, standards = (_load_impact(cfg, vocab), _load_nutrients(cfg, vocab),
-                                    _load_standards(cfg))
+    novelty, env, hei = (_scorer(cfg, out_dir, vocab, name)
+                         for name in ("novelty_sds", "env_score", "hei_total"))
     groups = _write_groups(out_dir / "reports" / "landscape.csv", batch, {
-        "env_score": lambda rows: scoring.env_impact_scores(batch[rows], impact),
-        "hei_total": lambda rows: scoring.hei_totals(batch[rows], nutrients, standards),
-        "novelty_sds": lambda rows: discovery.novelty_many(batch[rows], loaded)}, chash)
+        "env_score": lambda rows: env(batch[rows]), "hei_total": lambda rows: hei(batch[rows]),
+        "novelty_sds": lambda rows: novelty(batch[rows])}, chash)
     _write_json(out_dir / "reports" / "landscape.meta.json",
                 {"groups": groups, "samples": len(batch)}, chash)
     print(f"landscape: {groups} groups over {len(batch)} samples")

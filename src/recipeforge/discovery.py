@@ -8,11 +8,12 @@ chunk by chunk; rediscovery draws the stream until a row matches a
 reference at SDS = 0, a window of chunks at a time: the first window is
 one chunk and each next one doubles, up to a fixed row count, so memory
 is constant in the budget and an early match costs about what it costs
-chunk by chunk. The selections reproduce the discovery recipes:
-novelty-filtered repetition counting, lowest-decile environmental,
-top-fraction nutrition and personalized selection; each returns the
-founder of a group of the batch, a (K,) grams row. The CLI writes the
-group tables, landscape included, from these scorers and group_recipes.
+chunk by chunk. The selection rules reproduce the discovery recipes over
+score vectors alone: discover_novel keeps the rows above a novelty floor,
+select_top the top fraction of rows by a score, and rows_with the rows
+holding required ingredients; a selection is the founder of the most
+repeated SDS-0 group among the rows kept, a (K,) grams row. The CLI binds
+each score to its input tables and writes the group tables.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from .corpus import Corpus
 from .errors import DataError, NumericError, number
 from .mask_diffusion import MaskDiffusionModel, _sample_chunk
 from .quantity_diffusion import QuantityScoreModel, decode_weights, reverse_integrate
-from .scoring import (HEIComponentStandard, ImpactTable, NutrientTable, PersonProfile,
-                      _sds_rows, env_impact_scores, group_recipes, hei_totals,
-                      personalized_scores, sds)
+from .scoring import _sds_rows, group_recipes, sds
 
 # distinct stream for quantity noise so mask and weight chunks never share
 # a seed sequence
@@ -41,6 +40,7 @@ _WINDOW_ROWS = 512
 @dataclass
 class DiscoveryResult:
     selected: np.ndarray = field(repr=False)  # the founder's (K,) grams, to_dict's ingredients
+    row: int = field(repr=False)  # the founder's row in the batch
     rule: str
     group_count: int
     total_samples: int
@@ -208,79 +208,41 @@ def _first_match(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreMo
     return RediscoveryOutcome(found=True, index=index, recipe=grams[hits[0]], draws=index + 1)
 
 
-def _select(batch: np.ndarray, keep: np.ndarray, rule: str) -> tuple[DiscoveryResult, int]:
-    """The largest SDS-0 group among batch[keep] as a result under rule,
-    and its founder's row in batch."""
+def select_top(batch: np.ndarray, scores: np.ndarray, fraction: float, rule: str,
+               rows: np.ndarray | None = None) -> DiscoveryResult:
+    """Most repeated sample of the (n, K) grams batch within the top fraction
+    (at least one) of rows, all rows if None, by scores, one per row of rows;
+    equal scores keep row order."""
+    rows = np.arange(len(batch)) if rows is None else rows
+    k = max(1, math.ceil(number(fraction, "select.top_fraction", "(0, 1]") * len(rows)))
+    keep = np.sort(rows[np.argsort(-scores, kind="stable")[:k]])
     kept = batch[keep]
     best = group_recipes(kept)[0]
-    result = DiscoveryResult(selected=kept[best.founder_index], rule=rule, group_count=best.count,
-                             total_samples=len(batch), popularity=best.count / len(batch))
-    return result, int(keep[best.founder_index])
+    return DiscoveryResult(selected=kept[best.founder_index], row=int(keep[best.founder_index]),
+                           rule=rule, group_count=best.count, total_samples=len(batch),
+                           popularity=best.count / len(batch))
 
 
-def _top_fraction(batch: np.ndarray, top_fraction: float, score_of) -> np.ndarray:
-    """Rows of the top_fraction of batch (at least one) by score_of(batch), in row order."""
-    if len(batch) == 0:
-        raise DataError("batch is empty")
-    number(top_fraction, "select.top_fraction", "(0, 1]")
-    k = max(1, math.ceil(top_fraction * len(batch)))
-    return np.sort(np.argsort(-score_of(batch), kind="stable")[:k])
+def rows_with(batch: np.ndarray, vocabulary, required: set[str]) -> np.ndarray:
+    """Rows of the batch holding every ingredient id in required, in row order; a
+    DataError when an id is not in the vocabulary or no row holds them all."""
+    try:
+        idx = [vocabulary.index_of(r) for r in required]
+    except KeyError as e:
+        raise DataError(f"select.required: ingredient {e.args[0]!r} is not in the "
+                        "vocabulary") from None
+    rows = np.flatnonzero((batch[:, idx] > 0).all(axis=1))
+    if not rows.size:
+        raise DataError(f"no sample in the batch contains all of {sorted(required)}")
+    return rows
 
 
 def discover_novel(batch: np.ndarray, nov: np.ndarray, min_sds: int) -> DiscoveryResult:
     """Most repeated row of the (n, K) grams batch among those whose
     novelty in nov, one int per row as novelty_many gives it, is >= min_sds."""
-    if len(batch) == 0:
-        raise DataError("batch is empty")
     keep = np.flatnonzero(nov >= min_sds)
     if not keep.size:
         raise DataError(f"no sample has novelty >= {min_sds}")
-    result, row = _select(batch, keep, f"discover_novel(min_sds={min_sds})")
-    result.novelty_sds = int(nov[row])
+    result = select_top(batch, nov[keep], 1.0, f"discover_novel(min_sds={min_sds})", keep)
+    result.novelty_sds = int(nov[result.row])
     return result
-
-
-def select_sustainable(batch: np.ndarray, table: ImpactTable,
-                       required: set[str] | None = None) -> DiscoveryResult:
-    """Most repeated sample within the lowest-impact decile.
-
-    Sorting alone does not define a repeat set, so the candidates are
-    restricted to the lowest-scoring 10 percent (at least one sample)
-    before grouping. A required-ingredient constraint is applied first
-    and the decile taken within the constrained subset, so a constraint
-    is unsatisfiable only when no sample in the whole batch meets it.
-    """
-    if len(batch) == 0:
-        raise DataError("batch is empty")
-    try:
-        idx = [table.vocabulary.index_of(r) for r in required or ()]
-    except KeyError as e:
-        raise DataError(f"select.required: ingredient {e.args[0]!r} is not in the "
-                        "vocabulary") from None
-    candidates = np.flatnonzero((batch[:, idx] > 0).all(axis=1))
-    if not candidates.size:
-        raise DataError(f"no sample in the batch contains all of {sorted(required)}")
-    keep = candidates[_top_fraction(batch[candidates], 0.1,
-                                    lambda grams: -env_impact_scores(grams, table))]
-    result, _ = _select(batch, keep, "select_sustainable"
-                        + (f"(require={sorted(required)})" if required else ""))
-    result.env_score = float(env_impact_scores(result.selected, table)[0])
-    return result
-
-
-def select_nutritious(batch: np.ndarray, table: NutrientTable, top_fraction: float,
-                      standards: list[HEIComponentStandard] | None = None) -> DiscoveryResult:
-    """Most repeated sample within the top fraction by healthy eating index."""
-    keep = _top_fraction(batch, top_fraction, lambda grams: hei_totals(grams, table, standards))
-    result, _ = _select(batch, keep, f"select_nutritious(top={top_fraction})")
-    result.hei_total = float(hei_totals(result.selected, table, standards)[0])
-    return result
-
-
-def select_personalized(batch: np.ndarray, profile: PersonProfile, table: NutrientTable,
-                        top_fraction: float, meal_fraction: float = 1.0 / 3.0) -> DiscoveryResult:
-    """Most repeated sample within the top fraction by personalized score."""
-    keep = _top_fraction(
-        batch, top_fraction, lambda grams: personalized_scores(grams, profile, table, meal_fraction))
-    return _select(batch, keep, f"select_personalized(top={top_fraction}, age={profile.age}, "
-                                f"sex={profile.sex})")[0]

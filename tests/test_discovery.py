@@ -409,75 +409,91 @@ def test_discover_novel_reports_the_founder_novelty():
     assert result.novelty_sds == dc.novelty(near, corpus) == 1
 
 
-def test_select_sustainable_identical_batch(tmp_path):
+def lowest_impact_decile(batch, table, required=()):
+    """select-sustainable's rule: the lowest-impact decile of the rows holding required."""
+    rows = dc.rows_with(batch, VOCAB, set(required))
+    return dc.select_top(batch, -scoring.env_impact_scores(batch[rows], table), 0.1,
+                         "sustainable", rows)
+
+
+def test_lowest_decile_of_an_identical_batch(tmp_path):
     table = impact_table(tmp_path)
     r = recipe([150.0, 75.0, 25.0, 0.0])
-    result = dc.select_sustainable(batch_of([r] * 5), table)
+    result = lowest_impact_decile(batch_of([r] * 5), table)
     np.testing.assert_array_equal(result.selected, r)
-    assert result.env_score == pytest.approx(scoring.env_impact_scores(r, table)[0])
+    assert (result.row, result.group_count, result.total_samples) == (0, 1, 5)
+    assert "row" not in result.to_dict(VOCAB)
 
 
-def test_select_sustainable_prefers_low_impact_cluster(tmp_path):
+def test_lowest_decile_prefers_the_low_impact_cluster(tmp_path):
     table = impact_table(tmp_path)
     heavy = recipe([400.0, 75.0, 80.0, 0.0])   # beef and cheese heavy
     light = recipe([0.0, 75.0, 0.0, 40.0])     # bun and onion only
     batch = batch_of([heavy] * 12 + [light] * 8)
-    result = dc.select_sustainable(batch, table)
+    result = lowest_impact_decile(batch, table)
     np.testing.assert_array_equal(result.selected, light)
-    assert result.env_score < scoring.env_impact_scores(heavy, table)[0]
+    assert result.row == 12 and result.group_count == 2
 
 
-def test_select_sustainable_required_ingredients(tmp_path):
+def test_required_ingredients(tmp_path):
     table = impact_table(tmp_path)
     with_beef = recipe([100.0, 75.0, 0.0, 20.0])
     without = recipe([0.0, 75.0, 0.0, 20.0])
     batch = batch_of([without] * 15 + [with_beef] * 5)
-    result = dc.select_sustainable(batch, table, required={"beef"})
+    np.testing.assert_array_equal(dc.rows_with(batch, VOCAB, set()), np.arange(20))
+    result = lowest_impact_decile(batch, table, {"beef"})
     assert result.selected[VOCAB.index_of("beef")] > 0
-    with pytest.raises(DataError):
-        dc.select_sustainable(batch, table, required={"cheese"})
+    with pytest.raises(DataError, match=r"no sample in the batch contains all of \['cheese'\]"):
+        dc.rows_with(batch, VOCAB, {"cheese"})
+    with pytest.raises(DataError, match="select.required: ingredient 'tofu' is not in the "
+                                        "vocabulary"):
+        dc.rows_with(batch, VOCAB, {"beef", "tofu"})
 
 
-def test_select_nutritious_fraction_one_is_most_repeated(tmp_path):
+def test_the_decile_is_taken_within_the_required_rows(tmp_path):
+    # no beef row is in the batch's lowest-impact decile, yet the constraint
+    # is met: the decile is of the beef rows alone
+    table = impact_table(tmp_path)
+    light = recipe([0.0, 75.0, 0.0, 20.0])
+    beef = recipe([200.0, 75.0, 0.0, 20.0])
+    lean = recipe([60.0, 75.0, 0.0, 20.0])
+    batch = batch_of([light] * 15 + [beef] * 3 + [lean] * 2)
+    scores = scoring.env_impact_scores(batch, table)
+    assert (np.argsort(scores, kind="stable")[:2] < 15).all()
+    result = lowest_impact_decile(batch, table, {"beef"})
+    np.testing.assert_array_equal(result.selected, lean)
+    assert (result.row, result.group_count, result.total_samples) == (18, 1, 20)
+
+
+def test_fraction_one_is_the_most_repeated_sample(tmp_path):
     table = nutrient_table(tmp_path)
     a = recipe([150.0, 75.0, 25.0, 0.0])
     b = recipe([0.0, 75.0, 0.0, 60.0])
-    result = dc.select_nutritious(batch_of([a] * 3 + [b] * 2), table, 1.0)
+    batch = batch_of([b] + [a] * 3 + [b])
+    result = dc.select_top(batch, scoring.hei_totals(batch, table), 1.0, "nutritious")
     np.testing.assert_array_equal(result.selected, a)
+    assert (result.row, result.group_count, result.popularity) == (1, 3, 0.6)
 
 
-def test_select_nutritious_top_fraction(tmp_path):
+def test_top_fraction_by_hei(tmp_path):
     table = nutrient_table(tmp_path)
     # onion-rich recipe scores a far higher HEI than the beef-cheese one
     healthy = recipe([0.0, 60.0, 0.0, 200.0])
     greasy = recipe([250.0, 60.0, 80.0, 0.0])
-    hei_h = scoring.hei_totals(healthy, table)[0]
-    hei_g = scoring.hei_totals(greasy, table)[0]
-    assert hei_h > hei_g
+    assert scoring.hei_totals(healthy, table)[0] > scoring.hei_totals(greasy, table)[0]
     batch = batch_of([greasy] * 18 + [healthy] * 2)
-    result = dc.select_nutritious(batch, table, 0.1)
+    result = dc.select_top(batch, scoring.hei_totals(batch, table), 0.1, "nutritious")
     np.testing.assert_array_equal(result.selected, healthy)
-    assert result.hei_total == pytest.approx(hei_h)
+    assert result.group_count == 2 and result.rule == "nutritious"
 
 
-def test_select_nutritious_rejects_bad_fraction(tmp_path):
-    table = nutrient_table(tmp_path)
+def test_select_top_rejects_a_zero_fraction():
     batch = batch_of([recipe([150.0, 75.0, 0.0, 0.0])])
-    with pytest.raises(ValueError):
-        dc.select_nutritious(batch, table, 0.0)
+    with pytest.raises(DataError, match=r"select.top_fraction is 0.0, expected .* \(0, 1\]"):
+        dc.select_top(batch, np.zeros(1), 0.0, "top")
 
 
-def test_select_personalized_fraction_one(tmp_path):
-    table = nutrient_table(tmp_path)
-    profile = scoring.PersonProfile(age=30, sex="male", height_cm=175, weight_kg=75,
-                                    activity="moderate")
-    a = recipe([150.0, 75.0, 25.0, 0.0])
-    b = recipe([0.0, 75.0, 0.0, 60.0])
-    result = dc.select_personalized(batch_of([a] * 3 + [b] * 2), profile, table, 1.0)
-    np.testing.assert_array_equal(result.selected, a)
-
-
-def test_select_personalized_dominant_recipe_wins_for_both_profiles(tmp_path):
+def test_personalized_top_half_for_both_profiles(tmp_path):
     table = nutrient_table(tmp_path)
     teen = scoring.PersonProfile(age=15, sex="male", height_cm=180, weight_kg=80,
                                  activity="active")
@@ -489,5 +505,6 @@ def test_select_personalized_dominant_recipe_wins_for_both_profiles(tmp_path):
         > scoring.personalized_scores(salty, teen, table)[0]
     batch = batch_of([salty] * 2 + [balanced] * 8)
     for profile in (teen, senior):
-        result = dc.select_personalized(batch, profile, table, 0.5)
+        scores = scoring.personalized_scores(batch, profile, table)
+        result = dc.select_top(batch, scores, 0.5, "personalized")
         np.testing.assert_array_equal(result.selected, balanced)

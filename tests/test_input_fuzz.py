@@ -19,6 +19,10 @@ import pytest
 
 import recipeforge
 from recipeforge import cli
+from recipeforge import mask_diffusion as md
+from recipeforge import quantity_diffusion as qd
+from recipeforge.corpus import load_vocabulary
+from helpers import random_models
 
 DESK = Path(recipeforge.__file__).parent / "data" / "desk"
 HEI = Path(recipeforge.__file__).parent / "data" / "hei2015_standards.csv"
@@ -248,6 +252,26 @@ def test_checkpoint_probes_are_data_errors_naming_the_file(run, tmp_path, model,
                          "--vocabulary", str(run / "vocabulary.json"),
                          "--out-dir", str(tmp_path / "out")])
     assert code == 2 and f"{bad}: {message}" in err, err
+
+
+@pytest.mark.parametrize("command", ["sample", "discover", "rediscover", "validate"])
+def test_a_checkpoint_of_another_size_names_field_k(run, tmp_path, command):
+    # the fingerprints match the vocabulary, so only K tells the checkpoints are not for it
+    vocab = load_vocabulary(run / "vocabulary.json")
+    mask, qty = random_models(K=vocab.K + 1)
+    mask.vocab_fingerprint = qty.vocab_fingerprint = vocab.fingerprint()
+    md.save_mask_model(tmp_path / "mask.json", mask, seed_lineage=[1])
+    qd.save_quantity_model(tmp_path / "quantity.json", qty, seed_lineage=[2])
+    models = ["--mask-model", str(tmp_path / "mask.json"),
+              "--quantity-model", str(tmp_path / "quantity.json"),
+              "--vocabulary", str(run / "vocabulary.json")]
+    corpus = str(run / "corpus.jsonl")
+    extra = {"sample": ["--count", "4"], "discover": ["--count", "4", "--corpus", corpus],
+             "rediscover": ["--reference", str(run / "reference.jsonl"), "--budget", "4"],
+             "validate": ["--corpus", corpus, "--count", "8"]}[command]
+    code, err = run_cli([command, *extra, *models, "--out-dir", str(tmp_path / "out")])
+    message = f"{tmp_path / 'mask.json'}: field K is {vocab.K + 1}, expected {vocab.K}"
+    assert code == 2 and message in err, err
 
 
 def test_negative_seed_names_the_key(tmp_path):

@@ -164,7 +164,7 @@ def test_one_recipe_is_one_group_at_novelty_zero(reports, tmp_path):
     assert (landscape["count"], landscape["novelty_sds"]) == (("1",), ("0",))
 
 
-@pytest.mark.parametrize("command", ["landscape", "discover"])
+@pytest.mark.parametrize("command", list(BATCH_COMMANDS))
 def test_an_empty_batch_is_a_data_error(reports, tmp_path, capsys, command):
     code = cli.run([str(a) for a in [command, *_args(BATCH_COMMANDS[command], reports),
                                      *_models(reports), "--count", "0", "--out-dir", tmp_path]])
