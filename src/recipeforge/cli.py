@@ -22,6 +22,10 @@ evicted, so the directory only grows; deleting it is always safe.
 Commands run with numpy's OpenBLAS on one thread (restored afterwards),
 so the worker threads that --threads sets are the only parallelism.
 
+Row i of a seed's sample stream is the same draw in sample, sample
+--mask-from, validate and rediscover at any count; sample.chunk_size and
+rediscover.chunk_size set the rows computed at once, never an output.
+
 Exit codes: 0 success, 1 usage error, 2 data error (a DataError or an
 OSError), 3 numeric failure. Any other exception, a ValueError included,
 is a programming error and surfaces as a traceback (exit 1).
@@ -65,6 +69,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
           help="worker threads (env RECIPEFORGE_THREADS as fallback)")
 
 
+_CHUNK_HELP = "rows sampled at once per worker; sets the compute window only, never the samples"
+
+
 def _add_models(p: argparse.ArgumentParser) -> None:
     _flag(p, "--mask-model", "paths.mask_model")
     _flag(p, "--quantity-model", "paths.quantity_model")
@@ -75,7 +82,7 @@ def _add_batch_source(p: argparse.ArgumentParser) -> None:
     _add_models(p)
     _flag(p, "--samples", "paths.samples", help="previously generated samples JSONL")
     _flag(p, "--count", "sample.count", type=int, help="samples to generate when no file given")
-    _flag(p, "--chunk-size", "sample.chunk_size", type=int)
+    _flag(p, "--chunk-size", "sample.chunk_size", type=int, help=_CHUNK_HELP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="generate recipes (or weights for given masks)")
     _add_models(p)
     _flag(p, "--count", "sample.count", type=int)
-    _flag(p, "--chunk-size", "sample.chunk_size", type=int)
+    _flag(p, "--chunk-size", "sample.chunk_size", type=int, help=_CHUNK_HELP)
     _flag(p, "--steps", "sde.steps", type=int, help="reverse SDE integration steps")
     _flag(p, "--mask-from", "paths.samples",
           help="JSONL of recipes whose masks get fresh conditional weights")

@@ -2,13 +2,10 @@
 
 A batch of generated recipes is one (n, K) grams matrix; an ingredient
 is present where its grams are > 0. _draw is the one draw of the sample
-stream: chunk c couples the two models, a mask from the (seed, c)
-generators, then weights given the mask. generate_batch draws a batch
-chunk by chunk; rediscovery draws the stream until a row matches a
-reference at SDS = 0, a window of chunks at a time: the first window is
-one chunk and each next one doubles, up to a fixed row count, so memory
-is constant in the budget and an early match costs about what it costs
-chunk by chunk. The selection rules reproduce the discovery recipes over
+stream (netcore): a block's masks, then weights given them. generate_batch
+draws rows 0 to count - 1 a window of blocks at a time, and rediscover
+draws the same rows until one matches a reference at SDS = 0. The
+selection rules reproduce the discovery recipes over
 score vectors alone: discover_novel keeps the rows above a novelty floor,
 select_top the top fraction of rows by a score, and rows_with the rows
 holding required ingredients; a selection is the founder of the most
@@ -30,10 +27,7 @@ from .mask_diffusion import MaskDiffusionModel, _sample_chunk
 from .quantity_diffusion import QuantityScoreModel, decode_weights, reverse_integrate
 from .scoring import _sds_rows, group_recipes, sds
 
-# distinct stream for quantity noise so mask and weight chunks never share
-# a seed sequence
-_QTY_STREAM = 0x9E3779B9
-# rows of stream chunks rediscover samples in lockstep, at most, per window
+# rows of stream blocks rediscover samples in lockstep, at most, per window
 _WINDOW_ROWS = 512
 
 
@@ -66,26 +60,24 @@ def check_models(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreMo
 def generate_batch(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreModel,
                    count: int, seed: int, *, chunk_size: int = 2048,
                    threads: int = 1) -> np.ndarray:
-    """Draw count complete recipes, a (count, K) grams matrix: chunk c of
-    chunk_size rows (the last one cut to count) is _draw of stream chunk c,
-    so the batch is the same for a fixed seed and chunk size at any thread
-    count."""
+    """Draw count complete recipes, a (count, K) grams matrix: rows 0 to
+    count - 1 of the sample stream of seed, chunk_size rows (rounded up to
+    whole blocks) to a window. Its masks are sample_masks' and its grams
+    reverse_sample_batch's on them, at the same seed."""
     check_models(mask_model, quantity_model)
-    return netcore.map_chunks(
-        count, chunk_size, threads,
-        lambda c, rows: _draw(mask_model, quantity_model, seed, range(c, c + 1),
-                              rows.stop - rows.start))
+    return netcore.map_windows(count, chunk_size, threads,
+                               lambda blocks: _draw(mask_model, quantity_model, seed, blocks))
 
 
 def _draw(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreModel, seed: int,
-          chunks: range, n: int) -> np.ndarray:
-    """The (n, K) grams of the given stream chunks, drawn in lockstep as
-    len(chunks) equal blocks: block j is what chunk c = chunks[j] draws
-    alone, masks from chunk_rng(seed, c), then weights given them from the
-    independent chunk_rng(seed + _QTY_STREAM, c)."""
-    masks, _ = _sample_chunk(mask_model, n, [netcore.chunk_rng(seed, c) for c in chunks])
+          blocks: range) -> np.ndarray:
+    """The grams of the given stream blocks, 64 rows each, drawn in
+    lockstep: block b's masks from its (seed, MASKS, b) generator, then
+    weights given them from its independent (seed, QUANTITIES, b) one."""
+    n = len(blocks) * netcore.BLOCK
+    masks, _ = _sample_chunk(mask_model, n, netcore.block_rngs(seed, netcore.MASKS, blocks))
     z = reverse_integrate(quantity_model.chunk_score(masks), masks, quantity_model.sde,
-                          [netcore.chunk_rng(seed + _QTY_STREAM, c) for c in chunks])
+                          netcore.block_rngs(seed, netcore.QUANTITIES, blocks))
     return decode_weights(z, masks, quantity_model.codec)
 
 
@@ -148,64 +140,40 @@ def rediscover(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreMode
                reference: np.ndarray, budget: int, seed: int, *,
                chunk_size: int = 64) -> RediscoveryOutcome:
     """Stream samples until one matches the (K,) reference grams row at
-    SDS = 0.
+    SDS = 0: the first matching stream index, or not-found once the budget
+    is exhausted. Draw i is generate_batch's row i at the same seed.
 
-    The stream is made of whole chunks of chunk_size, chunk c drawn from
-    the (seed, c) generators, so the i-th sample depends only on (models,
-    seed, chunk_size): it is row i of generate_batch at the same seed and
-    chunk size whenever that batch's count is a multiple of chunk_size.
-    Chunks are computed a window at a time: the chunks of a window are
-    sampled in lockstep, one network call per step for all of them, then
-    decoded and compared in stream order. The first window is one chunk
-    and each next window doubles, up to _WINDOW_ROWS rows, so a search
-    that ends early computes few chunks past its match, a long one pays
-    the per-step cost once per _WINDOW_ROWS rows, and memory stays
-    constant in the budget. A chunk's draws in a window equal its draws
-    alone to the bit when the network product gives its rows the same
-    BLAS kernel inside the window as alone, as it does at 64-row chunks
-    of the desk models. With fewer than about 20 outputs, or chunks of
-    fewer than about 40 rows, the product can differ in the last bits,
-    so draw i equals generate_batch's row i only up to that rounding.
-    Returns the first matching stream index, or not-found once the
-    budget is exhausted.
+    The blocks of a window are sampled in lockstep, then compared in stream
+    order. The first window is chunk_size rows rounded up to whole blocks
+    and each next one doubles, up to _WINDOW_ROWS rows, so an early match
+    computes few blocks past it and memory is constant in the budget. A
+    NumericError in a window of several blocks restarts it one block at a
+    time, so an earlier match still wins and the error raised is the first
+    failing block's.
     """
     check_models(mask_model, quantity_model)
     if np.shape(reference) != (mask_model.K,):
         raise DataError("reference recipe does not match model vocabulary")
-    chunks = range(-(-budget // chunk_size))
-    most = max(1, _WINDOW_ROWS // chunk_size)
-    first, size = 0, 1
-    while first < len(chunks):
-        window = chunks[first:first + size]
+    blocks = range(-(-budget // netcore.BLOCK))
+    first, size = 0, -(-chunk_size // netcore.BLOCK)
+    most = max(size, _WINDOW_ROWS // netcore.BLOCK)
+    while first < len(blocks):
+        window = blocks[first:first + size]
+        lo = window.start * netcore.BLOCK
         try:
-            found = _first_match(mask_model, quantity_model, reference, budget, seed, chunk_size,
-                                 window)
+            grams = _draw(mask_model, quantity_model, seed, window)[:budget - lo]
         except NumericError:
-            # one chunk at a time: an earlier chunk's match still wins, and
-            # the error raised is the first failing chunk's
-            for c in window:
-                found = _first_match(mask_model, quantity_model, reference, budget, seed,
-                                     chunk_size, range(c, c + 1))
-                if found is not None:
-                    break
-        if found is not None:
-            return found
-        first, size = first + size, min(2 * size, most)
+            if len(window) == 1:
+                raise
+            size = 1
+            continue
+        hits = np.flatnonzero(sds(grams, reference) == 0)
+        if hits.size:
+            index = lo + int(hits[0])
+            return RediscoveryOutcome(found=True, index=index, recipe=grams[hits[0]],
+                                      draws=index + 1)
+        first, size = window.stop, min(2 * size, most)
     return RediscoveryOutcome(found=False, index=None, recipe=None, draws=budget)
-
-
-def _first_match(mask_model: MaskDiffusionModel, quantity_model: QuantityScoreModel,
-                 reference: np.ndarray, budget: int, seed: int, chunk_size: int,
-                 chunks: range) -> RediscoveryOutcome | None:
-    """The first match to reference among the draws of the given stream
-    chunks within the budget, or None."""
-    lo = chunks[0] * chunk_size
-    grams = _draw(mask_model, quantity_model, seed, chunks, len(chunks) * chunk_size)[:budget - lo]
-    hits = np.flatnonzero(sds(grams, reference) == 0)
-    if not hits.size:
-        return None
-    index = lo + int(hits[0])
-    return RediscoveryOutcome(found=True, index=index, recipe=grams[hits[0]], draws=index + 1)
 
 
 def select_top(batch: np.ndarray, scores: np.ndarray, fraction: float, rule: str,

@@ -151,11 +151,11 @@ def fidelity_report(mask_model: MaskDiffusionModel, quantity_model: QuantityScor
     """Run all five checks against the corpus train split; the quantity
     error is measured on the validation split, None when it is empty.
 
-    Deterministic for a fixed seed: masks come from (seed), the held-out
-    quantity samples from (seed + 1). The two streams are independent, so
-    with threads >= 2 and validation rows the quantity samples are drawn
-    on one worker thread while the masks are drawn on this one; the
-    report, and any error, are the same as with threads = 1.
+    Deterministic for a fixed seed: the masks come from the mask stream of
+    seed, the held-out quantity samples from its independent quantity
+    stream (netcore), so with threads >= 2 and validation rows the quantity
+    samples are drawn on one worker thread while the masks are drawn on
+    this one; the report, and any error, are the same as with threads = 1.
     """
     check_models(mask_model, quantity_model)
     train_masks = (corpus.rows(TRAIN) > 0).astype(np.uint8)
@@ -163,7 +163,7 @@ def fidelity_report(mask_model: MaskDiffusionModel, quantity_model: QuantityScor
         raise DataError("corpus train split is empty")
     held_out = corpus.rows(VALIDATION)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        pending = (pool.submit(quantity_mae, quantity_model, held_out, seed + 1)
+        pending = (pool.submit(quantity_mae, quantity_model, held_out, seed)
                    if threads >= 2 and len(held_out) else None)
         samples = sample_masks(mask_model, sample_count, seed, threads=threads)
 
@@ -178,7 +178,7 @@ def fidelity_report(mask_model: MaskDiffusionModel, quantity_model: QuantityScor
     if pending is not None:
         mae = pending.result()
     else:
-        mae = quantity_mae(quantity_model, held_out, seed + 1) if len(held_out) else None
+        mae = quantity_mae(quantity_model, held_out, seed) if len(held_out) else None
 
     sample_hist, corpus_hist = _length_hists(samples, train_masks)
     return FidelityReport(

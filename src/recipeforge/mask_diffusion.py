@@ -268,11 +268,14 @@ def _chains(model: MaskDiffusionModel, rngs: list[np.random.Generator], n: int) 
     sched = model.schedule
     u, x, pi0, pi1, term = (np.empty((n, model.K)) for _ in range(5))
     inputs, layers = np.empty((n, model.K + 3)), netcore.layer_buffers(model.net, n)
-    np.less(netcore.fill_blocks(u, rngs, np.random.Generator.random), 0.5, out=x)
-    for t in range(sched.T, 0, -1):
-        p_hat = _predict_p_hat(model, x, t, inputs, layers, term)
-        pi = _reverse_pi(sched, t, x, p_hat, pi0, pi1, flip=u, scratch=term)
-        np.less(netcore.fill_blocks(u, rngs, np.random.Generator.random), pi, out=x)
+    blocks, pi = netcore.row_blocks(u, len(rngs)), 0.5  # the start is uniform
+    for t in range(sched.T, -1, -1):
+        for block, rng in zip(blocks, rngs):
+            rng.random(out=block)
+        np.less(u, pi, out=x)
+        if t:
+            p_hat = _predict_p_hat(model, x, t, inputs, layers, term)
+            pi = _reverse_pi(sched, t, x, p_hat, pi0, pi1, flip=u, scratch=term)
     return x
 
 
@@ -287,7 +290,7 @@ def _sample_chunk(model: MaskDiffusionModel, n: int,
     """
     x = _chains(model, rngs, n)
     discarded = 0
-    for block, rng in zip(np.split(x, len(rngs)), rngs):
+    for block, rng in zip(netcore.row_blocks(x, len(rngs)), rngs):
         for _ in range(1000):
             empty = ~block.astype(bool).any(axis=1)
             if not empty.any():
@@ -303,14 +306,13 @@ def sample_masks(model: MaskDiffusionModel, count: int, seed: int, *,
                  chunk_size: int = 2048, threads: int = 1) -> np.ndarray:
     """Draw count masks by ancestral sampling; (count, K) uint8 array.
 
-    Chunk c of chunk_size rows, the last one cut to count, is seeded by
-    (seed, c), so results are byte-identical for any thread count; row i
-    depends on count unless count is a multiple of chunk_size. All-zero
-    masks are discarded and resampled.
+    Rows 0 to count - 1 of the mask stream of seed (netcore), chunk_size
+    rows to a window; all-zero masks are discarded and resampled.
     """
-    return netcore.map_chunks(
+    return netcore.map_windows(
         count, chunk_size, threads,
-        lambda c, rows: _sample_chunk(model, rows.stop - rows.start, [netcore.chunk_rng(seed, c)])[0])
+        lambda blocks: _sample_chunk(model, len(blocks) * netcore.BLOCK,
+                                     netcore.block_rngs(seed, netcore.MASKS, blocks))[0])
 
 
 def save_mask_model(path: str | Path, model: MaskDiffusionModel, seed_lineage=None) -> None:

@@ -10,7 +10,14 @@ net.weights[l] (shape (sizes[l+1], sizes[l])) and net.biases[l] are views
 into theta, so writing to them writes theta and vice versa. Gradients,
 Adam's moments and the parameter average are flat vectors in the same
 layout. forward writes new arrays, or a caller's layer_buffers: each sampler
-call owns its own, never a model, since map_chunks threads share models.
+call owns its own, never a model, since map_windows threads share models.
+
+The sample stream of a seed gives each draw one address: row i is row
+i % BLOCK of block b = i // BLOCK, whose masks come from SeedSequence(seed,
+spawn_key=(MASKS, b)) and quantities from spawn_key=(QUANTITIES, b).
+map_windows draws whole blocks, a window of them in lockstep, and cuts the
+last, so row i has the same bits at any count, window and thread count on
+a BLAS that rounds a row alike in any window of whole blocks (tests pin it).
 
 A model checkpoint is one JSON object with the keys schema_version,
 kind, K and vocab_fingerprint, then the model's own fields, then net
@@ -38,6 +45,8 @@ from .errors import DataError, NumericError, number, numbers, read_json, shown
 
 # Adam's moment decay rates b1, b2 and denominator guard eps
 _B1, _B2, _EPS = 0.9, 0.999, 1e-8
+# rows of a sample stream block, and the numbers of its mask and quantity streams
+BLOCK, MASKS, QUANTITIES = 64, 0, 1
 
 
 def _layer_views(sizes: list[int], flat: np.ndarray) -> tuple[tuple, tuple]:
@@ -280,42 +289,35 @@ def fit(net: Network, config: TrainConfig, seed: int, n_rows: int,
     return history
 
 
-def chunk_rng(seed: int, chunk: int) -> np.random.Generator:
-    """Generator of one chunk of the sample stream of seed."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
+def block_rngs(seed: int, stream: int, blocks: range) -> list[np.random.Generator]:
+    """The generators of the given blocks of stream MASKS or QUANTITIES of seed."""
+    return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, b)))
+            for b in blocks]
 
 
-def fill_blocks(out: np.ndarray, rngs: list[np.random.Generator], draw) -> np.ndarray:
-    """Fill out's len(rngs) equal row blocks in order, block j by
-    draw(rngs[j], out=block j): the values draw(rngs[j], block shape)
-    would return, so lockstep blocks keep each generator's own stream."""
-    m, rest = divmod(len(out), len(rngs))
-    if rest:
-        raise ValueError(f"{len(out)} rows do not split into {len(rngs)} equal blocks")
-    for j, rng in enumerate(rngs):
-        draw(rng, out=out[j * m:(j + 1) * m])
-    return out
+def row_blocks(a: np.ndarray, count: int) -> list[np.ndarray]:
+    """a's count equal row blocks, as views in order (none of no rows)."""
+    m = len(a) // max(count, 1)
+    if m * count != len(a):
+        raise ValueError(f"{len(a)} rows do not split into {count} equal blocks")
+    return [a[j * m:(j + 1) * m] for j in range(count)]
 
 
-def map_chunks(n: int, chunk_size: int, threads: int,
-               draw: Callable[[int, slice], np.ndarray]) -> np.ndarray:
-    """Concatenate draw(c, rows) over the chunks c of n rows, on up to threads workers.
-
-    Chunk c covers rows [c * chunk_size, (c + 1) * chunk_size), clipped to
-    n; n = 0 is one empty chunk. A draw seeded by chunk_rng(seed, c) alone
-    gives output that is byte-identical for any thread count.
-    """
-    starts = range(0, max(n, 1), chunk_size)
-
-    def run(c: int) -> np.ndarray:
-        return draw(c, slice(starts[c], min(n, starts[c] + chunk_size)))
-
-    if threads > 1 and len(starts) > 1:
+def map_windows(n: int, window_rows: int, threads: int,
+                draw: Callable[[range], np.ndarray]) -> np.ndarray:
+    """The first n rows of draw(blocks) over the windows of the blocks
+    covering n rows (one empty window if none), on up to threads workers;
+    a window is window_rows rounded up to whole blocks, the last one the
+    blocks left, and draw(blocks) returns len(blocks) * BLOCK rows."""
+    blocks = range(-(-n // BLOCK))
+    per = -(-window_rows // BLOCK)
+    windows = [blocks[i:i + per] for i in range(0, len(blocks), per)] or [blocks]
+    if threads > 1 and len(windows) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(run, range(len(starts))))
+            parts = list(ex.map(draw, windows))
     else:
-        parts = [run(c) for c in range(len(starts))]
-    return np.concatenate(parts, axis=0)
+        parts = [draw(w) for w in windows]
+    return np.concatenate(parts, axis=0)[:n]
 
 
 @functools.cache

@@ -18,7 +18,7 @@ sampling integrates dx = [g^2 score - f] dt + g dB~ with Euler-Maruyama
 from t = 1 down to t_eps, pinning masked-out coordinates at zero.
 Each reverse_integrate call owns its drift, noise and finiteness
 buffers, and chunk_score gives the score its own network input and
-layer buffers; no model holds one, since map_chunks threads share models.
+layer buffers; no model holds one, since map_windows threads share models.
 Each call also computes its step grid once: t_k, dt_k, beta(t_k) and
 sqrt(beta dt) for the loop, and the time embedding rows and -sigma(t_k)
 that it passes to every score call. The grid's expressions are the
@@ -244,9 +244,12 @@ def reverse_integrate(score_fn: ScoreFn, masks: np.ndarray, sde: SDESpec,
     steps down to t_eps on a uniform grid; no noise is injected on the
     final step. Masked-out coordinates stay pinned at zero throughout.
     The rows are len(rngs) equal blocks integrated in lockstep, one
-    score_fn call per step for all of them; block j draws its start and
-    every noise increment from rngs[j], the draws its rows alone would make.
-    With QuantityScoreModel.chunk_score(masks), no step allocates.
+    score_fn call per step for all of them. The start and every increment
+    are drawn for the active cells only, block j's in row-major order from
+    rngs[j], draw k from k * 2**64 outputs past its state at the call: the
+    draws its rows alone would make, whatever rows follow them, and none
+    for an all-zero row. With QuantityScoreModel.chunk_score(masks), no
+    step allocates.
 
     The step scalars come from a grid made once per call over
     t_k = linspace(1, t_eps, steps + 1): t_k, dt_k = t_k - t_{k+1},
@@ -254,8 +257,20 @@ def reverse_integrate(score_fn: ScoreFn, masks: np.ndarray, sde: SDESpec,
     score_fn(x, masks, t_k, terms_k) with its embedding row and -sigma.
     """
     masks = np.atleast_2d(np.asarray(masks, dtype=float))
-    noise = np.empty(masks.shape)
-    x = netcore.fill_blocks(noise, rngs, np.random.Generator.standard_normal) * masks
+    active = np.flatnonzero(masks)  # row-major, so block by block
+    noise = np.empty(active.size)
+    ends = np.cumsum([np.count_nonzero(b) for b in netcore.row_blocks(masks, len(rngs))])
+    parts = list(zip(np.split(noise, ends[:-1]), rngs, [r.bit_generator.state for r in rngs]))
+
+    def normals(k: int) -> np.ndarray:
+        for part, rng, start in parts:
+            rng.bit_generator.state = start
+            rng.bit_generator.advance(k << 64)
+            rng.standard_normal(out=part)
+        return noise
+
+    x = np.zeros(masks.shape)
+    np.put(x, active, normals(0))
     drift, finite = np.empty(masks.shape), np.empty(masks.shape, dtype=bool)
     ts = np.linspace(1.0, sde.t_eps, sde.steps + 1)
     # the step grid: each step's scalars, computed once per call with the
@@ -266,7 +281,7 @@ def reverse_integrate(score_fn: ScoreFn, masks: np.ndarray, sde: SDESpec,
                zip(*_score_terms(sde, t_k)))
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (t, dt, b, noise_scale, terms) in enumerate(grid):
-            # x += b * (s + 0.5 x) * dt * masks, then sqrt(b dt) * noise * masks
+            # x += b * (s + 0.5 x) * dt * masks, then sqrt(b dt) * noise on active cells
             np.multiply(x, 0.5, out=drift)
             drift += score_fn(x, masks, t, terms)
             drift *= b
@@ -274,10 +289,9 @@ def reverse_integrate(score_fn: ScoreFn, masks: np.ndarray, sde: SDESpec,
             drift *= masks
             x += drift
             if k < sde.steps - 1:
-                netcore.fill_blocks(noise, rngs, np.random.Generator.standard_normal)
+                normals(k + 1)
                 noise *= noise_scale
-                noise *= masks
-                x += noise
+                np.add.at(x.reshape(-1), active, noise)  # x is contiguous, so a view
             if not np.isfinite(x, out=finite).all():
                 norm = float(np.abs(x[finite]).max()) if finite.any() else float("inf")
                 raise NumericError(
@@ -290,14 +304,20 @@ def reverse_sample_batch(model: QuantityScoreModel, masks: np.ndarray, seed: int
                          chunk_size: int = 2048, threads: int = 1) -> np.ndarray:
     """Grams matrix (n, K) sampled for the (n, K) mask rows.
 
-    Chunks are seeded by (seed, chunk_index), so any thread count gives
-    identical output.
+    Row i draws from block i // 64 of the quantity stream of seed (netcore),
+    the last block padded with all-zero rows, which draw nothing. So given
+    generate_batch's masks it gives that batch's grams, at any chunk_size
+    (rows to a window) and thread count.
     """
     masks = np.atleast_2d(np.asarray(masks, dtype=np.uint8))
-    z = netcore.map_chunks(
-        masks.shape[0], chunk_size, threads,
-        lambda c, rows: reverse_integrate(model.chunk_score(masks[rows]), masks[rows], model.sde,
-                                          [netcore.chunk_rng(seed, c)]))
+    padded = np.concatenate([masks, np.zeros((-len(masks) % netcore.BLOCK, masks.shape[1]))])
+
+    def draw(blocks: range) -> np.ndarray:
+        window = padded[blocks.start * netcore.BLOCK:blocks.stop * netcore.BLOCK]
+        return reverse_integrate(model.chunk_score(window), window, model.sde,
+                                 netcore.block_rngs(seed, netcore.QUANTITIES, blocks))
+
+    z = netcore.map_windows(len(masks), chunk_size, threads, draw)
     return decode_weights(z, masks, model.codec)
 
 

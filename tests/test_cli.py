@@ -146,6 +146,22 @@ def test_sample_mask_from_conditions_on_given_masks(pipeline, tmp_path):
         assert g_ids == o_ids
 
 
+def test_sample_mask_from_its_own_output_writes_the_same_bytes(pipeline, tmp_path):
+    # the conditional sampler draws row i's weights as the joint one does,
+    # whatever the count (130: a cut last block) and chunk sizes
+    models = ["--mask-model", str(pipeline / "checkpoints" / "mask_model.json"),
+              "--quantity-model", str(pipeline / "checkpoints" / "quantity_model.json"),
+              "--vocabulary", str(pipeline / "vocabulary.json"), "--seed", "11",
+              "--set", "sde.steps=80"]
+    run_ok(["sample", *models, "--count", "130", "--chunk-size", "64",
+            "--out-dir", str(tmp_path / "joint")])
+    joint = tmp_path / "joint" / "samples" / "samples.jsonl"
+    run_ok(["sample", *models, "--mask-from", str(joint),
+            "--out-dir", str(tmp_path / "conditional")])
+    conditional = tmp_path / "conditional" / "samples" / "samples.jsonl"
+    assert conditional.read_bytes() == joint.read_bytes()
+
+
 def test_validate_writes_reports(pipeline, capsys):
     run_ok(["validate", "--corpus", str(pipeline / "corpus.jsonl"),
             "--out-dir", str(pipeline), "--count", "400", "--seed", "7",

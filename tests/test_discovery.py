@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -69,13 +70,47 @@ def test_generate_batch_deterministic(trained_models):
     np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("chunk, budget", [(8, 16), (64, 150)])
-def test_generate_batch_rows_are_the_rediscover_stream(chunk, budget):
-    # with count a multiple of the chunk size, batch row i is rediscover's
-    # draw i, also within a last chunk the budget cuts short
+@functools.cache
+def stream(count: int = 256) -> np.ndarray:
+    """Rows 0 to count - 1 of random_models' sample stream of seed 5, drawn
+    in one window."""
+    return dc.generate_batch(*random_models(), count, seed=5, chunk_size=count)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 200), st.integers(1, 300), st.sampled_from([1, 2]))
+@example(count=100, chunk=64, threads=2)
+def test_stream_row_is_the_same_for_any_count_chunk_and_thread_count(count, chunk, threads):
+    # a last block is drawn in full and cut; conditional masks pad it with
+    # all-zero rows, which draw nothing
     mask_model, qty_model = random_models()
-    count = -(-budget // chunk) * chunk
+    given_masks = (stream() > 0).astype(np.uint8)[::-1]  # any masks, here the stream's reversed
+    kw = {"chunk_size": chunk, "threads": threads}
+    grams = dc.generate_batch(mask_model, qty_model, count, seed=5, **kw)
+    masks = md.sample_masks(mask_model, count, seed=5, **kw)
+    weights = qd.reverse_sample_batch(qty_model, given_masks[:count], seed=5, **kw)
+    assert grams.tobytes() == stream()[:count].tobytes()
+    assert masks.tobytes() == (stream()[:count] > 0).astype(np.uint8).tobytes()
+    assert weights.tobytes() == qd.reverse_sample_batch(qty_model, given_masks, 5)[:count].tobytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 200), st.integers(1, 300))
+@example(count=130, chunk=64)
+def test_joint_sampling_equals_its_two_halves(count, chunk):
+    mask_model, qty_model = random_models()
     grams = dc.generate_batch(mask_model, qty_model, count, seed=5, chunk_size=chunk)
+    masks = md.sample_masks(mask_model, count, seed=5, chunk_size=chunk)
+    assert masks.tobytes() == (grams > 0).astype(np.uint8).tobytes()
+    assert qd.reverse_sample_batch(qty_model, masks, seed=5).tobytes() == grams.tobytes()
+
+
+@pytest.mark.parametrize("batch_chunk, chunk, budget", [(2048, 8, 21), (64, 100, 150)])
+def test_generate_batch_rows_are_the_rediscover_stream(batch_chunk, chunk, budget):
+    # batch row i is rediscover's draw i for a count that is not a multiple
+    # of either chunk size, also within a last block the budget cuts short
+    mask_model, qty_model = random_models()
+    grams = dc.generate_batch(mask_model, qty_model, budget, seed=5, chunk_size=batch_chunk)
     for i in range(budget):
         out = dc.rediscover(mask_model, qty_model, grams[i],
                             budget=budget, seed=5, chunk_size=chunk)
@@ -118,27 +153,26 @@ def test_rediscover_window_does_not_change_the_outcome(monkeypatch):
 
 
 def test_rediscover_earlier_hit_wins_over_a_later_blow_up(monkeypatch):
-    # the quantity sampler of chunks 4 and 5 fails; the third window holds
-    # chunks 3-6, and draw 29, in chunk 3, has no earlier match
+    # the quantity sampler of blocks 4 and 5 fails; the third window holds
+    # blocks 3-6, and draw 205, in block 3, has no earlier match
     mask_model, qty_model = random_models()
-    failing = {netcore.chunk_rng(6 + dc._QTY_STREAM, c).bit_generator.state["state"]["state"]: c
-               for c in (4, 5)}
     real = dc.reverse_integrate
 
     def reverse_integrate(score_fn, masks, sde, rngs):
         for rng in rngs:
-            c = failing.get(rng.bit_generator.state["state"]["state"])
-            if c is not None:
-                raise NumericError(f"blow-up in chunk {c}")
+            stream, block = rng.bit_generator.seed_seq.spawn_key
+            if stream == netcore.QUANTITIES and block in (4, 5):
+                raise NumericError(f"blow-up in block {block}")
         return real(score_fn, masks, sde, rngs)
 
+    grams = dc.generate_batch(mask_model, qty_model, 512, seed=6)
     monkeypatch.setattr(dc, "reverse_integrate", reverse_integrate)
-    grams = dc.generate_batch(mask_model, qty_model, 32, seed=6, chunk_size=8)
-    out = dc.rediscover(mask_model, qty_model, grams[29], 64, 6, chunk_size=8)
-    assert out.found and out.index == 29
-    np.testing.assert_array_equal(out.recipe, grams[29])
-    with pytest.raises(NumericError, match="chunk 4$"):
-        dc.rediscover(mask_model, qty_model, np.zeros(mask_model.K), 64, 6, chunk_size=8)
+    assert min(j for j in range(206) if scoring.sds(grams[j], grams[205]) == 0) == 205
+    out = dc.rediscover(mask_model, qty_model, grams[205], 512, 6)
+    assert out.found and out.index == 205
+    np.testing.assert_array_equal(out.recipe, grams[205])
+    with pytest.raises(NumericError, match="block 4$"):
+        dc.rediscover(mask_model, qty_model, np.zeros(mask_model.K), 512, 6)
 
 
 def test_generate_batch_raises_numeric_error_when_grams_overflow():

@@ -383,8 +383,8 @@ def test_sample_t0_returns_prior_draw():
     sched = linear_schedule(0)
     model = make_model(sched, K=8, seed=1)
     samples = md.sample_masks(model, 4000, seed=3)
-    prior = np.concatenate([netcore.chunk_rng(3, 0).random((2048, 8)),
-                            netcore.chunk_rng(3, 1).random((1952, 8))]) < 0.5
+    rngs = netcore.block_rngs(3, netcore.MASKS, range(63))  # the last block is cut to 32 rows
+    prior = np.concatenate([rng.random((netcore.BLOCK, 8)) for rng in rngs])[:4000] < 0.5
     drawn = prior.any(axis=1)
     assert 0 < (~drawn).sum() < 40
     np.testing.assert_array_equal(samples[drawn], prior[drawn])
@@ -406,8 +406,9 @@ def test_sample_chunk_blocks_are_their_single_generator_chunks(blocks, m):
     # is resampled from its own block's generator
     model = make_model(linear_schedule(10), K=3, seed=7)
     together, discarded = md._sample_chunk(
-        model, blocks * m, [netcore.chunk_rng(9, c) for c in range(blocks)])
-    alone = [md._sample_chunk(model, m, [netcore.chunk_rng(9, c)]) for c in range(blocks)]
+        model, blocks * m, netcore.block_rngs(9, netcore.MASKS, range(blocks)))
+    alone = [md._sample_chunk(model, m, netcore.block_rngs(9, netcore.MASKS, range(c, c + 1)))
+             for c in range(blocks)]
     np.testing.assert_array_equal(together, np.concatenate([x for x, _ in alone]))
     assert discarded == sum(d for _, d in alone) > 0
 

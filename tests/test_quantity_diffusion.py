@@ -300,14 +300,16 @@ def test_reverse_integrate_blocks_are_their_single_generator_runs():
     net = netcore.init_network([2 * K + 3, 32, 32, 32, K], seed=16)
     model = qd.QuantityScoreModel(sde=qd.SDESpec(steps=50), net=net, codec=make_codec(K), K=K)
     masks = (np.random.default_rng(17).random((4 * m, K)) < 0.4).astype(float)
-    together = qd.reverse_integrate(model.score, masks, model.sde,
-                                    [netcore.chunk_rng(18, c) for c in range(4)])
+
+    def rngs(blocks: range) -> list[np.random.Generator]:
+        return netcore.block_rngs(18, netcore.QUANTITIES, blocks)
+
+    together = qd.reverse_integrate(model.score, masks, model.sde, rngs(range(4)))
     alone = [qd.reverse_integrate(model.score, masks[c * m:(c + 1) * m], model.sde,
-                                  [netcore.chunk_rng(18, c)]) for c in range(4)]
+                                  rngs(range(c, c + 1))) for c in range(4)]
     assert together.tobytes() == np.concatenate(alone).tobytes()
     with pytest.raises(ValueError, match="equal blocks"):
-        qd.reverse_integrate(model.score, masks[:-1], model.sde,
-                             [netcore.chunk_rng(18, c) for c in range(4)])
+        qd.reverse_integrate(model.score, masks[:-1], model.sde, rngs(range(4)))
 
 
 @settings(max_examples=60, deadline=None)

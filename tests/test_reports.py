@@ -26,19 +26,19 @@ DESK = Path(recipeforge.__file__).parent / "data" / "desk"
 
 PINS = {
     "reports/correlations.csv":
-        "c18b52233bab7e96f3157742dcd6b15dc74063576a92cd949c17a34624851713",
+        "8aceea5d42f13956f3c97157787b11446b121969f4e557014f55473601cf7103",
     "reports/discover_groups.csv":
         "cd0799bb3d227de0ea7e8b0dc8ca3261a853373a9e2bd850409810e5a601226f",
     "reports/fidelity.json":
-        "9bb49920d43b1ae9c0785a66f950831081815ed84fa3a281c35aae0811e535f1",
+        "ec3c7b49a42f02f0bb5dd670dad15efd43301de06f7da99a97006ce752a7b6e3",
     "reports/landscape.csv":
         "0aafaeb10939e631eeb55d14de96f0639918bcfcb6dc023a8f5247cc2980a5b5",
     "reports/landscape.meta.json":
         "6580873ea7bfb0280c7fc5fc57f69b48c6c97e2c543ed0c74a217c729f8b3416",
     "reports/length_hist.csv":
-        "4a49f707e1f003bcac7ab79053b7403c4818dc1a2ae6bfd5ab3a44d8e43473f8",
+        "f1418ce9cffdaab260a2f2360926ec04c31123657f9dba8e3fd0286b3a985ef3",
     "reports/marginals.csv":
-        "9f1b26baf855f45783657eada11490c292ca84052755933a813e865bb028d50a",
+        "a638ce434ee8efcf33e8594756b201a70ec388b5bc60478fb3ce19c21dcc45c7",
     "reports/nutritious_groups.csv":
         "af366f7310ee582671ad72c9b900fd4ba2cecf55666c6bfb3aef876f28f16f39",
     "reports/personalize_groups.csv":
