@@ -1,15 +1,15 @@
 """The samplers' and training steps' inner loops: fixed output bits,
 untouched inputs and steps that fault in no memory.
 
-The pins are sha256 digests of outputs of fixed-seed runs. The first five,
-of a tiny run, were recorded at commit 264df32, before the inner loops were
-rewritten in place; the three 2,048-row ones at commit d595960, before the
-samplers wrote their steps into per-call workspaces; the 64-row one at
-commit e67925c, before the reverse SDE read its per-step scalars from one
-grid per call. A speed-up that moves
-any bit of a sample or a trained parameter fails here. They hold for one
-numpy/OpenBLAS build and CPU kernel family; a platform whose BLAS sums in
-another order needs them re-recorded from that earlier code.
+The pins are sha256 digests of outputs of fixed-seed runs. The two
+training pins were recorded at commit 264df32, before the inner loops were
+rewritten in place. The seven sampler pins were recorded at commit cccfc06,
+where the sample stream took its 64-row block address (netcore): the two
+sample_masks pins are one digest, since the chunk size no longer changes a
+sample. A speed-up that moves any bit of a sample or a trained parameter
+fails here. They hold for one numpy/OpenBLAS build and CPU kernel family; a
+platform whose BLAS sums in another order needs them re-recorded from that
+earlier code.
 """
 
 import dataclasses

@@ -2,9 +2,11 @@
 bytes, and group tables that agree across commands.
 
 The pins are sha256 digests of each report with its config_hash line
-or key removed, since the hash covers the run's file paths. They were
-recorded at commit c744b6c, before the five group tables came from one
-writer and the report documents from their dataclass fields. The batch
+or key removed, since the hash covers the run's file paths. The batch
+commands' were recorded at commit c744b6c, before the five group tables
+came from one writer and the report documents from their dataclass
+fields; validate's four at commit cccfc06, where the sample stream took
+its 64-row block address (netcore). The batch
 and corpus are synthesized from the desk spec, and validate reads
 untrained models, so no pin depends on a training run; validate's do
 depend on the BLAS kernels, as the pins of test_inner_loops do.
