@@ -339,7 +339,7 @@ def _openblas() -> ctypes.CDLL | None:
 def one_blas_thread():
     """Run the body with numpy's bundled OpenBLAS on one thread.
 
-    The cores go to map_chunks workers instead: BLAS threads started
+    The cores go to map_windows workers instead: BLAS threads started
     inside each worker would oversubscribe them. The previous thread count
     is restored on exit. Does nothing when the library is not found. The
     count is process-wide: BLAS calls that other threads make meanwhile
