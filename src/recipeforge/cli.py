@@ -8,6 +8,10 @@ every output embeds the hash of the resolved configuration that produced
 it; JSON-lines sample and corpus files carry the hash in a sidecar
 .meta.json so the record schema stays pure.
 
+A command builds the parser of its own subcommand only; --help, no
+command and an unknown one build all twelve. Help texts and usage errors
+are the same bytes either way.
+
 Each flag other than --config, --set and --out-dir is shorthand for
 `--set <key>=VALUE`: its argparse dest is that config key, which --help
 shows as its metavar. Precedence, lowest first: defaults < --config <
@@ -85,86 +89,96 @@ def _add_batch_source(p: argparse.ArgumentParser) -> None:
     _flag(p, "--chunk-size", "sample.chunk_size", type=int, help=_CHUNK_HELP)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or only of command when one is named: its help,
+    its parse and its usage errors are then the same bytes as the full parser's."""
     parser = argparse.ArgumentParser(prog="recipeforge",
                                      description="generative recipe design pipelines")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a usage line lists every command; the full parser leaves that to argparse, so that
+    # its error for a missing command keeps naming it "command"
+    every = "{" + ",".join(_HANDLERS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if command is None else every)
 
-    p = sub.add_parser("ingest", help="validate and canonicalize a corpus file")
-    _flag(p, "--input", "paths.corpus", required=True, help="corpus JSONL to ingest")
-    _flag(p, "--vocabulary", "paths.vocabulary", help="existing vocabulary to enforce")
+    def add(name: str, help: str) -> argparse.ArgumentParser | None:
+        return sub.add_parser(name, help=help) if command in (None, name) else None
 
-    p = sub.add_parser("synth", help="synthesize a corpus from a generative spec")
-    _flag(p, "--spec", "paths.spec", required=True)
-    _flag(p, "--out", "paths.out", help="corpus output path (default <out-dir>/corpus.jsonl)")
-    _flag(p, "--count", "synth.count_override", type=int, help="override the spec recipe count")
+    if p := add("ingest", "validate and canonicalize a corpus file"):
+        _flag(p, "--input", "paths.corpus", required=True, help="corpus JSONL to ingest")
+        _flag(p, "--vocabulary", "paths.vocabulary", help="existing vocabulary to enforce")
 
-    for name, what in (("train-mask", "ingredient-selection"), ("train-quantity", "ingredient-quantity")):
-        p = sub.add_parser(name, help=f"train the {what} model")
+    if p := add("synth", "synthesize a corpus from a generative spec"):
+        _flag(p, "--spec", "paths.spec", required=True)
+        _flag(p, "--out", "paths.out", help="corpus output path (default <out-dir>/corpus.jsonl)")
+        _flag(p, "--count", "synth.count_override", type=int, help="override the spec recipe count")
+
+    for name, what in (("train-mask", "ingredient-selection"),
+                       ("train-quantity", "ingredient-quantity")):
+        if p := add(name, f"train the {what} model"):
+            _flag(p, "--corpus", "paths.corpus", required=True)
+
+    if p := add("sample", "generate recipes (or weights for given masks)"):
+        _add_models(p)
+        _flag(p, "--count", "sample.count", type=int)
+        _flag(p, "--chunk-size", "sample.chunk_size", type=int, help=_CHUNK_HELP)
+        _flag(p, "--steps", "sde.steps", type=int, help="reverse SDE integration steps")
+        _flag(p, "--mask-from", "paths.samples",
+              help="JSONL of recipes whose masks get fresh conditional weights")
+
+    if p := add("rediscover", "search the sample stream for a reference recipe"):
+        _add_models(p)
+        _flag(p, "--reference", "paths.reference", required=True,
+              help="JSONL file holding the one target recipe")
+        _flag(p, "--budget", "rediscover.budget", type=int)
+        _flag(p, "--steps", "sde.steps", type=int)
+
+    if p := add("discover", "most repeated sample above a novelty floor"):
+        _add_batch_source(p)
         _flag(p, "--corpus", "paths.corpus", required=True)
+        _flag(p, "--min-sds", "select.min_sds", type=int)
+        _flag(p, "--impact-table", "paths.impact_table")
+        _flag(p, "--impact-norms", "paths.impact_norms")
+        _flag(p, "--nutrient-table", "paths.nutrient_table")
+        _flag(p, "--hei-standards", "paths.hei_standards")
 
-    p = sub.add_parser("sample", help="generate recipes (or weights for given masks)")
-    _add_models(p)
-    _flag(p, "--count", "sample.count", type=int)
-    _flag(p, "--chunk-size", "sample.chunk_size", type=int, help=_CHUNK_HELP)
-    _flag(p, "--steps", "sde.steps", type=int, help="reverse SDE integration steps")
-    _flag(p, "--mask-from", "paths.samples",
-          help="JSONL of recipes whose masks get fresh conditional weights")
+    if p := add("select-sustainable", "most repeated sample in the lowest-impact decile"):
+        _add_batch_source(p)
+        _flag(p, "--impact-table", "paths.impact_table", required=True)
+        _flag(p, "--impact-norms", "paths.impact_norms")
+        _flag(p, "--require", "select.required", action="append",
+              help="ingredient id the selection must contain (repeatable)")
+        _flag(p, "--corpus", "paths.corpus", help="corpus for novelty annotation")
 
-    p = sub.add_parser("rediscover", help="search the sample stream for a reference recipe")
-    _add_models(p)
-    _flag(p, "--reference", "paths.reference", required=True,
-          help="JSONL file holding the one target recipe")
-    _flag(p, "--budget", "rediscover.budget", type=int)
-    _flag(p, "--steps", "sde.steps", type=int)
+    if p := add("select-nutritious", "most repeated sample in the top HEI fraction"):
+        _add_batch_source(p)
+        _flag(p, "--nutrient-table", "paths.nutrient_table", required=True)
+        _flag(p, "--hei-standards", "paths.hei_standards")
+        _flag(p, "--top", "select.top_fraction", type=float)
+        _flag(p, "--corpus", "paths.corpus")
 
-    p = sub.add_parser("discover", help="most repeated sample above a novelty floor")
-    _add_batch_source(p)
-    _flag(p, "--corpus", "paths.corpus", required=True)
-    _flag(p, "--min-sds", "select.min_sds", type=int)
-    _flag(p, "--impact-table", "paths.impact_table")
-    _flag(p, "--impact-norms", "paths.impact_norms")
-    _flag(p, "--nutrient-table", "paths.nutrient_table")
-    _flag(p, "--hei-standards", "paths.hei_standards")
+    if p := add("personalize", "most repeated sample in the top personalized fraction"):
+        _add_batch_source(p)
+        _flag(p, "--nutrient-table", "paths.nutrient_table", required=True)
+        _flag(p, "--age", "profile.age", type=float)
+        _flag(p, "--sex", "profile.sex", choices=["male", "female"], help="one of %(choices)s")
+        _flag(p, "--height", "profile.height_cm", type=float, help="height in cm")
+        _flag(p, "--weight", "profile.weight_kg", type=float, help="weight in kg")
+        _flag(p, "--activity", "profile.activity", choices=list(scoring.ACTIVITY_LEVELS),
+              help="one of %(choices)s")
+        _flag(p, "--top", "select.top_fraction", type=float)
 
-    p = sub.add_parser("select-sustainable", help="most repeated sample in the lowest-impact decile")
-    _add_batch_source(p)
-    _flag(p, "--impact-table", "paths.impact_table", required=True)
-    _flag(p, "--impact-norms", "paths.impact_norms")
-    _flag(p, "--require", "select.required", action="append",
-          help="ingredient id the selection must contain (repeatable)")
-    _flag(p, "--corpus", "paths.corpus", help="corpus for novelty annotation")
+    if p := add("validate", "fidelity report against a corpus"):
+        _add_models(p)
+        _flag(p, "--corpus", "paths.corpus", required=True)
+        _flag(p, "--count", "fidelity.sample_count", type=int, help="fidelity sample count")
 
-    p = sub.add_parser("select-nutritious", help="most repeated sample in the top HEI fraction")
-    _add_batch_source(p)
-    _flag(p, "--nutrient-table", "paths.nutrient_table", required=True)
-    _flag(p, "--hei-standards", "paths.hei_standards")
-    _flag(p, "--top", "select.top_fraction", type=float)
-    _flag(p, "--corpus", "paths.corpus")
-
-    p = sub.add_parser("personalize", help="most repeated sample in the top personalized fraction")
-    _add_batch_source(p)
-    _flag(p, "--nutrient-table", "paths.nutrient_table", required=True)
-    _flag(p, "--age", "profile.age", type=float)
-    _flag(p, "--sex", "profile.sex", choices=["male", "female"], help="one of %(choices)s")
-    _flag(p, "--height", "profile.height_cm", type=float, help="height in cm")
-    _flag(p, "--weight", "profile.weight_kg", type=float, help="weight in kg")
-    _flag(p, "--activity", "profile.activity", choices=list(scoring.ACTIVITY_LEVELS),
-          help="one of %(choices)s")
-    _flag(p, "--top", "select.top_fraction", type=float)
-
-    p = sub.add_parser("validate", help="fidelity report against a corpus")
-    _add_models(p)
-    _flag(p, "--corpus", "paths.corpus", required=True)
-    _flag(p, "--count", "fidelity.sample_count", type=int, help="fidelity sample count")
-
-    p = sub.add_parser("landscape", help="per-group score table over a batch")
-    _add_batch_source(p)
-    _flag(p, "--corpus", "paths.corpus", required=True)
-    _flag(p, "--impact-table", "paths.impact_table", required=True)
-    _flag(p, "--impact-norms", "paths.impact_norms")
-    _flag(p, "--nutrient-table", "paths.nutrient_table", required=True)
-    _flag(p, "--hei-standards", "paths.hei_standards")
+    if p := add("landscape", "per-group score table over a batch"):
+        _add_batch_source(p)
+        _flag(p, "--corpus", "paths.corpus", required=True)
+        _flag(p, "--impact-table", "paths.impact_table", required=True)
+        _flag(p, "--impact-norms", "paths.impact_norms")
+        _flag(p, "--nutrient-table", "paths.nutrient_table", required=True)
+        _flag(p, "--hei-standards", "paths.hei_standards")
 
     for p in sub.choices.values():
         _add_common(p)
@@ -523,7 +537,7 @@ _HANDLERS = {
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -94,33 +94,30 @@ def novelty_many(samples: np.ndarray, corpus: Corpus, block: int = 256) -> np.nd
     Exact, but only a few (sample, corpus row) pairs are checked in full.
     SDS(a, b) >= H(a, b), the Hamming distance between the two presence masks,
     because presence in exactly one recipe is one of the terms SDS counts and
-    the ratio term only adds. Per block, H comes from one matrix product,
-    |a| + |b| - 2 a.b on 0/1 float32s: exact, because every value is an integer
-    <= K, and half the bytes of float64. The exact SDS to each sample's
-    Hamming-nearest corpus row is an upper bound u on its novelty, and a row j
-    can only lower it if H(sample, j) < u; SDS is computed for those pairs
-    alone and reduced with a running minimum. Candidate pairs are evaluated in
-    slices of at most block * N / 8, so even when every pair is a candidate a
-    block holds less memory than a dense (block, N, K) SDS.
+    the ratio term only adds. On 0/1 masks H(a, b) = |a| - (2a - 1).b, so per
+    block one float32 matrix product M = (2a - 1).b gives H up to the row's
+    |a|: exact, because every value is an integer <= K, and half the bytes of
+    float64. The exact SDS to each sample's Hamming-nearest corpus row (the
+    first argmax of M) is an upper bound u on its novelty, and a row j can only
+    lower it if H(sample, j) < u, that is M > |a| - u; SDS is computed for those
+    pairs alone and reduced with a running minimum. Candidate pairs are
+    evaluated in slices of at most block * N / 8, so even when every pair is a
+    candidate a block holds less memory than a dense (block, N, K) SDS.
     """
     if len(corpus) == 0:
         raise DataError("novelty undefined against an empty corpus")
     W = corpus.grams
     P = (W > 0).astype(np.float32)
-    sizes = P.sum(axis=1)
     N = len(W)
     step = max(1, block * N // 8)
     out = np.zeros(len(samples), dtype=int)
     for lo in range(0, len(samples), block):
         S = samples[lo:lo + block]
-        Ps = (S > 0).astype(np.float32)
-        ham = Ps @ P.T
-        ham *= -2.0
-        ham += Ps.sum(axis=1)[:, None]
-        ham += sizes
-        best = _sds_rows(S, W[ham.argmin(axis=1)])
-        pairs = np.flatnonzero(ham < best[:, None])
-        del ham
+        present = S > 0
+        M = np.where(present, np.float32(1), np.float32(-1)) @ P.T
+        best = _sds_rows(S, W[M.argmax(axis=1)])
+        pairs = np.flatnonzero(M > (present.sum(axis=1) - best).astype(np.float32)[:, None])
+        del M
         for c in range(0, pairs.size, step):
             rows, cols = np.divmod(pairs[c:c + step], N)
             np.minimum.at(best, rows, _sds_rows(S[rows], W[cols]))

@@ -154,8 +154,9 @@ def fidelity_report(mask_model: MaskDiffusionModel, quantity_model: QuantityScor
     Deterministic for a fixed seed: the masks come from the mask stream of
     seed, the held-out quantity samples from its independent quantity
     stream (netcore), so with threads >= 2 and validation rows the quantity
-    samples are drawn on one worker thread while the masks are drawn on
-    this one; the report, and any error, are the same as with threads = 1.
+    samples are drawn on one worker thread while the masks are split over
+    threads workers, in windows of at most 2,048 rows; the report, and any
+    error, are the same as with threads = 1.
     """
     check_models(mask_model, quantity_model)
     train_masks = (corpus.rows(TRAIN) > 0).astype(np.uint8)
@@ -165,7 +166,8 @@ def fidelity_report(mask_model: MaskDiffusionModel, quantity_model: QuantityScor
     with ThreadPoolExecutor(max_workers=1) as pool:
         pending = (pool.submit(quantity_mae, quantity_model, held_out, seed)
                    if threads >= 2 and len(held_out) else None)
-        samples = sample_masks(mask_model, sample_count, seed, threads=threads)
+        samples = sample_masks(mask_model, sample_count, seed,
+                               chunk_size=min(2048, -(-sample_count // threads)), threads=threads)
 
     corr_corpus = pairwise_correlations(train_masks)
     corr_samples = pairwise_correlations(samples)

@@ -77,16 +77,20 @@ def group_recipes(samples: np.ndarray) -> list[SDSGroup]:
         raise DataError("cannot group an empty sample list")
     _, first, bucket, sizes = np.unique(_pattern_keys(samples), return_index=True,
                                         return_inverse=True, return_counts=True)
-    groups = [(1, f) for f in first[sizes == 1].tolist()]
+    founders = first[sizes == 1].tolist()
+    counts = [1] * len(founders)
     by_bucket, ends = np.argsort(bucket, kind="stable"), np.cumsum(sizes)
     for b in np.flatnonzero(sizes > 1):
         rest = by_bucket[ends[b] - sizes[b]:ends[b]]
         while rest.size:
             same = _sds_rows(samples[rest], samples[rest[0]]) == 0
             same[0] = True  # its founder, though a row with an infinite gram is at SDS 1 to itself
-            groups.append((int(same.sum()), int(rest[0])))
+            counts.append(int(same.sum()))
+            founders.append(int(rest[0]))
             rest = rest[~same]
-    return [SDSGroup(c, f) for c, f in sorted(groups, key=lambda g: (-g[0], g[1]))]
+    counts, founders = np.array(counts), np.array(founders)
+    order = np.lexsort((founders, -counts))
+    return list(map(SDSGroup, counts[order].tolist(), founders[order].tolist()))
 
 
 # ---------------------------------------------------------------------------

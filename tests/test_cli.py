@@ -570,8 +570,12 @@ def test_selection_outputs_do_not_depend_on_the_corpus_cache(pipeline, tmp_path)
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def subparsers(parser: argparse.ArgumentParser) -> argparse._SubParsersAction:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
 def test_every_flag_sets_a_config_key():
-    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    sub = subparsers(cli.build_parser())
     assert len(sub.choices) == 12
     for command, p in sub.choices.items():
         for action in p._actions:
@@ -587,6 +591,66 @@ def test_every_flag_sets_a_config_key():
     assert dests["sample"]["--count"] == "sample.count"
     assert dests["sample"]["--mask-from"] == "paths.samples"
     assert "--count fidelity.sample_count" in sub.choices["validate"].format_help()
+
+
+def every_flag(parser: argparse.ArgumentParser) -> list[str]:
+    """Arguments that give each flag of a subcommand's parser a valid value."""
+    argv = []
+    for a in parser._actions:
+        if a.option_strings and a.dest != "help":
+            value = a.choices[0] if a.choices else {int: "3", float: "0.5"}.get(a.type, "in.json")
+            argv += [a.option_strings[0], value]
+    return argv
+
+
+@pytest.mark.parametrize("command", list(cli._HANDLERS))
+def test_one_subcommand_parser_equals_the_full_one(command):
+    full, one = cli.build_parser(), cli.build_parser(command)
+    assert list(subparsers(one).choices) == [command]
+    own = subparsers(full).choices[command]
+    assert subparsers(one).choices[command].format_help() == own.format_help()
+    argv = [command, *every_flag(own)]
+    assert one.parse_args(argv) == full.parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["no-such-command"], ["validate", "--help"],
+    ["discover", "--nonsense"],
+    ["synth", "--spec", "spec.json", "--nonsense", "x"],
+    ["synth", "--spec", "spec.json", "--count", "many"],
+    ["personalize", "--nutrient-table", "t.csv", "--sex", "other"],
+], ids=["help", "no_command", "unknown_command", "command_help", "missing_required_flag",
+        "unknown_flag", "bad_int", "bad_choice"])
+def test_usage_output_is_the_full_parsers(argv, capsys):
+    """cli.run prints and exits on help and usage errors as the full parser does."""
+    code = cli.run(argv)
+    got = capsys.readouterr()
+    with pytest.raises(SystemExit) as e:
+        cli.build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    assert (code, got.out, got.err) == (0 if e.value.code == 0 else 1, want.out, want.err)
+    assert code == (0 if "--help" in argv else 1)
+    if argv == ["--help"]:  # every subcommand with its help line
+        for a in subparsers(cli.build_parser())._choices_actions:
+            assert a.dest in got.out and a.help in got.out
+
+
+def test_a_command_builds_only_its_own_parser(pipeline, tmp_path, monkeypatch):
+    """A command adds the arguments of its own subcommand, and no other's."""
+    progs = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        progs.append(self.prog)
+        return add_argument(self, *args, **kwargs)
+
+    own = len(subparsers(cli.build_parser()).choices["select-nutritious"]._actions)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    run_ok(["select-nutritious", "--samples", str(pipeline / "samples" / "samples.jsonl"),
+            "--vocabulary", str(pipeline / "vocabulary.json"),
+            "--nutrient-table", str(DESK / "nutrient_table.csv"), "--out-dir", str(tmp_path)])
+    assert set(progs) == {"recipeforge", "recipeforge select-nutritious"}
+    assert progs.count("recipeforge select-nutritious") == own
 
 
 def test_precedence_is_config_then_env_then_flags_then_set(tmp_path, monkeypatch):

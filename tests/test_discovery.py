@@ -264,6 +264,13 @@ def novelty_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(novelty_cases())
 @example((np.array([[2.0], [0.0], [7.0]]), np.array([[1.0], [1.0], [0.0]]), 2))  # K = 1
+# Hamming-nearest rows tied at H = 0 whose first is at SDS 1 and the next at 0
+@example((np.array([[1.0, 2.0, 0.0]]), np.array([[1.0, 4.0, 0.0], [1.0, 2.0, 0.0]]), 1))
+# in one block, such a tie in both orders, and for the first sample two rows at H = 1,
+# exactly the bound u = 1, whose SDS (1) cannot lower it
+@example((np.array([[1.0, 2.0, 0.0, 0.0], [1.0, 2.0, 0.0, 3.0]]),
+          np.array([[1.0, 8.0, 0.0, 0.0], [1.0, 2.0, 5.0, 0.0], [1.0, 2.0, 0.0, 3.0],
+                    [1.0, 2.0, 0.0, 0.0], [1.0, 8.0, 0.0, 3.0]]), 2))
 def test_novelty_many_equals_brute_force_minimum(case):
     samples, corpus_rows, block = case
     got = dc.novelty_many(samples, corpus_of(corpus_rows), block=block)
