@@ -24,7 +24,8 @@ the vocabulary, so it is never read for different bytes. Entries are never
 evicted, so the directory only grows; deleting it is always safe.
 
 Commands run with numpy's OpenBLAS on one thread (restored afterwards),
-so the worker threads that --threads sets are the only parallelism.
+so the sampling worker processes that --threads sets are the only
+parallelism.
 
 Row i of a seed's sample stream is the same draw in sample, sample
 --mask-from, validate and rediscover at any count; sample.chunk_size and
@@ -70,7 +71,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "entries are never evicted, and deleting cache/ is always safe")
     _flag(p, "--seed", "run.seed", type=int)
     _flag(p, "--threads", "run.threads", type=int,
-          help="worker threads (env RECIPEFORGE_THREADS as fallback)")
+          help="sampling worker processes, at most the usable cores "
+               "(env RECIPEFORGE_THREADS as fallback)")
 
 
 _CHUNK_HELP = "rows sampled at once per worker; sets the compute window only, never the samples"

@@ -9,7 +9,6 @@ data.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -84,18 +83,20 @@ def pairwise_correlations(masks: np.ndarray) -> np.ndarray:
     return np.clip(corr, -1.0, 1.0)
 
 
-def quantity_mae(model: QuantityScoreModel, held_out: np.ndarray, seed: int) -> float:
+def quantity_mae(model: QuantityScoreModel, held_out: np.ndarray, seed: int, *,
+                 threads: int = 1) -> float:
     """Mean absolute gram error of one conditional sample per row of the
     held-out (n, K) grams matrix.
 
-    Weights are sampled conditioned on each recipe's true mask; the error
-    is averaged over active ingredients within a recipe, then over
-    recipes.
+    Weights are sampled conditioned on each recipe's true mask, a window
+    of at most 2,048 rows to each of threads workers; the error is
+    averaged over active ingredients within a recipe, then over recipes.
     """
     if len(held_out) == 0:
         raise DataError("held-out set is empty")
     masks = (held_out > 0).astype(np.uint8)
-    sampled = reverse_sample_batch(model, masks, seed)
+    sampled = reverse_sample_batch(model, masks, seed, threads=threads,
+                                   chunk_size=min(2048, -(-len(masks) // threads)))
     errs = []
     for w, s, active in zip(held_out, sampled, masks == 1):
         errs.append(float(np.abs(s[active] - w[active]).mean()))
@@ -153,21 +154,18 @@ def fidelity_report(mask_model: MaskDiffusionModel, quantity_model: QuantityScor
 
     Deterministic for a fixed seed: the masks come from the mask stream of
     seed, the held-out quantity samples from its independent quantity
-    stream (netcore), so with threads >= 2 and validation rows the quantity
-    samples are drawn on one worker thread while the masks are split over
-    threads workers, in windows of at most 2,048 rows; the report, and any
-    error, are the same as with threads = 1.
+    stream (netcore). Each is split over threads workers in turn, in
+    windows of at most 2,048 rows; the report, and any error, are the same
+    as with threads = 1.
     """
     check_models(mask_model, quantity_model)
     train_masks = (corpus.rows(TRAIN) > 0).astype(np.uint8)
     if train_masks.shape[0] == 0:
         raise DataError("corpus train split is empty")
     held_out = corpus.rows(VALIDATION)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        pending = (pool.submit(quantity_mae, quantity_model, held_out, seed)
-                   if threads >= 2 and len(held_out) else None)
-        samples = sample_masks(mask_model, sample_count, seed,
-                               chunk_size=min(2048, -(-sample_count // threads)), threads=threads)
+    samples = sample_masks(mask_model, sample_count, seed,
+                           chunk_size=min(2048, -(-sample_count // threads)), threads=threads)
+    mae = quantity_mae(quantity_model, held_out, seed, threads=threads) if len(held_out) else None
 
     corr_corpus = pairwise_correlations(train_masks)
     corr_samples = pairwise_correlations(samples)
@@ -176,11 +174,6 @@ def fidelity_report(mask_model: MaskDiffusionModel, quantity_model: QuantityScor
         PairAgreement(ids[i], ids[j], float(corr_corpus[i, j]), float(corr_samples[i, j]))
         for i, j in top_correlated_pairs(corr_corpus, top_k)
     ]
-
-    if pending is not None:
-        mae = pending.result()
-    else:
-        mae = quantity_mae(quantity_model, held_out, seed) if len(held_out) else None
 
     sample_hist, corpus_hist = _length_hists(samples, train_masks)
     return FidelityReport(

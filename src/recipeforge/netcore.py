@@ -10,14 +10,15 @@ net.weights[l] (shape (sizes[l+1], sizes[l])) and net.biases[l] are views
 into theta, so writing to them writes theta and vice versa. Gradients,
 Adam's moments and the parameter average are flat vectors in the same
 layout. forward writes new arrays, or a caller's layer_buffers: each sampler
-call owns its own, never a model, since map_windows threads share models.
+call owns its own, never a model, so drawing leaves a model unchanged.
 
 The sample stream of a seed gives each draw one address: row i is row
 i % BLOCK of block b = i // BLOCK, whose masks come from SeedSequence(seed,
 spawn_key=(MASKS, b)) and quantities from spawn_key=(QUANTITIES, b).
 map_windows draws whole blocks, a window of them in lockstep, and cuts the
-last, so row i has the same bits at any count, window and thread count on
+last, so row i has the same bits at any count, window and worker count on
 a BLAS that rounds a row alike in any window of whole blocks (tests pin it).
+Its workers are this process and forked children, which inherit the models.
 
 A model checkpoint is one JSON object with the keys schema_version,
 kind, K and vocab_fingerprint, then the model's own fields, then net
@@ -34,7 +35,9 @@ import glob
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -306,18 +309,100 @@ def row_blocks(a: np.ndarray, count: int) -> list[np.ndarray]:
 def map_windows(n: int, window_rows: int, threads: int,
                 draw: Callable[[range], np.ndarray]) -> np.ndarray:
     """The first n rows of draw(blocks) over the windows of the blocks
-    covering n rows (one empty window if none), on up to threads workers;
-    a window is window_rows rounded up to whole blocks, the last one the
-    blocks left, and draw(blocks) returns len(blocks) * BLOCK rows."""
+    covering n rows (one empty window if none); a window is window_rows
+    rounded up to whole blocks, the last one the blocks left, and
+    draw(blocks) returns len(blocks) * BLOCK rows.
+
+    The windows go to min(threads, windows, usable cores) worker
+    processes: worker w draws windows[w::workers], and worker 0 is this
+    process. The others are forked, only from a process that runs one
+    thread (a fork beside live threads can deadlock the child), so they
+    share the models without copying them. An error is the first failing
+    window's, in window order.
+    """
     blocks = range(-(-n // BLOCK))
     per = -(-window_rows // BLOCK)
     windows = [blocks[i:i + per] for i in range(0, len(blocks), per)] or [blocks]
-    if threads > 1 and len(windows) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(draw, windows))
+    workers = min(threads, len(windows), len(os.sched_getaffinity(0)))
+    if workers > 1 and threading.active_count() == 1:
+        parts = _forked(windows, workers, draw)
     else:
         parts = [draw(w) for w in windows]
     return np.concatenate(parts, axis=0)[:n]
+
+
+def _drawn(windows: list[range], draw: Callable[[range], np.ndarray]) -> list:
+    """draw(w) for the windows in turn, up to the first exception raised, then it."""
+    parts = []
+    for w in windows:
+        try:
+            parts.append(draw(w))
+        except Exception as e:
+            return parts + [e]
+    return parts
+
+
+def _child(write: int, windows: list[range], draw: Callable[[range], np.ndarray]):
+    """In a forked child: pickle _drawn's list into the pipe end write and
+    exit, with status 1 if it could not be sent. Never returns."""
+    code = 1
+    try:
+        data = pickle.dumps(_drawn(windows, draw), pickle.HIGHEST_PROTOCOL)
+        with open(write, "wb") as f:
+            f.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _forked(windows: list[range], workers: int,
+            draw: Callable[[range], np.ndarray]) -> list[np.ndarray]:
+    """map_windows' parts from this process and workers - 1 forked children.
+
+    Each child has its own pipe, whose write end this process closes
+    before the next fork. Every pipe is read to its end before the
+    children are reaped; if this process is interrupted first, they are
+    killed, so none outlives the call.
+    """
+    pids, reads, sent = [], [], []
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(write, windows[w::workers], draw)
+                pids.append(pid)
+            finally:
+                os.close(write)
+        drawn = [_drawn(windows[0::workers], draw)]
+        for read in reads:
+            with open(read, "rb", closefd=False) as f:
+                sent.append(f.read())
+    finally:
+        for read in reads:
+            os.close(read)
+        codes = []
+        for pid in pids:
+            if len(sent) < len(pids):
+                os.kill(pid, signal.SIGKILL)
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for pid, data, code in zip(pids, sent, codes):
+        try:
+            drawn.append(pickle.loads(data))  # bytes this program's own child wrote
+        except (EOFError, pickle.UnpicklingError):
+            killed = f", killed by {signal.Signals(-code).name}" if code < 0 else ""
+            drawn.append([RuntimeError(
+                f"sampling worker {pid} sent no result (exit status {code}{killed})")])
+    parts = [None] * len(windows)
+    for w, worker_parts in enumerate(drawn):
+        for j, part in enumerate(worker_parts):
+            parts[w + j * workers] = part
+    for part in parts:  # a worker stops at its first error, so no None comes before one
+        if isinstance(part, Exception):
+            raise part
+    return parts
 
 
 @functools.cache
@@ -339,11 +424,12 @@ def _openblas() -> ctypes.CDLL | None:
 def one_blas_thread():
     """Run the body with numpy's bundled OpenBLAS on one thread.
 
-    The cores go to map_windows workers instead: BLAS threads started
-    inside each worker would oversubscribe them. The previous thread count
-    is restored on exit. Does nothing when the library is not found. The
-    count is process-wide: BLAS calls that other threads make meanwhile
-    run on one thread too.
+    The cores go to map_windows' worker processes instead: BLAS threads
+    started inside each worker would oversubscribe them. Children forked
+    in the body inherit the setting. The previous thread count is restored
+    on exit. Does nothing when the library is not found. The count is
+    process-wide: BLAS calls that other threads make meanwhile run on one
+    thread too.
     """
     lib = _openblas()
     if lib is None:

@@ -18,7 +18,7 @@ sampling integrates dx = [g^2 score - f] dt + g dB~ with Euler-Maruyama
 from t = 1 down to t_eps, pinning masked-out coordinates at zero.
 Each reverse_integrate call owns its drift, noise and finiteness
 buffers, and chunk_score gives the score its own network input and
-layer buffers; no model holds one, since map_windows threads share models.
+layer buffers; no model holds one, so drawing leaves a model unchanged.
 Each call also computes its step grid once: t_k, dt_k, beta(t_k) and
 sqrt(beta dt) for the loop, and the time embedding rows and -sigma(t_k)
 that it passes to every score call. The grid's expressions are the
@@ -307,7 +307,7 @@ def reverse_sample_batch(model: QuantityScoreModel, masks: np.ndarray, seed: int
     Row i draws from block i // 64 of the quantity stream of seed (netcore),
     the last block padded with all-zero rows, which draw nothing. So given
     generate_batch's masks it gives that batch's grams, at any chunk_size
-    (rows to a window) and thread count.
+    (rows to a window) and worker count (threads).
     """
     masks = np.atleast_2d(np.asarray(masks, dtype=np.uint8))
     padded = np.concatenate([masks, np.zeros((-len(masks) % netcore.BLOCK, masks.shape[1]))])

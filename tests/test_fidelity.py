@@ -1,4 +1,4 @@
-import threading
+import os
 
 import numpy as np
 import pytest
@@ -200,21 +200,25 @@ def untrained_models_and_corpus(K=5):
 
 def test_fidelity_report_is_the_same_for_any_thread_count(monkeypatch):
     mask_model, quantity_model, corpus = untrained_models_and_corpus()
-    callers = []
-    quantity_mae = fd.quantity_mae
+    forks = {}
+    fork = os.fork
 
-    def recording(*args):
-        callers.append(threading.get_ident())
-        return quantity_mae(*args)
+    def counting():
+        forks[threads] = forks.get(threads, 0) + 1
+        return fork()
 
-    monkeypatch.setattr(fd, "quantity_mae", recording)
-    serial = fd.fidelity_report(mask_model, quantity_model, corpus, 300, seed=4, threads=1)
-    concurrent = fd.fidelity_report(mask_model, quantity_model, corpus, 300, seed=4, threads=2)
-    assert serial.to_dict() == concurrent.to_dict()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "fork", counting)
+    reports = {}
+    for threads in (1, 2, 3):
+        reports[threads] = fd.fidelity_report(mask_model, quantity_model, corpus, 300, seed=4,
+                                              threads=threads)
+    serial = reports[1]
+    assert serial.to_dict() == reports[2].to_dict() == reports[3].to_dict()
     assert serial.to_dict()["mode_recall"] == serial.mode_recall > 0
     assert serial.quantity_mae_grams is not None
-    # threads = 2 draws the held-out quantities on a worker thread
-    assert callers[0] == threading.get_ident() != callers[1]
+    # threads = 2 draws windows in a forked worker process
+    assert 1 not in forks and forks[2] >= 1
 
 
 def test_fidelity_report_rejects_models_that_differ_in_size():

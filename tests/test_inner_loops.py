@@ -14,7 +14,10 @@ earlier code.
 
 import dataclasses
 import hashlib
+import os
+import signal
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from recipeforge import mask_diffusion as md
 from recipeforge import netcore
 from recipeforge import quantity_diffusion as qd
 from recipeforge.corpus import Corpus, IngredientVocabulary
+from recipeforge.errors import NumericError
 from helpers import random_models
 
 PINS = {
@@ -153,6 +157,88 @@ def test_generate_batch_is_the_same_on_one_and_two_threads():
     one = dc.generate_batch(mask, qty, 2048, seed=4, chunk_size=512, threads=1)
     two = dc.generate_batch(mask, qty, 2048, seed=4, chunk_size=512, threads=2)
     assert one.tobytes() == two.tobytes()
+
+
+def _forks(monkeypatch, cores: int = 2) -> list:
+    """Give this process cores usable cores and record each os.fork call it makes."""
+    forks, fork = [], os.fork
+
+    def counting():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def _indices(blocks: range) -> np.ndarray:
+    """A draw whose rows hold their own stream index."""
+    return np.arange(blocks.start * netcore.BLOCK, blocks.stop * netcore.BLOCK, dtype=float)[:, None]
+
+
+def _failing(*windows: int):
+    """_indices, but the given one-block windows raise a NumericError naming them."""
+    def draw(blocks: range) -> np.ndarray:
+        if blocks.start in windows:
+            raise NumericError(f"window {blocks.start} failed")
+        return _indices(blocks)
+    return draw
+
+
+def test_workers_are_capped_at_the_usable_cores(monkeypatch):
+    forks = _forks(monkeypatch, cores=2)
+    out = netcore.map_windows(1000, 64, 64, _indices)
+    assert len(forks) == 1
+    assert out.tobytes() == np.arange(1000, dtype=float)[:, None].tobytes()
+
+
+def test_a_process_with_live_threads_draws_serially(monkeypatch):
+    forks = _forks(monkeypatch)
+    mask, qty = desk_size_models(T=8, steps=12)
+    one = dc.generate_batch(mask, qty, 512, seed=4, chunk_size=128, threads=1)
+    stop = threading.Event()
+    sleeper = threading.Thread(target=stop.wait, args=(60,))
+    sleeper.start()
+    try:
+        two = dc.generate_batch(mask, qty, 512, seed=4, chunk_size=128, threads=2)
+    finally:
+        stop.set()
+        sleeper.join(timeout=60)
+    assert not sleeper.is_alive()
+    assert one.tobytes() == two.tobytes() and not forks
+
+
+@pytest.mark.parametrize("failing, first", [((1,), 1), ((1, 2), 1), ((2, 3), 2), ((0, 1), 0)],
+                         ids=["child", "child-first", "caller-first", "both-first"])
+def test_the_first_failing_window_raises_in_the_caller(monkeypatch, failing, first):
+    forks = _forks(monkeypatch)
+    # two workers: this process draws windows 0 and 2, the child 1 and 3
+    with pytest.raises(NumericError, match=f"^window {first} failed$"):
+        netcore.map_windows(256, 64, 2, _failing(*failing))
+    assert len(forks) == 1
+
+
+def test_a_killed_child_names_its_exit_status(monkeypatch):
+    _forks(monkeypatch)
+    parent = os.getpid()
+
+    def draw(blocks: range) -> np.ndarray:
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return _indices(blocks)
+
+    with pytest.raises(RuntimeError, match="exit status -9, killed by SIGKILL"):
+        netcore.map_windows(256, 64, 2, draw)
+
+
+def test_an_error_in_the_callers_window_leaves_no_child(monkeypatch):
+    forks = _forks(monkeypatch)
+    with pytest.raises(NumericError, match="^window 0 failed$"):
+        netcore.map_windows(256, 64, 2, _failing(0))
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @st.composite
