@@ -24,8 +24,9 @@ the vocabulary, so it is never read for different bytes. Entries are never
 evicted, so the directory only grows; deleting it is always safe.
 
 Commands run with numpy's OpenBLAS on one thread (restored afterwards),
-so the sampling worker processes that --threads sets are the only
-parallelism.
+so the processes that --threads sets are the only parallelism: the
+sampling workers, and in train-mask and train-quantity a producer that
+prepares the training steps' draws and inputs ahead of their updates.
 
 Row i of a seed's sample stream is the same draw in sample, sample
 --mask-from, validate and rediscover at any count; sample.chunk_size and
@@ -71,8 +72,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "entries are never evicted, and deleting cache/ is always safe")
     _flag(p, "--seed", "run.seed", type=int)
     _flag(p, "--threads", "run.threads", type=int,
-          help="sampling worker processes, at most the usable cores "
-               "(env RECIPEFORGE_THREADS as fallback)")
+          help="sampling worker processes, at most the usable cores; from 2, training "
+               "prepares its steps in a forked producer (env RECIPEFORGE_THREADS as fallback)")
 
 
 _CHUNK_HELP = "rows sampled at once per worker; sets the compute window only, never the samples"
@@ -367,11 +368,13 @@ def cmd_train(cfg: dict, out_dir: Path, chash: str) -> int:
     if name == "mask":
         schedule = mask_diffusion.linear_schedule(cfg["schedule.T"], cfg["schedule.beta_start"],
                                                   cfg["schedule.beta_end"])
-        model = mask_diffusion.train_mask_model(loaded, schedule, config, seed)
+        model = mask_diffusion.train_mask_model(loaded, schedule, config, seed,
+                                                cfg["run.threads"])
         save, loss, summary = mask_diffusion.save_mask_model, "val_neg_elbo", "val -ELBO {:.2f} -> {:.2f}"
     else:
         sde = quantity_diffusion.SDESpec(**{k[4:]: v for k, v in cfg.items() if k.startswith("sde.")})
-        model = quantity_diffusion.train_quantity_model(loaded, sde, config, seed)
+        model = quantity_diffusion.train_quantity_model(loaded, sde, config, seed,
+                                                        cfg["run.threads"])
         save, loss, summary = quantity_diffusion.save_quantity_model, "val_dsm", "val DSM {:.3f} -> {:.3f}"
     path = out_dir / "checkpoints" / f"{name}_model.json"
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -121,15 +121,21 @@ def _predict_p_hat(model: MaskDiffusionModel, x_t: np.ndarray, t, inputs=None,
     """Denoiser output probabilities, clipped away from 0 and 1, in layers[-1]:
     a sampler passes its own inputs, layer_buffers and (n, K) term scratch."""
     inputs = _model_inputs(x_t, t, model.schedule, inputs)
-    return _p_hat(model, netcore.forward(model.net, inputs, layers), inputs, t, term)
+    return _p_hat(model, netcore.forward(model.net, inputs, layers),
+                  _evidence(model.schedule, inputs, t, term))
 
 
-def _p_hat(model: MaskDiffusionModel, logits: np.ndarray, inputs: np.ndarray,
-           t, term: np.ndarray | None = None) -> np.ndarray:
-    """_predict_p_hat from the network's output logits at its _model_inputs.
-    Overwrites logits with the result (term, if given, holds the evidence)."""
+def _evidence(sched: NoiseSchedule, inputs: np.ndarray, t, out=None) -> np.ndarray:
+    """(2 x_t - 1) lambda(t) per cell (into out if given), read from the
+    _model_inputs at bits x_t and steps t."""
+    return np.multiply(inputs[..., :-3], sched.evidence[t][..., None], out=out)
+
+
+def _p_hat(model: MaskDiffusionModel, logits: np.ndarray, evidence: np.ndarray) -> np.ndarray:
+    """_predict_p_hat from the network's output logits and the _evidence
+    term at its inputs. Overwrites logits with the result."""
     logits += model.base_logits
-    logits += np.multiply(inputs[..., :model.K], model.schedule.evidence[t][..., None], out=term)
+    logits += evidence
     p = expit(logits, out=logits)
     return np.clip(p, _PCLIP, 1.0 - _PCLIP, out=p)
 
@@ -193,19 +199,26 @@ def _elbo_terms(model: MaskDiffusionModel, masks: np.ndarray,
     return prior + T * step_term
 
 
-def _train_step(model: MaskDiffusionModel, batch: np.ndarray,
-                opt: netcore.OptimizerState, rng: np.random.Generator) -> None:
-    sched = model.schedule
+def _prepare_step(sched: NoiseSchedule, batch: np.ndarray,
+                  rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """The part of a training step on the mask rows batch that reads no
+    parameter: its noise draws, and the denoiser inputs, _evidence term
+    and _posterior_terms (pi0, pi1, q_true) at them."""
     x0 = batch.astype(float)
     t, x_t = _noise(sched, x0, rng)
     inputs = _model_inputs(x_t, t, sched)
-    acts = netcore.activations(model.net, inputs)
-    s = _p_hat(model, acts[-1].copy(), inputs, t)  # acts stays the network's output
+    return (inputs, _evidence(sched, inputs, t), *_posterior_terms(sched, t, x_t, x0))
 
-    pi0, pi1, q_true = _posterior_terms(sched, t, x_t, x0)
+
+def _train_step(model: MaskDiffusionModel, inputs: np.ndarray, evidence: np.ndarray,
+                pi0: np.ndarray, pi1: np.ndarray, q_true: np.ndarray,
+                opt: netcore.OptimizerState) -> None:
+    """One Adam step on the negative ELBO from _prepare_step's arrays."""
+    acts = netcore.activations(model.net, inputs)
+    s = _p_hat(model, acts[-1].copy(), evidence)  # acts stays the network's output
     pi = np.clip(s * pi1 + (1.0 - s) * pi0, _PCLIP, 1.0 - _PCLIP)
     dkl_dpi = -q_true / pi + (1.0 - q_true) / (1.0 - pi)
-    cot = dkl_dpi * (pi1 - pi0) * s * (1.0 - s) * (sched.T / len(batch))
+    cot = dkl_dpi * (pi1 - pi0) * s * (1.0 - s) * (model.schedule.T / len(inputs))
     netcore.optimizer_step(model.net, netcore.gradient(model.net, acts, cot), opt)
 
 
@@ -216,12 +229,13 @@ def _validation_loss(model: MaskDiffusionModel, masks: np.ndarray, seed: int, dr
 
 
 def train_mask_model(corpus: Corpus, schedule: NoiseSchedule, config: TrainConfig,
-                     seed: int) -> MaskDiffusionModel:
+                     seed: int, threads: int = 1) -> MaskDiffusionModel:
     """Train the mask denoiser on the corpus train split.
 
-    Deterministic for a fixed seed; validation negative ELBO is recorded
-    in model.history at config.val_interval on Corpus.training_rows'
-    validation rows.
+    Deterministic for a fixed seed, at any threads: with threads >= 2 a
+    forked producer prepares the steps ahead (netcore.fit). Validation
+    negative ELBO is recorded in model.history at config.val_interval on
+    Corpus.training_rows' validation rows.
     """
     train, val = corpus.training_rows()
     masks, val_masks = (train > 0).astype(np.uint8), (val > 0).astype(np.uint8)
@@ -239,8 +253,9 @@ def train_mask_model(corpus: Corpus, schedule: NoiseSchedule, config: TrainConfi
                                vocab_fingerprint=corpus.vocabulary.fingerprint())
     model.history = netcore.fit(
         net, config, seed, masks.shape[0],
-        lambda idx, opt, rng: _train_step(model, masks[idx], opt, rng),
-        lambda: _validation_loss(model, val_masks, seed + 1, config.val_draws))
+        lambda idx, rng: _prepare_step(schedule, masks[idx], rng),
+        lambda prepared, opt: _train_step(model, *prepared, opt),
+        lambda: _validation_loss(model, val_masks, seed + 1, config.val_draws), threads)
     return model
 
 

@@ -20,6 +20,14 @@ last, so row i has the same bits at any count, window and worker count on
 a BLAS that rounds a row alike in any window of whole blocks (tests pin it).
 Its workers are this process and forked children, which inherit the models.
 
+fit splits each training step in two. prepare does the work that reads no
+parameter: the batch-index draw, the noise draws and the arrays computed
+from them. The update does the rest: forward, gradient, the Adam step, the
+parameter average and validation. With threads >= 2, a forked producer owns
+the step generator and runs prepare ahead into a shared mmap ring while this
+process updates; the draws, and so the bits, are those of one process.
+A forked child dies with this process, on Linux even when a signal kills it.
+
 A model checkpoint is one JSON object with the keys schema_version,
 kind, K and vocab_fingerprint, then the model's own fields, then net
 (layer sizes and row-major parameters) and seed_lineage, in that order.
@@ -34,9 +42,11 @@ import functools
 import glob
 import json
 import math
+import mmap
 import os
 import pickle
 import signal
+import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,6 +60,9 @@ from .errors import DataError, NumericError, number, numbers, read_json, shown
 _B1, _B2, _EPS = 0.9, 0.999, 1e-8
 # rows of a sample stream block, and the numbers of its mask and quantity streams
 BLOCK, MASKS, QUANTITIES = 64, 0, 1
+# the most slots fit's training producer runs ahead, and the bytes they may take
+_RING_SLOTS, _RING_BYTES = 8, 1 << 20
+_PR_SET_PDEATHSIG = 1  # prctl option: the signal a child gets when its parent dies
 
 
 def _layer_views(sizes: list[int], flat: np.ndarray) -> tuple[tuple, tuple]:
@@ -262,16 +275,28 @@ def time_embedding(t: np.ndarray | float, period: float) -> np.ndarray:
 
 
 def fit(net: Network, config: TrainConfig, seed: int, n_rows: int,
-        step: Callable[[np.ndarray, OptimizerState, np.random.Generator], None],
-        validate: Callable[[], float]) -> list[tuple[int, float]]:
+        prepare: Callable[[np.ndarray, np.random.Generator], tuple[np.ndarray, ...]],
+        update: Callable[[tuple[np.ndarray, ...], OptimizerState], None],
+        validate: Callable[[], float], threads: int = 1) -> list[tuple[int, float]]:
     """Train net in place with Adam; returns the (step, validation loss) history.
 
-    Each step draws config.batch_size row indices in [0, n_rows) and calls
-    step(idx, opt, rng), which takes one optimizer step on those rows. The
-    learning rate decays linearly to config.final_learning_rate and the
-    config.ema_decay parameter average replaces the raw weights at the end;
-    0 turns either off. validate() is recorded at step 0, every val_interval
-    steps, at the last step and, with an average, once more after the swap.
+    A step runs in two parts. prepare(idx, rng) does the work that reads no
+    parameter: it gets config.batch_size row indices drawn in [0, n_rows)
+    and the step generator, makes the step's noise draws, and returns the
+    arrays computed from them. update(prepared, opt) takes one optimizer step
+    on those arrays. The learning rate decays linearly to
+    config.final_learning_rate and the config.ema_decay parameter average
+    replaces the raw weights at the end; 0 turns either off. validate() is
+    recorded at step 0, every val_interval steps, at the last step and, with
+    an average, once more after the swap.
+
+    With threads >= 2, under map_windows' rule (2 usable cores, one running
+    thread), a forked producer owns the step generator and prepares the
+    steps after the first, up to _RING_SLOTS ahead, in a shared ring
+    (_pipelined); this process keeps every update, validation and average.
+    Every draw is the same, in the same order on the same generator, so the
+    bits are those of threads = 1, and an error in prepare at step i is
+    raised after the i - 1 updates before it.
     """
     opt = init_optimizer(net, learning_rate=config.learning_rate)
     rng = np.random.default_rng(seed)
@@ -279,17 +304,91 @@ def fit(net: Network, config: TrainConfig, seed: int, n_rows: int,
     lr0 = config.learning_rate
     lr1 = config.final_learning_rate or lr0
     history = [(0, validate())]
-    for i in range(1, config.steps + 1):
-        opt.learning_rate = lr0 + (lr1 - lr0) * (i / config.steps)
-        step(rng.integers(0, n_rows, size=config.batch_size), opt, rng)
-        if ema is not None:
-            ema.update(net)
-        if i % config.val_interval == 0 or i == config.steps:
-            history.append((i, validate()))
+
+    def draw() -> tuple[np.ndarray, ...]:
+        return prepare(rng.integers(0, n_rows, size=config.batch_size), rng)
+
+    if config.steps > 1 and _workers(threads, 2) > 1:
+        steps = _pipelined(config.steps, draw)
+    else:
+        steps = (draw() for _ in range(config.steps))
+    with contextlib.closing(steps):
+        for i, prepared in enumerate(steps, 1):
+            opt.learning_rate = lr0 + (lr1 - lr0) * (i / config.steps)
+            update(prepared, opt)
+            if ema is not None:
+                ema.update(net)
+            if i % config.val_interval == 0 or i == config.steps:
+                history.append((i, validate()))
     if ema is not None:
         ema.copy_to(net)
         history.append((config.steps, validate()))
     return history
+
+
+def _pipelined(steps: int, draw: Callable[[], tuple[np.ndarray, ...]]):
+    """draw()'s steps results in order: the first drawn here, the rest by a
+    forked producer, as views into a shared anonymous mmap ring.
+
+    The first result's arrays set a slot's layout; the ring has up to
+    _RING_SLOTS slots within _RING_BYTES, and at least 2. The producer
+    writes step j into slot (j - 1) % slots and a b"k" into one pipe, or
+    pickles the exception that stopped it after a b"e". This process hands
+    a slot back through the other pipe once the caller asks for the next
+    step, so the producer runs at most slots steps ahead. The producer is
+    killed and reaped when the generator ends, so none outlives fit.
+    """
+    first = draw()
+    offsets = np.cumsum([0] + [-(-a.nbytes // 64) * 64 for a in first]).tolist()  # cache lines
+    size = offsets[-1]
+    slots = max(2, min(_RING_SLOTS, _RING_BYTES // size))
+    ring = mmap.mmap(-1, slots * size)
+    views = [tuple(np.ndarray(a.shape, a.dtype, ring, s * size + o) for a, o in zip(first, offsets))
+             for s in range(slots)]
+    full_read, full_write = os.pipe()
+    free_read, free_write = os.pipe()
+    pids, sent = [], None
+    try:
+        try:
+            pids.append(_fork(lambda: _produce(steps, draw, views, full_write, free_read,
+                                               (full_read, free_write))))
+        finally:
+            os.close(full_write)
+            os.close(free_read)
+        yield first
+        for j in range(1, steps):
+            if os.read(full_read, 1) != b"k":
+                with open(full_read, "rb", closefd=False) as f:
+                    sent = f.read()  # to its end: the producer has exited
+                break
+            yield views[(j - 1) % slots]
+            if j + slots < steps:  # the producer's step j + slots reuses this slot
+                with contextlib.suppress(BrokenPipeError):  # it stopped early; the read tells why
+                    os.write(free_write, b"f")
+    finally:
+        os.close(full_read)
+        os.close(free_write)
+        codes = _reap(pids)
+    if sent is not None:
+        raise _received(sent, "training producer", pids[0], codes[0])
+
+
+def _produce(steps: int, draw: Callable[[], tuple[np.ndarray, ...]], views: list[tuple],
+             full: int, free: int, unused: tuple[int, int]) -> None:
+    """In the forked producer: _pipelined's steps 1 to steps - 1 into the ring."""
+    for fd in unused:
+        os.close(fd)
+    for j in range(1, steps):
+        if j > len(views) and not os.read(free, 1):
+            return  # the trainer has stopped
+        try:
+            for view, part in zip(views[(j - 1) % len(views)], draw(), strict=True):
+                view[...] = part
+        except Exception as e:
+            with open(full, "wb", closefd=False) as f:
+                f.write(b"e" + pickle.dumps(e, pickle.HIGHEST_PROTOCOL))
+            return
+        os.write(full, b"k")
 
 
 def block_rngs(seed: int, stream: int, blocks: range) -> list[np.random.Generator]:
@@ -323,11 +422,8 @@ def map_windows(n: int, window_rows: int, threads: int,
     blocks = range(-(-n // BLOCK))
     per = -(-window_rows // BLOCK)
     windows = [blocks[i:i + per] for i in range(0, len(blocks), per)] or [blocks]
-    workers = min(threads, len(windows), len(os.sched_getaffinity(0)))
-    if workers > 1 and threading.active_count() == 1:
-        parts = _forked(windows, workers, draw)
-    else:
-        parts = [draw(w) for w in windows]
+    workers = _workers(threads, len(windows))
+    parts = _forked(windows, workers, draw) if workers > 1 else [draw(w) for w in windows]
     return np.concatenate(parts, axis=0)[:n]
 
 
@@ -342,17 +438,11 @@ def _drawn(windows: list[range], draw: Callable[[range], np.ndarray]) -> list:
     return parts
 
 
-def _child(write: int, windows: list[range], draw: Callable[[range], np.ndarray]):
-    """In a forked child: pickle _drawn's list into the pipe end write and
-    exit, with status 1 if it could not be sent. Never returns."""
-    code = 1
-    try:
-        data = pickle.dumps(_drawn(windows, draw), pickle.HIGHEST_PROTOCOL)
-        with open(write, "wb") as f:
-            f.write(data)
-        code = 0
-    finally:
-        os._exit(code)
+def _child(write: int, windows: list[range], draw: Callable[[range], np.ndarray]) -> None:
+    """In a forked worker: pickle _drawn's list into the pipe end write."""
+    data = pickle.dumps(_drawn(windows, draw), pickle.HIGHEST_PROTOCOL)
+    with open(write, "wb") as f:
+        f.write(data)
 
 
 def _forked(windows: list[range], workers: int,
@@ -361,8 +451,8 @@ def _forked(windows: list[range], workers: int,
 
     Each child has its own pipe, whose write end this process closes
     before the next fork. Every pipe is read to its end before the
-    children are reaped; if this process is interrupted first, they are
-    killed, so none outlives the call.
+    children are reaped (_reap), so the kill stops only a child that this
+    process left early, when it was interrupted; none outlives the call.
     """
     pids, reads, sent = [], [], []
     try:
@@ -370,10 +460,7 @@ def _forked(windows: list[range], workers: int,
             read, write = os.pipe()
             reads.append(read)
             try:
-                pid = os.fork()
-                if pid == 0:
-                    _child(write, windows[w::workers], draw)
-                pids.append(pid)
+                pids.append(_fork(functools.partial(_child, write, windows[w::workers], draw)))
             finally:
                 os.close(write)
         drawn = [_drawn(windows[0::workers], draw)]
@@ -383,18 +470,10 @@ def _forked(windows: list[range], workers: int,
     finally:
         for read in reads:
             os.close(read)
-        codes = []
-        for pid in pids:
-            if len(sent) < len(pids):
-                os.kill(pid, signal.SIGKILL)
-            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        codes = _reap(pids)
     for pid, data, code in zip(pids, sent, codes):
-        try:
-            drawn.append(pickle.loads(data))  # bytes this program's own child wrote
-        except (EOFError, pickle.UnpicklingError):
-            killed = f", killed by {signal.Signals(-code).name}" if code < 0 else ""
-            drawn.append([RuntimeError(
-                f"sampling worker {pid} sent no result (exit status {code}{killed})")])
+        received = _received(data, "sampling worker", pid, code)
+        drawn.append(received if isinstance(received, list) else [received])
     parts = [None] * len(windows)
     for w, worker_parts in enumerate(drawn):
         for j, part in enumerate(worker_parts):
@@ -403,6 +482,68 @@ def _forked(windows: list[range], workers: int,
         if isinstance(part, Exception):
             raise part
     return parts
+
+
+def _workers(threads: int, tasks: int) -> int:
+    """min(threads, tasks, usable cores) worker processes, or 1 in a process
+    that runs more than one thread, since a fork beside live threads can
+    deadlock the child."""
+    if threading.active_count() > 1:
+        return 1
+    return min(threads, tasks, len(os.sched_getaffinity(0)))
+
+
+def _fork(child: Callable[[], None]) -> int:
+    """Fork a child that runs child() and exits, with status 0 if it returns
+    and 1 if it raises; returns its pid. On Linux the child is SIGKILLed
+    when this process dies, and exits at once if that happened before it
+    asked to be."""
+    parent, prctl = os.getpid(), _prctl()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            if prctl is not None:
+                prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+            if os.getppid() == parent:
+                child()
+                code = 0
+        finally:
+            os._exit(code)
+    return pid
+
+
+def _reap(pids: list[int]) -> list[int]:
+    """SIGKILL the children pids, then reap them; their exit codes (-signal
+    if one was killed). Read after a child's pipe ended early, a code is
+    the child's own, since its pipe closed when it exited."""
+    codes = []
+    for pid in pids:
+        os.kill(pid, signal.SIGKILL)
+        codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    return codes
+
+
+def _received(data: bytes, worker: str, pid: int, code: int):
+    """What the child pid pickled into data, or, if it sent nothing whole
+    (killed, or an object that would not pickle), a RuntimeError naming
+    its exit status code."""
+    try:
+        return pickle.loads(data)  # bytes this program's own child wrote
+    except (EOFError, pickle.UnpicklingError):
+        killed = f", killed by {signal.Signals(-code).name}" if code < 0 else ""
+        return RuntimeError(f"{worker} {pid} sent no result (exit status {code}{killed})")
+
+
+@functools.cache
+def _prctl() -> Callable | None:
+    """libc's prctl on Linux, else None."""
+    if not sys.platform.startswith("linux"):
+        return None
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.restype = ctypes.c_int
+    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    return prctl
 
 
 @functools.cache

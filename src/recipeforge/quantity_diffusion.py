@@ -196,15 +196,23 @@ def _dsm_inputs(model: QuantityScoreModel, x0: np.ndarray, masks: np.ndarray, t:
     return inputs, eps - sigma * x_t
 
 
-def _dsm_batch_step(model: QuantityScoreModel, x0: np.ndarray, masks: np.ndarray,
-                    opt: netcore.OptimizerState, rng: np.random.Generator) -> None:
+def _prepare_dsm(model: QuantityScoreModel, x0: np.ndarray, masks: np.ndarray,
+                 rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """The part of a training step on rows x0, masks that reads no
+    parameter: _dsm_inputs at uniform t in [t_eps, 1), and the masks."""
+    t = rng.uniform(model.sde.t_eps, 1.0, size=len(x0))
+    return (*_dsm_inputs(model, x0, masks, t, rng), masks)
+
+
+def _dsm_batch_step(model: QuantityScoreModel, inputs: np.ndarray, target: np.ndarray,
+                    masks: np.ndarray, opt: netcore.OptimizerState) -> None:
     """One Adam step on the sigma^2-weighted DSM objective (the
-    noise-residual regression, same minimizer as the unweighted loss)."""
-    B = x0.shape[0]
-    inputs, target = _dsm_inputs(model, x0, masks, rng.uniform(model.sde.t_eps, 1.0, size=B), rng)
+    noise-residual regression, same minimizer as the unweighted loss),
+    from _prepare_dsm's arrays."""
     acts = netcore.activations(model.net, inputs)
     resid = (acts[-1] - target) * masks
-    netcore.optimizer_step(model.net, netcore.gradient(model.net, acts, 2.0 * resid / B), opt)
+    netcore.optimizer_step(model.net, netcore.gradient(model.net, acts, 2.0 * resid / len(inputs)),
+                           opt)
 
 
 def _validation_dsm(model: QuantityScoreModel, x0: np.ndarray, masks: np.ndarray, seed: int) -> float:
@@ -217,9 +225,11 @@ def _validation_dsm(model: QuantityScoreModel, x0: np.ndarray, masks: np.ndarray
 
 
 def train_quantity_model(corpus: Corpus, sde: SDESpec, config: TrainConfig,
-                         seed: int) -> QuantityScoreModel:
+                         seed: int, threads: int = 1) -> QuantityScoreModel:
     """Fit the codec and train the score network on the corpus train split,
-    validating on Corpus.training_rows' validation rows."""
+    validating on Corpus.training_rows' validation rows. Deterministic for a
+    fixed seed, at any threads: with threads >= 2 a forked producer
+    prepares the steps ahead (netcore.fit)."""
     weights, val_weights = corpus.training_rows()
     codec = fit_codec(weights)
     K = corpus.vocabulary.K
@@ -231,8 +241,9 @@ def train_quantity_model(corpus: Corpus, sde: SDESpec, config: TrainConfig,
     vx0, vmask = encode_weights(val_weights, codec), (val_weights > 0).astype(float)
     model.history = netcore.fit(
         net, config, seed, len(weights),
-        lambda idx, opt, rng: _dsm_batch_step(model, x0[idx], fmask[idx], opt, rng),
-        lambda: _validation_dsm(model, vx0, vmask, seed + 1))
+        lambda idx, rng: _prepare_dsm(model, x0[idx], fmask[idx], rng),
+        lambda prepared, opt: _dsm_batch_step(model, *prepared, opt),
+        lambda: _validation_dsm(model, vx0, vmask, seed + 1), threads)
     return model
 
 

@@ -198,13 +198,18 @@ class LayerAverage:
             net.biases[l][:] = self.biases[l]
 
 
-def layer_mask_train_step(model, batch, opt: LayerAdam, rng) -> None:
-    """mask_diffusion._train_step with the posterior evaluated per cell and
-    the reference gradient and Adam."""
-    sched = model.schedule
-    T, B = sched.T, batch.shape[0]
+def layer_mask_draws(sched, batch, rng) -> tuple[np.ndarray, ...]:
+    """The draws of mask_diffusion._prepare_step, with the rows they noise:
+    (x0, t, x_t)."""
     x0 = batch.astype(float)
-    t, x_t = md._noise(sched, x0, rng)
+    return (x0, *md._noise(sched, x0, rng))
+
+
+def layer_mask_train_step(model, x0, t, x_t, opt: LayerAdam) -> None:
+    """mask_diffusion._train_step on layer_mask_draws' arrays, with the
+    posterior evaluated per cell and the reference gradient and Adam."""
+    sched = model.schedule
+    T, B = sched.T, x0.shape[0]
     inputs = md._model_inputs(x_t, t, sched)
     s = md._predict_p_hat(model, x_t, t)
     beta_t = sched.betas[t - 1][:, None]
@@ -226,6 +231,7 @@ def use_layer_reference(monkeypatch) -> None:
     monkeypatch.setattr(netcore, "gradient",
                         lambda net, acts, cot: layer_gradient(net, acts[0], cot))
     monkeypatch.setattr(netcore, "optimizer_step", layer_optimizer_step)
+    monkeypatch.setattr(md, "_prepare_step", layer_mask_draws)
     monkeypatch.setattr(md, "_train_step", layer_mask_train_step)
 
 

@@ -1,5 +1,7 @@
 """The samplers' and training steps' inner loops: fixed output bits,
-untouched inputs and steps that fault in no memory.
+untouched inputs and steps that fault in no memory; and the forked
+processes that run them (map_windows' workers, fit's training producer):
+the same bits, errors in step order, and no process left behind.
 
 The pins are sha256 digests of outputs of fixed-seed runs. The two
 training pins were recorded at commit 264df32, before the inner loops were
@@ -16,8 +18,11 @@ import dataclasses
 import hashlib
 import os
 import signal
+import subprocess
 import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,9 +63,9 @@ def _sha(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
 
-def pinned_outputs() -> dict[str, str]:
-    """Digests of five outputs of two tiny models trained 50 steps, with
-    learning-rate decay and a parameter average, on a fixed random corpus."""
+def pinned_models(threads: int = 1) -> tuple[md.MaskDiffusionModel, qd.QuantityScoreModel]:
+    """Two tiny models trained 50 steps, with learning-rate decay and a
+    parameter average, on a fixed random corpus, at the given threads."""
     rng = np.random.default_rng(2024)
     K = 6
     grams = np.round(rng.uniform(5.0, 200.0, (64, K))) * (rng.random((64, K)) < 0.5)
@@ -70,8 +75,13 @@ def pinned_outputs() -> dict[str, str]:
     cfg = netcore.TrainConfig(steps=50, batch_size=16, learning_rate=3e-3,
                               final_learning_rate=3e-4, ema_decay=0.9, hidden_width=8,
                               hidden_depth=2, val_interval=25, val_draws=32)
-    mask = md.train_mask_model(corpus, md.linear_schedule(12), cfg, seed=7)
-    qty = qd.train_quantity_model(corpus, qd.SDESpec(steps=15), cfg, seed=8)
+    return (md.train_mask_model(corpus, md.linear_schedule(12), cfg, seed=7, threads=threads),
+            qd.train_quantity_model(corpus, qd.SDESpec(steps=15), cfg, seed=8, threads=threads))
+
+
+def pinned_outputs() -> dict[str, str]:
+    """Digests of five outputs of pinned_models."""
+    mask, qty = pinned_models()
     masks = md.sample_masks(mask, 40, seed=3, chunk_size=16)
     return {
         "sample_masks chunk 16": _sha(masks),
@@ -239,6 +249,148 @@ def test_an_error_in_the_callers_window_leaves_no_child(monkeypatch):
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _trained_the_pinned_way(two: tuple) -> bool:
+    """two has pinned_models' pinned thetas and the histories of threads = 1."""
+    one = pinned_models(threads=1)
+    return (_sha(two[0].net.theta) == PINS["train_mask_model theta"]
+            and _sha(two[1].net.theta) == PINS["train_quantity_model theta"]
+            and [m.history for m in one] == [m.history for m in two])
+
+
+def test_a_training_producer_keeps_the_pinned_bits(monkeypatch):
+    forks = _forks(monkeypatch)
+    two = pinned_models(threads=2)
+    assert len(forks) == 2  # one producer per model
+    monkeypatch.undo()
+    assert _trained_the_pinned_way(two)
+
+
+@pytest.mark.parametrize("why", ["a live thread", "one usable core"])
+def test_training_without_a_fork_keeps_the_pinned_bits(monkeypatch, why):
+    forks = _forks(monkeypatch, cores=1 if why == "one usable core" else 2)
+    stop = threading.Event()
+    sleeper = threading.Thread(target=stop.wait, args=(60,))
+    if why == "a live thread":
+        sleeper.start()
+    try:
+        two = pinned_models(threads=2)
+    finally:
+        stop.set()
+        if sleeper.is_alive():
+            sleeper.join(timeout=60)
+    assert not sleeper.is_alive() and not forks
+    monkeypatch.undo()
+    assert _trained_the_pinned_way(two)
+
+
+def _fit(threads: int, prepare, update=lambda prepared, opt: None, net=None):
+    """netcore.fit, 20 steps of a batch of 4 from 10 rows, on net (by
+    default a new one-layer network of 3 parameters)."""
+    config = netcore.TrainConfig(steps=20, batch_size=4, val_interval=1000)
+    return netcore.fit(net or netcore.init_network([2, 1], 0), config, 3, 10, prepare, update,
+                       lambda: 0.0, threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("failing", [1, 2, 9, 13])
+def test_an_error_in_prepare_follows_the_updates_before_it(monkeypatch, threads, failing):
+    # step 1 is prepared before the fork and 2 is the producer's first; 9 is
+    # the first to reuse a slot of the 8-slot ring, and 13 comes later
+    forks = _forks(monkeypatch)
+    prepared, updates = [0], []
+
+    def prepare(idx, rng):
+        prepared[0] += 1
+        if prepared[0] == failing:
+            raise NumericError(f"step {failing} failed")
+        return idx.astype(float), rng.standard_normal((4, 3))
+
+    with pytest.raises(NumericError, match=f"^step {failing} failed$"):
+        _fit(threads, prepare, lambda p, opt: updates.append([a.copy() for a in p]))
+    assert len(updates) == failing - 1
+    assert len(forks) == (threads == 2 and failing > 1)
+    serial, prepared[0] = [], 0
+    monkeypatch.undo()
+    with pytest.raises(NumericError):
+        _fit(1, prepare, lambda p, opt: serial.append([a.copy() for a in p]))
+    assert all(a.tobytes() == b.tobytes() for u, v in zip(updates, serial) for a, b in zip(u, v))
+
+
+def test_an_error_in_an_update_leaves_no_producer(monkeypatch):
+    forks = _forks(monkeypatch)
+    net = netcore.init_network([2, 1], 0)
+
+    def update(prepared, opt):
+        if opt.step == 3:  # the fourth update's gradient is not finite
+            prepared = (np.full_like(net.theta, np.nan),)
+        netcore.optimizer_step(net, prepared[0], opt)
+
+    with pytest.raises(NumericError, match="non-finite gradient"):
+        _fit(2, lambda idx, rng: (rng.standard_normal(3),), update, net)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_killed_producer_names_its_exit_status(monkeypatch):
+    _forks(monkeypatch)
+    parent = os.getpid()
+
+    def prepare(idx, rng):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return (idx,)
+
+    with pytest.raises(RuntimeError, match=r"^training producer \d+ sent no result "
+                                           r"\(exit status -9, killed by SIGKILL\)$"):
+        _fit(2, prepare)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="PR_SET_PDEATHSIG is Linux-only")
+def test_a_worker_dies_with_its_parent(tmp_path):
+    # the parent is killed by a signal it does not handle, so no finally of
+    # its own runs; its sampling worker, asleep in its window, must go too
+    program = (
+        "import os, sys, time\n"
+        "import numpy as np\n"
+        "from recipeforge import netcore\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "parent = os.getpid()\n"
+        "def draw(blocks):\n"
+        "    if os.getpid() != parent:\n"
+        "        print(os.getpid(), flush=True)\n"
+        "    time.sleep(60)\n"
+        "    return np.zeros((len(blocks) * netcore.BLOCK, 1))\n"
+        "netcore.map_windows(128, 64, 2, draw)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(netcore.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-c", program], stdout=subprocess.PIPE, env=env)
+    worker = None
+    try:
+        worker = int(proc.stdout.readline())
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == -signal.SIGTERM
+        deadline = time.monotonic() + 1.0
+        while _alive(worker) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _alive(worker)
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+        proc.stdout.close()
+        if worker is not None and _alive(worker):
+            os.kill(worker, signal.SIGKILL)
+
+
+def _alive(pid: int) -> bool:
+    """pid is a process that has not exited (gone, or a zombie, is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 @st.composite

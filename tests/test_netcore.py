@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -240,25 +241,32 @@ def test_checkpoint_round_trip():
         np.testing.assert_array_equal(a, b)
 
 
-def train_both(tmp_path, tag, corpus=None):
+def train_both(tmp_path, tag, corpus=None, threads=1):
     """Train both models 200 steps at test scale, with learning-rate decay
     and a parameter average, on corpus (by default a 300-recipe synthetic
-    one); returns the two models and their checkpoints."""
+    one), at the given threads; returns the two models and their checkpoints."""
     if corpus is None:
         spec = dataclasses.replace(cp.load_synth_spec(DESK / "synth_spec.json"), count=300)
         corpus = cp.synthesize_corpus(spec, seed=3)
     cfg = netcore.TrainConfig(steps=200, batch_size=32, learning_rate=3e-3,
                               final_learning_rate=3e-4, ema_decay=0.95, hidden_width=16,
                               hidden_depth=2, val_interval=50, val_draws=64)
-    mask = md.train_mask_model(corpus, md.linear_schedule(20), cfg, seed=4)
-    qty = qd.train_quantity_model(corpus, qd.SDESpec(steps=20), cfg, seed=5)
+    mask = md.train_mask_model(corpus, md.linear_schedule(20), cfg, seed=4, threads=threads)
+    qty = qd.train_quantity_model(corpus, qd.SDESpec(steps=20), cfg, seed=5, threads=threads)
     md.save_mask_model(tmp_path / f"mask-{tag}.json", mask)
     qd.save_quantity_model(tmp_path / f"qty-{tag}.json", qty)
     return (mask, qty), [(tmp_path / f"{m}-{tag}.json").read_bytes() for m in ("mask", "qty")]
 
 
 def test_training_is_bit_identical_to_the_per_layer_reference(tmp_path):
-    models, ckpts = train_both(tmp_path, "flat")
+    # the flat side prepares its steps in a forked producer (2 usable cores
+    # patched in); the reference runs them in turn, in this process
+    forks, fork = [], os.fork
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        mp.setattr(os, "fork", lambda: forks.append(1) or fork())
+        models, ckpts = train_both(tmp_path, "flat", threads=2)
+    assert len(forks) == 2
     with pytest.MonkeyPatch.context() as mp:
         use_layer_reference(mp)
         ref_models, ref_ckpts = train_both(tmp_path, "layer")
